@@ -9,7 +9,6 @@ evaluates closed-form point identifications instead.
 
 from .bounds import BoundResult, SweepPoint, assemble_constraints, bound, bound_sweep
 from .compile import (
-    ConstraintRow,
     ConstraintSet,
     compile_base,
     compile_exogeneity,
@@ -81,7 +80,6 @@ __all__ = [
     "BootstrapFailureError",
     "CellIndex",
     "ConfigError",
-    "ConstraintRow",
     "ConstraintSet",
     "ContradictionError",
     "Dims",

@@ -9,7 +9,6 @@ import numpy as np
 
 from . import simplex
 from .compile import (
-    ConstraintRow,
     ConstraintSet,
     compile_base,
     compile_exogeneity,
@@ -59,20 +58,21 @@ def _relax_data_rows(cs: ConstraintSet, eps: float) -> ConstraintSet:
 
     Opt-in escape hatch for sampling noise: relaxation applies to rows
     sourced from the experimental/observational tables only and is recorded
-    in the provenance, never silent.
+    in the provenance, never silent.  Each relaxed row becomes the pair
+    ``row <= rhs + eps`` and ``-row <= -(rhs - eps)`` in its place.
     """
-    if eps < 0:
-        raise ConfigError(f"slack must be nonnegative, got {eps}")
-    rows = []
-    for row in cs.rows:
-        data_row = row.provenance.startswith(("experimental(", "observational("))
-        if row.kind == "eq" and data_row:
-            neg = {i: -c for i, c in row.coeffs.items()}
-            rows.append(ConstraintRow(dict(row.coeffs), row.rhs + eps, "le", row.provenance))
-            rows.append(ConstraintRow(neg, -(row.rhs - eps), "le", row.provenance))
-        else:
-            rows.append(row)
-    return ConstraintSet(cs.dims, tuple(rows))
+    if not np.isfinite(eps) or eps < 0:
+        raise ConfigError(f"slack must be a finite nonnegative number, got {eps}")
+    data = (cs.kind == "eq") & np.array([tag.startswith(("experimental(", "observational(")) for tag in cs.provenance])
+    rows = np.repeat(np.arange(len(cs)), np.where(data, 2, 1))
+    lower = np.concatenate(([False], rows[1:] == rows[:-1]))  # second copy of a relaxed row
+    upper = data[rows] & ~lower
+    A, rhs, kind = cs.A[rows], cs.rhs[rows], cs.kind[rows]
+    A[lower] = 0.0 - A[lower]
+    rhs[upper] = rhs[upper] + eps
+    rhs[lower] = -(rhs[lower] - eps)
+    kind[data[rows]] = "le"
+    return ConstraintSet(cs.dims, A, rhs, kind, [cs.provenance[i] for i in rows])
 
 
 def assemble_constraints(
@@ -88,14 +88,15 @@ def assemble_constraints(
         raise ConfigError("need at least one of experimental or observational data")
     if assumptions.exogeneity and obs is None:
         raise ConfigError("exogeneity constraints need the observational table for P(X=l)")
-    cs = compile_base(dims)
+    parts = []
     if exp is not None:
-        cs = cs.merge(compile_experimental(dims, exp))
+        parts.append(compile_experimental(dims, exp))
     if obs is not None:
-        cs = cs.merge(compile_observational(dims, obs))
+        parts.append(compile_observational(dims, obs))
     if assumptions.exogeneity:
-        cs = cs.merge(compile_exogeneity(dims, obs))
-    cs = cs.merge(compile_monotonicity(dims, assumptions))
+        parts.append(compile_exogeneity(dims, obs))
+    parts.append(compile_monotonicity(dims, assumptions))
+    cs = compile_base(dims).merge(*parts)
     if slack is not None:
         cs = _relax_data_rows(cs, slack)
     return cs
@@ -108,7 +109,6 @@ def bound(
     obs: ObservationalJoint | None = None,
     assumptions: AssumptionSet | None = None,
     slack: float | None = None,
-    solver: simplex.LpBackend = simplex.solve,
 ) -> BoundResult:
     """Sharp bounds on the query under the given data and assumptions.
 
@@ -123,10 +123,10 @@ def bound(
     else:
         objective = collapse_to_objective(query, dims)
 
-    lo = solver(simplex.LpProblem(objective, cs, "minimize"))
-    if lo.status == "infeasible":
-        return BoundResult("infeasible", diagnostics=tuple(lo.certificate))
-    hi = solver(simplex.LpProblem(objective, cs, "maximize"))
+    phase1, solutions = simplex._two_phase(cs, [(objective, "minimize"), (objective, "maximize")])
+    if phase1.status == "infeasible":
+        return BoundResult("infeasible", diagnostics=phase1.certificate)
+    lo, hi = solutions
     if lo.status != "optimal" or hi.status != "optimal":
         # the feasible region sits inside the simplex, so this cannot be
         # unboundedness of a well-posed problem
@@ -169,12 +169,7 @@ def bound_sweep(
 
 def constraint_residual(cs: ConstraintSet, x: np.ndarray) -> float:
     """Worst violation of the system by a candidate point (for witness checks)."""
-    n = cs.dims.param_count()
     worst = float(max(0.0, -x.min())) if x.size else 0.0
-    for row in cs.rows:
-        val = sum(c * x[i] for i, c in row.coeffs.items())
-        if row.kind == "eq":
-            worst = max(worst, abs(val - row.rhs))
-        else:
-            worst = max(worst, val - row.rhs)
-    return worst
+    gap = cs.A @ x - cs.rhs
+    gap = np.where(cs.kind == "eq", np.abs(gap), gap)
+    return max(worst, float(gap.max(initial=0.0)))

@@ -64,6 +64,13 @@ def _read_json(path: str) -> Any:
         raise ValidationError(f"{path}: malformed JSON: {exc}")
 
 
+def _read_json_object(path: str) -> dict:
+    data = _read_json(path)
+    if not isinstance(data, dict):
+        raise ValidationError(f"{path}: expected a JSON object at the top level, got {type(data).__name__}")
+    return data
+
+
 def _read_csv_records(path: str, columns: tuple[str, str], limits: tuple[int, int]) -> np.ndarray:
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -125,8 +132,10 @@ def load_assumptions(source: str | None, dims: Dims) -> AssumptionSet:
     """``source`` is a preset name (possibly with arguments) or a JSON file."""
     if source is None:
         return AssumptionSet()
-    if os.path.exists(source):
-        data = _read_json(source)
+    if not os.path.exists(source):
+        return preset(source, dims)
+    data = _read_json_object(source)
+    try:
         if "preset" in data:
             out = preset(data["preset"], dims)
             if data.get("exogeneity"):
@@ -144,37 +153,41 @@ def load_assumptions(source: str | None, dims: Dims) -> AssumptionSet:
                     dims.d_x, pairs, float(t.get("prob_lower", 1.0)), float(t.get("prob_upper", 1.0))
                 )
             )
-        return AssumptionSet(tuple(terms), bool(data.get("exogeneity", False)))
-    return preset(source, dims)
+    except KeyError as exc:
+        raise ValidationError(f"{source}: missing key {exc}") from None
+    return AssumptionSet(tuple(terms), bool(data.get("exogeneity", False)))
 
 
 def load_query(path: str, dims: Dims) -> tuple[QuerySpec, Any]:
     """Build a query from its JSON description; returns (query, raw spec)."""
-    data = _read_json(path)
+    data = _read_json_object(path)
     kind = data.get("kind")
-    given = data.get("given")
-    given_pair = (int(given["x"]), int(given["y"])) if given else None
-    if kind == "event":
-        po = {int(k): v for k, v in (data.get("po") or {}).items()}
-        if given_pair is not None:
-            q = build_conditional_query(dims, po, given_pair, x=data.get("x"), y=data.get("y"))
+    try:
+        given = data.get("given")
+        given_pair = (int(given["x"]), int(given["y"])) if given else None
+        if kind == "event":
+            po = {int(k): v for k, v in (data.get("po") or {}).items()}
+            if given_pair is not None:
+                q = build_conditional_query(dims, po, given_pair, x=data.get("x"), y=data.get("y"))
+            else:
+                q = build_event_query(dims, po, x=data.get("x"), y=data.get("y"))
+        elif kind == "moment":
+            q = build_moment_query(dims, int(data["order"]), tuple(int(a) for a in data["arms"]))
+        elif kind == "posterior_effect":
+            if given_pair is None:
+                raise ValidationError(f"{path}: posterior_effect queries need a 'given' pair")
+            q = build_posterior_effect_query(dims, tuple(int(a) for a in data["arms"]), given_pair)
+        elif kind == "raw":
+            coeffs = {}
+            for cell in data["cells"]:
+                key = (tuple(int(v) for v in cell["y_vec"]), int(cell["x"]), int(cell["y"]))
+                coeffs[key] = coeffs.get(key, 0.0) + float(cell["coeff"])
+            q = QuerySpec(coeffs, given_pair)
+            q.validate(dims)
         else:
-            q = build_event_query(dims, po, x=data.get("x"), y=data.get("y"))
-    elif kind == "moment":
-        q = build_moment_query(dims, int(data["order"]), tuple(int(a) for a in data["arms"]))
-    elif kind == "posterior_effect":
-        if given_pair is None:
-            raise ValidationError(f"{path}: posterior_effect queries need a 'given' pair")
-        q = build_posterior_effect_query(dims, tuple(int(a) for a in data["arms"]), given_pair)
-    elif kind == "raw":
-        coeffs = {}
-        for cell in data["cells"]:
-            key = (tuple(int(v) for v in cell["y_vec"]), int(cell["x"]), int(cell["y"]))
-            coeffs[key] = coeffs.get(key, 0.0) + float(cell["coeff"])
-        q = QuerySpec(coeffs, given_pair)
-        q.validate(dims)
-    else:
-        raise ValidationError(f"{path}: unknown query kind {kind!r}")
+            raise ValidationError(f"{path}: unknown query kind {kind!r}")
+    except KeyError as exc:
+        raise ValidationError(f"{path}: missing key {exc}") from None
     return q, data
 
 

@@ -1,8 +1,10 @@
 """Compilation of data, exogeneity, and monotonicity into linear constraints.
 
-Every row is a sparse linear form over the flattened parameter vector.
-Nonnegativity of the parameters is implicit (the solver treats all variables
-as >= 0), so it never appears as an explicit row.
+A constraint system is a dense coefficient matrix over the flattened
+parameter vector, one row per constraint, built by broadcasting over the cell
+grid rather than by visiting cells one at a time.  Nonnegativity of the
+parameters is implicit (the solver treats all variables as >= 0), so it never
+appears as an explicit row.
 """
 
 from __future__ import annotations
@@ -15,171 +17,135 @@ import numpy as np
 from .errors import ConfigError, ValidationError
 from .model import (
     AssumptionSet,
-    CellIndex,
     Dims,
     ExperimentalMarginals,
     MonotoneTerm,
     ObservationalJoint,
-    flatten_index,
     require_valid,
 )
 
 
-@dataclass(frozen=True)
-class ConstraintRow:
-    """One linear constraint: ``coeffs . p (= | <=) rhs``.
-
-    ``provenance`` records which modelling ingredient produced the row, e.g.
-    ``base-sum``, ``experimental(0,1)``, ``observational(2,0)``,
-    ``exogeneity(0,1,2)`` or ``monotone(0,lower)``.
-    """
-
-    coeffs: dict[int, float]
-    rhs: float
-    kind: str  # "eq" | "le"
-    provenance: str
-
-    def __post_init__(self):
-        if not self.coeffs:
-            raise ValidationError(f"empty coefficient vector in row {self.provenance}")
-        if not np.isfinite(self.rhs):
-            raise ValidationError(f"non-finite right-hand side in row {self.provenance}")
-        if self.kind not in ("eq", "le"):
-            raise ValidationError(f"unknown row kind {self.kind!r}")
-
-    def dense(self, n: int) -> np.ndarray:
-        row = np.zeros(n)
-        for idx, c in self.coeffs.items():
-            row[idx] = c
-        return row
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)
 class ConstraintSet:
-    """An ordered collection of rows over a fixed parameter space."""
+    """An ordered system ``A[i] . p (= | <=) rhs[i]`` over a fixed parameter space.
+
+    ``A`` is the m-by-n coefficient matrix (n = ``dims.param_count()``),
+    ``kind[i]`` is ``"eq"`` or ``"le"``, and ``provenance[i]`` records which
+    modelling ingredient produced row ``i``, e.g. ``base-sum``,
+    ``experimental(0,1)``, ``observational(2,0)``, ``exogeneity(0,1,2)`` or
+    ``monotone(0,lower)``.  The arrays are copied and made read-only.
+    """
 
     dims: Dims
-    rows: tuple[ConstraintRow, ...] = ()
+    A: np.ndarray
+    rhs: np.ndarray
+    kind: np.ndarray
+    provenance: tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(self.rows))
-        n = self.dims.param_count()
-        for row in self.rows:
-            for idx in row.coeffs:
-                if not 0 <= idx < n:
-                    raise ValidationError(f"row {row.provenance} references index {idx} out of {n}")
+        A = _frozen(np.array(self.A, dtype=float))
+        rhs = _frozen(np.array(self.rhs, dtype=float))
+        kind = _frozen(np.array(self.kind, dtype=str))
+        provenance = tuple(self.provenance)
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "provenance", provenance)
+        m, n = len(provenance), self.dims.param_count()
+        if A.shape != (m, n) or rhs.shape != (m,) or kind.shape != (m,):
+            raise ValidationError(
+                f"{m} provenance tags over {n} parameters need A ({m}, {n}), rhs ({m},) and kind ({m},); "
+                f"got {A.shape}, {rhs.shape} and {kind.shape}"
+            )
+        checks = (
+            (~np.isin(kind, ("eq", "le")), "unknown row kind {kind!r} in row {tag}"),
+            (~(np.isfinite(rhs) & np.isfinite(A).all(axis=1)), "non-finite entry in row {tag}"),
+            (~A.any(axis=1), "empty coefficient vector in row {tag}"),
+        )
+        for bad, message in checks:
+            if bad.any():
+                i = int(np.flatnonzero(bad)[0])
+                raise ValidationError(message.format(kind=str(kind[i]), tag=provenance[i]))
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.provenance)
 
     def merge(self, *others: "ConstraintSet") -> "ConstraintSet":
-        rows = list(self.rows)
-        for other in others:
-            if other.dims != self.dims:
-                raise ValidationError("cannot merge constraint sets over different dimensions")
-            rows.extend(other.rows)
-        return ConstraintSet(self.dims, tuple(rows))
-
-    def provenances(self) -> list[str]:
-        return [row.provenance for row in self.rows]
-
-    def to_json_dict(self) -> dict:
-        """Debug dump; not a stability-guaranteed format."""
-        return {
-            "d_x": self.dims.d_x,
-            "d_y": self.dims.d_y,
-            "rows": [
-                {
-                    "kind": row.kind,
-                    "rhs": row.rhs,
-                    "provenance": row.provenance,
-                    "coeffs": {str(i): c for i, c in sorted(row.coeffs.items())},
-                }
-                for row in self.rows
-            ],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ConstraintSet":
-        dims = Dims(int(data["d_x"]), int(data["d_y"]))
-        rows = tuple(
-            ConstraintRow(
-                coeffs={int(i): float(c) for i, c in r["coeffs"].items()},
-                rhs=float(r["rhs"]),
-                kind=r["kind"],
-                provenance=r["provenance"],
-            )
-            for r in data["rows"]
+        parts = (self, *others)
+        if any(other.dims != self.dims for other in others):
+            raise ValidationError("cannot merge constraint sets over different dimensions")
+        return ConstraintSet(
+            self.dims,
+            np.concatenate([cs.A for cs in parts]),
+            np.concatenate([cs.rhs for cs in parts]),
+            np.concatenate([cs.kind for cs in parts]),
+            tuple(tag for cs in parts for tag in cs.provenance),
         )
-        return cls(dims, rows)
+
+
+def _cell_grid(dims: Dims) -> tuple[np.ndarray, np.ndarray]:
+    """Outcome vectors ``Y`` (d_x by n, ``Y[k]`` = y_k of each cell) and
+    treatments ``X`` (length n) of the cells in flattened order."""
+    grid = np.indices((dims.d_y,) * dims.d_x + (dims.d_x,)).reshape(dims.d_x + 1, -1)
+    return grid[:-1], grid[-1]
 
 
 def compile_base(dims: Dims) -> ConstraintSet:
     """The normalization row: all parameters sum to one."""
-    coeffs = {i: 1.0 for i in range(dims.param_count())}
-    return ConstraintSet(dims, (ConstraintRow(coeffs, 1.0, "eq", "base-sum"),))
+    return ConstraintSet(dims, np.ones((1, dims.param_count())), [1.0], ["eq"], ["base-sum"])
 
 
 def compile_experimental(dims: Dims, exp: ExperimentalMarginals) -> ConstraintSet:
     """Arm-marginal equalities, one per (arm, outcome) with the top outcome
     omitted: its row is implied by the base row and the others."""
     require_valid(exp, dims)
-    rows = []
-    for k in range(dims.d_x):
-        for j in range(dims.d_y - 1):
-            coeffs = {}
-            for y_vec, x in dims.cells():
-                if y_vec[k] == j:
-                    coeffs[flatten_index(CellIndex(y_vec, x), dims)] = 1.0
-            rows.append(ConstraintRow(coeffs, float(exp.table[k, j]), "eq", f"experimental({k},{j})"))
-    return ConstraintSet(dims, tuple(rows))
+    Y, _ = _cell_grid(dims)
+    levels = np.arange(dims.d_y - 1)
+    A = (Y[:, None, :] == levels[None, :, None]).reshape(-1, dims.param_count())
+    tags = [f"experimental({k},{j})" for k in range(dims.d_x) for j in range(dims.d_y - 1)]
+    return ConstraintSet(dims, A, exp.table[:, :-1].reshape(-1), ["eq"] * len(tags), tags)
 
 
 def compile_observational(dims: Dims, obs: ObservationalJoint) -> ConstraintSet:
     """Factual-cell equalities, skipping the final (x, y) cell whose row is
     implied by the base row and the others."""
     require_valid(obs, dims)
-    rows = []
-    for l in range(dims.d_x):
-        for m in range(dims.d_y):
-            if (l, m) == (dims.d_x - 1, dims.d_y - 1):
-                continue
-            coeffs = {}
-            for y_vec, x in dims.cells():
-                if x == l and y_vec[l] == m:
-                    coeffs[flatten_index(CellIndex(y_vec, x), dims)] = 1.0
-            rows.append(ConstraintRow(coeffs, float(obs.table[l, m]), "eq", f"observational({l},{m})"))
-    return ConstraintSet(dims, tuple(rows))
+    Y, X = _cell_grid(dims)
+    factual = Y[X, np.arange(X.size)]
+    arms, levels = np.arange(dims.d_x), np.arange(dims.d_y)
+    A = (X == arms[:, None, None]) & (factual == levels[None, :, None])
+    tags = [f"observational({l},{m})" for l in range(dims.d_x) for m in range(dims.d_y)][:-1]
+    return ConstraintSet(dims, A.reshape(-1, X.size)[:-1], obs.table.reshape(-1)[:-1], ["eq"] * len(tags), tags)
 
 
 def compile_exogeneity(dims: Dims, obs: ObservationalJoint) -> ConstraintSet:
     """Product constraints P(Y_k=v, X=l) = P(Y_k=v) P(X=l).
 
     The treatment marginal is a known scalar from the observational table, so
-    each constraint is linear.  Arms with zero probability produce 0 = 0 rows
-    and are skipped with a warning.  Linearly dependent rows within a (k, v)
-    group are emitted anyway; the solver copes with redundancy.
+    each constraint is linear: the cells with ``y_k = v`` carry ``1 - P(X=l)``
+    where ``x = l`` and ``-P(X=l)`` elsewhere.  Arms with zero probability
+    produce 0 = 0 rows and are skipped with a warning.  Linearly dependent
+    rows within a (k, v) group are emitted anyway; the solver copes with
+    redundancy.
     """
     require_valid(obs, dims)
     px = obs.x_marginal()
     degenerate = [l for l in range(dims.d_x) if px[l] <= 0.0]
     if degenerate:
         warnings.warn(f"degenerate treatment arms {degenerate} have zero probability; exogeneity rows skipped")
-    rows = []
-    for k in range(dims.d_x):
-        for v in range(dims.d_y):
-            for l in range(dims.d_x):
-                if px[l] <= 0.0:
-                    continue
-                coeffs = {}
-                for y_vec, x in dims.cells():
-                    if y_vec[k] != v:
-                        continue
-                    c = (1.0 if x == l else 0.0) - float(px[l])
-                    if c != 0.0:
-                        coeffs[flatten_index(CellIndex(y_vec, x), dims)] = c
-                rows.append(ConstraintRow(coeffs, 0.0, "eq", f"exogeneity({k},{v},{l})"))
-    return ConstraintSet(dims, tuple(rows))
+    Y, X = _cell_grid(dims)
+    arms = np.flatnonzero(px > 0.0)
+    levels = np.arange(dims.d_y)
+    coeffs = (X == arms[:, None]) - px[arms, None]
+    in_group = Y[:, None, None, :] == levels[None, :, None, None]
+    A = np.where(in_group, coeffs[None, None], 0.0).reshape(-1, X.size)
+    tags = [f"exogeneity({k},{v},{l})" for k in range(dims.d_x) for v in range(dims.d_y) for l in arms.tolist()]
+    return ConstraintSet(dims, A, np.zeros(len(tags)), ["eq"] * len(tags), tags)
 
 
 def indicator_mask(dims: Dims, term: MonotoneTerm) -> np.ndarray:
@@ -187,31 +153,33 @@ def indicator_mask(dims: Dims, term: MonotoneTerm) -> np.ndarray:
     inside every pairwise increment window of the term."""
     if term.d_lower.shape[0] != dims.d_x:
         raise ValidationError(f"term windows are {term.d_lower.shape[0]}x, dims expect {dims.d_x}")
-    mask = np.zeros(dims.param_count())
-    for y_vec in dims.outcome_vectors():
-        if term.admits(y_vec):
-            for x in range(dims.d_x):
-                mask[flatten_index(CellIndex(y_vec, x), dims)] = 1.0
-    return mask
+    Y, _ = _cell_grid(dims)
+    diff = Y[:, None, :] - Y[None, :, :]
+    inside = (term.d_lower[..., None] <= diff) & (diff <= term.d_upper[..., None])
+    below_diagonal = np.tri(dims.d_x, k=-1, dtype=bool)[..., None]
+    return (inside | ~below_diagonal).all(axis=(0, 1)).astype(float)
 
 
 def compile_monotonicity(dims: Dims, assumptions: AssumptionSet) -> ConstraintSet:
     """Two inequality rows per term, dropping sides that are vacuous given the
     base constraints (upper side when U = 1, lower side when L = 0)."""
-    rows = []
+    rows, rhs, tags = [], [], []
     for w, term in enumerate(assumptions.terms):
         mask = indicator_mask(dims, term)
-        coeffs = {i: 1.0 for i in np.flatnonzero(mask)}
-        neg = {i: -1.0 for i in coeffs}
-        if term.prob_upper < 1.0 and coeffs:
+        if term.prob_upper < 1.0 and mask.any():
             # empty mask makes the upper side vacuous (0 <= U)
-            rows.append(ConstraintRow(dict(coeffs), float(term.prob_upper), "le", f"monotone({w},upper)"))
+            rows.append(mask)
+            rhs.append(float(term.prob_upper))
+            tags.append(f"monotone({w},upper)")
         if term.prob_lower > 0.0:
-            if not coeffs:
+            if not mask.any():
                 # no outcome vector can realize the event; no data could fix this
                 raise ValidationError(f"term {w} admits no outcome vector but requires probability >= {term.prob_lower}")
-            rows.append(ConstraintRow(neg, -float(term.prob_lower), "le", f"monotone({w},lower)"))
-    return ConstraintSet(dims, tuple(rows))
+            rows.append(np.where(mask > 0.0, -1.0, 0.0))
+            rhs.append(-float(term.prob_lower))
+            tags.append(f"monotone({w},lower)")
+    A = np.reshape(rows, (len(rows), dims.param_count()))
+    return ConstraintSet(dims, A, rhs, ["le"] * len(tags), tags)
 
 
 def _consecutive_pairs(d_x: int) -> dict[tuple[int, int], tuple[float, float]]:

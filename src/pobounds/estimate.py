@@ -8,7 +8,7 @@ independently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -186,6 +186,31 @@ def _one_estimate(
     raise ConfigError(f"unknown mode {mode!r}")
 
 
+def _replicate(
+    count: int,
+    seed: int,
+    what: str,
+    draw: Callable[[np.random.SeedSequence], dict[str, float] | None],
+) -> ReplicationResult:
+    """Run ``draw(child)`` once per child of the seed's sequence and summarize.
+
+    ``draw`` returns one replicate's endpoint values, or None when the
+    replicate must be excluded; exclusions are counted.
+    """
+    collected: dict[str, list[float]] = {}
+    excluded = 0
+    for child in np.random.SeedSequence(seed).spawn(count):
+        values = draw(child)
+        if values is None:
+            excluded += 1
+            continue
+        for k, v in values.items():
+            collected.setdefault(k, []).append(v)
+    if not collected:
+        raise BootstrapFailureError(f"all {count} {what} replicates were infeasible")
+    return _summarize(collected, excluded)
+
+
 def bootstrap(
     dims: Dims,
     query: QuerySpec,
@@ -210,10 +235,7 @@ def bootstrap(
     if exp_sample is None and obs_sample is None:
         raise ConfigError("bootstrap needs raw samples, not pre-aggregated tables")
 
-    collected: dict[str, list[float]] = {}
-    excluded = 0
-    children = np.random.SeedSequence(seed).spawn(replicates)
-    for child in children:
+    def draw(child: np.random.SeedSequence) -> dict[str, float] | None:
         rng = np.random.default_rng(child)
         exp = obs = None
         if exp_sample is not None:
@@ -224,15 +246,9 @@ def bootstrap(
             obs = empirical_observational(
                 ObservationalSample(dims, rec[rng.integers(0, rec.shape[0], rec.shape[0])])
             )
-        values = _one_estimate(dims, mode, query, assumptions, exp, obs, slack)
-        if values is None:
-            excluded += 1
-            continue
-        for k, v in values.items():
-            collected.setdefault(k, []).append(v)
-    if not collected:
-        raise BootstrapFailureError(f"all {replicates} bootstrap replicates were infeasible")
-    return _summarize(collected, excluded)
+        return _one_estimate(dims, mode, query, assumptions, exp, obs, slack)
+
+    return _replicate(replicates, seed, "bootstrap", draw)
 
 
 def simulation_study(
@@ -262,22 +278,13 @@ def simulation_study(
     if mode == "identify" and data_kind == "both":
         raise ConfigError("identification needs exactly one data source; pick exp or obs")
 
-    collected: dict[str, list[float]] = {}
-    excluded = 0
-    children = np.random.SeedSequence(seed).spawn(reps)
-    for child in children:
+    def draw(child: np.random.SeedSequence) -> dict[str, float] | None:
         grand = child.spawn(2)
         exp = obs = None
         if want_exp:
             exp = empirical_experimental(sample_from_truth(truth, n, grand[0], "experimental"))
         if want_obs:
             obs = empirical_observational(sample_from_truth(truth, n, grand[1], "observational"))
-        values = _one_estimate(dims, mode, query, assumptions, exp, obs, slack)
-        if values is None:
-            excluded += 1
-            continue
-        for k, v in values.items():
-            collected.setdefault(k, []).append(v)
-    if not collected:
-        raise BootstrapFailureError(f"all {reps} simulation replicates were infeasible")
-    return _summarize(collected, excluded)
+        return _one_estimate(dims, mode, query, assumptions, exp, obs, slack)
+
+    return _replicate(reps, seed, "simulation", draw)

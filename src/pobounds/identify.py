@@ -63,14 +63,24 @@ def _screen_negatives(masses: dict[tuple[int, ...], float]) -> list[tuple[str, f
     ]
 
 
-def _clamp_and_normalize(entries: dict, total_hint: float = 1.0) -> dict:
+def _clamp_and_normalize(entries: dict) -> dict:
     cleaned = {k: max(v, 0.0) for k, v in entries.items() if v > 0.0}
     total = sum(cleaned.values())
     if total <= 0:
         raise ValidationError("identified distribution carries no mass")
-    if abs(total - total_hint) > 1e-12:
+    if abs(total - 1.0) > 1e-12:
         cleaned = {k: v / total for k, v in cleaned.items()}
     return cleaned
+
+
+def _conditionals(obs: ObservationalJoint) -> tuple[np.ndarray, np.ndarray]:
+    """The treatment marginal P(X=l) and the conditionals P(Y=m | X=l)."""
+    require_valid(obs, obs.dims)
+    px = obs.x_marginal()
+    if np.any(px <= 0.0):
+        bad = [int(l) for l in np.flatnonzero(px <= 0.0)]
+        raise UndefinedConditionalError(f"P(X=l) = 0 for arms {bad}; conditionals undefined")
+    return px, obs.table / px[:, None]
 
 
 def identify_experimental(exp: ExperimentalMarginals) -> SparseJointPO:
@@ -96,12 +106,7 @@ def identify_observational(obs: ObservationalJoint) -> SparseJointPO:
     factual outcome read off the chain at the received treatment.
     """
     dims = obs.dims
-    require_valid(obs, dims)
-    px = obs.x_marginal()
-    if np.any(px <= 0.0):
-        bad = [int(l) for l in np.flatnonzero(px <= 0.0)]
-        raise UndefinedConditionalError(f"P(X=l) = 0 for arms {bad}; conditionals undefined")
-    cond = obs.table / px[:, None]
+    px, cond = _conditionals(obs)
     masses = _chain_masses(cond)
     violations = _screen_negatives(masses)
     if violations:
@@ -139,12 +144,7 @@ def mite_compatibility_report(
         require_valid(exp, exp.dims)
         report.extend(("experimental " + name, mass) for name, mass in _screen_negatives(_chain_masses(exp.table)))
     if obs is not None:
-        require_valid(obs, obs.dims)
-        px = obs.x_marginal()
-        if np.any(px <= 0.0):
-            bad = [int(l) for l in np.flatnonzero(px <= 0.0)]
-            raise UndefinedConditionalError(f"P(X=l) = 0 for arms {bad}; conditionals undefined")
-        cond = obs.table / px[:, None]
+        _, cond = _conditionals(obs)
         report.extend(("observational " + name, mass) for name, mass in _screen_negatives(_chain_masses(cond)))
     return report
 

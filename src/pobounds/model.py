@@ -142,7 +142,7 @@ def validate_distribution(dist: ExperimentalMarginals | ObservationalJoint, dims
         raise ValidationError(f"table shape {table.shape} does not match dims ({dims.d_x}, {dims.d_y})")
     report = []
     for (i, j), v in np.ndenumerate(table):
-        if v < 0 or v > 1:
+        if not 0 <= v <= 1:  # also catches nan
             report.append(f"entry ({i},{j}) = {v:.6g} outside [0, 1]")
     if isinstance(dist, ExperimentalMarginals):
         for k in range(dims.d_x):
@@ -159,7 +159,8 @@ def validate_distribution(dist: ExperimentalMarginals | ObservationalJoint, dims
 def require_valid(dist: ExperimentalMarginals | ObservationalJoint, dims: Dims) -> None:
     report = validate_distribution(dist, dims)
     if report:
-        raise ValidationError("invalid distribution: " + "; ".join(report), violations=report)
+        name = "experimental" if isinstance(dist, ExperimentalMarginals) else "observational"
+        raise ValidationError(f"invalid {name} table: " + "; ".join(report), violations=report)
 
 
 @dataclass(frozen=True)

@@ -25,17 +25,6 @@ def tian_pearl_pns_bounds(p1: float, p0: float) -> tuple[float, float]:
     return lower, upper
 
 
-def _split_rows(cs: ConstraintSet):
-    n = cs.dims.param_count()
-    eq_rows = [(r.dense(n), r.rhs) for r in cs.rows if r.kind == "eq"]
-    le_rows = [(r.dense(n), r.rhs) for r in cs.rows if r.kind == "le"]
-    a_eq = np.array([a for a, _ in eq_rows]).reshape(len(eq_rows), n)
-    b_eq = np.array([b for _, b in eq_rows])
-    a_le = np.array([a for a, _ in le_rows]).reshape(len(le_rows), n)
-    b_le = np.array([b for _, b in le_rows])
-    return a_eq, b_eq, a_le, b_le
-
-
 def random_feasible_points(
     cs: ConstraintSet,
     n: int,
@@ -53,7 +42,8 @@ def random_feasible_points(
     x = probe.witness.copy()
 
     n_params = cs.dims.param_count()
-    a_eq, b_eq, a_le, b_le = _split_rows(cs)
+    eq = cs.kind == "eq"
+    a_eq, b_eq, a_le, b_le = cs.A[eq], cs.rhs[eq], cs.A[~eq], cs.rhs[~eq]
     if a_eq.shape[0]:
         _, s, vh = np.linalg.svd(a_eq)
         rank = int(np.sum(s > s.max() * 1e-10)) if s.size else 0
@@ -123,7 +113,8 @@ def vertex_enumerate_small(cs: ConstraintSet, max_bases: int = 2_000_000) -> lis
     n = cs.dims.param_count()
     if n > 12:
         raise SizeError(f"{n} parameters is too large for exhaustive vertex enumeration")
-    a_eq, b_eq, a_le, b_le = _split_rows(cs)
+    eq = cs.kind == "eq"
+    a_eq, b_eq, a_le, b_le = cs.A[eq], cs.rhs[eq], cs.A[~eq], cs.rhs[~eq]
     a_eq, b_eq, consistent = _independent_equalities(a_eq, b_eq)
     if not consistent:
         return []

@@ -8,6 +8,7 @@ potential outcome of the received treatment carry no probability.
 
 from __future__ import annotations
 
+import numbers
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -38,8 +39,10 @@ def expand_values(dims: Dims, constraint: ValueConstraint) -> frozenset[int]:
                 values &= {u for u in full if u >= int(v)}
             else:
                 raise ValidationError(f"unknown value constraint operator {op!r}")
-    elif isinstance(constraint, int) and not isinstance(constraint, bool):
-        values = {constraint}
+    elif isinstance(constraint, (bool, np.bool_)):
+        raise ValidationError(f"value constraint {constraint!r} is a boolean, not an outcome level")
+    elif isinstance(constraint, numbers.Integral):
+        values = {int(constraint)}
     else:
         values = {int(v) for v in constraint}
     if not values:

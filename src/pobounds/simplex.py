@@ -8,8 +8,9 @@ and no external dependencies.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
-from typing import Protocol
+from typing import Sequence
 
 import numpy as np
 
@@ -53,49 +54,34 @@ class LpSolution:
     certificate: tuple[str, ...] = ()
 
 
-class LpBackend(Protocol):
-    """Anything able to solve an :class:`LpProblem` can be swapped in."""
-
-    def __call__(self, problem: LpProblem) -> LpSolution: ...
-
-
 class _Tableau:
     """Standard-form tableau with one slack per inequality and one artificial
     per row.  Maintains reduced costs in the last row (minimization form)."""
 
-    def __init__(self, constraints: ConstraintSet, n_params: int):
-        rows = constraints.rows
-        m = len(rows)
-        n_slack = sum(1 for r in rows if r.kind == "le")
-        self.n = n_params
+    def __init__(self, constraints: ConstraintSet):
+        m, n_params = constraints.A.shape
+        le = np.flatnonzero(constraints.kind == "le")
         self.m = m
-        self.n_slack = n_slack
-        self.art0 = n_params + n_slack
-        ncols = n_params + n_slack + m
+        self.art0 = n_params + le.size
+        ncols = self.art0 + m
 
-        A = np.zeros((m, ncols))
-        b = np.zeros(m)
-        slack = 0
-        for i, row in enumerate(rows):
-            for idx, c in row.coeffs.items():
-                A[i, idx] = c
-            b[i] = row.rhs
-            if row.kind == "le":
-                A[i, n_params + slack] = 1.0
-                slack += 1
+        T = np.zeros((m + 1, ncols + 1))
+        T[:m, :n_params] = constraints.A
+        T[le, n_params + np.arange(le.size)] = 1.0
+        T[:m, -1] = constraints.rhs
         # rhs must start nonnegative for the artificial basis
-        neg = b < 0
-        A[neg] *= -1.0
-        b[neg] *= -1.0
-
-        for i in range(m):
-            A[i, self.art0 + i] = 1.0
-
-        self.T = np.zeros((m + 1, ncols + 1))
-        self.T[:m, :ncols] = A
-        self.T[:m, -1] = b
+        neg = np.flatnonzero(T[:m, -1] < 0)
+        T[neg] *= -1.0
+        T[np.arange(m), self.art0 + np.arange(m)] = 1.0
+        self.T = T
         self.basis = [self.art0 + i for i in range(m)]
         self.iterations = 0
+
+    def copy(self) -> "_Tableau":
+        tab = copy.copy(self)
+        tab.T = self.T.copy()
+        tab.basis = list(self.basis)
+        return tab
 
     def set_costs(self, costs: np.ndarray) -> None:
         """Install a cost vector and price out the current basis."""
@@ -191,52 +177,56 @@ class _Tableau:
         return np.where(x > 0.0, x, 0.0)
 
 
-def solve(problem: LpProblem) -> LpSolution:
-    """Two-phase simplex returning the optimum and a primal witness."""
-    n = problem.constraints.dims.param_count()
-    tab = _Tableau(problem.constraints, n)
+def _two_phase(
+    constraints: ConstraintSet, objectives: Sequence[tuple[np.ndarray, str]]
+) -> tuple[LpSolution, list[LpSolution]]:
+    """Phase 1 once, then phase 2 once per ``(objective, sense)``.
 
-    residual = tab.phase1()
-    if residual > 1e-9:
+    Returns the phase-1 outcome and one solution per objective.  The phase-1
+    outcome is ``feasible`` with the phase-1 basic point, or ``infeasible``
+    with a certificate, in which case no objective is solved: the certificate
+    carries the provenance tags of rows with nonzero multipliers in the
+    phase-1 dual, and dropping or revising one of them is necessary to
+    restore feasibility.  Each objective starts from its own copy of the
+    feasible basis left after the artificials are driven out, so its pivots
+    and witness do not depend on the other objectives.
+    """
+    n = constraints.dims.param_count()
+    tab = _Tableau(constraints)
+    if tab.phase1() > 1e-9:
         duals = tab.phase1_duals()
-        provs = problem.constraints.provenances()
-        cert = tuple(provs[i] for i in range(tab.m) if abs(duals[i]) > 1e-7)
-        return LpSolution("infeasible", None, None, tab.iterations, cert)
+        cert = tuple(tag for tag, dual in zip(constraints.provenance, duals) if abs(dual) > 1e-7)
+        return LpSolution("infeasible", None, None, tab.iterations, cert), []
+    feasible = LpSolution("feasible", 0.0, tab.solution_vector()[:n], tab.iterations)
+    if not objectives:
+        return feasible, []
 
     tab.drop_artificials()
-    costs = np.zeros(tab.art0)
-    sign = -1.0 if problem.sense == "maximize" else 1.0
-    costs[:n] = sign * problem.objective
-    tab.set_costs(costs)
-    status = tab.run(allowed=tab.art0)
-    if status == "unbounded":
-        return LpSolution("unbounded", None, None, tab.iterations)
+    solutions = []
+    for objective, sense in objectives:
+        branch = tab.copy()
+        costs = np.zeros(branch.art0)
+        costs[:n] = (-1.0 if sense == "maximize" else 1.0) * objective
+        branch.set_costs(costs)
+        if branch.run(allowed=branch.art0) == "unbounded":
+            solutions.append(LpSolution("unbounded", None, None, branch.iterations))
+            continue
+        witness = branch.solution_vector()[:n]
+        solutions.append(LpSolution("optimal", float(objective @ witness), witness, branch.iterations))
+    return feasible, solutions
 
-    witness = tab.solution_vector()[:n]
-    value = float(problem.objective @ witness)
-    return LpSolution("optimal", value, witness, tab.iterations)
+
+def solve(problem: LpProblem) -> LpSolution:
+    """Two-phase simplex returning the optimum and a primal witness."""
+    phase1, solutions = _two_phase(problem.constraints, [(problem.objective, problem.sense)])
+    return solutions[0] if solutions else phase1
 
 
 def check_feasible(constraints: ConstraintSet) -> LpSolution:
     """Phase-1 feasibility probe.
 
-    On infeasibility the certificate carries the provenance tags of rows with
-    nonzero multipliers in the phase-1 dual: dropping or revising one of them
-    is necessary to restore feasibility.  On feasibility the witness is a
-    basic feasible point.
+    On infeasibility the certificate names the conflicting provenance tags
+    (see :func:`_two_phase`); on feasibility the witness is a basic feasible
+    point and ``iterations`` counts the phase-1 pivots.
     """
-    n = constraints.dims.param_count()
-    tab = _Tableau(constraints, n)
-    residual = tab.phase1()
-    if residual > 1e-9:
-        duals = tab.phase1_duals()
-        provs = constraints.provenances()
-        cert = tuple(provs[i] for i in range(tab.m) if abs(duals[i]) > 1e-7)
-        return LpSolution("infeasible", None, None, tab.iterations, cert)
-    witness = tab.solution_vector()[:n]
-    return LpSolution("feasible", 0.0, witness, tab.iterations)
-
-
-def default_backend(problem: LpProblem) -> LpSolution:
-    """The built-in reference backend."""
-    return solve(problem)
+    return _two_phase(constraints, [])[0]

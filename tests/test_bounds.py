@@ -134,6 +134,21 @@ def test_config_errors(truth_a, joint_po_query):
     conditional = pb.build_posterior_effect_query(dims, (1, 0), (2, 2))
     with pytest.raises(ConfigError):
         pb.bound(dims, conditional, exp=truth_a.po_marginals())
+    for eps in (-0.1, np.inf, np.nan):
+        with pytest.raises(ConfigError, match="slack"):
+            pb.bound(dims, joint_po_query, obs=truth_a.xy_marginal(), slack=eps)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_tables_rejected(bad):
+    dims = pb.Dims(2, 2)
+    q = pb.build_event_query(dims, {0: 0, 1: 1})
+    exp = pb.ExperimentalMarginals(np.array([[bad, 0.5], [0.5, 0.5]]))
+    obs = pb.ObservationalJoint(np.array([[bad, 0.25], [0.25, 0.25]]))
+    with pytest.raises(pb.ValidationError, match="experimental table"):
+        pb.bound(dims, q, exp=exp)
+    with pytest.raises(pb.ValidationError, match="observational table"):
+        pb.bound(dims, q, obs=obs)
 
 
 def test_sweep_single_point_equals_bound(truth_a, joint_po_query):

@@ -217,6 +217,22 @@ def test_exogeneity_flag_requires_obs(tmp_path, capsys, truth_a):
     assert code == 1
 
 
+def test_malformed_input_files_exit_1(tmp_path, capsys, truth_a):
+    listed = write_json(tmp_path / "assume.json", [{"preset": "mtr"}])
+    keyless = write_json(tmp_path / "keyless.json", {"terms": [{"pairs": [{"s": 1}]}]})
+    moment = write_json(tmp_path / "moment.json", {"kind": "moment"})
+    for assume, query in [(listed, event_query(tmp_path)), (keyless, event_query(tmp_path)), ("mtr", moment)]:
+        code = main([
+            "bound", "--dims", "3,3",
+            "--exp", exp_json(tmp_path, truth_a),
+            "--assume", assume,
+            "--query", query,
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ")
+
+
 def test_usage_error_exit_1(capsys):
     assert main(["bound"]) == 1
     capsys.readouterr()

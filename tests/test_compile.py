@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 import pobounds as pb
 from pobounds.bounds import constraint_residual
-from pobounds.compile import ConstraintRow, ConstraintSet
+from pobounds.compile import ConstraintSet
 from pobounds.errors import ConfigError, ValidationError
 
 
@@ -24,10 +25,8 @@ def test_base_row():
         dims = pb.Dims(*d)
         cs = pb.compile_base(dims)
         assert len(cs) == 1
-        row = cs.rows[0]
-        assert row.kind == "eq" and row.rhs == 1.0 and row.provenance == "base-sum"
-        assert sorted(row.coeffs) == list(range(dims.param_count()))
-        assert all(c == 1.0 for c in row.coeffs.values())
+        assert cs.kind[0] == "eq" and cs.rhs[0] == 1.0 and cs.provenance == ("base-sum",)
+        assert np.array_equal(cs.A, np.ones((1, dims.param_count())))
 
 
 @pytest.mark.parametrize("d,expected", [((2, 2), 2), ((3, 3), 6), ((2, 3), 4)])
@@ -83,7 +82,7 @@ def test_exogeneity_skips_degenerate_arm():
         cs = pb.compile_exogeneity(dims, obs)
     # only l=0 rows survive, for each of the 2 POs x 2 values
     assert len(cs) == 4
-    assert all("exogeneity" in p for p in cs.provenances())
+    assert all("exogeneity" in p for p in cs.provenance)
 
 
 def test_exogeneity_satisfied_by_product_distribution():
@@ -152,7 +151,7 @@ def test_monotonicity_sure_ordering_is_mask_equality():
     dims = pb.Dims(2, 2)
     assumptions = pb.preset("pairwise(1,0)", dims)
     mono = pb.compile_monotonicity(dims, assumptions)
-    assert len(mono) == 1 and mono.rows[0].provenance == "monotone(0,lower)"
+    assert mono.provenance == ("monotone(0,lower)",)
     cs = pb.compile_base(dims).merge(mono)
     mask = pb.indicator_mask(dims, assumptions.terms[0])
     for sense in ("minimize", "maximize"):
@@ -170,8 +169,8 @@ def test_monotonicity_two_sided_window():
     dims = pb.Dims(2, 2)
     term = pb.MonotoneTerm.from_pairs(2, {(1, 0): (0.0, np.inf)}, prob_lower=0.4, prob_upper=0.9)
     cs = pb.compile_monotonicity(dims, pb.AssumptionSet((term,)))
-    assert sorted(r.provenance for r in cs.rows) == ["monotone(0,lower)", "monotone(0,upper)"]
-    assert {r.rhs for r in cs.rows} == {0.9, -0.4}
+    assert sorted(cs.provenance) == ["monotone(0,lower)", "monotone(0,upper)"]
+    assert set(cs.rhs) == {0.9, -0.4}
 
 
 def test_preset_mtr_windows():
@@ -256,26 +255,116 @@ def test_mask_monotone_under_window_shrinking(lo1, width1, shrink_lo, shrink_hi)
     assert np.all(m_narrow <= m_wide)
 
 
-def test_provenance_roundtrip():
-    dims = pb.Dims(2, 2)
-    cs = pb.assemble_constraints(
-        dims,
-        exp=uniform_exp(dims),
-        obs=uniform_obs(dims),
-        assumptions=pb.preset("prob_mtr(0.5,0.9)", dims).with_exogeneity(),
-    )
-    back = ConstraintSet.from_json_dict(cs.to_json_dict())
-    assert back.provenances() == cs.provenances()
-    assert all(a.kind == b.kind and a.rhs == b.rhs and a.coeffs == b.coeffs for a, b in zip(back.rows, cs.rows))
-
-
 def test_constraint_row_invariants():
+    dims = pb.Dims(2, 2)
+    row = np.ones((1, 8))
+    assert len(ConstraintSet(dims, row, [1.0], ["eq"], ["base-sum"])) == 1
     with pytest.raises(ValidationError):
-        ConstraintRow({}, 1.0, "eq", "base-sum")
+        ConstraintSet(dims, np.ones((1, 7)), [1.0], ["eq"], ["base-sum"])
     with pytest.raises(ValidationError):
-        ConstraintRow({0: 1.0}, np.inf, "eq", "base-sum")
+        ConstraintSet(dims, row, [1.0, 0.0], ["eq"], ["base-sum"])
     with pytest.raises(ValidationError):
-        ConstraintRow({0: 1.0}, 1.0, "what", "base-sum")
+        ConstraintSet(dims, row, [np.inf], ["eq"], ["base-sum"])
+    with pytest.raises(ValidationError):
+        ConstraintSet(dims, row, [np.nan], ["eq"], ["base-sum"])
+    with pytest.raises(ValidationError):
+        ConstraintSet(dims, row, [1.0], ["what"], ["base-sum"])
+    with pytest.raises(ValidationError):
+        ConstraintSet(dims, np.zeros((1, 8)), [1.0], ["eq"], ["base-sum"])
+
+
+def reference_rows(dims, exp=None, obs=None, assumptions=pb.AssumptionSet(), slack=None):
+    """The per-cell loops the broadcast compile replaced, kept as its reference.
+
+    Returns dense ``(A, rhs, kind, provenance)`` in the order
+    :func:`pb.assemble_constraints` emits rows.
+    """
+    def flat(y_vec, x):
+        return pb.flatten_index(pb.CellIndex(y_vec, x), dims)
+
+    rows = [({i: 1.0 for i in range(dims.param_count())}, 1.0, "eq", "base-sum")]
+    if exp is not None:
+        for k in range(dims.d_x):
+            for j in range(dims.d_y - 1):
+                coeffs = {flat(y_vec, x): 1.0 for y_vec, x in dims.cells() if y_vec[k] == j}
+                rows.append((coeffs, float(exp.table[k, j]), "eq", f"experimental({k},{j})"))
+    if obs is not None:
+        for l in range(dims.d_x):
+            for m in range(dims.d_y):
+                if (l, m) == (dims.d_x - 1, dims.d_y - 1):
+                    continue
+                coeffs = {flat(y_vec, x): 1.0 for y_vec, x in dims.cells() if x == l and y_vec[l] == m}
+                rows.append((coeffs, float(obs.table[l, m]), "eq", f"observational({l},{m})"))
+    if assumptions.exogeneity:
+        px = obs.x_marginal()
+        for k in range(dims.d_x):
+            for v in range(dims.d_y):
+                for l in range(dims.d_x):
+                    if px[l] <= 0.0:
+                        continue
+                    coeffs = {}
+                    for y_vec, x in dims.cells():
+                        c = (1.0 if x == l else 0.0) - float(px[l])
+                        if y_vec[k] == v and c != 0.0:
+                            coeffs[flat(y_vec, x)] = c
+                    rows.append((coeffs, 0.0, "eq", f"exogeneity({k},{v},{l})"))
+    for w, term in enumerate(assumptions.terms):
+        cells = [flat(y_vec, x) for y_vec, x in dims.cells() if term.admits(y_vec)]
+        if term.prob_upper < 1.0 and cells:
+            rows.append(({i: 1.0 for i in cells}, float(term.prob_upper), "le", f"monotone({w},upper)"))
+        if term.prob_lower > 0.0:
+            rows.append(({i: -1.0 for i in cells}, -float(term.prob_lower), "le", f"monotone({w},lower)"))
+    if slack is not None:
+        relaxed = []
+        for coeffs, rhs, kind, tag in rows:
+            if kind == "eq" and tag.startswith(("experimental(", "observational(")):
+                relaxed.append((coeffs, rhs + slack, "le", tag))
+                relaxed.append(({i: -c for i, c in coeffs.items()}, -(rhs - slack), "le", tag))
+            else:
+                relaxed.append((coeffs, rhs, kind, tag))
+        rows = relaxed
+    A = np.zeros((len(rows), dims.param_count()))
+    for r, (coeffs, _, _, _) in enumerate(rows):
+        for i, c in coeffs.items():
+            A[r, i] = c
+    return A, np.array([r[1] for r in rows]), [r[2] for r in rows], [r[3] for r in rows]
+
+
+@pytest.mark.parametrize("d", [(2, 2), (2, 3), (3, 3), (4, 3)])
+def test_compile_matches_per_cell_reference(d):
+    # bit for bit, signed zeros included: the tableau, every pivot and every
+    # witness depend on these exact floats
+    dims = pb.Dims(*d)
+    rng = np.random.default_rng(sum(d))
+    p = rng.dirichlet(np.ones(dims.param_count()))
+    exp_table = np.zeros((dims.d_x, dims.d_y))
+    obs_table = np.zeros((dims.d_x, dims.d_y))
+    for y_vec, x in dims.cells():
+        mass = p[pb.flatten_index(pb.CellIndex(y_vec, x), dims)]
+        exp_table[range(dims.d_x), y_vec] += mass
+        obs_table[x, y_vec[x]] += mass
+    exp = pb.ExperimentalMarginals(exp_table / exp_table.sum(axis=1, keepdims=True))
+    obs = pb.ObservationalJoint(obs_table / obs_table.sum())
+    degenerate = obs_table.copy()
+    degenerate[0] = 0.0
+    degenerate_obs = pb.ObservationalJoint(degenerate / degenerate.sum())
+    prob_mtr = pb.preset("prob_mtr(0.3,0.9)", dims)
+    cases = [
+        dict(exp=exp, obs=obs, assumptions=pb.AssumptionSet(exogeneity=True)),
+        dict(obs=degenerate_obs, assumptions=pb.AssumptionSet(exogeneity=True)),
+        dict(exp=exp, obs=obs, assumptions=prob_mtr.with_exogeneity()),
+        dict(exp=exp, assumptions=pb.preset("mite", dims)),
+        dict(exp=exp, obs=obs, assumptions=prob_mtr, slack=0.05),
+    ]
+    for case in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the degenerate arm warns
+            cs = pb.assemble_constraints(dims, **case)
+        A, rhs, kind, provenance = reference_rows(dims, **case)
+        assert cs.A.tobytes() == A.tobytes()
+        assert cs.rhs.tobytes() == rhs.tobytes()
+        assert list(cs.kind) == kind
+        assert list(cs.provenance) == provenance
 
 
 def test_monotonicity_unsatisfiable_event():

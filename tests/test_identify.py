@@ -75,6 +75,16 @@ def test_observational_zero_arm_errors():
         pb.identify_observational(obs)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_tables_rejected(bad):
+    exp = pb.ExperimentalMarginals(np.array([[bad, 0.5], [0.5, 0.5]]))
+    obs = pb.ObservationalJoint(np.array([[bad, 0.25], [0.25, 0.25]]))
+    with pytest.raises(ValidationError, match="experimental table"):
+        pb.identify_experimental(exp)
+    with pytest.raises(ValidationError, match="observational table"):
+        pb.identify_observational(obs)
+
+
 def test_compatibility_report(truth_b):
     assert pb.mite_compatibility_report(exp=truth_b.po_marginals(), obs=truth_b.xy_marginal()) == []
     bad = pb.ExperimentalMarginals(np.array([[0.0, 1.0], [1.0, 0.0]]))

@@ -58,9 +58,13 @@ def test_empty_event_is_constant_one():
 
 def test_benefit_event_query():
     dims = pb.Dims(2, 2)
-    q = pb.build_event_query(dims, {0: 0, 1: 1})
-    obj = pb.collapse_to_objective(q, dims)
-    assert {i for i in np.flatnonzero(obj)} == {idx(dims, (0, 1), 0), idx(dims, (0, 1), 1)}
+    for po in ({0: 0, 1: 1}, {0: np.int64(0), 1: np.uint8(1)}, {0: [np.int32(0)], 1: {"eq": np.int64(1)}}):
+        q = pb.build_event_query(dims, po)
+        obj = pb.collapse_to_objective(q, dims)
+        assert {i for i in np.flatnonzero(obj)} == {idx(dims, (0, 1), 0), idx(dims, (0, 1), 1)}
+    for flag in (True, np.True_):
+        with pytest.raises(pb.ValidationError):
+            pb.build_event_query(dims, {0: 0, 1: flag})
 
 
 def test_contradictory_value_set():

@@ -3,11 +3,9 @@ import pytest
 
 import pobounds as pb
 from pobounds.bounds import constraint_residual
-from pobounds.compile import ConstraintRow, ConstraintSet
+from pobounds.compile import ConstraintSet
 
 
-def base_plus(dims, *rows):
-    return pb.compile_base(dims).merge(ConstraintSet(dims, tuple(rows)))
 
 
 def test_max_single_coordinate():
@@ -23,8 +21,8 @@ def test_max_single_coordinate():
 
 def test_contradictory_rows_infeasible():
     dims = pb.Dims(2, 2)
-    cap = ConstraintRow({i: 1.0 for i in range(8)}, 0.5, "le", "monotone(0,upper)")
-    sol = pb.solve(pb.LpProblem(np.ones(8), base_plus(dims, cap), "maximize"))
+    cap = ConstraintSet(dims, np.ones((1, 8)), [0.5], ["le"], ["monotone(0,upper)"])
+    sol = pb.solve(pb.LpProblem(np.ones(8), pb.compile_base(dims).merge(cap), "maximize"))
     assert sol.status == "infeasible"
     assert set(sol.certificate) == {"base-sum", "monotone(0,upper)"}
 
@@ -78,12 +76,21 @@ def test_witness_feasibility(truth_a):
     cs = pb.assemble_constraints(
         dims, exp=truth_a.po_marginals(), obs=truth_a.xy_marginal(), assumptions=pb.preset("mtr", dims)
     )
-    obj = pb.collapse_to_objective(pb.build_event_query(dims, {0: 0, 1: 0, 2: 1}), dims)
+    query = pb.build_event_query(dims, {0: 0, 1: 0, 2: 1})
+    obj = pb.collapse_to_objective(query, dims)
+    res = pb.bound(
+        dims, query, exp=truth_a.po_marginals(), obs=truth_a.xy_marginal(), assumptions=pb.preset("mtr", dims)
+    )
+    endpoints = {"minimize": (res.lower, res.lower_witness), "maximize": (res.upper, res.upper_witness)}
     for sense in ("minimize", "maximize"):
         sol = pb.solve(pb.LpProblem(obj, cs, sense))
         assert sol.status == "optimal"
         assert constraint_residual(cs, sol.witness) < 1e-8
         assert float(obj @ sol.witness) == pytest.approx(sol.value, abs=1e-8)
+        # bound() shares one phase 1 between both senses; the result must not move
+        value, witness = endpoints[sense]
+        assert value == sol.value
+        assert np.array_equal(witness, sol.witness)
 
 
 def test_determinism(truth_a):
