@@ -25,7 +25,6 @@ from .errors import (
     InsufficientDataError,
     MiteIncompatibleError,
     PoboundsError,
-    SizeError,
     SolverFailureError,
     UndefinedConditionalError,
     ValidationError,
@@ -60,7 +59,6 @@ from .model import (
     unflatten_index,
     validate_distribution,
 )
-from .oracle import random_feasible_points, tian_pearl_pns_bounds, vertex_enumerate_small
 from .queries import (
     bind_condition,
     build_conditional_query,
@@ -96,7 +94,6 @@ __all__ = [
     "PoboundsError",
     "QuerySpec",
     "ReplicationResult",
-    "SizeError",
     "SolverFailureError",
     "SparseJointPO",
     "SweepPoint",
@@ -128,12 +125,9 @@ __all__ = [
     "indicator_mask",
     "mite_compatibility_report",
     "preset",
-    "random_feasible_points",
     "sample_from_truth",
     "simulation_study",
     "solve",
-    "tian_pearl_pns_bounds",
     "unflatten_index",
     "validate_distribution",
-    "vertex_enumerate_small",
 ]

@@ -170,6 +170,4 @@ def bound_sweep(
 def constraint_residual(cs: ConstraintSet, x: np.ndarray) -> float:
     """Worst violation of the system by a candidate point (for witness checks)."""
     worst = float(max(0.0, -x.min())) if x.size else 0.0
-    gap = cs.A @ x - cs.rhs
-    gap = np.where(cs.kind == "eq", np.abs(gap), gap)
-    return max(worst, float(gap.max(initial=0.0)))
+    return max(worst, float(cs.residuals(x).max(initial=0.0)))

@@ -10,8 +10,10 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
-from typing import Any
+import warnings
+from typing import Any, NoReturn
 
 import numpy as np
 
@@ -71,27 +73,58 @@ def _read_json_object(path: str) -> dict:
     return data
 
 
+# one data field: optional sign and ASCII digits, as numpy's integer parser
+# reads it (Python's int() also takes "1_000" and non-ASCII digits)
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
 def _read_csv_records(path: str, columns: tuple[str, str], limits: tuple[int, int]) -> np.ndarray:
+    """The ``(rows, 2)`` int64 records under a ``columns`` header.
+
+    The body is parsed in one pass by numpy's C reader and its ranges are
+    checked in one comparison.  Only a bad file is read again, row by row,
+    so that the error names the first bad data row and its column.
+    """
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or [c.strip() for c in reader.fieldnames] != list(columns):
-            raise ValidationError(
-                f"{path}: expected header '{','.join(columns)}', got {reader.fieldnames}"
-            )
-        records = []
-        for rowno, row in enumerate(reader, start=1):
-            values = []
-            for col, limit in zip(columns, limits):
-                raw = (row.get(col) or "").strip()
-                try:
-                    v = int(raw)
-                except ValueError:
+        header = next(csv.reader(fh), None)
+        if header is None or [c.strip() for c in header] != list(columns):
+            raise ValidationError(f"{path}: expected header '{','.join(columns)}', got {header}")
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                records = np.loadtxt(
+                    fh, delimiter=",", dtype=np.int64, ndmin=2, comments=None, quotechar='"'
+                )
+        except ValueError as exc:
+            _raise_first_bad_row(path, columns, limits, str(exc))
+    if records.shape[0] == 0:
+        return np.empty((0, 2), dtype=np.int64)
+    if records.shape[1] != 2 or ((records < 0) | (records >= np.asarray(limits))).any():
+        _raise_first_bad_row(path, columns, limits, "a field count other than 2 or a value out of range")
+    return records
+
+
+def _raise_first_bad_row(path: str, columns: tuple[str, str], limits: tuple[int, int], reason: str) -> NoReturn:
+    """Re-read the file row by row and raise for the first bad data row;
+    ``reason`` is why the bulk parse refused the file."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)  # the header, already checked
+        rows = (row for row in reader if row)
+        for rowno, row in enumerate(rows, start=1):
+            if len(row) > len(columns):
+                raise ValidationError(
+                    f"{path}: row {rowno}: expected 2 fields ({','.join(columns)}), got {len(row)}"
+                )
+            row += [""] * (len(columns) - len(row))
+            for col, limit, field in zip(columns, limits, row):
+                raw = field.strip()
+                if not _INTEGER.fullmatch(raw):
                     raise ValidationError(f"{path}: row {rowno}: {col}={raw!r} is not an integer")
+                v = int(raw)
                 if not 0 <= v < limit:
                     raise ValidationError(f"{path}: row {rowno}: {col}={v} outside [0, {limit})")
-                values.append(v)
-            records.append(values)
-    return np.asarray(records, dtype=int).reshape(-1, 2)
+    raise ValidationError(f"{path}: unreadable records: {reason}")
 
 
 def _load_table(data: Any) -> np.ndarray:
@@ -192,7 +225,13 @@ def load_query(path: str, dims: Dims) -> tuple[QuerySpec, Any]:
 
 
 def load_truth(path: str) -> SparseJointPO:
-    truth = SparseJointPO.from_json_dict(_read_json(path))
+    data = _read_json_object(path)
+    try:
+        truth = SparseJointPO.from_json_dict(data)
+    except KeyError as exc:
+        raise ValidationError(f"{path}: missing key {exc}") from None
+    except TypeError as exc:
+        raise ValidationError(f"{path}: malformed truth: {exc}") from None
     if truth.space != "full":
         raise ValidationError(f"{path}: simulation truth must live on the full (y_vec, x, y) space")
     bad = truth.consistency_violations()

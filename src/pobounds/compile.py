@@ -75,6 +75,12 @@ class ConstraintSet:
     def __len__(self) -> int:
         return len(self.provenance)
 
+    def residuals(self, x: np.ndarray) -> np.ndarray:
+        """Per-row violation by ``x``: ``|A x - rhs|`` on eq rows, the positive
+        part of ``A x - rhs`` on le rows."""
+        gap = self.A @ x - self.rhs
+        return np.where(self.kind == "eq", np.abs(gap), np.maximum(gap, 0.0))
+
     def merge(self, *others: "ConstraintSet") -> "ConstraintSet":
         parts = (self, *others)
         if any(other.dims != self.dims for other in others):

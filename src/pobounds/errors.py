@@ -58,7 +58,3 @@ class SolverFailureError(PoboundsError, RuntimeError):
 
 class BootstrapFailureError(PoboundsError, RuntimeError):
     """Every bootstrap replicate was infeasible."""
-
-
-class SizeError(PoboundsError, ValueError):
-    """Problem too large for an exhaustive-enumeration routine."""

@@ -177,6 +177,18 @@ class _Tableau:
         return np.where(x > 0.0, x, 0.0)
 
 
+def _certified(constraints: ConstraintSet, x: np.ndarray, what: str) -> np.ndarray:
+    """``x`` itself if it satisfies every original row to ``FEAS_TOL``;
+    otherwise raise, naming the worst row."""
+    resid = constraints.residuals(x)
+    if not (resid <= FEAS_TOL).all():
+        i = int(np.argmax(resid))
+        raise SolverFailureError(
+            f"{what} violates row {constraints.provenance[i]} by {resid[i]:.3g} (tolerance {FEAS_TOL:g})"
+        )
+    return x
+
+
 def _two_phase(
     constraints: ConstraintSet, objectives: Sequence[tuple[np.ndarray, str]]
 ) -> tuple[LpSolution, list[LpSolution]]:
@@ -189,7 +201,9 @@ def _two_phase(
     phase-1 dual, and dropping or revising one of them is necessary to
     restore feasibility.  Each objective starts from its own copy of the
     feasible basis left after the artificials are driven out, so its pivots
-    and witness do not depend on the other objectives.
+    and witness do not depend on the other objectives.  The phase-1 point and
+    every optimal witness are checked against the original rows, and a
+    violation beyond ``FEAS_TOL`` raises :class:`SolverFailureError`.
     """
     n = constraints.dims.param_count()
     tab = _Tableau(constraints)
@@ -197,7 +211,8 @@ def _two_phase(
         duals = tab.phase1_duals()
         cert = tuple(tag for tag, dual in zip(constraints.provenance, duals) if abs(dual) > 1e-7)
         return LpSolution("infeasible", None, None, tab.iterations, cert), []
-    feasible = LpSolution("feasible", 0.0, tab.solution_vector()[:n], tab.iterations)
+    point = _certified(constraints, tab.solution_vector()[:n], "phase-1 point")
+    feasible = LpSolution("feasible", 0.0, point, tab.iterations)
     if not objectives:
         return feasible, []
 
@@ -211,7 +226,7 @@ def _two_phase(
         if branch.run(allowed=branch.art0) == "unbounded":
             solutions.append(LpSolution("unbounded", None, None, branch.iterations))
             continue
-        witness = branch.solution_vector()[:n]
+        witness = _certified(constraints, branch.solution_vector()[:n], f"{sense} witness")
         solutions.append(LpSolution("optimal", float(objective @ witness), witness, branch.iterations))
     return feasible, solutions
 

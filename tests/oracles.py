@@ -1,7 +1,8 @@
 """Independent cross-checks used by the test and acceptance suites.
 
 Nothing here participates in producing bounds; these are slower or
-closed-form alternatives that the solver's answers are verified against.
+closed-form alternatives that the solver's answers are verified against,
+so they live with the tests rather than in the package.
 """
 
 from __future__ import annotations
@@ -10,11 +11,13 @@ import itertools
 
 import numpy as np
 
-from .compile import ConstraintSet
-from .errors import SizeError, ValidationError
-from .simplex import check_feasible
+from pobounds.compile import ConstraintSet
+from pobounds.errors import PoboundsError, ValidationError
+from pobounds.simplex import check_feasible
 
-FEAS_TOL = 1e-8
+
+class SizeError(PoboundsError, ValueError):
+    """Problem too large for an exhaustive-enumeration routine."""
 
 
 def tian_pearl_pns_bounds(p1: float, p0: float) -> tuple[float, float]:

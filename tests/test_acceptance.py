@@ -12,6 +12,7 @@ import numpy as np
 
 import pobounds as pb
 from pobounds.bounds import constraint_residual
+from oracles import tian_pearl_pns_bounds, vertex_enumerate_small
 from conftest import bounding_truth, mite_truth, random_mite_truth, random_small_instance
 
 TRUTH_A = bounding_truth()  # ordering holds, exogeneity does not
@@ -214,7 +215,7 @@ def test_criterion_07_closed_form_grid():
                 np.array([[0.5 * (1 - p0), 0.5 * p0], [0.5 * (1 - p1), 0.5 * p1]])
             )
             res = checked_bound(dims, q, obs=obs, assumptions=exo)
-            lo, hi = pb.tian_pearl_pns_bounds(p1, p0)
+            lo, hi = tian_pearl_pns_bounds(p1, p0)
             worst = max(worst, abs(res.lower - lo), abs(res.upper - hi))
     elapsed = time.perf_counter() - t0
 
@@ -277,7 +278,7 @@ def test_criterion_10_small_instance_brute_force():
     worst = 0.0
     for _ in range(200):
         cs, obj, _p = random_small_instance(rng)
-        verts = pb.vertex_enumerate_small(cs)
+        verts = vertex_enumerate_small(cs)
         assert verts, "construction guarantees feasibility"
         best_max = max(float(v @ obj) for v in verts)
         best_min = min(float(v @ obj) for v in verts)

@@ -1,10 +1,12 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
 import pobounds as pb
-from pobounds.cli import main
+from pobounds.cli import _read_csv_records, main
+from pobounds.errors import ValidationError
 
 
 def write_json(path, payload):
@@ -172,27 +174,115 @@ def test_identify_rejects_both_sources(tmp_path, capsys, truth_b):
     assert code == 1
 
 
-def test_csv_ingestion_and_row_errors(tmp_path, capsys):
-    good = tmp_path / "good.csv"
-    good.write_text("x,y\n0,1\n1,0\n")
-    q = write_json(tmp_path / "q.json", {"kind": "event", "po": {"0": 0}})
-    code, report = run(capsys, [
-        "bound", "--dims", "2,2", "--obs", str(good), "--query", q,
-    ])
-    assert code == 0
+def reference_read_csv_records(path, columns, limits):
+    """The per-row ``csv.DictReader`` loop the bulk reader replaced, kept as
+    the reference on valid files."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None or [c.strip() for c in reader.fieldnames] != list(columns):
+            raise ValidationError(f"{path}: expected header '{','.join(columns)}', got {reader.fieldnames}")
+        records = []
+        for rowno, row in enumerate(reader, start=1):
+            values = []
+            for col, limit in zip(columns, limits):
+                raw = (row.get(col) or "").strip()
+                try:
+                    v = int(raw)
+                except ValueError:
+                    raise ValidationError(f"{path}: row {rowno}: {col}={raw!r} is not an integer")
+                if not 0 <= v < limit:
+                    raise ValidationError(f"{path}: row {rowno}: {col}={v} outside [0, {limit})")
+                values.append(v)
+            records.append(values)
+    return np.asarray(records, dtype=int).reshape(-1, 2)
 
-    bad = tmp_path / "bad.csv"
-    bad.write_text("x,y\n0,5\n")
-    code2 = main(["bound", "--dims", "2,3", "--obs", str(bad), "--query", q])
-    err = capsys.readouterr().err
-    assert code2 == 1
-    assert "row 1" in err
+
+def random_records_csv(path, header, limits, rng):
+    """A valid raw-record file in a randomly drawn layout: line ending, blank
+    lines, spaces and quotes around fields, trailing newline or not; about
+    one file in eight has no data rows."""
+    eol = str(rng.choice(["\n", "\r\n"]))
+    n = 0 if rng.random() < 0.125 else int(rng.integers(1, 200))
+    lines = [header]
+    for _ in range(n):
+        if rng.random() < 0.1:
+            lines.append("")
+        fields = []
+        for limit in limits:
+            v = str(rng.integers(0, limit))
+            if rng.random() < 0.2:
+                v = " " * int(rng.integers(1, 3)) + v + " " * int(rng.integers(0, 3))
+            if rng.random() < 0.2:
+                # a quote opens only at the start of a field; spaces may follow it
+                v = f'"{v}"' + " " * int(rng.integers(0, 2))
+            fields.append(v)
+        lines.append(",".join(fields))
+    text = eol.join(lines) + (eol if rng.random() < 0.8 else "")
+    path.write_bytes(text.encode())
+    return str(path)
+
+
+def test_csv_reader_matches_row_by_row_reference(tmp_path):
+    rng = np.random.default_rng(20)
+    limits = (3, 4)
+    for i in range(120):
+        header = str(rng.choice(["arm,y", "x,y", '"x","y"']))
+        columns = ("arm", "y") if header == "arm,y" else ("x", "y")
+        path = random_records_csv(tmp_path / f"r{i}.csv", header, limits, rng)
+        expected = reference_read_csv_records(path, columns, limits)
+        got = _read_csv_records(path, columns, limits)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert np.array_equal(got, expected), path
+
+
+def test_csv_ingestion_and_row_errors(tmp_path, capsys):
+    q = write_json(tmp_path / "q.json", {"kind": "event", "po": {"0": 0}})
+    reports = []
+    for i, header in enumerate(["x,y", " x , y "]):
+        good = tmp_path / f"good{i}.csv"
+        good.write_text(header + "\n0,1\n1,0\n")
+        code, report = run(capsys, [
+            "bound", "--dims", "2,2", "--obs", str(good), "--query", q,
+        ])
+        assert code == 0
+        reports.append({k: v for k, v in report.items() if k != "config"})
+    assert reports[0] == reports[1]
+
+    bad_bodies = [
+        ("0,5\n", "row 1: y=5 outside [0, 3)"),
+        ("0,1\n1,a\n", "row 2: y='a' is not an integer"),
+        ("0,1\n\n\n1,2.0\n", "row 2: y='2.0' is not an integer"),
+        ("0,1\n-1,0\n", "row 2: x=-1 outside [0, 2)"),
+        ("0,1\n99999999999999999999,0\n", "row 2: x=99999999999999999999 outside [0, 2)"),
+        ("0,1\r\n  \r\n1,0\r\n", "row 2: x='' is not an integer"),
+        ("0,1\n1\n", "row 2: y='' is not an integer"),
+        ("0,1\n0,1,7\n", "row 2: expected 2 fields (x,y), got 3"),
+        ("0,1,7\n0,2,1\n", "row 1: expected 2 fields (x,y), got 3"),
+        ("1,0\n0_1,1\n", "row 2: x='0_1' is not an integer"),
+    ]
+    for i, (body, message) in enumerate(bad_bodies):
+        bad = tmp_path / f"bad{i}.csv"
+        bad.write_text("x,y\n" + body)
+        code2 = main(["bound", "--dims", "2,3", "--obs", str(bad), "--query", q])
+        err = capsys.readouterr().err
+        assert code2 == 1
+        assert err == f"error: {bad}: {message}\n"
 
     wrong_header = tmp_path / "hdr.csv"
     wrong_header.write_text("treat,y\n0,1\n")
     code3 = main(["bound", "--dims", "2,2", "--obs", str(wrong_header), "--query", q])
     capsys.readouterr()
     assert code3 == 1
+
+    exp_empty, obs_empty = tmp_path / "exp_empty.csv", tmp_path / "obs_empty.csv"
+    exp_empty.write_text("arm,y\n")
+    obs_empty.write_text("x,y\n\n")
+    for flag, path, message in [("--exp", exp_empty, "arm 0 has no observations"),
+                                ("--obs", obs_empty, "observational sample is empty")]:
+        code4 = main(["bound", "--dims", "2,2", flag, str(path), "--query", q])
+        err = capsys.readouterr().err
+        assert code4 == 1
+        assert err == f"error: {message}\n"
 
 
 def test_assume_preset_json(tmp_path, capsys, truth_b):
@@ -221,13 +311,23 @@ def test_malformed_input_files_exit_1(tmp_path, capsys, truth_a):
     listed = write_json(tmp_path / "assume.json", [{"preset": "mtr"}])
     keyless = write_json(tmp_path / "keyless.json", {"terms": [{"pairs": [{"s": 1}]}]})
     moment = write_json(tmp_path / "moment.json", {"kind": "moment"})
-    for assume, query in [(listed, event_query(tmp_path)), (keyless, event_query(tmp_path)), ("mtr", moment)]:
-        code = main([
-            "bound", "--dims", "3,3",
-            "--exp", exp_json(tmp_path, truth_a),
-            "--assume", assume,
-            "--query", query,
-        ])
+    argvs = [
+        ["bound", "--dims", "3,3", "--exp", exp_json(tmp_path, truth_a), "--assume", assume, "--query", query]
+        for assume, query in [(listed, event_query(tmp_path)), (keyless, event_query(tmp_path)), ("mtr", moment)]
+    ]
+    cell = {"y_vec": [0, 0], "x": 0, "y": 0}
+    truths = [
+        [1, 2],
+        {"d_x": 2},
+        {"d_y": 2, "cells": []},
+        {"d_x": 2, "d_y": 2},
+        {"d_x": 2, "d_y": 2, "cells": [cell]},
+    ]
+    for i, payload in enumerate(truths):
+        truth = write_json(tmp_path / f"truth{i}.json", payload)
+        argvs.append(["simulate", "--truth", truth, "--n", "10", "--reps", "2", "--query", event_query(tmp_path)])
+    for argv in argvs:
+        code = main(argv)
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: ")

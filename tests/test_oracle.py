@@ -3,13 +3,15 @@ import pytest
 
 import pobounds as pb
 from pobounds.bounds import constraint_residual
-from pobounds.errors import SizeError, ValidationError
+from pobounds.errors import ValidationError
+
+from oracles import SizeError, random_feasible_points, tian_pearl_pns_bounds, vertex_enumerate_small
 
 
 def test_closed_form_examples():
-    assert pb.tian_pearl_pns_bounds(0.5, 0.5) == (0.0, 0.5)
-    assert pb.tian_pearl_pns_bounds(1.0, 0.0) == (1.0, 1.0)
-    assert pb.tian_pearl_pns_bounds(0.0, 1.0) == (0.0, 0.0)
+    assert tian_pearl_pns_bounds(0.5, 0.5) == (0.0, 0.5)
+    assert tian_pearl_pns_bounds(1.0, 0.0) == (1.0, 1.0)
+    assert tian_pearl_pns_bounds(0.0, 1.0) == (0.0, 0.0)
 
 
 def test_closed_form_matches_lp_on_grid():
@@ -22,7 +24,7 @@ def test_closed_form_matches_lp_on_grid():
                 np.array([[0.5 * (1 - p0), 0.5 * p0], [0.5 * (1 - p1), 0.5 * p1]])
             )
             res = pb.bound(dims, q, obs=obs, assumptions=exo)
-            lo, hi = pb.tian_pearl_pns_bounds(p1, p0)
+            lo, hi = tian_pearl_pns_bounds(p1, p0)
             assert res.lower == pytest.approx(lo, abs=1e-8)
             assert res.upper == pytest.approx(hi, abs=1e-8)
 
@@ -30,7 +32,7 @@ def test_closed_form_matches_lp_on_grid():
 def test_hit_and_run_base_simplex():
     dims = pb.Dims(2, 2)
     cs = pb.compile_base(dims)
-    points = pb.random_feasible_points(cs, 100, seed=3)
+    points = random_feasible_points(cs, 100, seed=3)
     assert len(points) == 100
     for p in points:
         assert constraint_residual(cs, p) < 1e-8
@@ -42,7 +44,7 @@ def test_hit_and_run_within_lp_range(truth_a):
     obj = pb.collapse_to_objective(pb.build_event_query(dims, {0: 0, 1: 0, 2: 1}), dims)
     lo = pb.solve(pb.LpProblem(obj, cs, "minimize")).value
     hi = pb.solve(pb.LpProblem(obj, cs, "maximize")).value
-    for p in pb.random_feasible_points(cs, 50, seed=21):
+    for p in random_feasible_points(cs, 50, seed=21):
         v = float(obj @ p)
         assert lo - 1e-7 <= v <= hi + 1e-7
         assert constraint_residual(cs, p) < 1e-8
@@ -53,7 +55,7 @@ def test_hit_and_run_respects_support_mask(truth_b):
     assumptions = pb.preset("mite", dims)
     cs = pb.assemble_constraints(dims, exp=truth_b.po_marginals(), assumptions=assumptions)
     mask = pb.indicator_mask(dims, assumptions.terms[0])
-    for p in pb.random_feasible_points(cs, 25, seed=5):
+    for p in random_feasible_points(cs, 25, seed=5):
         assert float((1.0 - mask) @ p) < 1e-8
 
 
@@ -62,12 +64,12 @@ def test_hit_and_run_infeasible_errors():
     exp = pb.ExperimentalMarginals(np.array([[0.0, 1.0], [1.0, 0.0]]))
     cs = pb.assemble_constraints(dims, exp=exp, assumptions=pb.preset("mtr", dims))
     with pytest.raises(ValidationError):
-        pb.random_feasible_points(cs, 5, seed=0)
+        random_feasible_points(cs, 5, seed=0)
 
 
 def test_vertices_of_base_simplex():
     dims = pb.Dims(2, 2)
-    verts = pb.vertex_enumerate_small(pb.compile_base(dims))
+    verts = vertex_enumerate_small(pb.compile_base(dims))
     assert len(verts) == 8
     for v in verts:
         assert np.sum(v) == pytest.approx(1.0)
@@ -78,7 +80,7 @@ def test_vertices_with_observational_row():
     dims = pb.Dims(2, 2)
     obs = pb.ObservationalJoint(np.array([[0.3, 0.2], [0.1, 0.4]]))
     cs = pb.compile_base(dims).merge(pb.compile_observational(dims, obs))
-    verts = pb.vertex_enumerate_small(cs)
+    verts = vertex_enumerate_small(cs)
     assert 0 < len(verts) < 200
     rng = np.random.default_rng(2)
     for _ in range(5):
@@ -92,9 +94,9 @@ def test_vertices_infeasible_system_empty():
     dims = pb.Dims(2, 2)
     exp = pb.ExperimentalMarginals(np.array([[0.0, 1.0], [1.0, 0.0]]))
     cs = pb.assemble_constraints(dims, exp=exp, assumptions=pb.preset("mtr", dims))
-    assert pb.vertex_enumerate_small(cs) == []
+    assert vertex_enumerate_small(cs) == []
 
 
 def test_vertices_size_guard(dims33):
     with pytest.raises(SizeError):
-        pb.vertex_enumerate_small(pb.compile_base(dims33))
+        vertex_enumerate_small(pb.compile_base(dims33))

@@ -1,11 +1,14 @@
+import re
+
 import numpy as np
 import pytest
 
 import pobounds as pb
+from pobounds import simplex
 from pobounds.bounds import constraint_residual
 from pobounds.compile import ConstraintSet
 
-
+from oracles import vertex_enumerate_small
 
 
 def test_max_single_coordinate():
@@ -93,6 +96,29 @@ def test_witness_feasibility(truth_a):
         assert np.array_equal(witness, sol.witness)
 
 
+@pytest.mark.parametrize("call, what", [(0, "phase-1 point"), (1, "maximize witness")])
+def test_perturbed_witness_is_refused(truth_a, monkeypatch, call, what):
+    dims = truth_a.dims
+    cs = pb.assemble_constraints(dims, exp=truth_a.po_marginals(), obs=truth_a.xy_marginal())
+    obj = pb.collapse_to_objective(pb.build_event_query(dims, {0: 0, 1: 0, 2: 1}), dims)
+    honest = simplex._Tableau.solution_vector
+    calls = []
+
+    def perturbed(tab):
+        x = honest(tab)
+        if len(calls) == call:
+            x[0] += 1e-6
+        calls.append(call)
+        return x
+
+    monkeypatch.setattr(simplex._Tableau, "solution_vector", perturbed)
+    with pytest.raises(pb.SolverFailureError) as info:
+        pb.solve(pb.LpProblem(obj, cs, "maximize"))
+    found = re.fullmatch(rf"{what} violates row (\S+) by 1e-06 \(tolerance 1e-08\)", str(info.value))
+    assert found, str(info.value)
+    assert cs.A[cs.provenance.index(found.group(1)), 0] != 0.0
+
+
 def test_determinism(truth_a):
     dims = truth_a.dims
     cs = pb.assemble_constraints(dims, exp=truth_a.po_marginals())
@@ -123,7 +149,7 @@ def test_random_small_instances_match_vertex_enumeration():
     rng = np.random.default_rng(11)
     for _ in range(40):
         cs, obj, _p = random_small_instance(rng)
-        verts = pb.vertex_enumerate_small(cs)
+        verts = vertex_enumerate_small(cs)
         assert verts, "witness construction guarantees feasibility"
         sol = pb.solve(pb.LpProblem(obj, cs, "maximize"))
         assert sol.status == "optimal"
@@ -142,7 +168,7 @@ def test_infeasible_instances_agree_with_enumeration():
         term = pb.MonotoneTerm.from_pairs(2, {(1, 0): (0.0, np.inf)}, float(lo), float(hi))
         obs = pb.ObservationalJoint(rng.dirichlet(np.ones(4)).reshape(2, 2))
         cs = pb.assemble_constraints(dims, obs=obs, assumptions=pb.AssumptionSet((term,)))
-        verts = pb.vertex_enumerate_small(cs)
+        verts = vertex_enumerate_small(cs)
         sol = pb.solve(pb.LpProblem(rng.uniform(-1, 1, 8), cs, "maximize"))
         if bool(verts) != (sol.status == "optimal"):
             disagreements += 1
