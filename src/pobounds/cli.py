@@ -7,6 +7,7 @@ incompatible with the identification assumption.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -30,6 +31,7 @@ from .errors import (
 )
 from .model import (
     AssumptionSet,
+    CellIndex,
     Dims,
     ExperimentalMarginals,
     MonotoneTerm,
@@ -60,10 +62,31 @@ def _parse_dims(text: str) -> Dims:
 
 def _read_json(path: str) -> Any:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValidationError(f"{path}: malformed JSON: {exc}")
+
+
+@contextlib.contextmanager
+def _reading(path: str):
+    """Re-raise a missing key or a malformed value met while reading ``path``
+    as a ValidationError naming it; the package's own errors pass unchanged."""
+    try:
+        yield
+    except PoboundsError:
+        raise
+    except KeyError as exc:
+        raise ValidationError(f"{path}: missing key {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ValidationError(f"{path}: malformed value: {exc}") from None
+
+
+def _level(value: Any) -> int:
+    """A JSON integer, refused rather than truncated when it is anything else."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"level {value!r} is not an integer")
+    return value
 
 
 def _read_json_object(path: str) -> dict:
@@ -85,18 +108,21 @@ def _read_csv_records(path: str, columns: tuple[str, str], limits: tuple[int, in
     checked in one comparison.  Only a bad file is read again, row by row,
     so that the error names the first bad data row and its column.
     """
-    with open(path, newline="") as fh:
-        header = next(csv.reader(fh), None)
-        if header is None or [c.strip() for c in header] != list(columns):
-            raise ValidationError(f"{path}: expected header '{','.join(columns)}', got {header}")
-        try:
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-                records = np.loadtxt(
-                    fh, delimiter=",", dtype=np.int64, ndmin=2, comments=None, quotechar='"'
-                )
-        except ValueError as exc:
-            _raise_first_bad_row(path, columns, limits, str(exc))
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            header = next(csv.reader(fh), None)
+            if header is None or [c.strip() for c in header] != list(columns):
+                raise ValidationError(f"{path}: expected header '{','.join(columns)}', got {header}")
+            try:
+                with warnings.catch_warnings():
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                    records = np.loadtxt(
+                        fh, delimiter=",", dtype=np.int64, ndmin=2, comments=None, quotechar='"'
+                    )
+            except ValueError as exc:
+                _raise_first_bad_row(path, columns, limits, str(exc))
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not valid UTF-8 text ({exc.reason})") from None
     if records.shape[0] == 0:
         return np.empty((0, 2), dtype=np.int64)
     if records.shape[1] != 2 or ((records < 0) | (records >= np.asarray(limits))).any():
@@ -107,7 +133,7 @@ def _read_csv_records(path: str, columns: tuple[str, str], limits: tuple[int, in
 def _raise_first_bad_row(path: str, columns: tuple[str, str], limits: tuple[int, int], reason: str) -> NoReturn:
     """Re-read the file row by row and raise for the first bad data row;
     ``reason`` is why the bulk parse refused the file."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         next(reader)  # the header, already checked
         rows = (row for row in reader if row)
@@ -127,10 +153,12 @@ def _raise_first_bad_row(path: str, columns: tuple[str, str], limits: tuple[int,
     raise ValidationError(f"{path}: unreadable records: {reason}")
 
 
-def _load_table(data: Any) -> np.ndarray:
+def _load_table(path: str) -> np.ndarray:
+    data = _read_json(path)
     if isinstance(data, dict) and "table" in data:
         data = data["table"]
-    return np.asarray(data, dtype=float)
+    with _reading(path):
+        return np.asarray(data, dtype=float)
 
 
 def load_experimental(path: str, dims: Dims):
@@ -141,7 +169,7 @@ def load_experimental(path: str, dims: Dims):
         arms = tuple(rec[rec[:, 0] == k, 1] for k in range(dims.d_x))
         sample = estimate_mod.ExperimentalSample(dims, arms)
         return sample, estimate_mod.empirical_experimental(sample)
-    table = _load_table(_read_json(path))
+    table = _load_table(path)
     exp = ExperimentalMarginals(table)
     if exp.dims != dims:
         raise ValidationError(f"{path}: table shape {table.shape} does not match --dims")
@@ -154,7 +182,7 @@ def load_observational(path: str, dims: Dims):
         rec = _read_csv_records(path, ("x", "y"), (dims.d_x, dims.d_y))
         sample = estimate_mod.ObservationalSample(dims, rec)
         return sample, estimate_mod.empirical_observational(sample)
-    table = _load_table(_read_json(path))
+    table = _load_table(path)
     obs = ObservationalJoint(table)
     if obs.dims != dims:
         raise ValidationError(f"{path}: table shape {table.shape} does not match --dims")
@@ -165,15 +193,13 @@ def load_assumptions(source: str | None, dims: Dims) -> AssumptionSet:
     """``source`` is a preset name (possibly with arguments) or a JSON file."""
     if source is None:
         return AssumptionSet()
-    if not os.path.exists(source):
-        return preset(source, dims)
-    data = _read_json_object(source)
-    try:
+    with _reading(source):
+        if not os.path.exists(source):
+            return preset(source, dims)
+        data = _read_json_object(source)
         if "preset" in data:
             out = preset(data["preset"], dims)
-            if data.get("exogeneity"):
-                out = out.with_exogeneity()
-            return out
+            return out.with_exogeneity() if data.get("exogeneity") else out
         terms = []
         for t in data.get("terms", []):
             pairs = {}
@@ -186,16 +212,14 @@ def load_assumptions(source: str | None, dims: Dims) -> AssumptionSet:
                     dims.d_x, pairs, float(t.get("prob_lower", 1.0)), float(t.get("prob_upper", 1.0))
                 )
             )
-    except KeyError as exc:
-        raise ValidationError(f"{source}: missing key {exc}") from None
-    return AssumptionSet(tuple(terms), bool(data.get("exogeneity", False)))
+        return AssumptionSet(tuple(terms), bool(data.get("exogeneity", False)))
 
 
 def load_query(path: str, dims: Dims) -> tuple[QuerySpec, Any]:
     """Build a query from its JSON description; returns (query, raw spec)."""
     data = _read_json_object(path)
     kind = data.get("kind")
-    try:
+    with _reading(path):
         given = data.get("given")
         given_pair = (int(given["x"]), int(given["y"])) if given else None
         if kind == "event":
@@ -211,27 +235,25 @@ def load_query(path: str, dims: Dims) -> tuple[QuerySpec, Any]:
                 raise ValidationError(f"{path}: posterior_effect queries need a 'given' pair")
             q = build_posterior_effect_query(dims, tuple(int(a) for a in data["arms"]), given_pair)
         elif kind == "raw":
-            coeffs = {}
+            # cells are range-checked before they index; duplicates add up in file order
+            coeffs = np.zeros(dims.full_shape())
             for cell in data["cells"]:
-                key = (tuple(int(v) for v in cell["y_vec"]), int(cell["x"]), int(cell["y"]))
-                coeffs[key] = coeffs.get(key, 0.0) + float(cell["coeff"])
+                y_vec, x, y = tuple(map(_level, cell["y_vec"])), _level(cell["x"]), _level(cell["y"])
+                CellIndex(y_vec, x).check(dims)
+                if not 0 <= y < dims.d_y:
+                    raise ValidationError(f"observed outcome {y} out of range")
+                coeffs[y_vec + (x, y)] += float(cell["coeff"])
             q = QuerySpec(coeffs, given_pair)
             q.validate(dims)
         else:
             raise ValidationError(f"{path}: unknown query kind {kind!r}")
-    except KeyError as exc:
-        raise ValidationError(f"{path}: missing key {exc}") from None
     return q, data
 
 
 def load_truth(path: str) -> SparseJointPO:
     data = _read_json_object(path)
-    try:
+    with _reading(path):
         truth = SparseJointPO.from_json_dict(data)
-    except KeyError as exc:
-        raise ValidationError(f"{path}: missing key {exc}") from None
-    except TypeError as exc:
-        raise ValidationError(f"{path}: malformed truth: {exc}") from None
     if truth.space != "full":
         raise ValidationError(f"{path}: simulation truth must live on the full (y_vec, x, y) space")
     bad = truth.consistency_violations()

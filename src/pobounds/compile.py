@@ -21,6 +21,7 @@ from .model import (
     ExperimentalMarginals,
     MonotoneTerm,
     ObservationalJoint,
+    cell_grid,
     require_valid,
 )
 
@@ -94,13 +95,6 @@ class ConstraintSet:
         )
 
 
-def _cell_grid(dims: Dims) -> tuple[np.ndarray, np.ndarray]:
-    """Outcome vectors ``Y`` (d_x by n, ``Y[k]`` = y_k of each cell) and
-    treatments ``X`` (length n) of the cells in flattened order."""
-    grid = np.indices((dims.d_y,) * dims.d_x + (dims.d_x,)).reshape(dims.d_x + 1, -1)
-    return grid[:-1], grid[-1]
-
-
 def compile_base(dims: Dims) -> ConstraintSet:
     """The normalization row: all parameters sum to one."""
     return ConstraintSet(dims, np.ones((1, dims.param_count())), [1.0], ["eq"], ["base-sum"])
@@ -110,7 +104,7 @@ def compile_experimental(dims: Dims, exp: ExperimentalMarginals) -> ConstraintSe
     """Arm-marginal equalities, one per (arm, outcome) with the top outcome
     omitted: its row is implied by the base row and the others."""
     require_valid(exp, dims)
-    Y, _ = _cell_grid(dims)
+    Y, _ = cell_grid(dims)
     levels = np.arange(dims.d_y - 1)
     A = (Y[:, None, :] == levels[None, :, None]).reshape(-1, dims.param_count())
     tags = [f"experimental({k},{j})" for k in range(dims.d_x) for j in range(dims.d_y - 1)]
@@ -121,7 +115,7 @@ def compile_observational(dims: Dims, obs: ObservationalJoint) -> ConstraintSet:
     """Factual-cell equalities, skipping the final (x, y) cell whose row is
     implied by the base row and the others."""
     require_valid(obs, dims)
-    Y, X = _cell_grid(dims)
+    Y, X = cell_grid(dims)
     factual = Y[X, np.arange(X.size)]
     arms, levels = np.arange(dims.d_x), np.arange(dims.d_y)
     A = (X == arms[:, None, None]) & (factual == levels[None, :, None])
@@ -144,7 +138,7 @@ def compile_exogeneity(dims: Dims, obs: ObservationalJoint) -> ConstraintSet:
     degenerate = [l for l in range(dims.d_x) if px[l] <= 0.0]
     if degenerate:
         warnings.warn(f"degenerate treatment arms {degenerate} have zero probability; exogeneity rows skipped")
-    Y, X = _cell_grid(dims)
+    Y, X = cell_grid(dims)
     arms = np.flatnonzero(px > 0.0)
     levels = np.arange(dims.d_y)
     coeffs = (X == arms[:, None]) - px[arms, None]
@@ -159,7 +153,7 @@ def indicator_mask(dims: Dims, term: MonotoneTerm) -> np.ndarray:
     inside every pairwise increment window of the term."""
     if term.d_lower.shape[0] != dims.d_x:
         raise ValidationError(f"term windows are {term.d_lower.shape[0]}x, dims expect {dims.d_x}")
-    Y, _ = _cell_grid(dims)
+    Y, _ = cell_grid(dims)
     diff = Y[:, None, :] - Y[None, :, :]
     inside = (term.d_lower[..., None] <= diff) & (diff <= term.d_upper[..., None])
     below_diagonal = np.tri(dims.d_x, k=-1, dtype=bool)[..., None]

@@ -22,7 +22,6 @@ from .model import (
     require_valid,
 )
 from .queries import collapse_to_objective, condition_probability
-from .model import CellIndex, flatten_index
 
 NEG_TOL = 1e-8
 
@@ -172,19 +171,18 @@ def evaluate(
         else:
             raise ValidationError("conditional query on an outcomes-only joint needs the observational table")
 
+    total = 0.0
     if joint.space == "full":
-        total = 0.0
-        for key, mass in joint.entries.items():
-            total += mass * query.coeffs.get(key, 0.0)
+        for (y_vec, x, y), mass in joint.entries.items():
+            total += mass * float(query.coeffs[y_vec + (x, y)])
         return total / divisor
 
     # outcomes-only joint: the collapsed objective must not depend on the
     # treatment column, otherwise the query needs factual information
-    obj = collapse_to_objective(query, dims)
-    total = 0.0
+    per_x = collapse_to_objective(query, dims).reshape(dims.full_shape()[:-1])
     for y_vec, mass in joint.entries.items():
-        per_x = [obj[flatten_index(CellIndex(tuple(y_vec), x), dims)] for x in range(dims.d_x)]
-        if max(per_x) - min(per_x) > 1e-12:
+        row = per_x[y_vec]
+        if row.max() - row.min() > 1e-12:
             raise ValidationError("query depends on treatment assignment; evaluate it on a full-space joint")
-        total += mass * per_x[0]
+        total += mass * float(row[0])
     return total / divisor

@@ -4,8 +4,10 @@ The decision variables of every linear program in this package are the
 probabilities ``p[y_vec, x]`` of observing the vector of potential outcomes
 ``y_vec = (y_0, ..., y_{d_x-1})`` together with treatment ``x``.  Cells are
 flattened lexicographically with ``y_0`` as the most significant digit and
-``x`` as the least significant one, so constraint matrices line up with their
-tensor counterparts during review.
+``x`` as the least significant one: the C order of a tensor indexed
+``[y_0, ..., y_{d_x-1}, x]``.  :func:`cell_grid` is the one array definition
+of that layout, :func:`flatten_index` its scalar counterpart.  A query's
+coefficients add the factual outcome as a last axis, ``[y_0, ..., x, y]``.
 """
 
 from __future__ import annotations
@@ -42,6 +44,10 @@ class Dims:
         """Number of decision variables, d_y ** d_x * d_x."""
         return self.d_y**self.d_x * self.d_x
 
+    def full_shape(self) -> tuple[int, ...]:
+        """Shape of a query's coefficient tensor, indexed ``[y_0, ..., y_{d_x-1}, x, y]``."""
+        return (self.d_y,) * self.d_x + (self.d_x, self.d_y)
+
     def outcome_vectors(self) -> Iterator[tuple[int, ...]]:
         """All potential-outcome vectors in lexicographic order."""
         return itertools.product(range(self.d_y), repeat=self.d_x)
@@ -67,6 +73,13 @@ class CellIndex:
             raise ValidationError(f"outcome value out of range in {self.y_vec}")
         if not 0 <= self.x < dims.d_x:
             raise ValidationError(f"treatment value {self.x} out of range")
+
+
+def cell_grid(dims: Dims) -> tuple[np.ndarray, np.ndarray]:
+    """Outcome vectors ``Y`` (d_x by n, ``Y[k]`` = y_k of each cell) and
+    treatments ``X`` (length n) of the cells in flattened order."""
+    grid = np.indices((dims.d_y,) * dims.d_x + (dims.d_x,)).reshape(dims.d_x + 1, -1)
+    return grid[:-1], grid[-1]
 
 
 def flatten_index(cell: CellIndex, dims: Dims) -> int:
@@ -261,39 +274,43 @@ class AssumptionSet:
         return {"exogeneity": self.exogeneity, "terms": terms}
 
 
-FullCell = tuple[tuple[int, ...], int, int]
-
-
 @dataclass(frozen=True)
 class QuerySpec:
     """A linear functional over the full (Y_0..Y_{d_x-1}, X, Y) space.
 
-    ``coeffs`` maps ``(y_vec, x, y)`` cells to real coefficients; missing
-    cells contribute zero.  When ``condition`` is set the functional is the
-    stated linear combination divided by ``P(X=l, Y=m)``, and every cell with
-    a nonzero coefficient must carry that exact (x, y) pair.
+    ``coeffs`` is a float tensor of shape ``dims.full_shape()``, indexed
+    ``[y_0, ..., y_{d_x-1}, x, y]`` and copied read-only; reshaped in C order
+    to ``(param_count, d_y)``, its rows line up with the parameter vector.
+    When ``condition`` is set the functional is the stated linear combination
+    divided by ``P(X=l, Y=m)``, and every nonzero coefficient must sit at
+    ``[..., l, m]``.
     """
 
-    coeffs: Mapping[FullCell, float]
+    coeffs: np.ndarray
     condition: tuple[int, int] | None = None
     label: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", dict(self.coeffs))
+        object.__setattr__(self, "coeffs", _frozen_table(self.coeffs))
 
     def validate(self, dims: Dims) -> None:
-        for (y_vec, x, y), c in self.coeffs.items():
-            CellIndex(y_vec, x).check(dims)
-            if not 0 <= y < dims.d_y:
-                raise ValidationError(f"observed outcome {y} out of range")
-            if self.condition is not None and c != 0 and (x, y) != self.condition:
-                raise ValidationError(
-                    f"cell (y={y_vec}, x={x}, y_obs={y}) conflicts with condition {self.condition}"
-                )
-        if self.condition is not None:
-            l, m = self.condition
-            if not (0 <= l < dims.d_x and 0 <= m < dims.d_y):
-                raise ValidationError(f"condition {self.condition} out of range")
+        if self.coeffs.shape != dims.full_shape():
+            raise ValidationError(f"coefficient tensor has shape {self.coeffs.shape}, expected {dims.full_shape()}")
+        if not np.isfinite(self.coeffs).all():
+            raise ValidationError("query has a non-finite coefficient")
+        if self.condition is None:
+            return
+        l, m = self.condition
+        if not (0 <= l < dims.d_x and 0 <= m < dims.d_y):
+            raise ValidationError(f"condition {self.condition} out of range")
+        off_condition = np.ones((dims.d_x, dims.d_y), dtype=bool)
+        off_condition[l, m] = False
+        bad = np.argwhere((self.coeffs != 0.0) & off_condition)
+        if bad.size:
+            *y_vec, x, y = bad[0].tolist()
+            raise ValidationError(
+                f"cell (y={tuple(y_vec)}, x={x}, y_obs={y}) conflicts with condition {self.condition}"
+            )
 
 
 @dataclass(frozen=True)

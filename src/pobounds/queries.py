@@ -1,9 +1,9 @@
 """Builders for causal-quantity objectives and their collapse onto parameters.
 
-A query is a linear functional over the full (Y_0..Y_{d_x-1}, X, Y) space.
-Consistency (X = x implies Y = Y_x) lets every such functional collapse onto
-the parameter vector: cells whose factual outcome disagrees with the
-potential outcome of the received treatment carry no probability.
+A query is a linear functional over the full (Y_0..Y_{d_x-1}, X, Y) space: a
+coefficient tensor over the cell grid of :mod:`pobounds.model` plus the
+factual outcome, which each builder fills with one broadcast.  Consistency
+(X = x implies Y = Y_x) collapses it onto the parameter vector.
 """
 
 from __future__ import annotations
@@ -14,90 +14,83 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import ContradictionError, UndefinedConditionalError, ValidationError
-from .model import CellIndex, Dims, FullCell, ObservationalJoint, QuerySpec, flatten_index
+from .model import Dims, ObservationalJoint, QuerySpec, cell_grid
 
 ValueConstraint = int | Iterable[int] | Mapping[str, int]
+Event = Mapping[int, ValueConstraint] | None
+_COMPARE = {"eq": np.equal, "le": np.less_equal, "ge": np.greater_equal}
 
 
-def expand_values(dims: Dims, constraint: ValueConstraint) -> frozenset[int]:
-    """Expand a value constraint into the set of admitted outcome levels.
+def _level(value) -> int:
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"value constraint {value!r} is not an integer outcome level")
+    return int(value)
 
-    Accepts a single level, an iterable of levels, or a mapping with any of
-    the keys ``eq``, ``in``, ``le``, ``ge`` (intersected).
+
+def expand_values(dims: Dims, constraint: ValueConstraint) -> np.ndarray:
+    """The outcome levels a value constraint admits, as a boolean mask over ``range(d_y)``.
+
+    The constraint is one level, an iterable of levels, or a mapping with any of ``eq``,
+    ``in``, ``le``, ``ge`` (intersected).  Levels must be integers, never bools or floats.
     """
-    full = range(dims.d_y)
+    levels = np.arange(dims.d_y)
     if isinstance(constraint, Mapping):
-        values = set(full)
+        admitted = np.ones(dims.d_y, dtype=bool)
         for op, v in constraint.items():
-            if op == "eq":
-                values &= {int(v)}
-            elif op == "in":
-                values &= {int(u) for u in v}
-            elif op == "le":
-                values &= {u for u in full if u <= int(v)}
-            elif op == "ge":
-                values &= {u for u in full if u >= int(v)}
+            if op == "in":
+                admitted &= np.isin(levels, [_level(u) for u in v])
+            elif op in _COMPARE:
+                admitted &= _COMPARE[op](levels, _level(v))
             else:
                 raise ValidationError(f"unknown value constraint operator {op!r}")
-    elif isinstance(constraint, (bool, np.bool_)):
-        raise ValidationError(f"value constraint {constraint!r} is a boolean, not an outcome level")
-    elif isinstance(constraint, numbers.Integral):
-        values = {int(constraint)}
     else:
-        values = {int(v) for v in constraint}
-    if not values:
+        listed = [_level(v) for v in constraint] if isinstance(constraint, Iterable) else [_level(constraint)]
+        if not all(0 <= v < dims.d_y for v in listed):
+            raise ValidationError(f"outcome levels {sorted(set(listed))} out of range for d_y={dims.d_y}")
+        admitted = np.isin(levels, listed)
+    if not admitted.any():
         raise ContradictionError("value constraint admits no outcome level")
-    if not all(0 <= v < dims.d_y for v in values):
-        raise ValidationError(f"outcome levels {sorted(values)} out of range for d_y={dims.d_y}")
-    return frozenset(values)
+    return admitted
 
 
-def _resolve_event(
-    dims: Dims, po: Mapping[int, ValueConstraint] | None
-) -> list[frozenset[int]]:
-    sets = [frozenset(range(dims.d_y))] * dims.d_x
+def _index(value, bound: int, what: str) -> int:
+    """``int(value)``, refused outside ``[0, bound)``: numpy would wrap -1 around."""
+    v = int(value)
+    if not 0 <= v < bound:
+        raise ValidationError(f"{what} {v} out of range")
+    return v
+
+
+def _event_cells(dims: Dims, po: Event) -> np.ndarray:
+    """Whether each cell's outcome vector meets every arm's value constraint."""
+    admitted = np.ones((dims.d_x, dims.d_y), dtype=bool)
     for k, constraint in (po or {}).items():
-        k = int(k)
-        if not 0 <= k < dims.d_x:
-            raise ValidationError(f"potential-outcome index {k} out of range")
-        sets = [expand_values(dims, constraint) if i == k else s for i, s in enumerate(sets)]
-    return sets
+        admitted[_index(k, dims.d_x, "potential-outcome index")] = expand_values(dims, constraint)
+    Y, _ = cell_grid(dims)
+    return np.take_along_axis(admitted, Y, axis=1).all(axis=0)
+
+
+def _query(dims: Dims, values: np.ndarray, x, y, condition, label: str) -> QuerySpec:
+    """``values`` (one per cell) at each factual pair that ``x``, ``y`` allow (None: all)."""
+    pairs = np.zeros((dims.d_x, dims.d_y), dtype=bool)
+    pairs[slice(None) if x is None else _index(x, dims.d_x, "treatment value"),
+          slice(None) if y is None else _index(y, dims.d_y, "observed outcome")] = True
+    _, X = cell_grid(dims)
+    return QuerySpec(np.where(pairs[X], values[:, None], 0.0).reshape(dims.full_shape()), condition, label=label)
 
 
 def build_event_query(
-    dims: Dims,
-    po: Mapping[int, ValueConstraint] | None = None,
-    x: int | None = None,
-    y: int | None = None,
-    label: str = "",
+    dims: Dims, po: Event = None, x: int | None = None, y: int | None = None, label: str = ""
 ) -> QuerySpec:
     """Indicator functional of a conjunction event over POs and optionally (X, Y).
 
-    ``po`` maps PO indices to value constraints; unmentioned POs are free.
-    An empty event is the constant-one functional.
-    """
-    sets = _resolve_event(dims, po)
-    xs = range(dims.d_x) if x is None else [int(x)]
-    ys = range(dims.d_y) if y is None else [int(y)]
-    coeffs: dict[FullCell, float] = {}
-    for y_vec in dims.outcome_vectors():
-        if not all(y_vec[k] in sets[k] for k in range(dims.d_x)):
-            continue
-        for xv in xs:
-            for yv in ys:
-                coeffs[(y_vec, xv, yv)] = 1.0
-    q = QuerySpec(coeffs, None, label=label)
-    q.validate(dims)
-    return q
+    ``po`` maps PO indices to value constraints; unmentioned POs are free, so an
+    empty event is the constant-one functional."""
+    return _query(dims, _event_cells(dims, po), x, y, None, label)
 
 
 def build_conditional_query(
-    dims: Dims,
-    po: Mapping[int, ValueConstraint] | None,
-    given: tuple[int, int],
-    x: int | None = None,
-    y: int | None = None,
-    label: str = "",
+    dims: Dims, po: Event, given: tuple[int, int], x: int | None = None, y: int | None = None, label: str = ""
 ) -> QuerySpec:
     """Event probability conditional on the factual pair (X=l, Y=m)."""
     l, m = int(given[0]), int(given[1])
@@ -105,73 +98,44 @@ def build_conditional_query(
         raise ContradictionError(f"event fixes X={x} but condition fixes X={l}")
     if y is not None and int(y) != m:
         raise ContradictionError(f"event fixes Y={y} but condition fixes Y={m}")
-    sets = _resolve_event(dims, po)
-    coeffs: dict[FullCell, float] = {}
-    for y_vec in dims.outcome_vectors():
-        if all(y_vec[k] in sets[k] for k in range(dims.d_x)):
-            coeffs[(y_vec, l, m)] = 1.0
-    q = QuerySpec(coeffs, (l, m), label=label)
-    q.validate(dims)
-    return q
+    return _query(dims, _event_cells(dims, po), l, m, (l, m), label)
 
 
 def build_moment_query(dims: Dims, order: int, arms: tuple[int, int], label: str = "") -> QuerySpec:
     """The m-th moment of the outcome contrast between two arms."""
-    i, j = arms
-    if not (0 <= i < dims.d_x and 0 <= j < dims.d_x):
-        raise ValidationError(f"arms {arms} out of range")
-    coeffs: dict[FullCell, float] = {}
-    for y_vec in dims.outcome_vectors():
-        c = float(y_vec[i] - y_vec[j]) ** order
-        if c == 0.0:
-            continue
-        for x in range(dims.d_x):
-            for y in range(dims.d_y):
-                coeffs[(y_vec, x, y)] = c
-    q = QuerySpec(coeffs, None, label=label or f"moment{order}({i}-{j})")
-    q.validate(dims)
-    return q
+    i, j = (_index(a, dims.d_x, "arm") for a in arms)
+    if int(order) < 0:
+        raise ValidationError(f"moment order {order} is negative")
+    Y, _ = cell_grid(dims)
+    contrast = (Y[i] - Y[j]).astype(float) ** int(order)
+    return _query(dims, contrast, None, None, None, label or f"moment{order}({i}-{j})")
 
 
 def build_posterior_effect_query(
     dims: Dims, arms: tuple[int, int], given: tuple[int, int], label: str = ""
 ) -> QuerySpec:
     """Expected contrast between two arms, conditional on factual (X=l, Y=m)."""
-    i, j = arms
-    l, m = int(given[0]), int(given[1])
-    if not (0 <= i < dims.d_x and 0 <= j < dims.d_x):
-        raise ValidationError(f"arms {arms} out of range")
-    coeffs: dict[FullCell, float] = {}
-    for y_vec in dims.outcome_vectors():
-        if y_vec[l] != m:
-            continue
-        c = float(y_vec[i] - y_vec[j])
-        if c != 0.0:
-            coeffs[(y_vec, l, m)] = c
-    q = QuerySpec(coeffs, (l, m), label=label or f"effect({i}-{j}|X={l},Y={m})")
-    q.validate(dims)
-    return q
+    i, j = (_index(a, dims.d_x, "arm") for a in arms)
+    l, m = _index(given[0], dims.d_x, "treatment value"), _index(given[1], dims.d_y, "observed outcome")
+    Y, _ = cell_grid(dims)
+    return _query(dims, (Y[l] == m) * (Y[i] - Y[j]), l, m, (l, m), label or f"effect({i}-{j}|X={l},Y={m})")
 
 
 def collapse_to_objective(query: QuerySpec, dims: Dims) -> np.ndarray:
-    """Dense objective over parameter indices via counterfactual consistency.
-
-    The coefficient of p[y_vec, x] is the query coefficient at the single
-    consistent factual cell (y_vec, x, y_x); inconsistent cells contribute
-    nothing.  Any conditional divisor is left to :func:`bind_condition`.
-    """
+    """Dense objective over parameters: the coefficient of p[y_vec, x] is the one at
+    the consistent factual cell (y_vec, x, y_x).  Any conditional divisor is left
+    to :func:`bind_condition`."""
     query.validate(dims)
-    obj = np.zeros(dims.param_count())
-    for (y_vec, x, y), c in query.coeffs.items():
-        if y_vec[x] == y and c != 0.0:
-            obj[flatten_index(CellIndex(y_vec, x), dims)] += c
-    return obj
+    Y, X = cell_grid(dims)
+    cells = np.arange(X.size)
+    return query.coeffs.reshape(X.size, dims.d_y)[cells, Y[X, cells]]
 
 
 def condition_probability(query: QuerySpec, obs: ObservationalJoint) -> float:
     """The data constant P(X=l, Y=m) dividing a conditional functional."""
     if query.condition is None:
         raise ValidationError("query has no condition to bind")
+    query.validate(obs.dims)
     l, m = query.condition
     p = float(obs.table[l, m])
     if p <= 0.0:
@@ -180,10 +144,6 @@ def condition_probability(query: QuerySpec, obs: ObservationalJoint) -> float:
 
 
 def bind_condition(query: QuerySpec, obs: ObservationalJoint) -> np.ndarray:
-    """Collapsed objective divided by the condition probability.
-
-    The divisor is a known scalar, so the conditional functional stays linear
-    in the parameters.
-    """
-    dims = obs.dims
-    return collapse_to_objective(query, dims) / condition_probability(query, obs)
+    """Collapsed objective divided by the condition probability, a known scalar,
+    so the conditional functional stays linear in the parameters."""
+    return collapse_to_objective(query, obs.dims) / condition_probability(query, obs)

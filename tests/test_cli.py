@@ -333,6 +333,99 @@ def test_malformed_input_files_exit_1(tmp_path, capsys, truth_a):
         assert err.startswith("error: ")
 
 
+def test_malformed_values_exit_1_naming_the_file(tmp_path, capsys, truth_a):
+    # non-numeric values, wrong container types and ragged tables end in
+    # "error: <path>: ...", never in a traceback
+    exp = exp_json(tmp_path, truth_a)
+    bound = ["bound", "--dims", "3,3", "--exp", exp]
+    pairs = [{"s": 1, "t": 0, "lower": 0}]
+    assumes = [{"terms": [{"prob_lower": "abc", "pairs": pairs}]}, {"terms": [{"pairs": 5}]}]
+    queries = [
+        {"kind": "moment", "order": "two", "arms": [1, 0]},
+        {"kind": "event", "po": {"0": 0}, "x": "a"},
+        {"kind": "event", "po": {"0": {"in": 5}}},
+        {"kind": "event", "po": [0]},
+        {"kind": "raw", "cells": [{"y_vec": 5, "x": 0, "y": 0, "coeff": 1.0}]},
+    ]
+    tables = [[[0.5, "a", 0.5]] * 3, [[0.5, 0.5, 0.0], [1.0], [0.5, 0.5, 0.0]], {"rows": 3}]
+    cases = []
+    for i, payload in enumerate(assumes):
+        path = write_json(tmp_path / f"assume{i}.json", payload)
+        cases.append((path, bound + ["--assume", path, "--query", event_query(tmp_path)]))
+    for i, payload in enumerate(queries):
+        path = write_json(tmp_path / f"query{i}.json", payload)
+        cases.append((path, bound + ["--query", path]))
+    for i, payload in enumerate(tables):
+        path = write_json(tmp_path / f"table{i}.json", payload)
+        cases.append((path, ["bound", "--dims", "3,3", "--exp", path, "--query", event_query(tmp_path)]))
+    preset = "prob_mtr(abc,1)"
+    cases.append((preset, bound + ["--assume", preset, "--query", event_query(tmp_path)]))
+    for path, argv in cases:
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
+def test_non_utf8_inputs_exit_1_naming_the_file(tmp_path, capsys, truth_a):
+    body = tmp_path / "body.csv"
+    body.write_bytes(b"x,y\n0,1\n\xff\xfe,1\n")
+    header = tmp_path / "header.csv"
+    header.write_bytes(b"x,\xffy\n0,1\n")
+    table = tmp_path / "table.json"
+    table.write_bytes(b'{"table": [[0.5, 0.5], \xff]}')
+    argvs = [["--obs", str(body)], ["--obs", str(header)], ["--exp", str(table)]]
+    for argv in argvs:
+        assert main(["bound", "--dims", "2,2", *argv, "--query", event_query(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {argv[1]}: ")
+
+
+def raw_query(tmp_path, cells, given=None, name="raw.json"):
+    payload = {"kind": "raw", "cells": [{"y_vec": list(v), "x": x, "y": y, "coeff": c} for v, x, y, c in cells]}
+    if given is not None:
+        payload["given"] = {"x": given[0], "y": given[1]}
+    return write_json(tmp_path / name, payload)
+
+
+def test_raw_query_kind(tmp_path, capsys, truth_a):
+    dims = truth_a.dims
+    data = ["--exp", exp_json(tmp_path, truth_a), "--obs", obs_json(tmp_path, truth_a), "--assume", "mtr"]
+
+    def bounds(query):
+        code, report = run(capsys, ["bound", "--dims", "3,3", *data, "--query", query])
+        assert code == 0
+        return report["lower"], report["upper"]
+
+    # the event Y_0=0, Y_1=0, Y_2=1 spelled out cell by cell
+    event = [((0, 0, 1), x, y, 1.0) for x in range(3) for y in range(3)]
+    assert bounds(raw_query(tmp_path, event)) == bounds(event_query(tmp_path))
+    # duplicate cells add up: two halves give the same report as the whole
+    halves = [cell[:3] + (0.5,) for cell in event for _ in range(2)]
+    assert bounds(raw_query(tmp_path, halves)) == bounds(event_query(tmp_path))
+    # a conditional event: P(Y_0 = 0 | X=2, Y=2), against the event builder
+    cells = [(y_vec, 2, 2, 1.0) for y_vec in dims.outcome_vectors() if y_vec[0] == 0]
+    conditional = write_json(tmp_path / "cond.json", {"kind": "event", "po": {"0": 0}, "given": {"x": 2, "y": 2}})
+    assert bounds(raw_query(tmp_path, cells, given=(2, 2))) == bounds(conditional)
+
+    bad = [
+        ([((0, 0, -1), 0, 0, 1.0)], "outcome value out of range in (0, 0, -1)"),
+        ([((0, 0, 3), 0, 0, 1.0)], "outcome value out of range in (0, 0, 3)"),
+        ([((0, 0), 0, 0, 1.0)], "outcome vector has length 2, expected 3"),
+        ([((0, 0, 0), -1, 0, 1.0)], "treatment value -1 out of range"),
+        ([((0, 0, 0), 3, 0, 1.0)], "treatment value 3 out of range"),
+        ([((0, 0, 0), 0, -1, 1.0)], "observed outcome -1 out of range"),
+        ([((0, 0, 0), 0, 3, 1.0)], "observed outcome 3 out of range"),
+    ]
+    for cells, message in bad:
+        assert main(["bound", "--dims", "3,3", *data, "--query", raw_query(tmp_path, cells)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+    for cells in ([((0, 0, 1.5), 0, 0, 1.0)], [((0, 0, 0), 1.0, 0, 1.0)], [((0, 0, 0), 0, True, 1.0)]):
+        query = raw_query(tmp_path, cells)
+        assert main(["bound", "--dims", "3,3", *data, "--query", query]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {query}: malformed value: level ")
+    conflict = raw_query(tmp_path, [((0, 0, 0), 2, 2, 1.0), ((0, 1, 0), 1, 2, 1.0)], given=(2, 2))
+    assert main(["bound", "--dims", "3,3", *data, "--query", conflict]) == 1
+    assert capsys.readouterr().err == "error: cell (y=(0, 1, 0), x=1, y_obs=2) conflicts with condition (2, 2)\n"
+
+
 def test_usage_error_exit_1(capsys):
     assert main(["bound"]) == 1
     capsys.readouterr()

@@ -109,14 +109,18 @@ def test_monotone_term_unbounded_windows_admit_everything():
 
 def test_queryspec_condition_mismatch():
     dims = pb.Dims(2, 2)
-    q = pb.QuerySpec({((0, 1), 0, 0): 1.0, ((0, 1), 1, 1): 1.0}, condition=(0, 0))
-    with pytest.raises(ValidationError):
+    coeffs = np.zeros(dims.full_shape())
+    coeffs[0, 1, 0, 0] = coeffs[0, 1, 1, 1] = 1.0
+    q = pb.QuerySpec(coeffs, condition=(0, 0))
+    with pytest.raises(ValidationError, match=r"cell \(y=\(0, 1\), x=1, y_obs=1\) conflicts"):
         q.validate(dims)
 
 
 def test_queryspec_out_of_range_cell():
-    q = pb.QuerySpec({((0, 5), 0, 0): 1.0})
-    with pytest.raises(ValidationError):
+    coeffs = np.zeros((2, 6, 2, 2))
+    coeffs[0, 5, 0, 0] = 1.0
+    q = pb.QuerySpec(coeffs)
+    with pytest.raises(ValidationError, match="shape"):
         q.validate(pb.Dims(2, 2))
 
 
