@@ -82,11 +82,19 @@ def _reading(path: str):
         raise ValidationError(f"{path}: malformed value: {exc}") from None
 
 
-def _level(value: Any) -> int:
-    """A JSON integer, refused rather than truncated when it is anything else."""
+def _integer(value: Any, what: str) -> int:
+    """A JSON integer, refused rather than truncated when it is anything else;
+    ``what`` names the field in the error."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"level {value!r} is not an integer")
+        raise TypeError(f"{what} {value!r} is not an integer")
     return value
+
+
+def _key_integer(key: str, what: str) -> int:
+    """A JSON object key that spells an integer, such as ``"2"``."""
+    if not _INTEGER.fullmatch(key):
+        raise TypeError(f"{what} {key!r} is not an integer")
+    return int(key)
 
 
 def _read_json_object(path: str) -> dict:
@@ -206,7 +214,7 @@ def load_assumptions(source: str | None, dims: Dims) -> AssumptionSet:
             for p in t.get("pairs", []):
                 lo = -np.inf if p.get("lower") is None else float(p["lower"])
                 hi = np.inf if p.get("upper") is None else float(p["upper"])
-                pairs[(int(p["s"]), int(p["t"]))] = (lo, hi)
+                pairs[(_integer(p["s"], "pair s"), _integer(p["t"], "pair t"))] = (lo, hi)
             terms.append(
                 MonotoneTerm.from_pairs(
                     dims.d_x, pairs, float(t.get("prob_lower", 1.0)), float(t.get("prob_upper", 1.0))
@@ -221,24 +229,28 @@ def load_query(path: str, dims: Dims) -> tuple[QuerySpec, Any]:
     kind = data.get("kind")
     with _reading(path):
         given = data.get("given")
-        given_pair = (int(given["x"]), int(given["y"])) if given else None
+        given_pair = (_integer(given["x"], "given x"), _integer(given["y"], "given y")) if given else None
         if kind == "event":
-            po = {int(k): v for k, v in (data.get("po") or {}).items()}
+            po = {_key_integer(k, "po key"): v for k, v in (data.get("po") or {}).items()}
+            x, y = (None if data.get(k) is None else _integer(data[k], k) for k in ("x", "y"))
             if given_pair is not None:
-                q = build_conditional_query(dims, po, given_pair, x=data.get("x"), y=data.get("y"))
+                q = build_conditional_query(dims, po, given_pair, x=x, y=y)
             else:
-                q = build_event_query(dims, po, x=data.get("x"), y=data.get("y"))
+                q = build_event_query(dims, po, x=x, y=y)
         elif kind == "moment":
-            q = build_moment_query(dims, int(data["order"]), tuple(int(a) for a in data["arms"]))
+            arms = tuple(_integer(a, "arm") for a in data["arms"])
+            q = build_moment_query(dims, _integer(data["order"], "order"), arms)
         elif kind == "posterior_effect":
             if given_pair is None:
                 raise ValidationError(f"{path}: posterior_effect queries need a 'given' pair")
-            q = build_posterior_effect_query(dims, tuple(int(a) for a in data["arms"]), given_pair)
+            arms = tuple(_integer(a, "arm") for a in data["arms"])
+            q = build_posterior_effect_query(dims, arms, given_pair)
         elif kind == "raw":
             # cells are range-checked before they index; duplicates add up in file order
             coeffs = np.zeros(dims.full_shape())
             for cell in data["cells"]:
-                y_vec, x, y = tuple(map(_level, cell["y_vec"])), _level(cell["x"]), _level(cell["y"])
+                y_vec = tuple(_integer(v, "level") for v in cell["y_vec"])
+                x, y = _integer(cell["x"], "level"), _integer(cell["y"], "level")
                 CellIndex(y_vec, x).check(dims)
                 if not 0 <= y < dims.d_y:
                     raise ValidationError(f"observed outcome {y} out of range")

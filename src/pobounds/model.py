@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
@@ -27,6 +28,14 @@ MASS_SUM_TOL = 1e-8
 MASS_NEG_TOL = 1e-9
 
 UNBOUNDED = math.inf
+
+
+def as_integer(value, what: str) -> int:
+    """``value`` as an ``int`` if it is an integer, numpy's included; a bool,
+    float or string is refused, never truncated, with an error naming ``what``."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{what} {value!r} is not an integer")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -403,14 +412,14 @@ class SparseJointPO:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SparseJointPO":
-        dims = Dims(int(data["d_x"]), int(data["d_y"]))
+        dims = Dims(as_integer(data["d_x"], "d_x"), as_integer(data["d_y"], "d_y"))
         space = data.get("space", "full")
         entries: dict[tuple, float] = {}
         for cell in data["cells"]:
-            y_vec = tuple(int(v) for v in cell["y_vec"])
+            y_vec = tuple(as_integer(v, "y_vec entry") for v in cell["y_vec"])
             if space == "po":
                 key: tuple = y_vec
             else:
-                key = (y_vec, int(cell["x"]), int(cell["y"]))
+                key = (y_vec, as_integer(cell["x"], "x"), as_integer(cell["y"], "y"))
             entries[key] = entries.get(key, 0.0) + float(cell["mass"])
         return cls(dims, entries, space)

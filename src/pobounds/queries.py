@@ -8,13 +8,12 @@ factual outcome, which each builder fills with one broadcast.  Consistency
 
 from __future__ import annotations
 
-import numbers
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from .errors import ContradictionError, UndefinedConditionalError, ValidationError
-from .model import Dims, ObservationalJoint, QuerySpec, cell_grid
+from .model import Dims, ObservationalJoint, QuerySpec, as_integer, cell_grid
 
 ValueConstraint = int | Iterable[int] | Mapping[str, int]
 Event = Mapping[int, ValueConstraint] | None
@@ -22,9 +21,7 @@ _COMPARE = {"eq": np.equal, "le": np.less_equal, "ge": np.greater_equal}
 
 
 def _level(value) -> int:
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Integral):
-        raise ValidationError(f"value constraint {value!r} is not an integer outcome level")
-    return int(value)
+    return as_integer(value, "value constraint")
 
 
 def expand_values(dims: Dims, constraint: ValueConstraint) -> np.ndarray:
@@ -54,8 +51,8 @@ def expand_values(dims: Dims, constraint: ValueConstraint) -> np.ndarray:
 
 
 def _index(value, bound: int, what: str) -> int:
-    """``int(value)``, refused outside ``[0, bound)``: numpy would wrap -1 around."""
-    v = int(value)
+    """An integer ``value``, refused outside ``[0, bound)``: numpy would wrap -1 around."""
+    v = as_integer(value, what)
     if not 0 <= v < bound:
         raise ValidationError(f"{what} {v} out of range")
     return v
@@ -93,10 +90,10 @@ def build_conditional_query(
     dims: Dims, po: Event, given: tuple[int, int], x: int | None = None, y: int | None = None, label: str = ""
 ) -> QuerySpec:
     """Event probability conditional on the factual pair (X=l, Y=m)."""
-    l, m = int(given[0]), int(given[1])
-    if x is not None and int(x) != l:
+    l, m = _index(given[0], dims.d_x, "treatment value"), _index(given[1], dims.d_y, "observed outcome")
+    if x is not None and _index(x, dims.d_x, "treatment value") != l:
         raise ContradictionError(f"event fixes X={x} but condition fixes X={l}")
-    if y is not None and int(y) != m:
+    if y is not None and _index(y, dims.d_y, "observed outcome") != m:
         raise ContradictionError(f"event fixes Y={y} but condition fixes Y={m}")
     return _query(dims, _event_cells(dims, po), l, m, (l, m), label)
 
@@ -104,10 +101,13 @@ def build_conditional_query(
 def build_moment_query(dims: Dims, order: int, arms: tuple[int, int], label: str = "") -> QuerySpec:
     """The m-th moment of the outcome contrast between two arms."""
     i, j = (_index(a, dims.d_x, "arm") for a in arms)
-    if int(order) < 0:
+    order = as_integer(order, "moment order")
+    if order < 0:
         raise ValidationError(f"moment order {order} is negative")
     Y, _ = cell_grid(dims)
-    contrast = (Y[i] - Y[j]).astype(float) ** int(order)
+    # a huge order overflows to inf without a warning; QuerySpec.validate refuses it
+    with np.errstate(over="ignore"):
+        contrast = (Y[i] - Y[j]).astype(float) ** order
     return _query(dims, contrast, None, None, None, label or f"moment{order}({i}-{j})")
 
 

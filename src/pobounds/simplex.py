@@ -3,7 +3,10 @@
 Problem sizes here are small (a few hundred variables, a few dozen rows), and
 basic solutions double as sharpness witnesses, so a dense tableau with
 Bland's rule is the right tool: deterministic pivots, exact vertex output,
-and no external dependencies.
+and no external dependencies.  Each pivot is a few whole-array operations:
+a mask and ``argmax`` find the first column with reduced cost below
+``-PIVOT_TOL``, ``argmin`` over the integer basis the ratio tie with the
+smallest basic index, then one rank-1 update; the path is Bland's, bit for bit.
 """
 
 from __future__ import annotations
@@ -92,55 +95,52 @@ class _Tableau:
             if c != 0.0:
                 self.T[-1, :] -= c * self.T[i, :]
 
-    def _pivot(self, row: int, col: int) -> None:
+    def _pivot(self, row: int, col: int, basis: list[int] | np.ndarray, work: np.ndarray) -> None:
+        """Make ``col`` basic in ``row`` and record it in ``basis``; ``work`` is scratch like ``T``."""
         T = self.T
-        T[row, :] /= T[row, col]
-        factors = T[:, col].copy()
-        factors[row] = 0.0
-        T -= np.outer(factors, T[row, :])
-        self.basis[row] = col
+        T[row] /= T[row, col]
+        # outer(column, pivot row), the pivot row's own factor zeroed: a broadcast copy and
+        # an in-place multiply give np.outer's floats faster than a broadcast multiply does
+        work[:] = T[:, col, None]
+        work[row] = 0.0
+        work *= T[row]
+        T -= work
+        basis[row] = col
         self.iterations += 1
 
     def run(self, allowed: int) -> str:
-        """Minimize until reduced costs are nonnegative (Bland's rule).
-
-        ``allowed`` is the number of leading columns eligible to enter; it
-        excludes artificial columns during phase 2.
-        """
+        """Minimize until reduced costs are nonnegative (Bland's rule); only the
+        first ``allowed`` columns may enter, which keeps artificials out in phase 2."""
         T = self.T
-        while True:
-            if self.iterations > MAX_ITERATIONS:
-                raise SolverFailureError("iteration limit exceeded", tableau=T.copy(), basis=list(self.basis))
-            red = T[-1, :allowed]
-            entering = -1
-            for j in range(allowed):
-                if red[j] < -PIVOT_TOL:
-                    entering = j
-                    break
-            if entering < 0:
-                return "optimal"
-            col = T[:-1, entering]
-            eligible = np.flatnonzero(col > PIVOT_TOL)
-            if eligible.size == 0:
-                if np.any(col > DEAD_TOL):
-                    raise SolverFailureError(
-                        f"pivot candidates below tolerance in column {entering}",
-                        tableau=T.copy(),
-                        basis=list(self.basis),
-                    )
-                return "unbounded"
-            ratios = T[:-1, -1][eligible] / col[eligible]
-            best = ratios.min()
-            ties = eligible[ratios <= best + DEAD_TOL]
-            leaving = min(ties, key=lambda i: self.basis[i])
-            self._pivot(leaving, entering)
+        red, rhs = T[-1, :allowed], T[:-1, -1]
+        basis, work = np.array(self.basis, dtype=np.intp), np.empty_like(T)
+        try:
+            while True:
+                if self.iterations > MAX_ITERATIONS:
+                    raise SolverFailureError("iteration limit exceeded", tableau=T.copy(), basis=basis.tolist())
+                negative = red < -PIVOT_TOL
+                entering = int(negative.argmax())
+                if not negative[entering]:
+                    return "optimal"
+                col = T[:-1, entering]
+                eligible = (col > PIVOT_TOL).nonzero()[0]
+                if eligible.size == 0:
+                    if np.any(col > DEAD_TOL):
+                        raise SolverFailureError(f"pivot candidates below tolerance in column {entering}",
+                                                 tableau=T.copy(), basis=basis.tolist())
+                    return "unbounded"
+                ratios = rhs[eligible] / col[eligible]
+                ties = eligible[ratios <= ratios.min() + DEAD_TOL]
+                leaving = int(ties[basis[ties].argmin()])
+                self._pivot(leaving, entering, basis, work)
+        finally:
+            self.basis = basis.tolist()
 
     def phase1(self) -> float:
         costs = np.zeros(self.art0 + self.m)
         costs[self.art0 :] = 1.0
         self.set_costs(costs)
-        status = self.run(allowed=self.art0 + self.m)
-        if status != "optimal":
+        if self.run(allowed=self.art0 + self.m) != "optimal":
             raise SolverFailureError("phase 1 terminated without optimum", tableau=self.T.copy())
         return -float(self.T[-1, -1])
 
@@ -152,7 +152,7 @@ class _Tableau:
     def drop_artificials(self) -> None:
         """Pivot zero-level artificials out of the basis; delete rows that
         turn out redundant, then remove the artificial columns."""
-        keep = []
+        keep, work = [], np.empty_like(self.T)
         for i in range(self.m):
             if self.basis[i] < self.art0:
                 keep.append(i)
@@ -162,7 +162,7 @@ class _Tableau:
             if abs(row[best]) > PIVOT_TOL:
                 # largest entry keeps the (near-zero) artificial level from
                 # being amplified into the entering variable
-                self._pivot(i, best)
+                self._pivot(i, best, self.basis, work)
                 keep.append(i)
             # else: redundant row, dropped
         keep_rows = keep + [self.m]
@@ -172,8 +172,7 @@ class _Tableau:
 
     def solution_vector(self) -> np.ndarray:
         x = np.zeros(self.T.shape[1] - 1)
-        for i, col in enumerate(self.basis):
-            x[col] = self.T[i, -1]
+        x[self.basis] = self.T[:-1, -1]
         return np.where(x > 0.0, x, 0.0)
 
 

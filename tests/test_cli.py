@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -478,3 +479,47 @@ def test_report_written_to_file(tmp_path, capsys, truth_a):
     report = json.loads(out.read_text())
     assert report["upper"] == pytest.approx(0.35, abs=0.01)
     assert report["config"]["dims"] == "3,3"
+
+
+@pytest.mark.parametrize("bad", [1.9, 2.7, "1.5", True])
+def test_index_fields_are_refused_not_truncated(tmp_path, capsys, truth_a, bad):
+    # every index read from a query, assumption or truth file must be a JSON
+    # integer; int() would read 1.9 as 1 and "1.5" not at all
+    data = ["--exp", exp_json(tmp_path, truth_a), "--obs", obs_json(tmp_path, truth_a)]
+    key = {1.9: "1.9", 2.7: "2.7", "1.5": "1.5", True: "true"}[bad]
+    queries = [
+        ("order", {"kind": "moment", "order": bad, "arms": [1, 0]}),
+        ("arm", {"kind": "moment", "order": 2, "arms": [bad, 0]}),
+        ("arm", {"kind": "posterior_effect", "arms": [1, bad], "given": {"x": 0, "y": 1}}),
+        ("given x", {"kind": "event", "po": {"0": 0}, "given": {"x": bad, "y": 0}}),
+        ("given y", {"kind": "raw", "cells": [], "given": {"x": 0, "y": bad}}),
+        ("x", {"kind": "event", "po": {"0": 0}, "x": bad}),
+        ("y", {"kind": "event", "po": {"0": 0}, "given": {"x": 1, "y": 1}, "y": bad}),
+        ("po key", {"kind": "event", "po": {key: 0}}),
+    ]
+    assumes = [("pair s", {"s": bad, "t": 0, "lower": 0}), ("pair t", {"s": 1, "t": bad, "lower": 0})]
+    cases = []
+    for i, (what, payload) in enumerate(queries):
+        path = write_json(tmp_path / f"query{i}.json", payload)
+        cases.append((what, path, ["bound", "--dims", "3,3", *data, "--query", path]))
+    for i, (what, pair) in enumerate(assumes):
+        path = write_json(tmp_path / f"assume{i}.json", {"terms": [{"pairs": [pair]}]})
+        cases.append((what, path, ["bound", "--dims", "3,3", *data, "--assume", path, "--query", event_query(tmp_path)]))
+    for what, path, argv in cases:
+        assert main(argv) == 1
+        shown = repr(key) if what == "po key" else repr(bad)
+        assert capsys.readouterr().err == f"error: {path}: malformed value: {what} {shown} is not an integer\n"
+    truth = truth_a.to_json_dict()
+    truth["cells"][0]["x"] = bad
+    argv = ["simulate", "--truth", write_json(tmp_path / "truth.json", truth), "--n", "10", "--reps", "1",
+            "--query", event_query(tmp_path)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: x {bad!r} is not an integer\n"
+
+
+def test_huge_moment_order_exits_1_with_one_line(tmp_path, capsys, truth_a):
+    query = write_json(tmp_path / "moment.json", {"kind": "moment", "order": 2000, "arms": [1, 0]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["bound", "--dims", "3,3", "--exp", exp_json(tmp_path, truth_a), "--query", query]) == 1
+    assert capsys.readouterr().err == "error: query has a non-finite coefficient\n"

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -172,3 +173,18 @@ def test_flatten_bijection_property(d_x, d_y, data):
     cell = pb.unflatten_index(i, dims)
     cell.check(dims)
     assert pb.flatten_index(cell, dims) == i
+
+
+@pytest.mark.parametrize("bad", [1.9, 2.7, "1.5", True])
+def test_sparse_joint_json_indices_are_refused_not_truncated(truth_b, bad):
+    fields = [("d_x", lambda d: d), ("d_y", lambda d: d), ("y_vec entry", lambda d: d["cells"][0]["y_vec"]),
+              ("x", lambda d: d["cells"][0]), ("y", lambda d: d["cells"][0])]
+    for what, where in fields:
+        data = truth_b.to_json_dict()
+        key = 1 if what == "y_vec entry" else what
+        where(data)[key] = bad
+        with pytest.raises(ValidationError, match=re.escape(f"{what} {bad!r} is not an integer")):
+            pb.SparseJointPO.from_json_dict(data)
+    data = truth_b.to_json_dict()
+    data["d_x"], data["cells"][0]["y"] = np.int64(3), np.uint8(data["cells"][0]["y"])
+    assert pb.SparseJointPO.from_json_dict(data).entries == truth_b.entries

@@ -1,4 +1,6 @@
 import itertools
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -336,3 +338,44 @@ def test_indices_are_range_checked():
         pb.condition_probability(q, pb.ObservationalJoint(np.full((3, 3), 1 / 9)))
     with pytest.raises(ValidationError, match="non-finite"):
         pb.collapse_to_objective(pb.QuerySpec(np.full(dims.full_shape(), np.inf)), dims)
+
+
+@pytest.mark.parametrize("bad", [1.9, 2.7, "1.5", True, np.float64(1.0), np.True_])
+def test_indices_are_refused_not_truncated(dims33, bad):
+    builds = [
+        ("potential-outcome index", lambda v: pb.build_event_query(dims33, {v: 0})),
+        ("treatment value", lambda v: pb.build_event_query(dims33, {0: 0}, x=v)),
+        ("observed outcome", lambda v: pb.build_event_query(dims33, {0: 0}, y=v)),
+        ("treatment value", lambda v: pb.build_conditional_query(dims33, {0: 0}, given=(v, 1))),
+        ("observed outcome", lambda v: pb.build_conditional_query(dims33, {0: 0}, given=(1, v))),
+        ("treatment value", lambda v: pb.build_conditional_query(dims33, {0: 0}, given=(1, 1), x=v)),
+        ("observed outcome", lambda v: pb.build_conditional_query(dims33, {0: 0}, given=(1, 1), y=v)),
+        ("moment order", lambda v: pb.build_moment_query(dims33, v, (1, 0))),
+        ("arm", lambda v: pb.build_moment_query(dims33, 2, (v, 0))),
+        ("arm", lambda v: pb.build_posterior_effect_query(dims33, (1, v), (0, 1))),
+        ("treatment value", lambda v: pb.build_posterior_effect_query(dims33, (1, 0), (v, 1))),
+    ]
+    for what, build in builds:
+        with pytest.raises(ValidationError, match=re.escape(f"{what} {bad!r} is not an integer")):
+            build(bad)
+
+
+def test_numpy_integer_indices_are_accepted(dims33):
+    def build(one, two):
+        return [
+            pb.build_event_query(dims33, {one: 0}, x=two, y=one),
+            pb.build_conditional_query(dims33, {one: 0}, given=(two, one), x=two),
+            pb.build_moment_query(dims33, two, (two, one)),
+            pb.build_posterior_effect_query(dims33, (two, one), (one, two)),
+        ]
+
+    for plain, numpy in zip(build(1, 2), build(np.int64(1), np.uint8(2))):
+        assert np.array_equal(plain.coeffs, numpy.coeffs)
+
+
+def test_huge_moment_order_is_refused_without_a_warning(dims33):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        query = pb.build_moment_query(dims33, 2000, (1, 0))
+        with pytest.raises(ValidationError, match="query has a non-finite coefficient"):
+            pb.collapse_to_objective(query, dims33)

@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import numpy as np
@@ -181,3 +182,119 @@ def test_problem_shape_validation():
         pb.LpProblem(np.ones(5), pb.compile_base(dims), "maximize")
     with pytest.raises(pb.ValidationError):
         pb.LpProblem(np.ones(8), pb.compile_base(dims), "upward")
+
+
+# Bland's pivot path on fixed instances: (d_x, d_y, mix, query kind, seed) ->
+# phase-1 pivots, then float.hex and witness SHA-256 of the min and max
+# endpoints.  A change of pivot rule changes these on purpose.
+PINNED = {
+    (3, 3, "exp+obs+exogeneity", "event", 0): (
+        42,
+        ("0x0.0p+0", "b473335e58be94e8ac2b84eef4011af9b0efdb993cba9a1187b579389fd2c98a"),
+        ("0x1.07bf7eac335aep-2", "d0658c4b505a81ae4ee64fa94f96b12f0845c2a078bcf11da23ab2570bad9f5c"),
+    ),
+    (4, 3, "obs+exogeneity+prob_mtr", "moment", 1): (
+        132,
+        ("0x1.172deba955694p-3", "f38b9ae1a5e32473a4cc765fbd75934832b36023ddbe32e67d3d3ef9109b2567"),
+        ("0x1.20484c4dac402p+1", "430bbd3fc28a9c6a6886c2a02e471cddf69839875ffe43e4130a8faccd1a5e43"),
+    ),
+    (3, 4, "exp+obs+mtr", "posterior_effect", 2): (
+        166,
+        ("0x0.0p+0", "f9b3cd2331b96e97bbdcffa6f570ea3b55796b464a2652c7a06f377a3d554c6d"),
+        ("0x1.0000000000011p+1", "459bda52f06839a62d55594c0fe1e4a28ef72412142e4319688d8514f42b764d"),
+    ),
+    (4, 4, "exp+obs+exogeneity", "event", 3): (
+        400,
+        ("0x1.1958a2055e72dp-6", "5d608e51a1e46e996e5884d5483c538f7fd1e8ef551fc3f01ddad2affdf4d603"),
+        ("0x1.eaa0da14f3664p-3", "5c368890f33dfddf3f3f0481f6aa44c18f38a5cfc85d7765dd320084b6178355"),
+    ),
+    (5, 3, "obs+exogeneity+prob_mtr", "moment", 4): (
+        520,
+        ("0x1.7bf4d2ef3502dp-3", "31072b6ab91bb21d189f1d9624ddccaf2eb5f41cffb4f52360929d9845a260cb"),
+        ("0x1.351f0e5f2e494p+1", "f654bf9c784bd4daea3a47d08206f5e8eb6852511135d2743a95d8c2bdd5fcd8"),
+    ),
+    (3, 3, "exp+obs+mtr", "posterior_effect", 5): (
+        73,
+        ("0x0.0p+0", "dd8a167c401698f458769cde7b534a0619f0c4b237d991633ecf4c5d5027ac11"),
+        ("0x1.f9e8245c4ad2ep-2", "0b48d4e4f269d3a5fe294365ecc01a4492c09d0bcf2218f8b2c9e94cd86fa850"),
+    ),
+}
+
+
+def pinned_instance(d_x, d_y, mix, kind, seed):
+    """The constraint set and objective of a query on the tables of a random
+    exogenous truth that meets the mix: ``share`` of its mass lies on
+    nondecreasing outcome vectors, all of it under mtr."""
+    named, share = {
+        "exp+obs+exogeneity": (None, 0.0),
+        "obs+exogeneity+prob_mtr": ("prob_mtr(0.5,1.0)", 0.5),
+        "exp+obs+mtr": ("mtr", 1.0),
+    }[mix]
+    rng = np.random.default_rng(seed)
+    dims = pb.Dims(d_x, d_y)
+    Y = np.indices((d_y,) * d_x).reshape(d_x, -1)
+    monotone = (np.diff(Y, axis=0) >= 0).all(axis=0)
+    py = (1.0 - share) * rng.dirichlet(np.ones(Y.shape[1]))
+    py[monotone] += share * rng.dirichlet(np.ones(monotone.sum()))
+    px = rng.dirichlet(np.ones(d_x))
+    marginals = np.stack([np.bincount(Y[k], weights=py, minlength=d_y) for k in range(d_x)])
+    obs = pb.ObservationalJoint(px[:, None] * marginals)
+    exp = pb.ExperimentalMarginals(marginals) if mix.startswith("exp") else None
+    assumptions = (pb.preset(named, dims) if named else pb.AssumptionSet()).with_exogeneity("exogeneity" in mix)
+    if kind == "event":
+        query = pb.build_event_query(dims, {0: 0, 1: {"ge": 1}})
+    elif kind == "moment":
+        query = pb.build_moment_query(dims, 2, (1, 0))
+    else:
+        query = pb.build_posterior_effect_query(dims, (1, 0), (0, 1))
+    cs = pb.assemble_constraints(dims, exp=exp, obs=obs, assumptions=assumptions)
+    obj = pb.bind_condition(query, obs) if query.condition else pb.collapse_to_objective(query, dims)
+    return cs, obj
+
+
+def pivot_path(cs, obj):
+    """Phase-1 pivots, then ``float.hex`` and witness SHA-256 of each endpoint."""
+    phase1, solutions = simplex._two_phase(cs, [(obj, "minimize"), (obj, "maximize")])
+    return (phase1.iterations,) + tuple(
+        (float(s.value).hex(), hashlib.sha256(s.witness.tobytes()).hexdigest()) for s in solutions
+    )
+
+
+@pytest.mark.parametrize("case", list(PINNED), ids=lambda c: f"{c[0]}x{c[1]}-{c[2]}-{c[3]}")
+def test_pivot_path_is_pinned(case):
+    assert pivot_path(*pinned_instance(*case)) == PINNED[case]
+
+
+def test_iteration_limit_raises_with_a_detached_state(truth_a, monkeypatch):
+    dims = truth_a.dims
+    cs = pb.assemble_constraints(dims, exp=truth_a.po_marginals(), obs=truth_a.xy_marginal())
+    obj = pb.collapse_to_objective(pb.build_event_query(dims, {0: 0, 1: 0, 2: 1}), dims)
+    monkeypatch.setattr(simplex, "MAX_ITERATIONS", 3)
+    with pytest.raises(pb.SolverFailureError, match="^iteration limit exceeded$") as info:
+        pb.solve(pb.LpProblem(obj, cs, "maximize"))
+    tableau, basis = info.value.tableau, info.value.basis
+    assert type(basis) is list and len(basis) == len(cs)
+    assert all(type(col) is int for col in basis)
+    # a copy that owns its data, whose basic columns are the unit vectors of the basis
+    assert tableau.flags.owndata
+    np.testing.assert_array_equal(tableau[np.arange(len(cs)), basis], 1.0)
+    assert (tableau[:-1, basis] != 0.0).sum() == len(cs)
+
+
+def test_bounds_match_highs():
+    # the same ConstraintSet arrays handed to HiGHS: an oracle that shares no
+    # code with the dense simplex
+    optimize = pytest.importorskip("scipy.optimize")
+    kinds = ("event", "moment", "posterior_effect")
+    for seed in range(40):
+        d_x, d_y = (3, 3) if seed % 2 else (4, 3)
+        for mix in ("exp+obs+exogeneity", "obs+exogeneity+prob_mtr", "exp+obs+mtr"):
+            cs, obj = pinned_instance(d_x, d_y, mix, kinds[seed % 3], 100 + seed)
+            phase1, solutions = simplex._two_phase(cs, [(obj, "minimize"), (obj, "maximize")])
+            assert phase1.status == "feasible", (seed, mix)
+            eq, le = cs.kind == "eq", cs.kind == "le"
+            for sign, sol in zip((1.0, -1.0), solutions):
+                ref = optimize.linprog(sign * obj, A_ub=cs.A[le], b_ub=cs.rhs[le], A_eq=cs.A[eq], b_eq=cs.rhs[eq],
+                                       bounds=(0, None), method="highs")
+                assert ref.status == 0, (seed, mix, ref.message)
+                assert sol.value == pytest.approx(sign * ref.fun, abs=1e-6), (seed, mix)
