@@ -123,7 +123,7 @@ def bound(
     else:
         objective = collapse_to_objective(query, dims)
 
-    phase1, solutions = simplex._two_phase(cs, [(objective, "minimize"), (objective, "maximize")])
+    phase1, solutions = simplex._presolved_two_phase(cs, [(objective, "minimize"), (objective, "maximize")])
     if phase1.status == "infeasible":
         return BoundResult("infeasible", diagnostics=phase1.certificate)
     lo, hi = solutions
@@ -165,9 +165,3 @@ def bound_sweep(
         except PoboundsError as exc:
             out.append(SweepPoint(assumptions, None, error=str(exc)))
     return out
-
-
-def constraint_residual(cs: ConstraintSet, x: np.ndarray) -> float:
-    """Worst violation of the system by a candidate point (for witness checks)."""
-    worst = float(max(0.0, -x.min())) if x.size else 0.0
-    return max(worst, float(cs.residuals(x).max(initial=0.0)))

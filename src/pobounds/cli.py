@@ -26,6 +26,7 @@ from .errors import (
     BootstrapFailureError,
     ConfigError,
     MiteIncompatibleError,
+    NotAnIntegerError,
     PoboundsError,
     ValidationError,
 )
@@ -38,6 +39,7 @@ from .model import (
     ObservationalJoint,
     QuerySpec,
     SparseJointPO,
+    as_integer,
 )
 from .queries import (
     build_conditional_query,
@@ -71,23 +73,17 @@ def _read_json(path: str) -> Any:
 @contextlib.contextmanager
 def _reading(path: str):
     """Re-raise a missing key or a malformed value met while reading ``path``
-    as a ValidationError naming it; the package's own errors pass unchanged."""
+    as a ValidationError naming it; the package's other errors pass unchanged."""
     try:
         yield
+    except NotAnIntegerError as exc:
+        raise ValidationError(f"{path}: malformed value: {exc}") from None
     except PoboundsError:
         raise
     except KeyError as exc:
         raise ValidationError(f"{path}: missing key {exc}") from None
     except (AttributeError, TypeError, ValueError) as exc:
         raise ValidationError(f"{path}: malformed value: {exc}") from None
-
-
-def _integer(value: Any, what: str) -> int:
-    """A JSON integer, refused rather than truncated when it is anything else;
-    ``what`` names the field in the error."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{what} {value!r} is not an integer")
-    return value
 
 
 def _key_integer(key: str, what: str) -> int:
@@ -214,7 +210,7 @@ def load_assumptions(source: str | None, dims: Dims) -> AssumptionSet:
             for p in t.get("pairs", []):
                 lo = -np.inf if p.get("lower") is None else float(p["lower"])
                 hi = np.inf if p.get("upper") is None else float(p["upper"])
-                pairs[(_integer(p["s"], "pair s"), _integer(p["t"], "pair t"))] = (lo, hi)
+                pairs[(as_integer(p["s"], "pair s"), as_integer(p["t"], "pair t"))] = (lo, hi)
             terms.append(
                 MonotoneTerm.from_pairs(
                     dims.d_x, pairs, float(t.get("prob_lower", 1.0)), float(t.get("prob_upper", 1.0))
@@ -229,28 +225,28 @@ def load_query(path: str, dims: Dims) -> tuple[QuerySpec, Any]:
     kind = data.get("kind")
     with _reading(path):
         given = data.get("given")
-        given_pair = (_integer(given["x"], "given x"), _integer(given["y"], "given y")) if given else None
+        given_pair = (as_integer(given["x"], "given x"), as_integer(given["y"], "given y")) if given else None
         if kind == "event":
             po = {_key_integer(k, "po key"): v for k, v in (data.get("po") or {}).items()}
-            x, y = (None if data.get(k) is None else _integer(data[k], k) for k in ("x", "y"))
+            x, y = (None if data.get(k) is None else as_integer(data[k], k) for k in ("x", "y"))
             if given_pair is not None:
                 q = build_conditional_query(dims, po, given_pair, x=x, y=y)
             else:
                 q = build_event_query(dims, po, x=x, y=y)
         elif kind == "moment":
-            arms = tuple(_integer(a, "arm") for a in data["arms"])
-            q = build_moment_query(dims, _integer(data["order"], "order"), arms)
+            arms = tuple(as_integer(a, "arm") for a in data["arms"])
+            q = build_moment_query(dims, as_integer(data["order"], "order"), arms)
         elif kind == "posterior_effect":
             if given_pair is None:
                 raise ValidationError(f"{path}: posterior_effect queries need a 'given' pair")
-            arms = tuple(_integer(a, "arm") for a in data["arms"])
+            arms = tuple(as_integer(a, "arm") for a in data["arms"])
             q = build_posterior_effect_query(dims, arms, given_pair)
         elif kind == "raw":
             # cells are range-checked before they index; duplicates add up in file order
             coeffs = np.zeros(dims.full_shape())
             for cell in data["cells"]:
-                y_vec = tuple(_integer(v, "level") for v in cell["y_vec"])
-                x, y = _integer(cell["x"], "level"), _integer(cell["y"], "level")
+                y_vec = tuple(as_integer(v, "level") for v in cell["y_vec"])
+                x, y = as_integer(cell["x"], "level"), as_integer(cell["y"], "level")
                 CellIndex(y_vec, x).check(dims)
                 if not 0 <= y < dims.d_y:
                     raise ValidationError(f"observed outcome {y} out of range")

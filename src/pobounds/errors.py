@@ -15,6 +15,10 @@ class ValidationError(PoboundsError, ValueError):
         self.violations = violations or []
 
 
+class NotAnIntegerError(ValidationError, TypeError):
+    """A field that must hold an integer holds something else, such as ``1.9``."""
+
+
 class ConfigError(PoboundsError, ValueError):
     """Inconsistent or unsupported combination of inputs/options."""
 

@@ -20,7 +20,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NotAnIntegerError, ValidationError
 
 # Tolerances: far below sampling noise, above double rounding.
 SUM_TOL = 1e-9
@@ -34,7 +34,7 @@ def as_integer(value, what: str) -> int:
     """``value`` as an ``int`` if it is an integer, numpy's included; a bool,
     float or string is refused, never truncated, with an error naming ``what``."""
     if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Integral):
-        raise ValidationError(f"{what} {value!r} is not an integer")
+        raise NotAnIntegerError(f"{what} {value!r} is not an integer")
     return int(value)
 
 

@@ -7,6 +7,13 @@ and no external dependencies.  Each pivot is a few whole-array operations:
 a mask and ``argmax`` find the first column with reduced cost below
 ``-PIVOT_TOL``, ``argmin`` over the integer basis the ratio tie with the
 smallest basic index, then one rank-1 update; the path is Bland's, bit for bit.
+
+A presolve runs in front of every solve.  Over the simplex ``sum(p) = 1,
+p >= 0``, an ``le`` row ``a . p <= min(a)`` holds only with every cell where
+``a`` exceeds its minimum at zero; the almost-sure monotone terms compile to
+exactly such rows.  Those columns and rows leave the tableau, and the
+solution is scattered back into the full vector and certified against the
+original rows.
 """
 
 from __future__ import annotations
@@ -40,10 +47,9 @@ class LpProblem:
     def __post_init__(self):
         obj = np.asarray(self.objective, dtype=float)
         object.__setattr__(self, "objective", obj)
-        if obj.shape != (self.constraints.dims.param_count(),):
-            raise ValidationError(
-                f"objective length {obj.shape} does not match {self.constraints.dims.param_count()} parameters"
-            )
+        n = self.constraints.A.shape[1]
+        if obj.shape != (n,):
+            raise ValidationError(f"objective length {obj.shape} does not match {n} parameters")
         if self.sense not in ("minimize", "maximize"):
             raise ValidationError(f"unknown sense {self.sense!r}")
 
@@ -57,11 +63,25 @@ class LpSolution:
     certificate: tuple[str, ...] = ()
 
 
+@dataclass(frozen=True)
+class _Rows:
+    """The arrays of a :class:`ConstraintSet` without its ``dims``, so that
+    ``A`` may have fewer columns than the model has parameters: the system a
+    presolve leaves."""
+
+    A: np.ndarray
+    rhs: np.ndarray
+    kind: np.ndarray
+    provenance: tuple[str, ...]
+
+    residuals = ConstraintSet.residuals
+
+
 class _Tableau:
     """Standard-form tableau with one slack per inequality and one artificial
     per row.  Maintains reduced costs in the last row (minimization form)."""
 
-    def __init__(self, constraints: ConstraintSet):
+    def __init__(self, constraints: ConstraintSet | _Rows):
         m, n_params = constraints.A.shape
         le = np.flatnonzero(constraints.kind == "le")
         self.m = m
@@ -176,7 +196,7 @@ class _Tableau:
         return np.where(x > 0.0, x, 0.0)
 
 
-def _certified(constraints: ConstraintSet, x: np.ndarray, what: str) -> np.ndarray:
+def _certified(constraints: ConstraintSet | _Rows, x: np.ndarray, what: str) -> np.ndarray:
     """``x`` itself if it satisfies every original row to ``FEAS_TOL``;
     otherwise raise, naming the worst row."""
     resid = constraints.residuals(x)
@@ -189,7 +209,7 @@ def _certified(constraints: ConstraintSet, x: np.ndarray, what: str) -> np.ndarr
 
 
 def _two_phase(
-    constraints: ConstraintSet, objectives: Sequence[tuple[np.ndarray, str]]
+    constraints: ConstraintSet | _Rows, objectives: Sequence[tuple[np.ndarray, str]]
 ) -> tuple[LpSolution, list[LpSolution]]:
     """Phase 1 once, then phase 2 once per ``(objective, sense)``.
 
@@ -204,7 +224,7 @@ def _two_phase(
     every optimal witness are checked against the original rows, and a
     violation beyond ``FEAS_TOL`` raises :class:`SolverFailureError`.
     """
-    n = constraints.dims.param_count()
+    n = constraints.A.shape[1]
     tab = _Tableau(constraints)
     if tab.phase1() > 1e-9:
         duals = tab.phase1_duals()
@@ -230,9 +250,75 @@ def _two_phase(
     return feasible, solutions
 
 
+def _presolve(constraints: ConstraintSet) -> tuple[_Rows, np.ndarray] | None:
+    """The reduced system and the mask of the columns it keeps, or ``None``
+    when no row forces a column to zero or the reduction is left to the
+    full LP.
+
+    With the ``base-sum`` row ``sum(p) = 1`` and ``p >= 0``, every row has
+    ``a . p >= min(a)``, so an ``le`` row with ``rhs == min(a)`` forces each
+    column where ``a > min(a)`` to zero.  The reduction drops those columns,
+    the forcing rows (over the columns left each one is ``min(a)`` times
+    the base row, so the base row implies it) and the rows left all-zero
+    with a right-hand side they meet.  It returns ``None`` if some ``le``
+    row has ``rhs < min(a)`` or a row is left all-zero with a right-hand
+    side it misses: the system is infeasible then, and the full LP finds
+    the certificate.
+    """
+    A, rhs, kind = constraints.A, constraints.rhs, constraints.kind
+    if not ((kind == "eq") & (rhs == 1.0) & (A == 1.0).all(axis=1)).any():
+        return None
+    le, low = kind == "le", A.min(axis=1)
+    forcing = le & (rhs == low)
+    if not forcing.any() or (le & (rhs < low)).any():
+        return None
+    keep = ~(A[forcing] > low[forcing, None]).any(axis=0)
+    sub = A[:, keep]
+    empty = ~forcing & ~sub.any(axis=1)
+    if (empty & np.where(le, rhs < 0.0, rhs != 0.0)).any():
+        return None
+    rows = ~(forcing | empty)
+    provenance = tuple(tag for tag, kept in zip(constraints.provenance, rows) if kept)
+    return _Rows(sub[rows], rhs[rows], kind[rows], provenance), keep
+
+
+def _lift(x: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """``x`` over the kept columns, scattered into a full vector with zeros elsewhere."""
+    full = np.zeros(keep.size)
+    full[keep] = x
+    return full
+
+
+def _presolved_two_phase(
+    constraints: ConstraintSet, objectives: Sequence[tuple[np.ndarray, str]]
+) -> tuple[LpSolution, list[LpSolution]]:
+    """:func:`_two_phase` on the system :func:`_presolve` leaves, or on the
+    full system when it leaves none or the reduced phase 1 is infeasible.
+
+    The reduced phase-1 point and witnesses are scattered back into full
+    vectors, each value is ``objective @ witness`` over the full vector, and
+    each vector is certified against the original rows.  Infeasibility
+    certificates always come from the full system.
+    """
+    reduced = _presolve(constraints)
+    if reduced is not None:
+        rows, keep = reduced
+        phase1, solutions = _two_phase(rows, [(objective[keep], sense) for objective, sense in objectives])
+        if phase1.status == "feasible":
+            point = _certified(constraints, _lift(phase1.witness, keep), "phase-1 point")
+            lifted = []
+            for (objective, sense), sol in zip(objectives, solutions):
+                if sol.status == "optimal":
+                    witness = _certified(constraints, _lift(sol.witness, keep), f"{sense} witness")
+                    sol = LpSolution("optimal", float(objective @ witness), witness, sol.iterations)
+                lifted.append(sol)
+            return LpSolution("feasible", 0.0, point, phase1.iterations), lifted
+    return _two_phase(constraints, objectives)
+
+
 def solve(problem: LpProblem) -> LpSolution:
     """Two-phase simplex returning the optimum and a primal witness."""
-    phase1, solutions = _two_phase(problem.constraints, [(problem.objective, problem.sense)])
+    phase1, solutions = _presolved_two_phase(problem.constraints, [(problem.objective, problem.sense)])
     return solutions[0] if solutions else phase1
 
 
@@ -243,4 +329,4 @@ def check_feasible(constraints: ConstraintSet) -> LpSolution:
     (see :func:`_two_phase`); on feasibility the witness is a basic feasible
     point and ``iterations`` counts the phase-1 pivots.
     """
-    return _two_phase(constraints, [])[0]
+    return _presolved_two_phase(constraints, [])[0]

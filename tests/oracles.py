@@ -28,6 +28,13 @@ def tian_pearl_pns_bounds(p1: float, p0: float) -> tuple[float, float]:
     return lower, upper
 
 
+def constraint_residual(cs: ConstraintSet, x: np.ndarray) -> float:
+    """Worst violation of the system by a candidate point, its sign
+    constraints included (for witness checks)."""
+    worst = float(max(0.0, -x.min())) if x.size else 0.0
+    return max(worst, float(cs.residuals(x).max(initial=0.0)))
+
+
 def random_feasible_points(
     cs: ConstraintSet,
     n: int,

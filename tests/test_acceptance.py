@@ -11,8 +11,7 @@ import time
 import numpy as np
 
 import pobounds as pb
-from pobounds.bounds import constraint_residual
-from oracles import tian_pearl_pns_bounds, vertex_enumerate_small
+from oracles import constraint_residual, tian_pearl_pns_bounds, vertex_enumerate_small
 from conftest import bounding_truth, mite_truth, random_mite_truth, random_small_instance
 
 TRUTH_A = bounding_truth()  # ordering holds, exogeneity does not

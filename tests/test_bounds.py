@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import pobounds as pb
-from pobounds.bounds import constraint_residual
 from pobounds.errors import ConfigError
+
+from oracles import constraint_residual
 
 
 @pytest.fixture(scope="module")

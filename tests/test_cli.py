@@ -511,10 +511,10 @@ def test_index_fields_are_refused_not_truncated(tmp_path, capsys, truth_a, bad):
         assert capsys.readouterr().err == f"error: {path}: malformed value: {what} {shown} is not an integer\n"
     truth = truth_a.to_json_dict()
     truth["cells"][0]["x"] = bad
-    argv = ["simulate", "--truth", write_json(tmp_path / "truth.json", truth), "--n", "10", "--reps", "1",
-            "--query", event_query(tmp_path)]
+    path = write_json(tmp_path / "truth.json", truth)
+    argv = ["simulate", "--truth", path, "--n", "10", "--reps", "1", "--query", event_query(tmp_path)]
     assert main(argv) == 1
-    assert capsys.readouterr().err == f"error: x {bad!r} is not an integer\n"
+    assert capsys.readouterr().err == f"error: {path}: malformed value: x {bad!r} is not an integer\n"
 
 
 def test_huge_moment_order_exits_1_with_one_line(tmp_path, capsys, truth_a):

@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pobounds as pb
-from pobounds.bounds import constraint_residual
 from pobounds.compile import ConstraintSet
 from pobounds.errors import ConfigError, ValidationError
+
+from oracles import constraint_residual
 
 
 def uniform_exp(dims):

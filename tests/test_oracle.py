@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 import pobounds as pb
-from pobounds.bounds import constraint_residual
 from pobounds.errors import ValidationError
 
-from oracles import SizeError, random_feasible_points, tian_pearl_pns_bounds, vertex_enumerate_small
+from oracles import SizeError, constraint_residual, random_feasible_points, tian_pearl_pns_bounds, vertex_enumerate_small
 
 
 def test_closed_form_examples():

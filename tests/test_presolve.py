@@ -1,0 +1,182 @@
+"""The presolve in front of the simplex: almost-sure monotone rows force
+columns to zero, the reduced system is solved, and every answer must equal
+the full LP's, with full-length witnesses certified against the original rows."""
+
+import re
+
+import numpy as np
+import pytest
+
+import pobounds as pb
+from pobounds import simplex
+from pobounds.model import cell_grid
+
+CUSTOM = "custom"  # Y_1 <= Y_0 <= Y_1 + 1 almost surely, written as a term
+
+
+def term_for(name, dims):
+    if name == CUSTOM:
+        return pb.MonotoneTerm.from_pairs(dims.d_x, {(1, 0): (-1.0, 0.0)}, 1.0, 1.0)
+    return pb.preset(name, dims).terms[0]
+
+
+def instance(dims, name, exogeneity, kind, seed):
+    """Tables of a random exogenous truth that meets the term almost surely,
+    the assumption set, and a query of the given kind."""
+    rng = np.random.default_rng(seed)
+    term = term_for(name, dims)
+    mask = pb.indicator_mask(dims, term) > 0.0
+    allowed = mask if term.prob_lower == 1.0 else ~mask
+    Y, X = cell_grid(dims)
+    vec = np.ravel_multi_index(tuple(Y), (dims.d_y,) * dims.d_x)
+    py = np.zeros(dims.d_y**dims.d_x)
+    support = np.unique(vec[allowed])
+    py[support] = rng.dirichlet(np.ones(support.size))
+    px = rng.dirichlet(np.ones(dims.d_x))
+    p = py[vec] * px[X]
+    levels = np.arange(dims.d_y)
+    exp = pb.ExperimentalMarginals((Y[:, None, :] == levels[:, None]) @ p)
+    factual = Y[X, np.arange(X.size)]
+    obs = pb.ObservationalJoint(((X == np.arange(dims.d_x)[:, None, None]) & (factual == levels[:, None])) @ p)
+    assumptions = pb.AssumptionSet((term,), exogeneity)
+    if kind == "event":
+        query = pb.build_event_query(dims, {0: 0, 1: {"ge": 1}})
+    elif kind == "moment":
+        query = pb.build_moment_query(dims, 2, (1, 0))
+    else:
+        query = pb.build_posterior_effect_query(dims, (1, 0), (0, 1))
+    return exp, obs, assumptions, query
+
+
+def cases():
+    kinds = ("event", "moment", "posterior_effect")
+    out = []
+    for d_x, d_y in ((2, 2), (2, 3), (3, 2), (3, 3), (4, 3)):
+        names = ["mtr", "mite", CUSTOM]
+        names += ["pairwise(2,1)"] if d_x >= 3 else ["epsilon_harm(0)"]
+        for name in names:
+            for slack in (None, 0.05):
+                seed = len(out)
+                out.append((d_x, d_y, name, seed % 3 == 0 and slack is None, slack, kinds[seed % 3], seed))
+    return out
+
+
+def case_id(case):
+    d_x, d_y, name, exogeneity, slack, kind, _ = case
+    return f"{d_x}x{d_y}-{name}{'+exo' if exogeneity else ''}-slack={slack}-{kind}"
+
+
+def solved(case):
+    d_x, d_y, name, exogeneity, slack, kind, seed = case
+    dims = pb.Dims(d_x, d_y)
+    exp, obs, assumptions, query = instance(dims, name, exogeneity, kind, seed)
+    res = pb.bound(dims, query, exp=exp, obs=obs, assumptions=assumptions, slack=slack)
+    cs = pb.assemble_constraints(dims, exp=exp, obs=obs, assumptions=assumptions, slack=slack)
+    obj = pb.bind_condition(query, obs) if query.condition else pb.collapse_to_objective(query, dims)
+    return res, cs, obj
+
+
+@pytest.mark.parametrize("case", cases(), ids=case_id)
+def test_presolved_bound_equals_full_lp(case):
+    res, cs, obj = solved(case)
+    rows, keep = simplex._presolve(cs)
+    assert keep.sum() < keep.size and len(rows.provenance) < len(cs)
+    phase1, (lo, hi) = simplex._two_phase(cs, [(obj, "minimize"), (obj, "maximize")])
+    assert res.status == "ok" and phase1.status == "feasible"
+    assert res.lower == pytest.approx(lo.value, abs=1e-9)
+    assert res.upper == pytest.approx(hi.value, abs=1e-9)
+    for witness, value in ((res.lower_witness, res.lower), (res.upper_witness, res.upper)):
+        # full-length, zero in every forced cell, feasible for the original rows
+        assert witness.shape == (cs.A.shape[1],)
+        assert not witness[~keep].any()
+        assert (cs.residuals(witness) <= simplex.FEAS_TOL).all()
+        assert float(obj @ witness) == value
+
+
+@pytest.mark.parametrize("case", cases(), ids=case_id)
+def test_presolved_bound_equals_highs(case):
+    optimize = pytest.importorskip("scipy.optimize")
+    res, cs, obj = solved(case)
+    eq, le = cs.kind == "eq", cs.kind == "le"
+    for sign, value in ((1.0, res.lower), (-1.0, res.upper)):
+        ref = optimize.linprog(sign * obj, A_ub=cs.A[le], b_ub=cs.rhs[le], A_eq=cs.A[eq], b_eq=cs.rhs[eq],
+                               bounds=(0, None), method="highs")
+        assert ref.status == 0, ref.message
+        assert value == pytest.approx(sign * ref.fun, abs=1e-9)
+
+
+def infeasible_systems():
+    dims22, dims33 = pb.Dims(2, 2), pb.Dims(3, 3)
+    # Y_0 = 1 and Y_1 = 0 almost surely, against Y_0 <= Y_1 almost surely
+    swapped = pb.ExperimentalMarginals(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    # a 3x3 truth on decreasing outcome vectors, against mtr
+    falling = pb.ExperimentalMarginals(np.array([[0.1, 0.3, 0.6], [0.3, 0.4, 0.3], [0.7, 0.2, 0.1]]))
+    # Y_1 >= Y_0 + 1 almost surely leaves no cell with Y_1 = 0, so the
+    # experimental row of P(Y_1 = 0) = 0.5 is emptied by the presolve
+    rising = pb.AssumptionSet((pb.MonotoneTerm.from_pairs(2, {(1, 0): (1.0, np.inf)}, 1.0, 1.0),))
+    halves = pb.ExperimentalMarginals(np.full((2, 2), 0.5))
+    return {
+        "mtr-swapped-2x2": (dims22, swapped, pb.preset("mtr", dims22), True),
+        "mtr-falling-3x3": (dims33, falling, pb.preset("mtr", dims33), True),
+        "emptied-data-row": (dims22, halves, rising, False),
+    }
+
+
+@pytest.mark.parametrize("name", list(infeasible_systems()))
+def test_infeasible_certificate_is_the_full_lps(name):
+    dims, exp, assumptions, reduced = infeasible_systems()[name]
+    cs = pb.assemble_constraints(dims, exp=exp, assumptions=assumptions)
+    # the first two reduce and then fail in the reduced phase 1; the third leaves
+    # an emptied row it cannot meet, so the presolve hands it to the full LP
+    assert (simplex._presolve(cs) is not None) == reduced
+    full = simplex._two_phase(cs, [])[0]
+    assert full.status == "infeasible" and full.certificate
+    res = pb.bound(dims, pb.build_event_query(dims, {0: 0}), exp=exp, assumptions=assumptions)
+    assert res.status == "infeasible"
+    assert res.diagnostics == full.certificate
+    assert pb.check_feasible(cs) == full
+
+
+def test_rows_below_their_minimum_are_left_to_the_full_lp():
+    dims = pb.Dims(2, 2)
+    cap = pb.ConstraintSet(dims, np.ones((1, 8)), [0.5], ["le"], ["monotone(0,upper)"])
+    assert simplex._presolve(pb.compile_base(dims).merge(cap)) is None
+
+
+def test_satisfied_empty_rows_are_dropped():
+    # Y_1 >= Y_0 + 1 almost surely: only Y = (0, 1) is left, and the emptied
+    # row P(Y_1 = 0) = 0 is met, so it leaves with the forcing row
+    dims = pb.Dims(2, 2)
+    rising = pb.AssumptionSet((pb.MonotoneTerm.from_pairs(2, {(1, 0): (1.0, np.inf)}, 1.0, 1.0),))
+    exp = pb.ExperimentalMarginals(np.array([[1.0, 0.0], [0.0, 1.0]]))
+    cs = pb.assemble_constraints(dims, exp=exp, assumptions=rising)
+    rows, keep = simplex._presolve(cs)
+    assert rows.provenance == ("base-sum", "experimental(0,0)")
+    assert keep.sum() == 2
+    res = pb.bound(dims, pb.build_event_query(dims, {0: 0, 1: 1}), exp=exp, assumptions=rising)
+    assert (res.lower, res.upper) == (1.0, 1.0)
+
+
+@pytest.mark.parametrize("call, what", [(0, "phase-1 point"), (2, "maximize witness")])
+def test_perturbed_lifted_witness_is_refused(truth_a, monkeypatch, call, what):
+    dims = truth_a.dims
+    exp, obs, mtr = truth_a.po_marginals(), truth_a.xy_marginal(), pb.preset("mtr", dims)
+    cs = pb.assemble_constraints(dims, exp=exp, obs=obs, assumptions=mtr)
+    forced = int(np.flatnonzero(~simplex._presolve(cs)[1])[0])
+    honest = simplex._lift
+    calls = []
+
+    def perturbed(x, keep):
+        full = honest(x, keep)
+        if len(calls) == call:
+            full[forced] += 1e-6
+        calls.append(call)
+        return full
+
+    monkeypatch.setattr(simplex, "_lift", perturbed)
+    with pytest.raises(pb.SolverFailureError) as info:
+        pb.bound(dims, pb.build_event_query(dims, {0: 0, 1: 0, 2: 1}), exp=exp, obs=obs, assumptions=mtr)
+    found = re.fullmatch(rf"{what} violates row (\S+) by 1e-06 \(tolerance 1e-08\)", str(info.value))
+    assert found, str(info.value)
+    # the reduced system has no column for the forced cell: only an original row can see it
+    assert cs.A[cs.provenance.index(found.group(1)), forced] != 0.0

@@ -6,10 +6,9 @@ import pytest
 
 import pobounds as pb
 from pobounds import simplex
-from pobounds.bounds import constraint_residual
 from pobounds.compile import ConstraintSet
 
-from oracles import vertex_enumerate_small
+from oracles import constraint_residual, vertex_enumerate_small
 
 
 def test_max_single_coordinate():
@@ -80,6 +79,8 @@ def test_witness_feasibility(truth_a):
     cs = pb.assemble_constraints(
         dims, exp=truth_a.po_marginals(), obs=truth_a.xy_marginal(), assumptions=pb.preset("mtr", dims)
     )
+    # the mtr row forces columns to zero, so bound() and solve() both run the presolve
+    assert simplex._presolve(cs) is not None
     query = pb.build_event_query(dims, {0: 0, 1: 0, 2: 1})
     obj = pb.collapse_to_objective(query, dims)
     res = pb.bound(
