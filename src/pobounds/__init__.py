@@ -48,15 +48,12 @@ from .identify import (
 )
 from .model import (
     AssumptionSet,
-    CellIndex,
     Dims,
     ExperimentalMarginals,
     MonotoneTerm,
     ObservationalJoint,
     QuerySpec,
     SparseJointPO,
-    flatten_index,
-    unflatten_index,
     validate_distribution,
 )
 from .queries import (
@@ -76,7 +73,6 @@ __all__ = [
     "AssumptionSet",
     "BoundResult",
     "BootstrapFailureError",
-    "CellIndex",
     "ConfigError",
     "ConstraintSet",
     "ContradictionError",
@@ -119,7 +115,6 @@ __all__ = [
     "empirical_experimental",
     "empirical_observational",
     "evaluate",
-    "flatten_index",
     "identify_experimental",
     "identify_observational",
     "indicator_mask",
@@ -128,6 +123,5 @@ __all__ = [
     "sample_from_truth",
     "simulation_study",
     "solve",
-    "unflatten_index",
     "validate_distribution",
 ]

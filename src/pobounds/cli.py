@@ -25,14 +25,13 @@ from .compile import preset
 from .errors import (
     BootstrapFailureError,
     ConfigError,
+    MalformedValueError,
     MiteIncompatibleError,
-    NotAnIntegerError,
     PoboundsError,
     ValidationError,
 )
 from .model import (
     AssumptionSet,
-    CellIndex,
     Dims,
     ExperimentalMarginals,
     MonotoneTerm,
@@ -40,6 +39,7 @@ from .model import (
     QuerySpec,
     SparseJointPO,
     as_integer,
+    scatter_cells,
 )
 from .queries import (
     build_conditional_query,
@@ -76,7 +76,7 @@ def _reading(path: str):
     as a ValidationError naming it; the package's other errors pass unchanged."""
     try:
         yield
-    except NotAnIntegerError as exc:
+    except MalformedValueError as exc:
         raise ValidationError(f"{path}: malformed value: {exc}") from None
     except PoboundsError:
         raise
@@ -242,15 +242,10 @@ def load_query(path: str, dims: Dims) -> tuple[QuerySpec, Any]:
             arms = tuple(as_integer(a, "arm") for a in data["arms"])
             q = build_posterior_effect_query(dims, arms, given_pair)
         elif kind == "raw":
-            # cells are range-checked before they index; duplicates add up in file order
-            coeffs = np.zeros(dims.full_shape())
-            for cell in data["cells"]:
-                y_vec = tuple(as_integer(v, "level") for v in cell["y_vec"])
-                x, y = as_integer(cell["x"], "level"), as_integer(cell["y"], "level")
-                CellIndex(y_vec, x).check(dims)
-                if not 0 <= y < dims.d_y:
-                    raise ValidationError(f"observed outcome {y} out of range")
-                coeffs[y_vec + (x, y)] += float(cell["coeff"])
+            cells = data["cells"]
+            y_vecs = [tuple(as_integer(v, "level") for v in cell["y_vec"]) for cell in cells]
+            xy = [(as_integer(cell["x"], "level"), as_integer(cell["y"], "level")) for cell in cells]
+            coeffs = scatter_cells(dims, y_vecs, [float(cell["coeff"]) for cell in cells], xy)
             q = QuerySpec(coeffs, given_pair)
             q.validate(dims)
         else:

@@ -15,7 +15,12 @@ class ValidationError(PoboundsError, ValueError):
         self.violations = violations or []
 
 
-class NotAnIntegerError(ValidationError, TypeError):
+class MalformedValueError(ValidationError):
+    """An input field holds a value of the wrong kind, such as ``1.9`` for an
+    index or NaN for a mass; the command line names the file it came from."""
+
+
+class NotAnIntegerError(MalformedValueError, TypeError):
     """A field that must hold an integer holds something else, such as ``1.9``."""
 
 

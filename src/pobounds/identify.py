@@ -19,6 +19,7 @@ from .model import (
     ObservationalJoint,
     QuerySpec,
     SparseJointPO,
+    factual_mask,
     require_valid,
 )
 from .queries import collapse_to_objective, condition_probability
@@ -26,50 +27,34 @@ from .queries import collapse_to_objective, condition_probability
 NEG_TOL = 1e-8
 
 
-def _flat_chain(y0: int, d_x: int) -> tuple[int, ...]:
-    return (y0,) * d_x
-
-
-def _step_chain(y0: int, k: int, d_x: int) -> tuple[int, ...]:
-    return (y0,) * (k + 1) + (y0 + 1,) * (d_x - 1 - k)
-
-
-def _chain_masses(arm_table: np.ndarray) -> dict[tuple[int, ...], float]:
-    """Chain masses from per-arm outcome distributions by telescoping.
+def _chain_masses(arm_table: np.ndarray) -> tuple[np.ndarray, list[tuple[str, float]]]:
+    """Chain masses from per-arm outcome distributions by telescoping, and
+    every chain whose mass is below ``-NEG_TOL``, in flattened order.
 
     ``arm_table[k, j]`` is the outcome distribution of arm ``k`` (marginal or
-    conditional on X=k; the formulas are the same).  Flat chains take
-    ``F_last(y0) - F_first(y0 - 1)``; a step up after arm ``k`` takes
-    ``F_k(y0) - F_{k+1}(y0)``.
+    conditional on X=k; the formulas are the same).  The masses sit on a
+    ``(d_y,)*d_x`` tensor that is zero off the chains.  The flat chain at
+    ``y0`` takes ``F_last(y0) - F_first(y0 - 1)``; the chain stepping up from
+    ``y0`` after arm ``k`` (``y_j = y0 + (j > k)``) takes ``F_k(y0) - F_{k+1}(y0)``.
     """
     d_x, d_y = arm_table.shape
     cum = np.cumsum(arm_table, axis=1)
-    masses: dict[tuple[int, ...], float] = {}
-    for y0 in range(d_y):
-        below = float(cum[0, y0 - 1]) if y0 > 0 else 0.0
-        masses[_flat_chain(y0, d_x)] = float(cum[d_x - 1, y0]) - below
-    for k in range(d_x - 1):
-        for y0 in range(d_y - 1):
-            masses[_step_chain(y0, k, d_x)] = float(cum[k, y0] - cum[k + 1, y0])
-    return masses
+    masses = np.zeros((d_y,) * d_x)
+    levels = np.arange(d_y)
+    masses[(levels,) * d_x] = cum[-1] - np.concatenate(([0.0], cum[0, :-1]))
+    steps = levels[:-1] + (np.arange(d_x)[:, None, None] > np.arange(d_x - 1)[:, None])
+    masses[tuple(steps)] = cum[:-1, :-1] - cum[1:, :-1]
+    negative = [(f"chain{tuple(c)}", float(masses[tuple(c)])) for c in np.argwhere(masses < -NEG_TOL).tolist()]
+    return masses, negative
 
 
-def _screen_negatives(masses: dict[tuple[int, ...], float]) -> list[tuple[str, float]]:
-    return [
-        (f"chain{chain}", mass)
-        for chain, mass in sorted(masses.items())
-        if mass < -NEG_TOL
-    ]
-
-
-def _clamp_and_normalize(entries: dict) -> dict:
-    cleaned = {k: max(v, 0.0) for k, v in entries.items() if v > 0.0}
-    total = sum(cleaned.values())
-    if total <= 0:
-        raise ValidationError("identified distribution carries no mass")
+def _identified(dims: Dims, mass: np.ndarray, space: str) -> SparseJointPO:
+    """The joint of the clamped masses, renormalised when clamping moved their total."""
+    mass = np.maximum(mass, 0.0)
+    total = mass.sum()
     if abs(total - 1.0) > 1e-12:
-        cleaned = {k: v / total for k, v in cleaned.items()}
-    return cleaned
+        mass = mass / total
+    return SparseJointPO._from_mass(dims, mass, space)
 
 
 def _conditionals(obs: ObservationalJoint) -> tuple[np.ndarray, np.ndarray]:
@@ -88,11 +73,10 @@ def identify_experimental(exp: ExperimentalMarginals) -> SparseJointPO:
     the data contradict the unit-increment assumption."""
     dims = exp.dims
     require_valid(exp, dims)
-    masses = _chain_masses(exp.table)
-    violations = _screen_negatives(masses)
-    if violations:
-        raise MiteIncompatibleError(violations)
-    return SparseJointPO(dims, _clamp_and_normalize(masses), "po")
+    masses, negative = _chain_masses(exp.table)
+    if negative:
+        raise MiteIncompatibleError(negative)
+    return _identified(dims, masses, "po")
 
 
 def identify_observational(obs: ObservationalJoint) -> SparseJointPO:
@@ -106,25 +90,10 @@ def identify_observational(obs: ObservationalJoint) -> SparseJointPO:
     """
     dims = obs.dims
     px, cond = _conditionals(obs)
-    masses = _chain_masses(cond)
-    violations = _screen_negatives(masses)
-    if violations:
-        raise MiteIncompatibleError(violations)
-
-    entries: dict[tuple, float] = {}
-    for y0 in range(dims.d_y):
-        chain = _flat_chain(y0, dims.d_x)
-        base = masses[chain]
-        for x in range(dims.d_x):
-            entries[(chain, x, y0)] = base * float(px[x])
-    for k in range(dims.d_x - 1):
-        for y0 in range(dims.d_y - 1):
-            chain = _step_chain(y0, k, dims.d_x)
-            base = masses[chain]
-            for x in range(dims.d_x):
-                y = y0 if x <= k else y0 + 1
-                entries[(chain, x, y)] = base * float(px[x])
-    return SparseJointPO(dims, _clamp_and_normalize(entries), "full")
+    masses, negative = _chain_masses(cond)
+    if negative:
+        raise MiteIncompatibleError(negative)
+    return _identified(dims, np.where(factual_mask(dims), masses[..., None, None] * px[:, None], 0.0), "full")
 
 
 def mite_compatibility_report(
@@ -141,10 +110,10 @@ def mite_compatibility_report(
     report: list[tuple[str, float]] = []
     if exp is not None:
         require_valid(exp, exp.dims)
-        report.extend(("experimental " + name, mass) for name, mass in _screen_negatives(_chain_masses(exp.table)))
+        report.extend(("experimental " + name, mass) for name, mass in _chain_masses(exp.table)[1])
     if obs is not None:
         _, cond = _conditionals(obs)
-        report.extend(("observational " + name, mass) for name, mass in _screen_negatives(_chain_masses(cond)))
+        report.extend(("observational " + name, mass) for name, mass in _chain_masses(cond)[1])
     return report
 
 
@@ -157,7 +126,9 @@ def evaluate(
 
     Conditional queries divide by P(X=l, Y=m), taken from ``obs`` when given
     and otherwise from the joint's own factual marginal.  Queries that
-    depend on (X, Y) require a full-space joint.
+    depend on (X, Y) require a full-space joint; on an outcomes-only joint
+    the collapsed objective must not depend on the treatment at any cell
+    that carries mass.
     """
     dims = joint.dims
     query.validate(dims)
@@ -171,18 +142,13 @@ def evaluate(
         else:
             raise ValidationError("conditional query on an outcomes-only joint needs the observational table")
 
-    total = 0.0
     if joint.space == "full":
-        for (y_vec, x, y), mass in joint.entries.items():
-            total += mass * float(query.coeffs[y_vec + (x, y)])
-        return total / divisor
-
-    # outcomes-only joint: the collapsed objective must not depend on the
-    # treatment column, otherwise the query needs factual information
-    per_x = collapse_to_objective(query, dims).reshape(dims.full_shape()[:-1])
-    for y_vec, mass in joint.entries.items():
-        row = per_x[y_vec]
-        if row.max() - row.min() > 1e-12:
+        coeffs = query.coeffs
+    else:
+        per_x = collapse_to_objective(query, dims).reshape(joint.mass.shape + (dims.d_x,))
+        if (np.ptp(per_x, axis=-1)[joint.mass > 0] > 1e-12).any():
             raise ValidationError("query depends on treatment assignment; evaluate it on a full-space joint")
-        total += mass * float(row[0])
-    return total / divisor
+        coeffs = per_x[..., 0]
+    # added one cell at a time in flattened order, the rounding of a per-cell
+    # sum on every platform; np.vdot adds in blocks and differs in the last bits
+    return float(np.cumsum(joint.mass * coeffs)[-1]) / divisor

@@ -6,21 +6,24 @@ probabilities ``p[y_vec, x]`` of observing the vector of potential outcomes
 flattened lexicographically with ``y_0`` as the most significant digit and
 ``x`` as the least significant one: the C order of a tensor indexed
 ``[y_0, ..., y_{d_x-1}, x]``.  :func:`cell_grid` is the one array definition
-of that layout, :func:`flatten_index` its scalar counterpart.  A query's
-coefficients add the factual outcome as a last axis, ``[y_0, ..., x, y]``.
+of that layout.  A query's coefficients and a full joint's masses add the
+factual outcome as a last axis, ``[y_0, ..., x, y]``; an outcomes-only
+joint's masses are indexed ``[y_0, ..., y_{d_x-1}]``.  :func:`scatter_cells`
+turns a list of cells, as input files spell them, into such a tensor.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from functools import cache
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import NotAnIntegerError, ValidationError
+from .errors import MalformedValueError, NotAnIntegerError, ValidationError
 
 # Tolerances: far below sampling noise, above double rounding.
 SUM_TOL = 1e-9
@@ -54,34 +57,8 @@ class Dims:
         return self.d_y**self.d_x * self.d_x
 
     def full_shape(self) -> tuple[int, ...]:
-        """Shape of a query's coefficient tensor, indexed ``[y_0, ..., y_{d_x-1}, x, y]``."""
+        """Shape of a query's coefficients and a full joint's masses, indexed ``[y_0, ..., y_{d_x-1}, x, y]``."""
         return (self.d_y,) * self.d_x + (self.d_x, self.d_y)
-
-    def outcome_vectors(self) -> Iterator[tuple[int, ...]]:
-        """All potential-outcome vectors in lexicographic order."""
-        return itertools.product(range(self.d_y), repeat=self.d_x)
-
-    def cells(self) -> Iterator[tuple[tuple[int, ...], int]]:
-        """All (y_vec, x) cells in flattened order."""
-        for y_vec in self.outcome_vectors():
-            for x in range(self.d_x):
-                yield y_vec, x
-
-
-@dataclass(frozen=True)
-class CellIndex:
-    """A single cell of the parameter space: outcome vector plus treatment."""
-
-    y_vec: tuple[int, ...]
-    x: int
-
-    def check(self, dims: Dims) -> None:
-        if len(self.y_vec) != dims.d_x:
-            raise ValidationError(f"outcome vector has length {len(self.y_vec)}, expected {dims.d_x}")
-        if not all(0 <= y < dims.d_y for y in self.y_vec):
-            raise ValidationError(f"outcome value out of range in {self.y_vec}")
-        if not 0 <= self.x < dims.d_x:
-            raise ValidationError(f"treatment value {self.x} out of range")
 
 
 def cell_grid(dims: Dims) -> tuple[np.ndarray, np.ndarray]:
@@ -91,25 +68,44 @@ def cell_grid(dims: Dims) -> tuple[np.ndarray, np.ndarray]:
     return grid[:-1], grid[-1]
 
 
-def flatten_index(cell: CellIndex, dims: Dims) -> int:
-    """Map a cell to its position in the flattened parameter vector."""
-    cell.check(dims)
-    idx = 0
-    for y in cell.y_vec:
-        idx = idx * dims.d_y + y
-    return idx * dims.d_x + cell.x
+@cache
+def factual_mask(dims: Dims) -> np.ndarray:
+    """Whether each cell of a ``dims.full_shape()`` tensor is consistent: its
+    factual outcome ``y`` is ``y_x``, the potential outcome of the received
+    treatment ``x``.  Read-only, since every caller shares it."""
+    Y, X = cell_grid(dims)
+    mask = (Y[X, np.arange(X.size)][:, None] == np.arange(dims.d_y)).reshape(dims.full_shape())
+    mask.setflags(write=False)
+    return mask
 
 
-def unflatten_index(i: int, dims: Dims) -> CellIndex:
-    """Inverse of :func:`flatten_index`."""
-    if not 0 <= i < dims.param_count():
-        raise ValidationError(f"index {i} out of range for {dims.param_count()} parameters")
-    i, x = divmod(i, dims.d_x)
-    ys = []
-    for _ in range(dims.d_x):
-        i, y = divmod(i, dims.d_y)
-        ys.append(y)
-    return CellIndex(tuple(reversed(ys)), x)
+def scatter_cells(dims: Dims, y_vecs: Sequence, values, xy: Sequence | None = None) -> np.ndarray:
+    """``values[i]`` added, in list order, at cell ``y_vecs[i]`` of a ``(d_y,)*d_x``
+    tensor or, given ``xy``, at ``y_vecs[i] + xy[i]`` of a ``dims.full_shape()`` one.
+
+    Indices are range-checked before they index (numpy would wrap -1 around):
+    lengths, levels, treatments, then factual outcomes, naming the first bad cell.
+    """
+    wrong = [len(v) for v in y_vecs if len(v) != dims.d_x]
+    if wrong:
+        raise ValidationError(f"outcome vector has length {wrong[0]}, expected {dims.d_x}")
+    # object entries compare as the Python integers they are, however large
+    index = np.array(y_vecs, dtype=object).reshape(len(y_vecs), dims.d_x)
+    bad = np.flatnonzero(((index < 0) | (index >= dims.d_y)).any(axis=1))
+    if bad.size:
+        raise ValidationError(f"outcome value out of range in {tuple(index[bad[0]])}")
+    shape = (dims.d_y,) * dims.d_x
+    if xy is not None:
+        pairs = np.array(xy, dtype=object).reshape(len(xy), 2)
+        for col, bound, what in ((0, dims.d_x, "treatment value"), (1, dims.d_y, "observed outcome")):
+            bad = np.flatnonzero((pairs[:, col] < 0) | (pairs[:, col] >= bound))
+            if bad.size:
+                raise ValidationError(f"{what} {pairs[bad[0], col]} out of range")
+        index = np.hstack([index, pairs])
+        shape += (dims.d_x, dims.d_y)
+    tensor = np.zeros(shape)
+    np.add.at(tensor, tuple(index.astype(np.intp).T), values)
+    return tensor
 
 
 def _frozen_table(table) -> np.ndarray:
@@ -236,15 +232,6 @@ class MonotoneTerm:
             hi[s, t] = b
         return cls(lo, hi, prob_lower, prob_upper)
 
-    def admits(self, y_vec: tuple[int, ...]) -> bool:
-        """Whether an outcome vector satisfies every pairwise window."""
-        for s in range(len(y_vec)):
-            for t in range(s):
-                diff = y_vec[s] - y_vec[t]
-                if not (self.d_lower[s, t] <= diff <= self.d_upper[s, t]):
-                    return False
-        return True
-
 
 @dataclass(frozen=True)
 class AssumptionSet:
@@ -322,93 +309,107 @@ class QuerySpec:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class SparseJointPO:
-    """A sparse joint distribution over outcome vectors, optionally with (X, Y).
+    """A joint distribution over outcome vectors, optionally with (X, Y).
 
-    ``space`` is ``"po"`` when keys are plain outcome vectors and ``"full"``
-    when keys are ``(y_vec, x, y)`` triples.  Masses in ``(-1e-9, 0)`` are
-    clamped to zero at construction; anything more negative is rejected.
+    ``mass`` is a read-only tensor indexed ``[y_0, ..., y_{d_x-1}]`` when
+    ``space`` is ``"po"`` and ``[y_0, ..., y_{d_x-1}, x, y]`` when it is
+    ``"full"``.  ``entries`` maps cells to masses, keyed by outcome vectors or
+    ``(y_vec, x, y)`` triples.  Masses in ``(-1e-9, 0)`` are clamped to zero;
+    NaN and more negative masses are rejected.  The marginals and the
+    parameter vector add cells one at a time in flattened order (weighted
+    ``bincount``, never a pre-reduced axis), a rounding that tables derived
+    from the same cells elsewhere can reproduce bit for bit.
     """
 
     dims: Dims
-    entries: Mapping[tuple, float]
-    space: str = "po"
+    space: str
+    mass: np.ndarray
 
-    def __post_init__(self):
-        if self.space not in ("po", "full"):
-            raise ValidationError(f"unknown joint space {self.space!r}")
-        cleaned = {}
-        for key, mass in self.entries.items():
-            if mass < -MASS_NEG_TOL:
-                raise ValidationError(f"negative mass {mass:.6g} at {key}")
-            cleaned[key] = max(float(mass), 0.0)
-        object.__setattr__(self, "entries", cleaned)
+    def __init__(self, dims: Dims, entries: Mapping[tuple, float], space: str = "po"):
+        if space not in ("po", "full"):
+            raise ValidationError(f"unknown joint space {space!r}")
+        keys = list(entries)
+        masses = np.fromiter(entries.values(), float, len(keys))
+        nan, negative = np.flatnonzero(np.isnan(masses)), np.flatnonzero(masses < -MASS_NEG_TOL)
+        if nan.size:
+            raise MalformedValueError(f"mass at {keys[nan[0]]} is not a number")
+        if negative.size:
+            raise ValidationError(f"negative mass {masses[negative[0]]:.6g} at {keys[negative[0]]}")
+        masses = np.maximum(masses, 0.0)
+        if space == "po":
+            self._set(dims, space, scatter_cells(dims, keys, masses))
+        else:
+            self._set(dims, space, scatter_cells(dims, [k[0] for k in keys], masses, [k[1:] for k in keys]))
+
+    @classmethod
+    def _from_mass(cls, dims: Dims, mass: np.ndarray, space: str) -> "SparseJointPO":
+        joint = cls.__new__(cls)
+        joint._set(dims, space, mass)
+        return joint
+
+    def _set(self, dims: Dims, space: str, mass: np.ndarray) -> None:
+        for name, value in (("dims", dims), ("space", space), ("mass", _frozen_table(mass))):
+            object.__setattr__(self, name, value)
         total = self.total_mass()
         if abs(total - 1.0) > MASS_SUM_TOL:
             raise ValidationError(f"masses sum to {total:.12g}, expected 1")
-        for key in cleaned:
-            self._check_key(key)
 
-    def _check_key(self, key) -> None:
-        if self.space == "po":
-            CellIndex(tuple(key), 0).check(self.dims)
-        else:
-            y_vec, x, y = key
-            CellIndex(tuple(y_vec), x).check(self.dims)
-            if not 0 <= y < self.dims.d_y:
-                raise ValidationError(f"observed outcome {y} out of range in {key}")
+    def _carrying(self) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+        """Axis indices and masses of the cells that carry mass, in flattened order."""
+        at = np.nonzero(self.mass)
+        return at, self.mass[at]
+
+    @property
+    def entries(self) -> Mapping[tuple, float]:
+        """The positive-mass cells, read-only and in flattened order."""
+        d_x = self.dims.d_x
+        at, masses = self._carrying()
+        cells = np.transpose(at).tolist()
+        keys = (tuple(c) if self.space == "po" else (tuple(c[:d_x]), c[d_x], c[d_x + 1]) for c in cells)
+        return MappingProxyType(dict(zip(keys, masses.tolist())))
 
     def total_mass(self) -> float:
-        return float(sum(self.entries.values()))
+        return float(self.mass.sum())
 
     def consistency_violations(self) -> list[str]:
         """Full-space cells carrying mass where the factual outcome disagrees
         with the potential outcome of the received treatment."""
         if self.space == "po":
             return []
-        bad = []
-        for (y_vec, x, y), mass in self.entries.items():
-            if mass > 0 and y_vec[x] != y:
-                bad.append(f"mass {mass:.6g} at y_vec={y_vec}, x={x}, y={y}")
-        return bad
+        bad = np.argwhere((self.mass > 0) & ~factual_mask(self.dims)).tolist()
+        d_x = self.dims.d_x
+        return [f"mass {self.mass[tuple(c)]:.6g} at y_vec={tuple(c[:d_x])}, x={c[d_x]}, y={c[d_x + 1]}" for c in bad]
 
     def po_marginals(self) -> ExperimentalMarginals:
         """Arm-wise outcome distributions implied by the joint."""
-        table = np.zeros((self.dims.d_x, self.dims.d_y))
-        for key, mass in self.entries.items():
-            y_vec = key if self.space == "po" else key[0]
-            for k, y in enumerate(y_vec):
-                table[k, y] += mass
-        return ExperimentalMarginals(table)
+        d_x, d_y = self.dims.d_x, self.dims.d_y
+        at, masses = self._carrying()
+        bins = np.arange(d_x)[:, None] * d_y + np.array(at[:d_x])
+        return ExperimentalMarginals(np.bincount(bins.reshape(-1), np.tile(masses, d_x), d_x * d_y).reshape(d_x, d_y))
 
     def xy_marginal(self) -> ObservationalJoint:
         if self.space != "full":
             raise ValidationError("observed-variable marginal requires a full-space joint")
-        table = np.zeros((self.dims.d_x, self.dims.d_y))
-        for (_, x, y), mass in self.entries.items():
-            table[x, y] += mass
-        return ObservationalJoint(table)
+        d_x, d_y = self.dims.d_x, self.dims.d_y
+        at, masses = self._carrying()
+        return ObservationalJoint(np.bincount(at[-2] * d_y + at[-1], masses, d_x * d_y).reshape(d_x, d_y))
 
     def param_vector(self) -> np.ndarray:
         """The flattened p[y_vec, x] vector (full-space joints only)."""
         if self.space != "full":
             raise ValidationError("parameter vector requires a full-space joint")
-        vec = np.zeros(self.dims.param_count())
-        for (y_vec, x, _), mass in self.entries.items():
-            vec[flatten_index(CellIndex(tuple(y_vec), x), self.dims)] += mass
-        return vec
+        at, masses = self._carrying()
+        return np.bincount(np.ravel_multi_index(at[:-1], self.mass.shape[:-1]), masses, self.dims.param_count())
 
     def to_json_dict(self) -> dict:
-        cells = []
-        for key in sorted(self.entries, key=repr):
-            mass = self.entries[key]
-            if self.space == "po":
-                cells.append({"y_vec": list(key), "mass": mass})
-            else:
-                y_vec, x, y = key
-                cells.append({"y_vec": list(y_vec), "x": x, "y": y, "mass": mass})
-        return {"d_x": self.dims.d_x, "d_y": self.dims.d_y, "space": self.space, "cells": cells}
+        """The positive-mass cells in flattened order, with the dimensions and space."""
+        d_x, factual = self.dims.d_x, ("x", "y") if self.space == "full" else ()
+        at, masses = self._carrying()
+        cells = [{"y_vec": c[:d_x], **dict(zip(factual, c[d_x:])), "mass": m}
+                 for c, m in zip(np.transpose(at).tolist(), masses.tolist())]
+        return {"d_x": d_x, "d_y": self.dims.d_y, "space": self.space, "cells": cells}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SparseJointPO":

@@ -13,7 +13,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import ContradictionError, UndefinedConditionalError, ValidationError
-from .model import Dims, ObservationalJoint, QuerySpec, as_integer, cell_grid
+from .model import Dims, ObservationalJoint, QuerySpec, as_integer, cell_grid, factual_mask
 
 ValueConstraint = int | Iterable[int] | Mapping[str, int]
 Event = Mapping[int, ValueConstraint] | None
@@ -126,9 +126,7 @@ def collapse_to_objective(query: QuerySpec, dims: Dims) -> np.ndarray:
     the consistent factual cell (y_vec, x, y_x).  Any conditional divisor is left
     to :func:`bind_condition`."""
     query.validate(dims)
-    Y, X = cell_grid(dims)
-    cells = np.arange(X.size)
-    return query.coeffs.reshape(X.size, dims.d_y)[cells, Y[X, cells]]
+    return query.coeffs[factual_mask(dims)]
 
 
 def condition_probability(query: QuerySpec, obs: ObservationalJoint) -> float:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import pobounds as pb
-from pobounds.identify import _flat_chain, _step_chain
+from oracles import CellIndex, cells, flat_chain, flatten_index, step_chain
 
 
 def _full_joint(dims: pb.Dims, blocks: dict) -> pb.SparseJointPO:
@@ -62,8 +62,8 @@ def mite_truth() -> pb.SparseJointPO:
 
 def random_mite_truth(dims: pb.Dims, rng: np.random.Generator) -> pb.SparseJointPO:
     """A random exogenous truth supported on the unit-increment chains."""
-    chains = [_flat_chain(y0, dims.d_x) for y0 in range(dims.d_y)]
-    chains += [_step_chain(y0, k, dims.d_x) for k in range(dims.d_x - 1) for y0 in range(dims.d_y - 1)]
+    chains = [flat_chain(y0, dims.d_x) for y0 in range(dims.d_y)]
+    chains += [step_chain(y0, k, dims.d_x) for k in range(dims.d_x - 1) for y0 in range(dims.d_y - 1)]
     w = rng.uniform(0.2, 1.0, len(chains))
     w /= w.sum()
     px = rng.uniform(0.2, 1.0, dims.d_x)
@@ -86,8 +86,8 @@ def random_small_instance(rng: np.random.Generator):
 
     exp_table = np.zeros((2, 2))
     obs_table = np.zeros((2, 2))
-    for y_vec, x in dims.cells():
-        mass = p[pb.flatten_index(pb.CellIndex(y_vec, x), dims)]
+    for y_vec, x in cells(dims):
+        mass = p[flatten_index(CellIndex(y_vec, x), dims)]
         for k in range(2):
             exp_table[k, y_vec[k]] += mass
         obs_table[x, y_vec[x]] += mass

@@ -8,11 +8,14 @@ so they live with the tests rather than in the package.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
 from pobounds.compile import ConstraintSet
-from pobounds.errors import PoboundsError, ValidationError
+from pobounds.errors import MiteIncompatibleError, PoboundsError, UndefinedConditionalError, ValidationError
+from pobounds.model import Dims, ExperimentalMarginals, MonotoneTerm, ObservationalJoint, QuerySpec, require_valid
+from pobounds.queries import collapse_to_objective, condition_probability
 from pobounds.simplex import check_feasible
 
 
@@ -167,3 +170,155 @@ def vertex_enumerate_small(cs: ConstraintSet, max_bases: int = 2_000_000) -> lis
         key = tuple(np.round(x[:n], 9))
         seen.setdefault(key, x[:n])
     return list(seen.values())
+
+
+# Scalar index arithmetic: the per-cell counterpart of ``model.cell_grid``.
+
+
+def outcome_vectors(dims: Dims):
+    """All potential-outcome vectors in lexicographic order."""
+    return itertools.product(range(dims.d_y), repeat=dims.d_x)
+
+
+def cells(dims: Dims):
+    """All (y_vec, x) cells in flattened order."""
+    for y_vec in outcome_vectors(dims):
+        for x in range(dims.d_x):
+            yield y_vec, x
+
+
+@dataclass(frozen=True)
+class CellIndex:
+    """A single cell of the parameter space: outcome vector plus treatment."""
+
+    y_vec: tuple[int, ...]
+    x: int
+
+    def check(self, dims: Dims) -> None:
+        if len(self.y_vec) != dims.d_x:
+            raise ValidationError(f"outcome vector has length {len(self.y_vec)}, expected {dims.d_x}")
+        if not all(0 <= y < dims.d_y for y in self.y_vec):
+            raise ValidationError(f"outcome value out of range in {self.y_vec}")
+        if not 0 <= self.x < dims.d_x:
+            raise ValidationError(f"treatment value {self.x} out of range")
+
+
+def flatten_index(cell: CellIndex, dims: Dims) -> int:
+    """Map a cell to its position in the flattened parameter vector."""
+    cell.check(dims)
+    idx = 0
+    for y in cell.y_vec:
+        idx = idx * dims.d_y + y
+    return idx * dims.d_x + cell.x
+
+
+def unflatten_index(i: int, dims: Dims) -> CellIndex:
+    """Inverse of :func:`flatten_index`."""
+    if not 0 <= i < dims.param_count():
+        raise ValidationError(f"index {i} out of range for {dims.param_count()} parameters")
+    i, x = divmod(i, dims.d_x)
+    ys = []
+    for _ in range(dims.d_x):
+        i, y = divmod(i, dims.d_y)
+        ys.append(y)
+    return CellIndex(tuple(reversed(ys)), x)
+
+
+def admits(term: MonotoneTerm, y_vec: tuple[int, ...]) -> bool:
+    """Whether an outcome vector satisfies every pairwise window of ``term``."""
+    for s in range(len(y_vec)):
+        for t in range(s):
+            diff = y_vec[s] - y_vec[t]
+            if not (term.d_lower[s, t] <= diff <= term.d_upper[s, t]):
+                return False
+    return True
+
+
+# Identification as per-chain dict loops: the reference for ``pobounds.identify``.
+
+NEG_TOL = 1e-8
+
+
+def flat_chain(y0: int, d_x: int) -> tuple[int, ...]:
+    return (y0,) * d_x
+
+
+def step_chain(y0: int, k: int, d_x: int) -> tuple[int, ...]:
+    """The chain at ``y0`` up to arm ``k`` and at ``y0 + 1`` after it."""
+    return (y0,) * (k + 1) + (y0 + 1,) * (d_x - 1 - k)
+
+
+def reference_chain_masses(arm_table: np.ndarray) -> dict[tuple[int, ...], float]:
+    d_x, d_y = arm_table.shape
+    cum = np.cumsum(arm_table, axis=1)
+    masses: dict[tuple[int, ...], float] = {}
+    for y0 in range(d_y):
+        below = float(cum[0, y0 - 1]) if y0 > 0 else 0.0
+        masses[flat_chain(y0, d_x)] = float(cum[d_x - 1, y0]) - below
+    for k in range(d_x - 1):
+        for y0 in range(d_y - 1):
+            masses[step_chain(y0, k, d_x)] = float(cum[k, y0] - cum[k + 1, y0])
+    return masses
+
+
+def reference_negatives(masses: dict) -> list[tuple[str, float]]:
+    return [(f"chain{chain}", mass) for chain, mass in sorted(masses.items()) if mass < -NEG_TOL]
+
+
+def _clamp_and_normalize(entries: dict) -> dict:
+    cleaned = {k: max(v, 0.0) for k, v in entries.items() if v > 0.0}
+    total = sum(cleaned.values())
+    if abs(total - 1.0) > 1e-12:
+        cleaned = {k: v / total for k, v in cleaned.items()}
+    return cleaned
+
+
+def reference_identify_experimental(exp: ExperimentalMarginals) -> dict[tuple[int, ...], float]:
+    """Outcomes-only entries ``{y_vec: mass}`` identified from per-arm marginals."""
+    require_valid(exp, exp.dims)
+    masses = reference_chain_masses(exp.table)
+    if reference_negatives(masses):
+        raise MiteIncompatibleError(reference_negatives(masses))
+    return _clamp_and_normalize(masses)
+
+
+def reference_identify_observational(obs: ObservationalJoint) -> dict[tuple, float]:
+    """Full entries ``{(y_vec, x, y): mass}`` identified from the factual table."""
+    require_valid(obs, obs.dims)
+    px = obs.x_marginal()
+    if np.any(px <= 0.0):
+        raise UndefinedConditionalError("P(X=l) = 0")
+    masses = reference_chain_masses(obs.table / px[:, None])
+    if reference_negatives(masses):
+        raise MiteIncompatibleError(reference_negatives(masses))
+    entries: dict[tuple, float] = {}
+    for chain, base in masses.items():
+        for x in range(obs.dims.d_x):
+            entries[(chain, x, chain[x])] = base * float(px[x])
+    return _clamp_and_normalize(entries)
+
+
+def reference_evaluate(dims: Dims, space: str, entries: dict, query: QuerySpec, obs=None) -> float:
+    """``query`` on a joint given as entries, summed cell by cell in entry order."""
+    divisor = 1.0
+    if query.condition is not None:
+        if obs is None and space == "po":
+            raise ValidationError("conditional query on an outcomes-only joint needs the observational table")
+        if obs is None:
+            table = np.zeros((dims.d_x, dims.d_y))
+            for (_, x, y), mass in entries.items():
+                table[x, y] += mass
+            obs = ObservationalJoint(table)
+        divisor = condition_probability(query, obs)
+    total = 0.0
+    if space == "full":
+        for (y_vec, x, y), mass in entries.items():
+            total += mass * float(query.coeffs[y_vec + (x, y)])
+        return total / divisor
+    per_x = collapse_to_objective(query, dims).reshape(dims.full_shape()[:-1])
+    for y_vec, mass in entries.items():
+        row = per_x[y_vec]
+        if row.max() - row.min() > 1e-12:
+            raise ValidationError("query depends on treatment assignment; evaluate it on a full-space joint")
+        total += mass * float(row[0])
+    return total / divisor

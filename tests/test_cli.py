@@ -9,6 +9,8 @@ import pobounds as pb
 from pobounds.cli import _read_csv_records, main
 from pobounds.errors import ValidationError
 
+from oracles import outcome_vectors
+
 
 def write_json(path, payload):
     path.write_text(json.dumps(payload))
@@ -402,7 +404,7 @@ def test_raw_query_kind(tmp_path, capsys, truth_a):
     halves = [cell[:3] + (0.5,) for cell in event for _ in range(2)]
     assert bounds(raw_query(tmp_path, halves)) == bounds(event_query(tmp_path))
     # a conditional event: P(Y_0 = 0 | X=2, Y=2), against the event builder
-    cells = [(y_vec, 2, 2, 1.0) for y_vec in dims.outcome_vectors() if y_vec[0] == 0]
+    cells = [(y_vec, 2, 2, 1.0) for y_vec in outcome_vectors(dims) if y_vec[0] == 0]
     conditional = write_json(tmp_path / "cond.json", {"kind": "event", "po": {"0": 0}, "given": {"x": 2, "y": 2}})
     assert bounds(raw_query(tmp_path, cells, given=(2, 2))) == bounds(conditional)
 
@@ -465,6 +467,23 @@ def test_simulate_rejects_unnormalized_truth(tmp_path, capsys):
         "simulate", "--truth", truth, "--n", "10", "--reps", "2", "--seed", "0", "--query", q,
     ])
     assert code == 1
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_simulate_rejects_non_finite_truth_mass(tmp_path, capsys, bad):
+    payload = {"d_x": 2, "d_y": 2, "space": "full",
+               "cells": [{"y_vec": [0, 0], "x": 0, "y": 0, "mass": bad},
+                         {"y_vec": [1, 1], "x": 1, "y": 1, "mass": 0.5}]}
+    truth = write_json(tmp_path / "truth.json", payload)
+    q = write_json(tmp_path / "q.json", {"kind": "event", "po": {"0": 0}})
+    argv = ["simulate", "--truth", truth, "--query", q, "--n", "50", "--reps", "3", "--data", "obs", "--exogeneity"]
+    assert main(argv) == 1
+    expected = {
+        "nan": f"{truth}: malformed value: mass at ((0, 0), 0, 0) is not a number",
+        "inf": "masses sum to inf, expected 1",
+        "-inf": "negative mass -inf at ((0, 0), 0, 0)",
+    }[repr(bad)]
+    assert capsys.readouterr().err == f"error: {expected}\n"
 
 
 def test_report_written_to_file(tmp_path, capsys, truth_a):

@@ -10,7 +10,7 @@ import pobounds as pb
 from pobounds.compile import ConstraintSet
 from pobounds.errors import ConfigError, ValidationError
 
-from oracles import constraint_residual
+from oracles import CellIndex, admits, cells, constraint_residual, flatten_index
 
 
 def uniform_exp(dims):
@@ -68,9 +68,9 @@ def test_point_mass_obs_pins_all_mass():
     obs = pb.ObservationalJoint(np.array([[1.0, 0.0], [0.0, 0.0]]))
     cs = pb.compile_base(dims).merge(pb.compile_observational(dims, obs))
     off_event = np.ones(dims.param_count())
-    for y_vec, x in dims.cells():
+    for y_vec, x in cells(dims):
         if x == 0 and y_vec[0] == 0:
-            off_event[pb.flatten_index(pb.CellIndex(y_vec, x), dims)] = 0.0
+            off_event[flatten_index(CellIndex(y_vec, x), dims)] = 0.0
     sol = pb.solve(pb.LpProblem(off_event, cs, "maximize"))
     assert sol.status == "optimal"
     assert sol.value == pytest.approx(0.0, abs=1e-9)
@@ -94,10 +94,10 @@ def test_exogeneity_satisfied_by_product_distribution():
     p = np.zeros(dims.param_count())
     for i, y_vec in enumerate(itertools.product(range(2), repeat=2)):
         for x in range(2):
-            p[pb.flatten_index(pb.CellIndex(y_vec, x), dims)] = po[i] * px[x]
+            p[flatten_index(CellIndex(y_vec, x), dims)] = po[i] * px[x]
     obs_table = np.zeros((2, 2))
-    for y_vec, x in dims.cells():
-        obs_table[x, y_vec[x]] += p[pb.flatten_index(pb.CellIndex(y_vec, x), dims)]
+    for y_vec, x in cells(dims):
+        obs_table[x, y_vec[x]] += p[flatten_index(CellIndex(y_vec, x), dims)]
     cs = pb.compile_exogeneity(dims, pb.ObservationalJoint(obs_table))
     assert len(cs) == 8
     assert constraint_residual(cs, p) < 1e-12
@@ -117,7 +117,7 @@ def test_indicator_mask_ordering_pair():
     admitted = {
         y_vec
         for y_vec in itertools.product(range(2), repeat=2)
-        if mask[pb.flatten_index(pb.CellIndex(y_vec, 0), dims)] == 1.0
+        if mask[flatten_index(CellIndex(y_vec, 0), dims)] == 1.0
     }
     assert admitted == {(0, 0), (0, 1), (1, 1)}
 
@@ -136,7 +136,7 @@ def test_indicator_mask_unit_increment_chains():
     got = {
         y_vec
         for y_vec in itertools.product(range(3), repeat=3)
-        if mask[pb.flatten_index(pb.CellIndex(y_vec, 1), dims)] == 1.0
+        if mask[flatten_index(CellIndex(y_vec, 1), dims)] == 1.0
     }
     assert got == expected
 
@@ -199,7 +199,7 @@ def test_preset_epsilon_harm():
     selected = {
         y_vec
         for y_vec in itertools.product(range(2), repeat=2)
-        if mask[pb.flatten_index(pb.CellIndex(y_vec, 0), dims)] == 1.0
+        if mask[flatten_index(CellIndex(y_vec, 0), dims)] == 1.0
     }
     assert selected == {(1, 0)}
 
@@ -281,20 +281,20 @@ def reference_rows(dims, exp=None, obs=None, assumptions=pb.AssumptionSet(), sla
     :func:`pb.assemble_constraints` emits rows.
     """
     def flat(y_vec, x):
-        return pb.flatten_index(pb.CellIndex(y_vec, x), dims)
+        return flatten_index(CellIndex(y_vec, x), dims)
 
     rows = [({i: 1.0 for i in range(dims.param_count())}, 1.0, "eq", "base-sum")]
     if exp is not None:
         for k in range(dims.d_x):
             for j in range(dims.d_y - 1):
-                coeffs = {flat(y_vec, x): 1.0 for y_vec, x in dims.cells() if y_vec[k] == j}
+                coeffs = {flat(y_vec, x): 1.0 for y_vec, x in cells(dims) if y_vec[k] == j}
                 rows.append((coeffs, float(exp.table[k, j]), "eq", f"experimental({k},{j})"))
     if obs is not None:
         for l in range(dims.d_x):
             for m in range(dims.d_y):
                 if (l, m) == (dims.d_x - 1, dims.d_y - 1):
                     continue
-                coeffs = {flat(y_vec, x): 1.0 for y_vec, x in dims.cells() if x == l and y_vec[l] == m}
+                coeffs = {flat(y_vec, x): 1.0 for y_vec, x in cells(dims) if x == l and y_vec[l] == m}
                 rows.append((coeffs, float(obs.table[l, m]), "eq", f"observational({l},{m})"))
     if assumptions.exogeneity:
         px = obs.x_marginal()
@@ -304,17 +304,17 @@ def reference_rows(dims, exp=None, obs=None, assumptions=pb.AssumptionSet(), sla
                     if px[l] <= 0.0:
                         continue
                     coeffs = {}
-                    for y_vec, x in dims.cells():
+                    for y_vec, x in cells(dims):
                         c = (1.0 if x == l else 0.0) - float(px[l])
                         if y_vec[k] == v and c != 0.0:
                             coeffs[flat(y_vec, x)] = c
                     rows.append((coeffs, 0.0, "eq", f"exogeneity({k},{v},{l})"))
     for w, term in enumerate(assumptions.terms):
-        cells = [flat(y_vec, x) for y_vec, x in dims.cells() if term.admits(y_vec)]
-        if term.prob_upper < 1.0 and cells:
-            rows.append(({i: 1.0 for i in cells}, float(term.prob_upper), "le", f"monotone({w},upper)"))
+        admitted = [flat(y_vec, x) for y_vec, x in cells(dims) if admits(term, y_vec)]
+        if term.prob_upper < 1.0 and admitted:
+            rows.append(({i: 1.0 for i in admitted}, float(term.prob_upper), "le", f"monotone({w},upper)"))
         if term.prob_lower > 0.0:
-            rows.append(({i: -1.0 for i in cells}, -float(term.prob_lower), "le", f"monotone({w},lower)"))
+            rows.append(({i: -1.0 for i in admitted}, -float(term.prob_lower), "le", f"monotone({w},lower)"))
     if slack is not None:
         relaxed = []
         for coeffs, rhs, kind, tag in rows:
@@ -340,8 +340,8 @@ def test_compile_matches_per_cell_reference(d):
     p = rng.dirichlet(np.ones(dims.param_count()))
     exp_table = np.zeros((dims.d_x, dims.d_y))
     obs_table = np.zeros((dims.d_x, dims.d_y))
-    for y_vec, x in dims.cells():
-        mass = p[pb.flatten_index(pb.CellIndex(y_vec, x), dims)]
+    for y_vec, x in cells(dims):
+        mass = p[flatten_index(CellIndex(y_vec, x), dims)]
         exp_table[range(dims.d_x), y_vec] += mass
         obs_table[x, y_vec[x]] += mass
     exp = pb.ExperimentalMarginals(exp_table / exp_table.sum(axis=1, keepdims=True))

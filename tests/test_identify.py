@@ -1,9 +1,19 @@
+import re
+
 import numpy as np
 import pytest
 
 import pobounds as pb
 from pobounds.errors import MiteIncompatibleError, UndefinedConditionalError, ValidationError
 from conftest import random_mite_truth
+from oracles import (
+    admits,
+    reference_chain_masses,
+    reference_evaluate,
+    reference_identify_experimental,
+    reference_identify_observational,
+    reference_negatives,
+)
 
 
 def test_joint_po_probability_exact(truth_b):
@@ -115,7 +125,7 @@ def test_support_restriction(d):
     term = pb.preset("mite", dims).terms[0]
     for chain, mass in jpo.entries.items():
         if mass > 0:
-            assert term.admits(chain)
+            assert admits(term, chain)
 
 
 def test_mass_normalization(truth_b):
@@ -171,3 +181,64 @@ def test_lp_equivalence_over_query_suite(truth_b):
         res = pb.bound(dims, q, obs=obs, assumptions=mite.with_exogeneity())
         assert res.lower == pytest.approx(want, abs=1e-7)
         assert res.upper == pytest.approx(want, abs=1e-7)
+
+
+def sweep_queries(dims, rng, obs):
+    """Event, treatment-dependent event, conditional, moment and posterior-effect queries."""
+    given_cells = np.argwhere(obs.table > 0.0)
+    out = []
+    for _ in range(3):
+        arms = tuple(int(v) for v in rng.choice(dims.d_x, size=2, replace=False))
+        po = {a: int(rng.integers(dims.d_y)) for a in arms[: int(rng.integers(1, 3))]}
+        given = tuple(int(v) for v in given_cells[rng.integers(len(given_cells))])
+        out += [
+            pb.build_event_query(dims, po),
+            pb.build_event_query(dims, po, x=int(rng.integers(dims.d_x))),
+            pb.build_conditional_query(dims, po, given),
+            pb.build_moment_query(dims, int(rng.integers(1, 3)), arms),
+            pb.build_posterior_effect_query(dims, arms, given),
+        ]
+    return out
+
+
+@pytest.mark.parametrize("d", [(2, 2), (3, 3), (4, 3), (3, 4), (5, 3)])
+def test_identification_matches_dict_reference(d):
+    # the per-chain dict loops the tensor identification replaced, kept as its reference
+    dims = pb.Dims(*d)
+    rng = np.random.default_rng([29, *d])
+    truth = random_mite_truth(dims, rng)
+    exp, obs = truth.po_marginals(), truth.xy_marginal()
+    jpo, jfull = pb.identify_experimental(exp), pb.identify_observational(obs)
+    ref_po, ref_full = reference_identify_experimental(exp), reference_identify_observational(obs)
+    for joint, ref in ((jpo, ref_po), (jfull, ref_full)):
+        assert set(joint.entries) == set(ref)
+        for key, mass in ref.items():
+            assert joint.entries[key] == pytest.approx(mass, abs=1e-12)
+
+    cases = [(jpo, ref_po, None), (jpo, ref_po, obs), (jfull, ref_full, None), (jfull, ref_full, obs),
+             (truth, dict(truth.entries), None)]
+    for q in sweep_queries(dims, rng, obs):
+        for joint, ref, data in cases:
+            try:
+                want = reference_evaluate(dims, joint.space, ref, q, data)
+            except ValidationError as exc:
+                with pytest.raises(ValidationError, match=re.escape(str(exc))):
+                    pb.evaluate(joint, q, obs=data)
+            else:
+                assert pb.evaluate(joint, q, obs=data) == pytest.approx(want, abs=1e-12)
+
+    # reversing the arms turns every step up into a step down: incompatible data
+    bad_exp = pb.ExperimentalMarginals(exp.table[::-1])
+    bad_obs = pb.ObservationalJoint(obs.table[::-1])
+    cond = bad_obs.table / bad_obs.x_marginal()[:, None]
+    expected = [("experimental " + n, m) for n, m in reference_negatives(reference_chain_masses(bad_exp.table))]
+    expected += [("observational " + n, m) for n, m in reference_negatives(reference_chain_masses(cond))]
+    report = pb.mite_compatibility_report(exp=bad_exp, obs=bad_obs)
+    assert expected and [n for n, _ in report] == [n for n, _ in expected]
+    np.testing.assert_allclose([m for _, m in report], [m for _, m in expected], rtol=0, atol=1e-12)
+    for identify, reference, data in ((pb.identify_experimental, reference_identify_experimental, bad_exp),
+                                      (pb.identify_observational, reference_identify_observational, bad_obs)):
+        with pytest.raises(MiteIncompatibleError) as want:
+            reference(data)
+        with pytest.raises(MiteIncompatibleError, match=re.escape(str(want.value))):
+            identify(data)

@@ -7,11 +7,12 @@ import pytest
 
 import pobounds as pb
 from conftest import random_mite_truth
+from oracles import CellIndex, cells, flatten_index, outcome_vectors
 from pobounds.errors import ContradictionError, UndefinedConditionalError, ValidationError
 
 
 def idx(dims, y_vec, x):
-    return pb.flatten_index(pb.CellIndex(y_vec, x), dims)
+    return flatten_index(CellIndex(y_vec, x), dims)
 
 
 def test_consistency_kills_impossible_event():
@@ -34,7 +35,7 @@ def test_contrast_expectation_objective():
     dims = pb.Dims(2, 2)
     q = pb.build_moment_query(dims, 1, (1, 0))
     obj = pb.collapse_to_objective(q, dims)
-    for y_vec, x in dims.cells():
+    for y_vec, x in cells(dims):
         assert obj[idx(dims, y_vec, x)] == y_vec[1] - y_vec[0]
 
 
@@ -146,7 +147,7 @@ def test_conditional_event_coefficients_are_scaled_indicators(truth_a):
 def test_po_only_objective_constant_across_x(dims33):
     q = pb.build_event_query(dims33, {0: {"le": 1}, 2: 2})
     obj = pb.collapse_to_objective(q, dims33)
-    for y_vec in dims33.outcome_vectors():
+    for y_vec in outcome_vectors(dims33):
         vals = {obj[idx(dims33, y_vec, x)] for x in range(3)}
         assert len(vals) == 1
 
@@ -190,7 +191,7 @@ def reference_event(dims, po, x=None, y=None, given=None):
     if given is not None:
         xs, ys = [given[0]], [given[1]]
     coeffs = {}
-    for y_vec in dims.outcome_vectors():
+    for y_vec in outcome_vectors(dims):
         if all(y_vec[k] in sets[k] for k in range(dims.d_x)):
             for xv in xs:
                 for yv in ys:
@@ -201,7 +202,7 @@ def reference_event(dims, po, x=None, y=None, given=None):
 def reference_moment(dims, order, arms):
     i, j = arms
     coeffs = {}
-    for y_vec in dims.outcome_vectors():
+    for y_vec in outcome_vectors(dims):
         c = float(y_vec[i] - y_vec[j]) ** order
         if c != 0.0:
             for x in range(dims.d_x):
@@ -214,7 +215,7 @@ def reference_posterior_effect(dims, arms, given):
     i, j = arms
     l, m = given
     coeffs = {}
-    for y_vec in dims.outcome_vectors():
+    for y_vec in outcome_vectors(dims):
         c = float(y_vec[i] - y_vec[j])
         if y_vec[l] == m and c != 0.0:
             coeffs[(y_vec, l, m)] = c
