@@ -115,6 +115,21 @@ def bound(
     Infeasibility is reported with a certificate, never auto-relaxed; pass
     ``slack`` explicitly to soften data equalities.
     """
+    return _bound(dims, query, exp, obs, assumptions, slack)
+
+
+def _bound(
+    dims: Dims,
+    query: QuerySpec,
+    exp: ExperimentalMarginals | None,
+    obs: ObservationalJoint | None,
+    assumptions: AssumptionSet | None,
+    slack: float | None,
+    warm: simplex._WarmStart | None = None,
+) -> BoundResult:
+    """:func:`bound`, solved from the bases in ``warm`` where they apply
+    (see :func:`simplex._presolved_two_phase`); a replicate loop passes the
+    same ``warm`` to each of its replicates."""
     if query.condition is not None and obs is None:
         raise ConfigError("conditional queries need the observational table to bind the divisor")
     cs = assemble_constraints(dims, exp=exp, obs=obs, assumptions=assumptions, slack=slack)
@@ -123,7 +138,7 @@ def bound(
     else:
         objective = collapse_to_objective(query, dims)
 
-    phase1, solutions = simplex._presolved_two_phase(cs, [(objective, "minimize"), (objective, "maximize")])
+    phase1, solutions = simplex._presolved_two_phase(cs, [(objective, "minimize"), (objective, "maximize")], warm)
     if phase1.status == "infeasible":
         return BoundResult("infeasible", diagnostics=phase1.certificate)
     lo, hi = solutions

@@ -14,6 +14,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import identify as identify_mod
+from . import simplex
 from .errors import (
     BootstrapFailureError,
     ConfigError,
@@ -162,11 +163,16 @@ def _one_estimate(
     exp: ExperimentalMarginals | None,
     obs: ObservationalJoint | None,
     slack: float | None,
+    warm: simplex._WarmStart,
 ) -> dict[str, float] | None:
     """Endpoint values for one replicate, or None when it must be excluded
-    (infeasible bound / identification incompatibility)."""
+    (infeasible bound, a conditioning cell resampled to zero, identification
+    incompatibility).  Bounds start from the bases in ``warm``."""
     if mode == "bound":
-        res = bounds_mod.bound(dims, query, exp=exp, obs=obs, assumptions=assumptions, slack=slack)
+        try:
+            res = bounds_mod._bound(dims, query, exp, obs, assumptions, slack, warm)
+        except UndefinedConditionalError:
+            return None
         if res.status != "ok":
             return None
         return {"lower": res.lower, "upper": res.upper}
@@ -190,24 +196,27 @@ def _replicate(
     count: int,
     seed: int,
     what: str,
-    draw: Callable[[np.random.SeedSequence], dict[str, float] | None],
+    draw: Callable[[np.random.SeedSequence, simplex._WarmStart], dict[str, float] | None],
 ) -> ReplicationResult:
-    """Run ``draw(child)`` once per child of the seed's sequence and summarize.
+    """Run ``draw(child, warm)`` once per child of the seed's sequence and summarize.
 
     ``draw`` returns one replicate's endpoint values, or None when the
-    replicate must be excluded; exclusions are counted.
+    replicate must be excluded; exclusions are counted.  ``warm`` carries
+    the optimal bases of one replicate's bounds to the next, and lives only
+    as long as this call.
     """
     collected: dict[str, list[float]] = {}
     excluded = 0
+    warm = simplex._WarmStart()
     for child in np.random.SeedSequence(seed).spawn(count):
-        values = draw(child)
+        values = draw(child, warm)
         if values is None:
             excluded += 1
             continue
         for k, v in values.items():
             collected.setdefault(k, []).append(v)
     if not collected:
-        raise BootstrapFailureError(f"all {count} {what} replicates were infeasible")
+        raise BootstrapFailureError(f"all {count} {what} replicates were excluded")
     return _summarize(collected, excluded)
 
 
@@ -226,7 +235,9 @@ def bootstrap(
 
     Experimental arms are resampled with replacement arm by arm, and
     observational records row-wise.  Each replicate produces bound endpoints
-    or the identified value; infeasible replicates are excluded and counted.
+    or the identified value; replicates that are infeasible, or whose
+    conditioning cell ``P(X=l, Y=m)`` resamples to zero, are excluded and
+    counted.
     Reports the mean and the equal-tailed 95% percentile interval per
     endpoint.
     """
@@ -235,7 +246,7 @@ def bootstrap(
     if exp_sample is None and obs_sample is None:
         raise ConfigError("bootstrap needs raw samples, not pre-aggregated tables")
 
-    def draw(child: np.random.SeedSequence) -> dict[str, float] | None:
+    def draw(child: np.random.SeedSequence, warm: simplex._WarmStart) -> dict[str, float] | None:
         rng = np.random.default_rng(child)
         exp = obs = None
         if exp_sample is not None:
@@ -246,7 +257,7 @@ def bootstrap(
             obs = empirical_observational(
                 ObservationalSample(dims, rec[rng.integers(0, rec.shape[0], rec.shape[0])])
             )
-        return _one_estimate(dims, mode, query, assumptions, exp, obs, slack)
+        return _one_estimate(dims, mode, query, assumptions, exp, obs, slack, warm)
 
     return _replicate(replicates, seed, "bootstrap", draw)
 
@@ -266,7 +277,8 @@ def simulation_study(
 
     Each replicate draws fresh experimental data (``n`` per arm) and/or
     observational data (``n`` records) from the truth, then computes the
-    requested endpoints.  Infeasible replicates are excluded and counted.
+    requested endpoints.  Replicates excluded as in :func:`bootstrap` are
+    counted.
     """
     if reps < 1:
         raise ConfigError("need at least one replicate")
@@ -278,13 +290,13 @@ def simulation_study(
     if mode == "identify" and data_kind == "both":
         raise ConfigError("identification needs exactly one data source; pick exp or obs")
 
-    def draw(child: np.random.SeedSequence) -> dict[str, float] | None:
+    def draw(child: np.random.SeedSequence, warm: simplex._WarmStart) -> dict[str, float] | None:
         grand = child.spawn(2)
         exp = obs = None
         if want_exp:
             exp = empirical_experimental(sample_from_truth(truth, n, grand[0], "experimental"))
         if want_obs:
             obs = empirical_observational(sample_from_truth(truth, n, grand[1], "observational"))
-        return _one_estimate(dims, mode, query, assumptions, exp, obs, slack)
+        return _one_estimate(dims, mode, query, assumptions, exp, obs, slack, warm)
 
     return _replicate(reps, seed, "simulation", draw)

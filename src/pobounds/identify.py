@@ -22,7 +22,7 @@ from .model import (
     factual_mask,
     require_valid,
 )
-from .queries import collapse_to_objective, condition_probability
+from .queries import _divisor
 
 NEG_TOL = 1e-8
 
@@ -136,16 +136,18 @@ def evaluate(
     divisor = 1.0
     if query.condition is not None:
         if obs is not None:
-            divisor = condition_probability(query, obs)
+            if obs.dims != dims:
+                raise ValidationError(f"observational table dims {obs.dims} do not match the joint's {dims}")
+            divisor = _divisor(query, obs)
         elif joint.space == "full":
-            divisor = condition_probability(query, joint.xy_marginal())
+            divisor = _divisor(query, joint.xy_marginal())
         else:
             raise ValidationError("conditional query on an outcomes-only joint needs the observational table")
 
     if joint.space == "full":
         coeffs = query.coeffs
     else:
-        per_x = collapse_to_objective(query, dims).reshape(joint.mass.shape + (dims.d_x,))
+        per_x = query.coeffs[factual_mask(dims)].reshape(joint.mass.shape + (dims.d_x,))
         if (np.ptp(per_x, axis=-1)[joint.mass > 0] > 1e-12).any():
             raise ValidationError("query depends on treatment assignment; evaluate it on a full-space joint")
         coeffs = per_x[..., 0]

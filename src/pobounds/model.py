@@ -61,10 +61,13 @@ class Dims:
         return (self.d_y,) * self.d_x + (self.d_x, self.d_y)
 
 
+@cache
 def cell_grid(dims: Dims) -> tuple[np.ndarray, np.ndarray]:
     """Outcome vectors ``Y`` (d_x by n, ``Y[k]`` = y_k of each cell) and
-    treatments ``X`` (length n) of the cells in flattened order."""
+    treatments ``X`` (length n) of the cells in flattened order.  Read-only,
+    since every caller shares them."""
     grid = np.indices((dims.d_y,) * dims.d_x + (dims.d_x,)).reshape(dims.d_x + 1, -1)
+    grid.setflags(write=False)
     return grid[:-1], grid[-1]
 
 

@@ -131,9 +131,15 @@ def collapse_to_objective(query: QuerySpec, dims: Dims) -> np.ndarray:
 
 def condition_probability(query: QuerySpec, obs: ObservationalJoint) -> float:
     """The data constant P(X=l, Y=m) dividing a conditional functional."""
+    if query.condition is not None:
+        query.validate(obs.dims)
+    return _divisor(query, obs)
+
+
+def _divisor(query: QuerySpec, obs: ObservationalJoint) -> float:
+    """:func:`condition_probability` of a query already validated against ``obs.dims``."""
     if query.condition is None:
         raise ValidationError("query has no condition to bind")
-    query.validate(obs.dims)
     l, m = query.condition
     p = float(obs.table[l, m])
     if p <= 0.0:
@@ -144,4 +150,5 @@ def condition_probability(query: QuerySpec, obs: ObservationalJoint) -> float:
 def bind_condition(query: QuerySpec, obs: ObservationalJoint) -> np.ndarray:
     """Collapsed objective divided by the condition probability, a known scalar,
     so the conditional functional stays linear in the parameters."""
-    return collapse_to_objective(query, obs.dims) / condition_probability(query, obs)
+    query.validate(obs.dims)
+    return query.coeffs[factual_mask(obs.dims)] / _divisor(query, obs)

@@ -14,6 +14,13 @@ p >= 0``, an ``le`` row ``a . p <= min(a)`` holds only with every cell where
 exactly such rows.  Those columns and rows leave the tableau, and the
 solution is scattered back into the full vector and certified against the
 original rows.
+
+Inside one replicate loop only ``rhs`` and the objectives move between
+solves, so :class:`_WarmStart` keeps each objective's final basis and the
+next solve refactors it on the new right-hand side: the basis stays dual
+feasible, and a few dual simplex pivots restore primal feasibility
+(Huangfu & Hall 2018 describe the method in HiGHS).  Any doubt sends the
+solve back to the cold two phases.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-8
 DEAD_TOL = 1e-12
 MAX_ITERATIONS = 200_000
+WARM_PIVOTS_PER_ROW = 3
 
 
 @dataclass(frozen=True)
@@ -77,21 +85,30 @@ class _Rows:
     residuals = ConstraintSet.residuals
 
 
+def _standard_form(constraints: ConstraintSet | _Rows) -> np.ndarray:
+    """``[A | slack | rhs]``, with one slack column per ``le`` row in row order."""
+    m, n_params = constraints.A.shape
+    le = np.flatnonzero(constraints.kind == "le")
+    M = np.zeros((m, n_params + le.size + 1))
+    M[:, :n_params] = constraints.A
+    M[le, n_params + np.arange(le.size)] = 1.0
+    M[:, -1] = constraints.rhs
+    return M
+
+
 class _Tableau:
     """Standard-form tableau with one slack per inequality and one artificial
     per row.  Maintains reduced costs in the last row (minimization form)."""
 
     def __init__(self, constraints: ConstraintSet | _Rows):
-        m, n_params = constraints.A.shape
-        le = np.flatnonzero(constraints.kind == "le")
-        self.m = m
-        self.art0 = n_params + le.size
+        M = _standard_form(constraints)
+        m = M.shape[0]
+        self.m, self.art0 = m, M.shape[1] - 1
         ncols = self.art0 + m
 
         T = np.zeros((m + 1, ncols + 1))
-        T[:m, :n_params] = constraints.A
-        T[le, n_params + np.arange(le.size)] = 1.0
-        T[:m, -1] = constraints.rhs
+        T[:m, : self.art0] = M[:, :-1]
+        T[:m, -1] = M[:, -1]
         # rhs must start nonnegative for the artificial basis
         neg = np.flatnonzero(T[:m, -1] < 0)
         T[neg] *= -1.0
@@ -156,6 +173,46 @@ class _Tableau:
         finally:
             self.basis = basis.tolist()
 
+    @classmethod
+    def factored(cls, M: np.ndarray, basis: np.ndarray) -> "_Tableau":
+        """``B⁻¹ M`` for rows ``M`` of a :func:`_standard_form`, where ``B`` is
+        their ``basis`` columns: the phase-2 tableau of that basis, with no
+        artificial columns.  Raises ``LinAlgError`` when ``B`` is singular."""
+        m = M.shape[0]
+        tab = cls.__new__(cls)
+        tab.m, tab.art0, tab.iterations = m, M.shape[1] - 1, 0
+        tab.T = np.zeros((m + 1, M.shape[1]))
+        tab.T[:-1] = np.linalg.solve(M[:, basis], M)
+        tab.T[:-1, basis] = np.eye(m)
+        tab.basis = basis.tolist()
+        return tab
+
+    def repair(self, limit: int) -> bool:
+        """Dual simplex: while some basic value is below ``-DEAD_TOL``, the most
+        negative one leaves and the dual ratio test picks the entering column,
+        ties to the lowest index.  True once the basis is primal feasible; False
+        when no column may enter (the rows are infeasible, or only entries
+        below ``PIVOT_TOL`` could pivot) or ``limit`` pivots did not suffice."""
+        T = self.T
+        red, rhs = T[-1, :-1], T[:-1, -1]
+        basis, work = np.array(self.basis, dtype=np.intp), np.empty_like(T)
+        try:
+            while True:
+                leaving = int(rhs.argmin())
+                if rhs[leaving] >= -DEAD_TOL:
+                    return True
+                if self.iterations >= limit:
+                    return False
+                row = T[leaving, :-1]
+                eligible = (row < -PIVOT_TOL).nonzero()[0]
+                if eligible.size == 0:
+                    return False
+                ratios = red[eligible] / -row[eligible]
+                entering = int(eligible[ratios <= ratios.min() + DEAD_TOL][0])
+                self._pivot(leaving, entering, basis, work)
+        finally:
+            self.basis = basis.tolist()
+
     def phase1(self) -> float:
         costs = np.zeros(self.art0 + self.m)
         costs[self.art0 :] = 1.0
@@ -189,6 +246,7 @@ class _Tableau:
         self.T = self.T[keep_rows][:, list(range(self.art0)) + [-1]]
         self.basis = [self.basis[i] for i in keep]
         self.m = len(self.basis)
+        self.rows = keep
 
     def solution_vector(self) -> np.ndarray:
         x = np.zeros(self.T.shape[1] - 1)
@@ -224,19 +282,37 @@ def _two_phase(
     every optimal witness are checked against the original rows, and a
     violation beyond ``FEAS_TOL`` raises :class:`SolverFailureError`.
     """
+    phase1, solutions, _ = _two_phase_bases(constraints, objectives)
+    return phase1, solutions
+
+
+@dataclass(frozen=True)
+class _Bases:
+    """Where a feasible solve ended: the rows ``drop_artificials`` kept, and
+    each objective's final basis as column indices into ``[A | slack]``."""
+
+    rows: np.ndarray
+    columns: tuple[np.ndarray, ...]
+
+
+def _two_phase_bases(
+    constraints: ConstraintSet | _Rows, objectives: Sequence[tuple[np.ndarray, str]]
+) -> tuple[LpSolution, list[LpSolution], _Bases | None]:
+    """:func:`_two_phase`, plus the bases it ended on: ``None`` when it is
+    infeasible, solves no objective or finds one unbounded."""
     n = constraints.A.shape[1]
     tab = _Tableau(constraints)
     if tab.phase1() > 1e-9:
         duals = tab.phase1_duals()
         cert = tuple(tag for tag, dual in zip(constraints.provenance, duals) if abs(dual) > 1e-7)
-        return LpSolution("infeasible", None, None, tab.iterations, cert), []
+        return LpSolution("infeasible", None, None, tab.iterations, cert), [], None
     point = _certified(constraints, tab.solution_vector()[:n], "phase-1 point")
     feasible = LpSolution("feasible", 0.0, point, tab.iterations)
     if not objectives:
-        return feasible, []
+        return feasible, [], None
 
     tab.drop_artificials()
-    solutions = []
+    solutions, columns = [], []
     for objective, sense in objectives:
         branch = tab.copy()
         costs = np.zeros(branch.art0)
@@ -247,7 +323,9 @@ def _two_phase(
             continue
         witness = _certified(constraints, branch.solution_vector()[:n], f"{sense} witness")
         solutions.append(LpSolution("optimal", float(objective @ witness), witness, branch.iterations))
-    return feasible, solutions
+        columns.append(np.array(branch.basis, dtype=np.intp))
+    bases = _Bases(np.array(tab.rows, dtype=np.intp), tuple(columns)) if len(columns) == len(objectives) else None
+    return feasible, solutions, bases
 
 
 def _presolve(constraints: ConstraintSet) -> tuple[_Rows, np.ndarray] | None:
@@ -289,8 +367,79 @@ def _lift(x: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return full
 
 
+class _WarmStart:
+    """The bases that the last feasible solve through it ended on, and the key
+    of the system they belong to: its ``A``, ``kind`` and presolve column mask.
+
+    One replicate loop owns one: between its solves only ``rhs`` and the
+    objectives move.  A solve whose system matches the key starts from the
+    stored bases (:meth:`resolve`); any other solve runs the cold two phases
+    and, if feasible, replaces them.
+    """
+
+    def __init__(self) -> None:
+        self.key: tuple[np.ndarray, np.ndarray, np.ndarray | None] | None = None
+        self.bases: _Bases | None = None
+
+    def store(self, system: ConstraintSet | _Rows, keep: np.ndarray | None, bases: _Bases | None) -> None:
+        if bases is not None:
+            self.key, self.bases = (system.A, system.kind, keep), bases
+
+    def fits(self, system: ConstraintSet | _Rows, keep: np.ndarray | None, count: int) -> bool:
+        if self.key is None or len(self.bases.columns) != count:
+            return False
+        A, kind, mask = self.key
+        same_mask = mask is None if keep is None else mask is not None and np.array_equal(mask, keep)
+        return same_mask and np.array_equal(A, system.A) and np.array_equal(kind, system.kind)
+
+    def resolve(
+        self,
+        constraints: ConstraintSet,
+        system: ConstraintSet | _Rows,
+        keep: np.ndarray | None,
+        objectives: Sequence[tuple[np.ndarray, str]],
+    ) -> tuple[LpSolution, list[LpSolution]] | None:
+        """Each objective solved from its stored basis, or ``None`` for the
+        cold path: when the key differs, a refactored basis is singular or not
+        dual feasible for the new objective, the repair finds no entering
+        column or needs more than ``WARM_PIVOTS_PER_ROW`` pivots per row, or a
+        witness fails its certificate.  Witnesses are scattered back through
+        ``keep`` and certified against ``constraints``; the phase-1 outcome
+        returned is ``feasible`` at the first witness, with no pivots.
+        """
+        if not self.fits(system, keep, len(objectives)):
+            return None
+        rows, n = self.bases.rows, system.A.shape[1]
+        M = _standard_form(system)[rows]
+        solutions, columns = [], []
+        for (objective, sense), basis in zip(objectives, self.bases.columns):
+            try:
+                tab = _Tableau.factored(M, basis)
+            except np.linalg.LinAlgError:
+                return None
+            costs = np.zeros(tab.art0)
+            costs[:n] = (-1.0 if sense == "maximize" else 1.0) * (objective if keep is None else objective[keep])
+            tab.set_costs(costs)
+            red = tab.T[-1, :-1]
+            repaired = not (red < -PIVOT_TOL).any() and tab.repair(WARM_PIVOTS_PER_ROW * rows.size)
+            # dual simplex pivots keep the reduced costs nonnegative; check that rounding did too
+            if not repaired or (red < -PIVOT_TOL).any():
+                return None
+            x = tab.solution_vector()[:n]
+            try:
+                witness = _certified(constraints, x if keep is None else _lift(x, keep), f"{sense} witness")
+            except SolverFailureError:
+                return None
+            solutions.append(LpSolution("optimal", float(objective @ witness), witness, tab.iterations))
+            columns.append(np.array(tab.basis, dtype=np.intp))
+        self.bases = _Bases(rows, tuple(columns))
+        return LpSolution("feasible", 0.0, solutions[0].witness, 0), solutions
+
+
 def _presolved_two_phase(
-    constraints: ConstraintSet, objectives: Sequence[tuple[np.ndarray, str]]
+    constraints: ConstraintSet,
+    objectives: Sequence[tuple[np.ndarray, str]],
+    warm: _WarmStart | None = None,
 ) -> tuple[LpSolution, list[LpSolution]]:
     """:func:`_two_phase` on the system :func:`_presolve` leaves, or on the
     full system when it leaves none or the reduced phase 1 is infeasible.
@@ -299,11 +448,20 @@ def _presolved_two_phase(
     vectors, each value is ``objective @ witness`` over the full vector, and
     each vector is certified against the original rows.  Infeasibility
     certificates always come from the full system.
+
+    Given ``warm``, the solve first tries :meth:`_WarmStart.resolve` on the
+    system the cold path would solve; on a cold solve the bases it ends on
+    replace those in ``warm``.
     """
     reduced = _presolve(constraints)
+    system, keep = reduced if reduced is not None else (constraints, None)
+    if warm is not None:
+        solved = warm.resolve(constraints, system, keep, objectives)
+        if solved is not None:
+            return solved
     if reduced is not None:
-        rows, keep = reduced
-        phase1, solutions = _two_phase(rows, [(objective[keep], sense) for objective, sense in objectives])
+        reduced_objectives = [(objective[keep], sense) for objective, sense in objectives]
+        phase1, solutions, bases = _two_phase_bases(system, reduced_objectives)
         if phase1.status == "feasible":
             point = _certified(constraints, _lift(phase1.witness, keep), "phase-1 point")
             lifted = []
@@ -312,8 +470,13 @@ def _presolved_two_phase(
                     witness = _certified(constraints, _lift(sol.witness, keep), f"{sense} witness")
                     sol = LpSolution("optimal", float(objective @ witness), witness, sol.iterations)
                 lifted.append(sol)
+            if warm is not None:
+                warm.store(system, keep, bases)
             return LpSolution("feasible", 0.0, point, phase1.iterations), lifted
-    return _two_phase(constraints, objectives)
+    phase1, solutions, bases = _two_phase_bases(constraints, objectives)
+    if warm is not None:
+        warm.store(constraints, None, bases)
+    return phase1, solutions
 
 
 def solve(problem: LpProblem) -> LpSolution:

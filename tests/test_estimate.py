@@ -180,3 +180,20 @@ def test_simulation_study_config_errors(truth_b):
         pb.simulation_study(truth_b, n=10, reps=2, seed=0, query=q, data_kind="none")
     with pytest.raises(ConfigError):
         pb.simulation_study(truth_b, n=10, reps=0, seed=0, query=q)
+
+
+def test_bound_mode_excludes_replicates_with_an_undefined_conditional():
+    # one record in the conditioning cell: some resamples miss it, and
+    # P(X=1, Y=1) = 0 leaves the posterior effect undefined there
+    dims = pb.Dims(2, 2)
+    q = pb.build_posterior_effect_query(dims, (1, 0), (1, 1))
+    records = [(0, 0)] * 40 + [(0, 1)] * 40 + [(1, 0)] * 19 + [(1, 1)]
+    res = pb.bootstrap(dims, q, 50, 3, mode="bound", obs_sample=pb.ObservationalSample(dims, records))
+    assert res.excluded > 0 and res.used > 0 and res.excluded + res.used == 50
+    truth = pb.SparseJointPO(dims, {((0, 0), 0, 0): 0.4, ((1, 1), 0, 1): 0.4, ((0, 0), 1, 0): 0.19,
+                                    ((1, 1), 1, 1): 0.01}, "full")
+    sim = pb.simulation_study(truth, 100, 50, 3, q, mode="bound", data_kind="obs")
+    assert sim.excluded > 0 and sim.used > 0 and sim.excluded + sim.used == 50
+    never = pb.ObservationalSample(dims, [(0, 0)] * 40 + [(1, 0)] * 10)
+    with pytest.raises(BootstrapFailureError, match="all 5 bootstrap replicates were excluded"):
+        pb.bootstrap(dims, q, 5, 3, mode="bound", obs_sample=never)

@@ -242,3 +242,26 @@ def test_identification_matches_dict_reference(d):
             reference(data)
         with pytest.raises(MiteIncompatibleError, match=re.escape(str(want.value))):
             identify(data)
+
+
+def test_evaluate_validates_the_query_once(truth_b, monkeypatch):
+    calls = []
+    honest = pb.QuerySpec.validate
+    monkeypatch.setattr(pb.QuerySpec, "validate", lambda self, dims: calls.append(dims) or honest(self, dims))
+    dims = truth_b.dims
+    jfull = pb.identify_observational(truth_b.xy_marginal())
+    jpo = pb.identify_experimental(truth_b.po_marginals())
+    posterior = pb.build_posterior_effect_query(dims, (1, 0), (2, 2))
+    for joint, query, obs in ((jfull, posterior, truth_b.xy_marginal()), (jfull, posterior, None),
+                              (jfull, pb.build_moment_query(dims, 2, (1, 0)), truth_b.xy_marginal()),
+                              (jpo, pb.build_event_query(dims, {0: 0, 1: 0, 2: 1}), None)):
+        calls.clear()
+        pb.evaluate(joint, query, obs=obs)
+        assert calls == [dims]
+
+
+def test_evaluate_refuses_an_observational_table_of_other_dims(truth_b):
+    jfull = pb.identify_observational(truth_b.xy_marginal())
+    q = pb.build_posterior_effect_query(truth_b.dims, (1, 0), (1, 1))
+    with pytest.raises(ValidationError, match="do not match"):
+        pb.evaluate(jfull, q, obs=pb.ObservationalJoint(np.full((2, 2), 0.25)))

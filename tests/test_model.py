@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import pobounds as pb
 from pobounds.errors import ValidationError
+from pobounds.model import cell_grid
 
 from oracles import CellIndex, admits, flatten_index, unflatten_index
 
@@ -235,3 +236,13 @@ def test_public_names_resolve():
         assert hasattr(pb, name), name
     for moved in ("CellIndex", "flatten_index", "unflatten_index"):
         assert moved not in pb.__all__ and not hasattr(pb, moved)
+
+
+def test_cell_grid_is_cached_and_read_only():
+    dims = pb.Dims(3, 2)
+    Y, X = cell_grid(dims)
+    assert cell_grid(pb.Dims(3, 2))[0] is Y
+    np.testing.assert_array_equal(np.vstack([Y, X]), np.indices((2, 2, 2, 3)).reshape(4, -1))
+    for grid in (Y, X):
+        with pytest.raises(ValueError, match="read-only"):
+            grid[0] = 1
