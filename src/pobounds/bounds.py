@@ -128,8 +128,8 @@ def _bound(
     warm: simplex._WarmStart | None = None,
 ) -> BoundResult:
     """:func:`bound`, solved from the bases in ``warm`` where they apply
-    (see :func:`simplex._presolved_two_phase`); a replicate loop passes the
-    same ``warm`` to each of its replicates."""
+    (see :func:`simplex._solve`); a replicate loop passes the same ``warm``
+    to each of its replicates."""
     if query.condition is not None and obs is None:
         raise ConfigError("conditional queries need the observational table to bind the divisor")
     cs = assemble_constraints(dims, exp=exp, obs=obs, assumptions=assumptions, slack=slack)
@@ -138,7 +138,7 @@ def _bound(
     else:
         objective = collapse_to_objective(query, dims)
 
-    phase1, solutions = simplex._presolved_two_phase(cs, [(objective, "minimize"), (objective, "maximize")], warm)
+    phase1, solutions = simplex._solve(cs, [(objective, "minimize"), (objective, "maximize")], warm)
     if phase1.status == "infeasible":
         return BoundResult("infeasible", diagnostics=phase1.certificate)
     lo, hi = solutions

@@ -101,6 +101,8 @@ def sample_from_truth(
     ``experimental`` draws ``n`` outcomes per arm from that arm's marginal;
     ``observational`` draws ``n`` factual (x, y) pairs.
     """
+    if n < 0:
+        raise ConfigError(f"sample size must be nonnegative, got {n}")
     rng = np.random.default_rng(seed)
     dims = truth.dims
     if kind == "experimental":
@@ -205,6 +207,8 @@ def _replicate(
     the optimal bases of one replicate's bounds to the next, and lives only
     as long as this call.
     """
+    if seed < 0:
+        raise ConfigError(f"seed must be a nonnegative integer, got {seed}")
     collected: dict[str, list[float]] = {}
     excluded = 0
     warm = simplex._WarmStart()
@@ -282,6 +286,8 @@ def simulation_study(
     """
     if reps < 1:
         raise ConfigError("need at least one replicate")
+    if n < 1:
+        raise ConfigError(f"need at least one draw per replicate, got n={n}")
     dims = truth.dims
     want_exp = data_kind in ("exp", "both")
     want_obs = data_kind in ("obs", "both")

@@ -8,19 +8,28 @@ a mask and ``argmax`` find the first column with reduced cost below
 ``-PIVOT_TOL``, ``argmin`` over the integer basis the ratio tie with the
 smallest basic index, then one rank-1 update; the path is Bland's, bit for bit.
 
-A presolve runs in front of every solve.  Over the simplex ``sum(p) = 1,
-p >= 0``, an ``le`` row ``a . p <= min(a)`` holds only with every cell where
-``a`` exceeds its minimum at zero; the almost-sure monotone terms compile to
-exactly such rows.  Those columns and rows leave the tableau, and the
-solution is scattered back into the full vector and certified against the
-original rows.
+Every solve takes one path (:func:`_solve`): reduce, solve, lift, certify.
 
-Inside one replicate loop only ``rhs`` and the objectives move between
-solves, so :class:`_WarmStart` keeps each objective's final basis and the
-next solve refactors it on the new right-hand side: the basis stays dual
-feasible, and a few dual simplex pivots restore primal feasibility
-(Huangfu & Hall 2018 describe the method in HiGHS).  Any doubt sends the
-solve back to the cold two phases.
+* Reduce.  Over the simplex ``sum(p) = 1, p >= 0``, an ``le`` row
+  ``a . p <= min(a)`` holds only with every cell where ``a`` exceeds its
+  minimum at zero; the almost-sure monotone terms compile to exactly such
+  rows.  :func:`_presolve` drops those columns and rows and returns the
+  system left with the mask of the columns it keeps (all of them, and the
+  system itself, when nothing reduces).
+* Solve.  Inside one replicate loop only ``rhs`` and the objectives move
+  between solves, so :class:`_WarmStart` keeps each objective's final
+  basis and the next solve refactors it on the new right-hand side: the
+  basis stays dual feasible, and a few dual simplex pivots restore primal
+  feasibility (Huangfu & Hall 2018 describe the method in HiGHS).  Any
+  doubt sends the solve to the cold two phases of :func:`_two_phase`, and
+  an infeasible reduced phase 1 to the full LP, whose certificate names
+  the original rows.
+* Lift and certify.  Each vector is scattered back through the mask, its
+  value is the objective over the full vector, and it must satisfy the
+  original rows (:func:`_postsolve`).  Every kept row is an original row
+  restricted to the kept columns and the lifted vector is zero elsewhere,
+  so this one check covers the reduced system too (Andersen & Andersen
+  1995 describe the reduce-then-postsolve structure).
 """
 
 from __future__ import annotations
@@ -82,8 +91,6 @@ class _Rows:
     kind: np.ndarray
     provenance: tuple[str, ...]
 
-    residuals = ConstraintSet.residuals
-
 
 def _standard_form(constraints: ConstraintSet | _Rows) -> np.ndarray:
     """``[A | slack | rhs]``, with one slack column per ``le`` row in row order."""
@@ -124,7 +131,7 @@ class _Tableau:
         return tab
 
     def set_costs(self, costs: np.ndarray) -> None:
-        """Install a cost vector and price out the current basis."""
+        """Install a cost vector, zero past its end, and price out the current basis."""
         self.T[-1, :] = 0.0
         self.T[-1, : costs.size] = costs
         for i, col in enumerate(self.basis):
@@ -254,7 +261,7 @@ class _Tableau:
         return np.where(x > 0.0, x, 0.0)
 
 
-def _certified(constraints: ConstraintSet | _Rows, x: np.ndarray, what: str) -> np.ndarray:
+def _certified(constraints: ConstraintSet, x: np.ndarray, what: str) -> np.ndarray:
     """``x`` itself if it satisfies every original row to ``FEAS_TOL``;
     otherwise raise, naming the worst row."""
     resid = constraints.residuals(x)
@@ -266,26 +273,6 @@ def _certified(constraints: ConstraintSet | _Rows, x: np.ndarray, what: str) -> 
     return x
 
 
-def _two_phase(
-    constraints: ConstraintSet | _Rows, objectives: Sequence[tuple[np.ndarray, str]]
-) -> tuple[LpSolution, list[LpSolution]]:
-    """Phase 1 once, then phase 2 once per ``(objective, sense)``.
-
-    Returns the phase-1 outcome and one solution per objective.  The phase-1
-    outcome is ``feasible`` with the phase-1 basic point, or ``infeasible``
-    with a certificate, in which case no objective is solved: the certificate
-    carries the provenance tags of rows with nonzero multipliers in the
-    phase-1 dual, and dropping or revising one of them is necessary to
-    restore feasibility.  Each objective starts from its own copy of the
-    feasible basis left after the artificials are driven out, so its pivots
-    and witness do not depend on the other objectives.  The phase-1 point and
-    every optimal witness are checked against the original rows, and a
-    violation beyond ``FEAS_TOL`` raises :class:`SolverFailureError`.
-    """
-    phase1, solutions, _ = _two_phase_bases(constraints, objectives)
-    return phase1, solutions
-
-
 @dataclass(frozen=True)
 class _Bases:
     """Where a feasible solve ended: the rows ``drop_artificials`` kept, and
@@ -295,19 +282,30 @@ class _Bases:
     columns: tuple[np.ndarray, ...]
 
 
-def _two_phase_bases(
-    constraints: ConstraintSet | _Rows, objectives: Sequence[tuple[np.ndarray, str]]
+def _two_phase(
+    system: ConstraintSet | _Rows, objectives: Sequence[tuple[np.ndarray, str]]
 ) -> tuple[LpSolution, list[LpSolution], _Bases | None]:
-    """:func:`_two_phase`, plus the bases it ended on: ``None`` when it is
-    infeasible, solves no objective or finds one unbounded."""
-    n = constraints.A.shape[1]
-    tab = _Tableau(constraints)
+    """Phase 1 once, then phase 2 once per ``(objective, sense)``.
+
+    Returns the phase-1 outcome, one solution per objective and the bases it
+    ended on.  The phase-1 outcome is ``feasible`` with the phase-1 basic
+    point, or ``infeasible`` with a certificate, in which case no objective
+    is solved: the certificate carries the provenance tags of rows with
+    nonzero multipliers in the phase-1 dual, and dropping or revising one of
+    them is necessary to restore feasibility.  Each objective starts from
+    its own copy of the feasible basis left after the artificials are driven
+    out, so its pivots and witness do not depend on the other objectives.
+    Vectors are over the system's columns and not yet certified (see
+    :func:`_postsolve`); the bases are ``None`` when the system is
+    infeasible, no objective is solved or one is unbounded.
+    """
+    n = system.A.shape[1]
+    tab = _Tableau(system)
     if tab.phase1() > 1e-9:
         duals = tab.phase1_duals()
-        cert = tuple(tag for tag, dual in zip(constraints.provenance, duals) if abs(dual) > 1e-7)
+        cert = tuple(tag for tag, dual in zip(system.provenance, duals) if abs(dual) > 1e-7)
         return LpSolution("infeasible", None, None, tab.iterations, cert), [], None
-    point = _certified(constraints, tab.solution_vector()[:n], "phase-1 point")
-    feasible = LpSolution("feasible", 0.0, point, tab.iterations)
+    feasible = LpSolution("feasible", 0.0, tab.solution_vector()[:n], tab.iterations)
     if not objectives:
         return feasible, [], None
 
@@ -315,46 +313,45 @@ def _two_phase_bases(
     solutions, columns = [], []
     for objective, sense in objectives:
         branch = tab.copy()
-        costs = np.zeros(branch.art0)
-        costs[:n] = (-1.0 if sense == "maximize" else 1.0) * objective
-        branch.set_costs(costs)
+        branch.set_costs((-1.0 if sense == "maximize" else 1.0) * objective)
         if branch.run(allowed=branch.art0) == "unbounded":
             solutions.append(LpSolution("unbounded", None, None, branch.iterations))
             continue
-        witness = _certified(constraints, branch.solution_vector()[:n], f"{sense} witness")
+        witness = branch.solution_vector()[:n]
         solutions.append(LpSolution("optimal", float(objective @ witness), witness, branch.iterations))
         columns.append(np.array(branch.basis, dtype=np.intp))
     bases = _Bases(np.array(tab.rows, dtype=np.intp), tuple(columns)) if len(columns) == len(objectives) else None
     return feasible, solutions, bases
 
 
-def _presolve(constraints: ConstraintSet) -> tuple[_Rows, np.ndarray] | None:
-    """The reduced system and the mask of the columns it keeps, or ``None``
-    when no row forces a column to zero or the reduction is left to the
-    full LP.
+def _presolve(constraints: ConstraintSet) -> tuple[ConstraintSet | _Rows, np.ndarray]:
+    """The reduced system and the mask of the columns it keeps; the system
+    itself and an all-True mask when no row forces a column to zero or the
+    reduction is left to the full LP.
 
     With the ``base-sum`` row ``sum(p) = 1`` and ``p >= 0``, every row has
     ``a . p >= min(a)``, so an ``le`` row with ``rhs == min(a)`` forces each
     column where ``a > min(a)`` to zero.  The reduction drops those columns,
     the forcing rows (over the columns left each one is ``min(a)`` times
     the base row, so the base row implies it) and the rows left all-zero
-    with a right-hand side they meet.  It returns ``None`` if some ``le``
+    with a right-hand side they meet.  Nothing is reduced if some ``le``
     row has ``rhs < min(a)`` or a row is left all-zero with a right-hand
     side it misses: the system is infeasible then, and the full LP finds
     the certificate.
     """
     A, rhs, kind = constraints.A, constraints.rhs, constraints.kind
+    full = constraints, np.ones(A.shape[1], dtype=bool)
     if not ((kind == "eq") & (rhs == 1.0) & (A == 1.0).all(axis=1)).any():
-        return None
+        return full
     le, low = kind == "le", A.min(axis=1)
     forcing = le & (rhs == low)
     if not forcing.any() or (le & (rhs < low)).any():
-        return None
+        return full
     keep = ~(A[forcing] > low[forcing, None]).any(axis=0)
     sub = A[:, keep]
     empty = ~forcing & ~sub.any(axis=1)
     if (empty & np.where(le, rhs < 0.0, rhs != 0.0)).any():
-        return None
+        return full
     rows = ~(forcing | empty)
     provenance = tuple(tag for tag, kept in zip(constraints.provenance, rows) if kept)
     return _Rows(sub[rows], rhs[rows], kind[rows], provenance), keep
@@ -378,34 +375,27 @@ class _WarmStart:
     """
 
     def __init__(self) -> None:
-        self.key: tuple[np.ndarray, np.ndarray, np.ndarray | None] | None = None
+        self.key: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self.bases: _Bases | None = None
 
-    def store(self, system: ConstraintSet | _Rows, keep: np.ndarray | None, bases: _Bases | None) -> None:
-        if bases is not None:
-            self.key, self.bases = (system.A, system.kind, keep), bases
+    def store(self, system: ConstraintSet | _Rows, keep: np.ndarray, bases: _Bases) -> None:
+        self.key, self.bases = (system.A, system.kind, keep), bases
 
-    def fits(self, system: ConstraintSet | _Rows, keep: np.ndarray | None, count: int) -> bool:
+    def fits(self, system: ConstraintSet | _Rows, keep: np.ndarray, count: int) -> bool:
         if self.key is None or len(self.bases.columns) != count:
             return False
         A, kind, mask = self.key
-        same_mask = mask is None if keep is None else mask is not None and np.array_equal(mask, keep)
-        return same_mask and np.array_equal(A, system.A) and np.array_equal(kind, system.kind)
+        return np.array_equal(mask, keep) and np.array_equal(A, system.A) and np.array_equal(kind, system.kind)
 
     def resolve(
-        self,
-        constraints: ConstraintSet,
-        system: ConstraintSet | _Rows,
-        keep: np.ndarray | None,
-        objectives: Sequence[tuple[np.ndarray, str]],
-    ) -> tuple[LpSolution, list[LpSolution]] | None:
-        """Each objective solved from its stored basis, or ``None`` for the
-        cold path: when the key differs, a refactored basis is singular or not
-        dual feasible for the new objective, the repair finds no entering
-        column or needs more than ``WARM_PIVOTS_PER_ROW`` pivots per row, or a
-        witness fails its certificate.  Witnesses are scattered back through
-        ``keep`` and certified against ``constraints``; the phase-1 outcome
-        returned is ``feasible`` at the first witness, with no pivots.
+        self, system: ConstraintSet | _Rows, keep: np.ndarray, objectives: Sequence[tuple[np.ndarray, str]]
+    ) -> tuple[LpSolution, list[LpSolution], _Bases] | None:
+        """:func:`_two_phase`'s results, each objective (over the system's
+        columns) solved from its stored basis, or ``None`` for the cold path:
+        when the key differs, a refactored basis is singular or not dual
+        feasible for the new objective, or the repair finds no entering column
+        or needs more than ``WARM_PIVOTS_PER_ROW`` pivots per row.  The
+        phase-1 outcome is ``feasible`` at the first witness, with no pivots.
         """
         if not self.fits(system, keep, len(objectives)):
             return None
@@ -417,71 +407,79 @@ class _WarmStart:
                 tab = _Tableau.factored(M, basis)
             except np.linalg.LinAlgError:
                 return None
-            costs = np.zeros(tab.art0)
-            costs[:n] = (-1.0 if sense == "maximize" else 1.0) * (objective if keep is None else objective[keep])
-            tab.set_costs(costs)
+            tab.set_costs((-1.0 if sense == "maximize" else 1.0) * objective)
             red = tab.T[-1, :-1]
             repaired = not (red < -PIVOT_TOL).any() and tab.repair(WARM_PIVOTS_PER_ROW * rows.size)
             # dual simplex pivots keep the reduced costs nonnegative; check that rounding did too
             if not repaired or (red < -PIVOT_TOL).any():
                 return None
             x = tab.solution_vector()[:n]
-            try:
-                witness = _certified(constraints, x if keep is None else _lift(x, keep), f"{sense} witness")
-            except SolverFailureError:
-                return None
-            solutions.append(LpSolution("optimal", float(objective @ witness), witness, tab.iterations))
+            solutions.append(LpSolution("optimal", float(objective @ x), x, tab.iterations))
             columns.append(np.array(tab.basis, dtype=np.intp))
-        self.bases = _Bases(rows, tuple(columns))
-        return LpSolution("feasible", 0.0, solutions[0].witness, 0), solutions
+        return LpSolution("feasible", 0.0, solutions[0].witness, 0), solutions, _Bases(rows, tuple(columns))
 
 
-def _presolved_two_phase(
+def _postsolve(
+    constraints: ConstraintSet,
+    objectives: Sequence[tuple[np.ndarray, str]],
+    system: ConstraintSet | _Rows,
+    keep: np.ndarray,
+    solved: tuple[LpSolution, list[LpSolution], _Bases | None],
+    warm: _WarmStart,
+) -> tuple[LpSolution, list[LpSolution]]:
+    """``solved``, a solve of ``system``, on the original rows: the phase-1
+    point and every optimal witness scattered through ``keep`` into full
+    vectors, each value ``objective @ witness`` over the full vector, and
+    each vector certified against ``constraints``.  Only then do the bases
+    replace those in ``warm``."""
+    phase1, solutions, bases = solved
+    if phase1.status == "feasible":
+        point = _certified(constraints, _lift(phase1.witness, keep), "phase-1 point")
+        phase1, lifted = LpSolution("feasible", 0.0, point, phase1.iterations), []
+        for (objective, sense), sol in zip(objectives, solutions):
+            if sol.status == "optimal":
+                witness = _certified(constraints, _lift(sol.witness, keep), f"{sense} witness")
+                sol = LpSolution("optimal", float(objective @ witness), witness, sol.iterations)
+            lifted.append(sol)
+        solutions = lifted
+    if bases is not None:
+        warm.store(system, keep, bases)
+    return phase1, solutions
+
+
+def _solve(
     constraints: ConstraintSet,
     objectives: Sequence[tuple[np.ndarray, str]],
     warm: _WarmStart | None = None,
 ) -> tuple[LpSolution, list[LpSolution]]:
-    """:func:`_two_phase` on the system :func:`_presolve` leaves, or on the
-    full system when it leaves none or the reduced phase 1 is infeasible.
+    """Phase 1 and one solution per ``(objective, sense)`` on the original
+    rows, through the one path of reduce, solve, lift and certify.
 
-    The reduced phase-1 point and witnesses are scattered back into full
-    vectors, each value is ``objective @ witness`` over the full vector, and
-    each vector is certified against the original rows.  Infeasibility
-    certificates always come from the full system.
-
-    Given ``warm``, the solve first tries :meth:`_WarmStart.resolve` on the
-    system the cold path would solve; on a cold solve the bases it ends on
-    replace those in ``warm``.
+    The system :func:`_presolve` leaves is solved from the bases in ``warm``
+    if they fit and their witnesses pass :func:`_postsolve`, and by
+    :func:`_two_phase` otherwise; an infeasible reduced phase 1 is solved
+    again on the full system, so infeasibility certificates always name
+    original rows.  Without ``warm`` the bases are kept nowhere.
     """
-    reduced = _presolve(constraints)
-    system, keep = reduced if reduced is not None else (constraints, None)
-    if warm is not None:
-        solved = warm.resolve(constraints, system, keep, objectives)
-        if solved is not None:
-            return solved
-    if reduced is not None:
-        reduced_objectives = [(objective[keep], sense) for objective, sense in objectives]
-        phase1, solutions, bases = _two_phase_bases(system, reduced_objectives)
-        if phase1.status == "feasible":
-            point = _certified(constraints, _lift(phase1.witness, keep), "phase-1 point")
-            lifted = []
-            for (objective, sense), sol in zip(objectives, solutions):
-                if sol.status == "optimal":
-                    witness = _certified(constraints, _lift(sol.witness, keep), f"{sense} witness")
-                    sol = LpSolution("optimal", float(objective @ witness), witness, sol.iterations)
-                lifted.append(sol)
-            if warm is not None:
-                warm.store(system, keep, bases)
-            return LpSolution("feasible", 0.0, point, phase1.iterations), lifted
-    phase1, solutions, bases = _two_phase_bases(constraints, objectives)
-    if warm is not None:
-        warm.store(constraints, None, bases)
-    return phase1, solutions
+    warm = _WarmStart() if warm is None else warm
+    system, keep = _presolve(constraints)
+    reduced = [(objective[keep], sense) for objective, sense in objectives]
+    solved = warm.resolve(system, keep, reduced)
+    if solved is not None:
+        try:
+            return _postsolve(constraints, objectives, system, keep, solved, warm)
+        except SolverFailureError:
+            pass  # a warm witness off its certificate: solve cold
+    solved = _two_phase(system, reduced)
+    if solved[0].status == "infeasible" and system is not constraints:
+        system, keep = constraints, np.ones_like(keep)
+        solved = _two_phase(system, objectives)
+    return _postsolve(constraints, objectives, system, keep, solved, warm)
 
 
 def solve(problem: LpProblem) -> LpSolution:
     """Two-phase simplex returning the optimum and a primal witness."""
-    phase1, solutions = _presolved_two_phase(problem.constraints, [(problem.objective, problem.sense)])
+    phase1, solutions = _solve(problem.constraints, [(problem.objective, problem.sense)])
     return solutions[0] if solutions else phase1
 
 
@@ -492,4 +490,4 @@ def check_feasible(constraints: ConstraintSet) -> LpSolution:
     (see :func:`_two_phase`); on feasibility the witness is a basic feasible
     point and ``iterations`` counts the phase-1 pivots.
     """
-    return _presolved_two_phase(constraints, [])[0]
+    return _solve(constraints, [])[0]

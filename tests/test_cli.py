@@ -336,6 +336,22 @@ def test_malformed_input_files_exit_1(tmp_path, capsys, truth_a):
         assert err.startswith("error: ")
 
 
+def test_negative_seed_and_sample_size_exit_1(tmp_path, capsys, truth_a):
+    truth = write_json(tmp_path / "truth.json", truth_a.to_json_dict())
+    simulate = ["simulate", "--truth", truth, "--reps", "2", "--query", event_query(tmp_path)]
+    bootstrap = ["bound", "--dims", "3,3", "--exp", exp_csv(tmp_path, truth_a, 50, seed=1),
+                 "--query", event_query(tmp_path), "--bootstrap", "3"]
+    cases = [
+        (simulate + ["--n", "5", "--seed", "-1"], "seed must be a nonnegative integer, got -1"),
+        (bootstrap + ["--seed", "-1"], "seed must be a nonnegative integer, got -1"),
+        (simulate + ["--n", "-1"], "need at least one draw per replicate, got n=-1"),
+    ]
+    for argv, message in cases:
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
 def test_malformed_values_exit_1_naming_the_file(tmp_path, capsys, truth_a):
     # non-numeric values, wrong container types and ragged tables end in
     # "error: <path>: ...", never in a traceback

@@ -69,6 +69,22 @@ def test_sample_from_truth_edge_cases(truth_b):
         pb.sample_from_truth(truth_b, 10, seed=0, kind="interventional")
 
 
+def test_negative_seeds_and_sizes_are_config_errors(truth_b):
+    dims = truth_b.dims
+    q = pb.build_event_query(dims, {0: 0})
+    sample = pb.sample_from_truth(truth_b, 10, 0, "experimental")
+    with pytest.raises(ConfigError, match="^seed must be a nonnegative integer, got -1$"):
+        pb.bootstrap(dims, q, replicates=3, seed=-1, exp_sample=sample)
+    with pytest.raises(ConfigError, match="^seed must be a nonnegative integer, got -1$"):
+        pb.simulation_study(truth_b, n=10, reps=2, seed=-1, query=q)
+    for n in (0, -1):
+        with pytest.raises(ConfigError, match=f"^need at least one draw per replicate, got n={n}$"):
+            pb.simulation_study(truth_b, n=n, reps=2, seed=0, query=q)
+    for kind in ("experimental", "observational"):
+        with pytest.raises(ConfigError, match="^sample size must be nonnegative, got -1$"):
+            pb.sample_from_truth(truth_b, -1, 0, kind)
+
+
 def test_bootstrap_single_replicate(truth_b):
     dims = truth_b.dims
     sample = pb.sample_from_truth(truth_b, 200, seed=5, kind="experimental")

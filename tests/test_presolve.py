@@ -81,7 +81,16 @@ def test_presolved_bound_equals_full_lp(case):
     res, cs, obj = solved(case)
     rows, keep = simplex._presolve(cs)
     assert keep.sum() < keep.size and len(rows.provenance) < len(cs)
-    phase1, (lo, hi) = simplex._two_phase(cs, [(obj, "minimize"), (obj, "maximize")])
+    # each kept row is an original row restricted to the kept columns, in order: a lifted
+    # vector, zero elsewhere, meets a kept row exactly when it meets the original one
+    originals = iter(range(len(cs)))
+    for i, tag in enumerate(rows.provenance):
+        assert any(
+            (cs.provenance[j], cs.kind[j], cs.rhs[j]) == (tag, rows.kind[i], rows.rhs[i])
+            and np.array_equal(cs.A[j, keep], rows.A[i])
+            for j in originals
+        ), tag
+    phase1, (lo, hi), _ = simplex._two_phase(cs, [(obj, "minimize"), (obj, "maximize")])
     assert res.status == "ok" and phase1.status == "feasible"
     assert res.lower == pytest.approx(lo.value, abs=1e-9)
     assert res.upper == pytest.approx(hi.value, abs=1e-9)
@@ -128,7 +137,7 @@ def test_infeasible_certificate_is_the_full_lps(name):
     cs = pb.assemble_constraints(dims, exp=exp, assumptions=assumptions)
     # the first two reduce and then fail in the reduced phase 1; the third leaves
     # an emptied row it cannot meet, so the presolve hands it to the full LP
-    assert (simplex._presolve(cs) is not None) == reduced
+    assert (simplex._presolve(cs)[0] is not cs) == reduced
     full = simplex._two_phase(cs, [])[0]
     assert full.status == "infeasible" and full.certificate
     res = pb.bound(dims, pb.build_event_query(dims, {0: 0}), exp=exp, assumptions=assumptions)
@@ -140,7 +149,8 @@ def test_infeasible_certificate_is_the_full_lps(name):
 def test_rows_below_their_minimum_are_left_to_the_full_lp():
     dims = pb.Dims(2, 2)
     cap = pb.ConstraintSet(dims, np.ones((1, 8)), [0.5], ["le"], ["monotone(0,upper)"])
-    assert simplex._presolve(pb.compile_base(dims).merge(cap)) is None
+    cs = pb.compile_base(dims).merge(cap)
+    assert simplex._presolve(cs)[0] is cs
 
 
 def test_satisfied_empty_rows_are_dropped():

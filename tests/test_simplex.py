@@ -80,7 +80,7 @@ def test_witness_feasibility(truth_a):
         dims, exp=truth_a.po_marginals(), obs=truth_a.xy_marginal(), assumptions=pb.preset("mtr", dims)
     )
     # the mtr row forces columns to zero, so bound() and solve() both run the presolve
-    assert simplex._presolve(cs) is not None
+    assert simplex._presolve(cs)[0] is not cs
     query = pb.build_event_query(dims, {0: 0, 1: 0, 2: 1})
     obj = pb.collapse_to_objective(query, dims)
     res = pb.bound(
@@ -222,10 +222,29 @@ PINNED = {
 }
 
 
-def pinned_instance(d_x, d_y, mix, kind, seed):
-    """The constraint set and objective of a query on the tables of a random
-    exogenous truth that meets the mix: ``share`` of its mass lies on
-    nondecreasing outcome vectors, all of it under mtr."""
+# bound() on the same instances, through the presolve: float.hex and witness
+# SHA-256 of the lower and upper endpoints.  The two exp+obs+mtr instances
+# reduce, so their witnesses and last bits differ from the full LP's above.
+PINNED_BOUND = {
+    (3, 3, "exp+obs+exogeneity", "event", 0): PINNED[3, 3, "exp+obs+exogeneity", "event", 0][1:],
+    (4, 3, "obs+exogeneity+prob_mtr", "moment", 1): PINNED[4, 3, "obs+exogeneity+prob_mtr", "moment", 1][1:],
+    (3, 4, "exp+obs+mtr", "posterior_effect", 2): (
+        ("0x0.0p+0", "60085b5bec437572027d97f527c15039cd14c3b2c0605fcf8dd0b0f566222991"),
+        ("0x1.0000000000000p+1", "5b6fd1453ca13eb45fe13c8175ba3e37f064d2d6f7f4aabdc5d7a4b13ff8d95a"),
+    ),
+    (4, 4, "exp+obs+exogeneity", "event", 3): PINNED[4, 4, "exp+obs+exogeneity", "event", 3][1:],
+    (5, 3, "obs+exogeneity+prob_mtr", "moment", 4): PINNED[5, 3, "obs+exogeneity+prob_mtr", "moment", 4][1:],
+    (3, 3, "exp+obs+mtr", "posterior_effect", 5): (
+        ("0x0.0p+0", "a7f3de84807bd383c6fbfc3161a21ae555899f0b3f89cacbd236f90c0b43c546"),
+        ("0x1.f9e8245c4ad32p-2", "46b6a0dafc35f25b953a16caab32dd5b5c84fa233b606fac2ba35501b7e08179"),
+    ),
+}
+
+
+def pinned_inputs(d_x, d_y, mix, kind, seed):
+    """``bound()``'s arguments for a query on the tables of a random exogenous
+    truth that meets the mix: ``share`` of its mass lies on nondecreasing
+    outcome vectors, all of it under mtr."""
     named, share = {
         "exp+obs+exogeneity": (None, 0.0),
         "obs+exogeneity+prob_mtr": ("prob_mtr(0.5,1.0)", 0.5),
@@ -248,6 +267,12 @@ def pinned_instance(d_x, d_y, mix, kind, seed):
         query = pb.build_moment_query(dims, 2, (1, 0))
     else:
         query = pb.build_posterior_effect_query(dims, (1, 0), (0, 1))
+    return dims, query, exp, obs, assumptions
+
+
+def pinned_instance(*case):
+    """The constraint set and objective of :func:`pinned_inputs`."""
+    dims, query, exp, obs, assumptions = pinned_inputs(*case)
     cs = pb.assemble_constraints(dims, exp=exp, obs=obs, assumptions=assumptions)
     obj = pb.bind_condition(query, obs) if query.condition else pb.collapse_to_objective(query, dims)
     return cs, obj
@@ -255,7 +280,7 @@ def pinned_instance(d_x, d_y, mix, kind, seed):
 
 def pivot_path(cs, obj):
     """Phase-1 pivots, then ``float.hex`` and witness SHA-256 of each endpoint."""
-    phase1, solutions = simplex._two_phase(cs, [(obj, "minimize"), (obj, "maximize")])
+    phase1, solutions, _ = simplex._two_phase(cs, [(obj, "minimize"), (obj, "maximize")])
     return (phase1.iterations,) + tuple(
         (float(s.value).hex(), hashlib.sha256(s.witness.tobytes()).hexdigest()) for s in solutions
     )
@@ -264,6 +289,14 @@ def pivot_path(cs, obj):
 @pytest.mark.parametrize("case", list(PINNED), ids=lambda c: f"{c[0]}x{c[1]}-{c[2]}-{c[3]}")
 def test_pivot_path_is_pinned(case):
     assert pivot_path(*pinned_instance(*case)) == PINNED[case]
+
+
+@pytest.mark.parametrize("case", list(PINNED_BOUND), ids=lambda c: f"{c[0]}x{c[1]}-{c[2]}-{c[3]}")
+def test_bound_bytes_are_pinned(case):
+    dims, query, exp, obs, assumptions = pinned_inputs(*case)
+    res = pb.bound(dims, query, exp=exp, obs=obs, assumptions=assumptions)
+    endpoints = ((res.lower, res.lower_witness), (res.upper, res.upper_witness))
+    assert tuple((v.hex(), hashlib.sha256(w.tobytes()).hexdigest()) for v, w in endpoints) == PINNED_BOUND[case]
 
 
 def test_iteration_limit_raises_with_a_detached_state(truth_a, monkeypatch):
@@ -291,7 +324,7 @@ def test_bounds_match_highs():
         d_x, d_y = (3, 3) if seed % 2 else (4, 3)
         for mix in ("exp+obs+exogeneity", "obs+exogeneity+prob_mtr", "exp+obs+mtr"):
             cs, obj = pinned_instance(d_x, d_y, mix, kinds[seed % 3], 100 + seed)
-            phase1, solutions = simplex._two_phase(cs, [(obj, "minimize"), (obj, "maximize")])
+            phase1, solutions, _ = simplex._two_phase(cs, [(obj, "minimize"), (obj, "maximize")])
             assert phase1.status == "feasible", (seed, mix)
             eq, le = cs.kind == "eq", cs.kind == "le"
             for sign, sol in zip((1.0, -1.0), solutions):

@@ -146,7 +146,37 @@ def test_a_stored_basis_serves_only_its_own_system():
     warm = simplex._WarmStart()
     system = pb.assemble_constraints(DIMS, obs=pb.ObservationalJoint(np.full((3, 3), 1 / 9)))
     objective = pb.collapse_to_objective(pb.build_event_query(DIMS, {0: 0}), DIMS)
-    simplex._presolved_two_phase(system, [(objective, "minimize")], warm)
-    assert warm.fits(system, None, 1)
-    assert not warm.fits(system, np.ones(DIMS.param_count(), dtype=bool), 1)
-    assert not warm.fits(system, None, 2)
+    simplex._solve(system, [(objective, "minimize")], warm)
+    everything = np.ones(DIMS.param_count(), dtype=bool)
+    one_dropped = everything.copy()
+    one_dropped[0] = False
+    assert warm.fits(system, everything, 1)
+    assert not warm.fits(system, one_dropped, 1)
+    assert not warm.fits(system, everything, 2)
+
+
+@pytest.mark.parametrize("call", ["bootstrap", "simulation_study"])
+def test_a_warm_witness_off_its_certificate_is_solved_cold(call, recorder, monkeypatch):
+    # the first vector a warm start serves is moved by 1e-6, which breaks the
+    # base-sum row: that replicate must run the cold two phases instead
+    honest_lift = simplex._lift
+    perturbed = []
+
+    def lift(x, keep):
+        full = honest_lift(x, keep)
+        if recorder and recorder[-1]["warm"] and not perturbed:
+            full[0] += 1e-6
+            perturbed.append(len(recorder) - 1)
+        return full
+
+    monkeypatch.setattr(simplex, "_lift", lift)
+    summary = run(call, "exp+obs+prob_mtr", 20)  # no SolverFailureError escapes
+    log = list(recorder)
+    assert len(log) == REPLICATES and summary.used + summary.excluded == REPLICATES
+    (i,) = perturbed
+    assert log[i]["warm"] and log[i]["phase1"] > 0
+    res, cold = log[i]["result"], cold_replay("exp+obs+prob_mtr", log[i]["tables"])
+    assert res.status == "ok" and cold is not None
+    assert abs(res.lower - cold.lower) <= 1e-9 and abs(res.upper - cold.upper) <= 1e-9
+    # every other replicate runs phase 1 exactly when the warm start did not serve it
+    assert all((entry["phase1"] > 0) == (not entry["warm"]) for j, entry in enumerate(log) if j != i)
