@@ -15,9 +15,11 @@ from .compile import (
     compile_experimental,
     compile_monotonicity,
     compile_observational,
+    experimental_rhs,
+    observational_rhs,
 )
 from .errors import ConfigError, PoboundsError
-from .model import AssumptionSet, Dims, ExperimentalMarginals, ObservationalJoint, QuerySpec
+from .model import AssumptionSet, Dims, ExperimentalMarginals, ObservationalJoint, QuerySpec, require_valid
 from .queries import bind_condition, collapse_to_objective
 
 
@@ -53,17 +55,19 @@ class BoundResult:
         return out
 
 
-def _relax_data_rows(cs: ConstraintSet, eps: float) -> ConstraintSet:
-    """Replace each data-equality row by |row - rhs| <= eps.
+def _relax_data_rows(
+    cs: ConstraintSet, data: np.ndarray, eps: float
+) -> tuple[ConstraintSet, np.ndarray, np.ndarray]:
+    """Replace each data-equality row (``data`` is their mask) by |row - rhs| <= eps.
 
     Opt-in escape hatch for sampling noise: relaxation applies to rows
     sourced from the experimental/observational tables only and is recorded
     in the provenance, never silent.  Each relaxed row becomes the pair
-    ``row <= rhs + eps`` and ``-row <= -(rhs - eps)`` in its place.
+    ``row <= rhs + eps`` and ``-row <= -(rhs - eps)`` in its place.  Returns
+    the relaxed set and the indices of the upper and of the lower copies.
     """
     if not np.isfinite(eps) or eps < 0:
         raise ConfigError(f"slack must be a finite nonnegative number, got {eps}")
-    data = (cs.kind == "eq") & np.array([tag.startswith(("experimental(", "observational(")) for tag in cs.provenance])
     rows = np.repeat(np.arange(len(cs)), np.where(data, 2, 1))
     lower = np.concatenate(([False], rows[1:] == rows[:-1]))  # second copy of a relaxed row
     upper = data[rows] & ~lower
@@ -72,17 +76,58 @@ def _relax_data_rows(cs: ConstraintSet, eps: float) -> ConstraintSet:
     rhs[upper] = rhs[upper] + eps
     rhs[lower] = -(rhs[lower] - eps)
     kind[data[rows]] = "le"
-    return ConstraintSet(cs.dims, A, rhs, kind, [cs.provenance[i] for i in rows])
+    relaxed = ConstraintSet(cs.dims, A, rhs, kind, [cs.provenance[i] for i in rows])
+    return relaxed, np.flatnonzero(upper), np.flatnonzero(lower)
 
 
-def assemble_constraints(
+@dataclass(frozen=True)
+class _Structure:
+    """The rows :func:`assemble_constraints` compiles, split from the tables
+    that set their right-hand side.
+
+    ``rows`` is the system compiled on the tables the structure was built
+    from: ``A``, ``kind`` and ``provenance``, checked once, and the
+    right-hand side.  :meth:`fill` gives the same rows on other tables:
+    entry ``j`` of their data vector goes to row ``upper[j]``; under
+    ``slack`` that row takes the entry plus ``slack`` and row ``lower[j]``
+    takes ``-(entry - slack)``.  No table entry enters ``A`` except
+    ``P(X=l)`` under exogeneity, so only an exogeneity structure belongs to
+    its tables.
+    """
+
+    rows: ConstraintSet
+    upper: np.ndarray
+    lower: np.ndarray
+    slack: float | None
+
+    def fill(self, exp: ExperimentalMarginals | None, obs: ObservationalJoint | None) -> ConstraintSet:
+        """The rows on these tables: the tables are validated, and only ``rhs`` is new."""
+        dims, data = self.rows.dims, []
+        if exp is not None:
+            require_valid(exp, dims)
+            data.append(experimental_rhs(exp))
+        if obs is not None:
+            require_valid(obs, dims)
+            data.append(observational_rhs(obs))
+        data = np.concatenate(data)
+        rhs = self.rows.rhs.copy()
+        if self.slack is None:
+            rhs[self.upper] = data
+        else:
+            rhs[self.upper] = data + self.slack
+            rhs[self.lower] = -(data - self.slack)
+        return self.rows.with_rhs(rhs)
+
+
+def _structure(
     dims: Dims,
-    exp: ExperimentalMarginals | None = None,
-    obs: ObservationalJoint | None = None,
-    assumptions: AssumptionSet | None = None,
-    slack: float | None = None,
-) -> ConstraintSet:
-    """Base + whatever data is available + exogeneity + monotone rows."""
+    exp: ExperimentalMarginals | None,
+    obs: ObservationalJoint | None,
+    assumptions: AssumptionSet | None,
+    slack: float | None,
+) -> _Structure:
+    """The structure of :func:`assemble_constraints` for these inputs, its
+    rows compiled on these tables: they are :func:`assemble_constraints`."""
     assumptions = assumptions or AssumptionSet()
     if exp is None and obs is None:
         raise ConfigError("need at least one of experimental or observational data")
@@ -97,9 +142,55 @@ def assemble_constraints(
         parts.append(compile_exogeneity(dims, obs))
     parts.append(compile_monotonicity(dims, assumptions))
     cs = compile_base(dims).merge(*parts)
-    if slack is not None:
-        cs = _relax_data_rows(cs, slack)
-    return cs
+    data = (cs.kind == "eq") & np.array([tag.startswith(("experimental(", "observational(")) for tag in cs.provenance])
+    if slack is None:
+        return _Structure(cs, np.flatnonzero(data), np.zeros(0, dtype=np.intp), None)
+    return _Structure(*_relax_data_rows(cs, data, slack), slack)
+
+
+def assemble_constraints(
+    dims: Dims,
+    exp: ExperimentalMarginals | None = None,
+    obs: ObservationalJoint | None = None,
+    assumptions: AssumptionSet | None = None,
+    slack: float | None = None,
+) -> ConstraintSet:
+    """Base + whatever data is available + exogeneity + monotone rows: the
+    rows of the structure compiled on these tables."""
+    return _structure(dims, exp, obs, assumptions, slack).rows
+
+
+class _Loop:
+    """What one replicate loop carries from one bound to the next: the last
+    structure compiled, and the final tableaux of the last solve in ``warm``.
+
+    A bound reuses the structure when its dims, tables present and ``slack``
+    equal the last bound's, its ``assumptions`` are the same object, and
+    they do not ask for exogeneity, whose rows hold ``P(X=l)`` in ``A``;
+    otherwise it compiles its own.
+    """
+
+    def __init__(self) -> None:
+        self.key: tuple | None = None
+        self.assumptions: AssumptionSet | None = None
+        self.structure: _Structure | None = None
+        self.warm = simplex._WarmStart()
+
+    def constraints(
+        self,
+        dims: Dims,
+        exp: ExperimentalMarginals | None,
+        obs: ObservationalJoint | None,
+        assumptions: AssumptionSet | None,
+        slack: float | None,
+    ) -> ConstraintSet:
+        key = (dims, exp is not None, obs is not None, slack)
+        exogeneity = assumptions is not None and assumptions.exogeneity
+        if self.structure is None or key != self.key or assumptions is not self.assumptions or exogeneity:
+            self.key, self.assumptions = key, assumptions
+            self.structure = _structure(dims, exp, obs, assumptions, slack)
+            return self.structure.rows
+        return self.structure.fill(exp, obs)
 
 
 def bound(
@@ -125,20 +216,21 @@ def _bound(
     obs: ObservationalJoint | None,
     assumptions: AssumptionSet | None,
     slack: float | None,
-    warm: simplex._WarmStart | None = None,
+    loop: _Loop | None = None,
 ) -> BoundResult:
-    """:func:`bound`, solved from the bases in ``warm`` where they apply
-    (see :func:`simplex._solve`); a replicate loop passes the same ``warm``
-    to each of its replicates."""
+    """:func:`bound`, on the structure ``loop`` compiled and from the
+    tableaux it keeps where they apply (see :func:`simplex._solve`); a
+    replicate loop passes the same ``loop`` to each of its replicates."""
     if query.condition is not None and obs is None:
         raise ConfigError("conditional queries need the observational table to bind the divisor")
-    cs = assemble_constraints(dims, exp=exp, obs=obs, assumptions=assumptions, slack=slack)
+    loop = _Loop() if loop is None else loop
+    cs = loop.constraints(dims, exp, obs, assumptions, slack)
     if query.condition is not None:
         objective = bind_condition(query, obs)
     else:
         objective = collapse_to_objective(query, dims)
 
-    phase1, solutions = simplex._solve(cs, [(objective, "minimize"), (objective, "maximize")], warm)
+    phase1, solutions = simplex._solve(cs, [(objective, "minimize"), (objective, "maximize")], loop.warm)
     if phase1.status == "infeasible":
         return BoundResult("infeasible", diagnostics=phase1.certificate)
     lo, hi = solutions

@@ -76,6 +76,22 @@ class ConstraintSet:
     def __len__(self) -> int:
         return len(self.provenance)
 
+    def with_rhs(self, rhs: np.ndarray) -> "ConstraintSet":
+        """The same rows with another right-hand side.  ``A``, ``kind`` and
+        ``provenance`` are this set's own objects, already checked; only
+        ``rhs`` is copied and checked."""
+        rhs = _frozen(np.array(rhs, dtype=float))
+        if rhs.shape != self.rhs.shape:
+            raise ValidationError(f"{len(self)} rows need rhs {self.rhs.shape}; got {rhs.shape}")
+        finite = np.isfinite(rhs)
+        if not finite.all():
+            raise ValidationError(f"non-finite entry in row {self.provenance[int(np.argmin(finite))]}")
+        cs = object.__new__(ConstraintSet)
+        for name, value in (("dims", self.dims), ("A", self.A), ("rhs", rhs), ("kind", self.kind),
+                            ("provenance", self.provenance)):
+            object.__setattr__(cs, name, value)
+        return cs
+
     def residuals(self, x: np.ndarray) -> np.ndarray:
         """Per-row violation by ``x``: ``|A x - rhs|`` on eq rows, the positive
         part of ``A x - rhs`` on le rows."""
@@ -100,6 +116,16 @@ def compile_base(dims: Dims) -> ConstraintSet:
     return ConstraintSet(dims, np.ones((1, dims.param_count())), [1.0], ["eq"], ["base-sum"])
 
 
+def experimental_rhs(exp: ExperimentalMarginals) -> np.ndarray:
+    """The right-hand sides of :func:`compile_experimental`'s rows, in row order."""
+    return exp.table[:, :-1].reshape(-1)
+
+
+def observational_rhs(obs: ObservationalJoint) -> np.ndarray:
+    """The right-hand sides of :func:`compile_observational`'s rows, in row order."""
+    return obs.table.reshape(-1)[:-1]
+
+
 def compile_experimental(dims: Dims, exp: ExperimentalMarginals) -> ConstraintSet:
     """Arm-marginal equalities, one per (arm, outcome) with the top outcome
     omitted: its row is implied by the base row and the others."""
@@ -108,7 +134,7 @@ def compile_experimental(dims: Dims, exp: ExperimentalMarginals) -> ConstraintSe
     levels = np.arange(dims.d_y - 1)
     A = (Y[:, None, :] == levels[None, :, None]).reshape(-1, dims.param_count())
     tags = [f"experimental({k},{j})" for k in range(dims.d_x) for j in range(dims.d_y - 1)]
-    return ConstraintSet(dims, A, exp.table[:, :-1].reshape(-1), ["eq"] * len(tags), tags)
+    return ConstraintSet(dims, A, experimental_rhs(exp), ["eq"] * len(tags), tags)
 
 
 def compile_observational(dims: Dims, obs: ObservationalJoint) -> ConstraintSet:
@@ -120,7 +146,7 @@ def compile_observational(dims: Dims, obs: ObservationalJoint) -> ConstraintSet:
     arms, levels = np.arange(dims.d_x), np.arange(dims.d_y)
     A = (X == arms[:, None, None]) & (factual == levels[None, :, None])
     tags = [f"observational({l},{m})" for l in range(dims.d_x) for m in range(dims.d_y)][:-1]
-    return ConstraintSet(dims, A.reshape(-1, X.size)[:-1], obs.table.reshape(-1)[:-1], ["eq"] * len(tags), tags)
+    return ConstraintSet(dims, A.reshape(-1, X.size)[:-1], observational_rhs(obs), ["eq"] * len(tags), tags)
 
 
 def compile_exogeneity(dims: Dims, obs: ObservationalJoint) -> ConstraintSet:

@@ -7,6 +7,7 @@ independently.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -14,7 +15,6 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import identify as identify_mod
-from . import simplex
 from .errors import (
     BootstrapFailureError,
     ConfigError,
@@ -68,26 +68,53 @@ class ObservationalSample:
                 raise ValidationError("outcome value out of range in records")
 
 
-def empirical_experimental(sample: ExperimentalSample) -> ExperimentalMarginals:
-    """Per-arm frequency tables."""
-    dims = sample.dims
+def _experimental_table(dims: Dims, arms: tuple[np.ndarray, ...]) -> ExperimentalMarginals:
+    """:func:`empirical_experimental` of arms already checked against ``dims``."""
     table = np.zeros((dims.d_x, dims.d_y))
-    for k, arm in enumerate(sample.arms):
+    for k, arm in enumerate(arms):
         if arm.size == 0:
             raise InsufficientDataError(f"arm {k} has no observations")
         table[k] = np.bincount(arm, minlength=dims.d_y) / arm.size
     return ExperimentalMarginals(table)
 
 
+def _observational_table(dims: Dims, records: np.ndarray) -> ObservationalJoint:
+    """:func:`empirical_observational` of records already checked against ``dims``."""
+    if records.shape[0] == 0:
+        raise InsufficientDataError("observational sample is empty")
+    counts = np.bincount(records[:, 0] * dims.d_y + records[:, 1], minlength=dims.d_x * dims.d_y)
+    return ObservationalJoint(counts.reshape(dims.d_x, dims.d_y) / records.shape[0])
+
+
+def empirical_experimental(sample: ExperimentalSample) -> ExperimentalMarginals:
+    """Per-arm frequency tables."""
+    return _experimental_table(sample.dims, sample.arms)
+
+
 def empirical_observational(sample: ObservationalSample) -> ObservationalJoint:
     """Cell frequencies of the factual pair."""
-    dims = sample.dims
-    rec = sample.records
-    if rec.shape[0] == 0:
-        raise InsufficientDataError("observational sample is empty")
-    table = np.zeros((dims.d_x, dims.d_y))
-    np.add.at(table, (rec[:, 0], rec[:, 1]), 1.0)
-    return ObservationalJoint(table / rec.shape[0])
+    return _observational_table(sample.dims, sample.records)
+
+
+def _check_seed(seed) -> None:
+    """Refuse a seed that is not a nonnegative integer, numpy's included."""
+    if isinstance(seed, (bool, np.bool_)) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ConfigError(f"seed must be a nonnegative integer, got {seed}")
+
+
+def _sampler(truth: SparseJointPO, kind: str) -> Callable[[np.random.Generator, int], np.ndarray | tuple]:
+    """``draw(rng, n)``: the arms (``experimental``) or the records
+    (``observational``) of :func:`sample_from_truth`, the same ``rng.choice``
+    calls on the truth's marginals, which are computed here once."""
+    dims = truth.dims
+    if kind == "experimental":
+        marg = truth.po_marginals().table
+        return lambda rng, n: tuple(rng.choice(dims.d_y, size=n, p=marg[k]) for k in range(dims.d_x))
+    if kind == "observational":
+        flat = truth.xy_marginal().table.reshape(-1)
+        p = flat / flat.sum()
+        return lambda rng, n: np.column_stack(np.divmod(rng.choice(flat.size, size=n, p=p), dims.d_y))
+    raise ConfigError(f"unknown sample kind {kind!r}")
 
 
 def sample_from_truth(
@@ -99,23 +126,16 @@ def sample_from_truth(
     """Seeded i.i.d. draws from a ground-truth joint.
 
     ``experimental`` draws ``n`` outcomes per arm from that arm's marginal;
-    ``observational`` draws ``n`` factual (x, y) pairs.
+    ``observational`` draws ``n`` factual (x, y) pairs.  ``seed`` is a
+    nonnegative integer or a ``SeedSequence``.
     """
     if n < 0:
         raise ConfigError(f"sample size must be nonnegative, got {n}")
-    rng = np.random.default_rng(seed)
-    dims = truth.dims
-    if kind == "experimental":
-        marg = truth.po_marginals().table
-        arms = tuple(rng.choice(dims.d_y, size=n, p=marg[k]) for k in range(dims.d_x))
-        return ExperimentalSample(dims, arms)
-    if kind == "observational":
-        xy = truth.xy_marginal().table
-        flat = xy.reshape(-1)
-        idx = rng.choice(flat.size, size=n, p=flat / flat.sum())
-        records = np.column_stack(np.divmod(idx, dims.d_y))
-        return ObservationalSample(dims, records)
-    raise ConfigError(f"unknown sample kind {kind!r}")
+    if not isinstance(seed, np.random.SeedSequence):
+        _check_seed(seed)
+    draws = _sampler(truth, kind)(np.random.default_rng(seed), n)
+    sample = ExperimentalSample if kind == "experimental" else ObservationalSample
+    return sample(truth.dims, draws)
 
 
 @dataclass(frozen=True)
@@ -165,14 +185,14 @@ def _one_estimate(
     exp: ExperimentalMarginals | None,
     obs: ObservationalJoint | None,
     slack: float | None,
-    warm: simplex._WarmStart,
+    loop: bounds_mod._Loop,
 ) -> dict[str, float] | None:
     """Endpoint values for one replicate, or None when it must be excluded
     (infeasible bound, a conditioning cell resampled to zero, identification
-    incompatibility).  Bounds start from the bases in ``warm``."""
+    incompatibility).  Bounds reuse the structure and tableaux in ``loop``."""
     if mode == "bound":
         try:
-            res = bounds_mod._bound(dims, query, exp, obs, assumptions, slack, warm)
+            res = bounds_mod._bound(dims, query, exp, obs, assumptions, slack, loop)
         except UndefinedConditionalError:
             return None
         if res.status != "ok":
@@ -198,22 +218,21 @@ def _replicate(
     count: int,
     seed: int,
     what: str,
-    draw: Callable[[np.random.SeedSequence, simplex._WarmStart], dict[str, float] | None],
+    draw: Callable[[np.random.SeedSequence, bounds_mod._Loop], dict[str, float] | None],
 ) -> ReplicationResult:
-    """Run ``draw(child, warm)`` once per child of the seed's sequence and summarize.
+    """Run ``draw(child, loop)`` once per child of the seed's sequence and summarize.
 
     ``draw`` returns one replicate's endpoint values, or None when the
-    replicate must be excluded; exclusions are counted.  ``warm`` carries
-    the optimal bases of one replicate's bounds to the next, and lives only
-    as long as this call.
+    replicate must be excluded; exclusions are counted.  ``loop`` carries
+    the compiled structure and the optimal tableaux of one replicate's
+    bounds to the next, and lives only as long as this call.
     """
-    if seed < 0:
-        raise ConfigError(f"seed must be a nonnegative integer, got {seed}")
+    _check_seed(seed)
     collected: dict[str, list[float]] = {}
     excluded = 0
-    warm = simplex._WarmStart()
+    loop = bounds_mod._Loop()
     for child in np.random.SeedSequence(seed).spawn(count):
-        values = draw(child, warm)
+        values = draw(child, loop)
         if values is None:
             excluded += 1
             continue
@@ -249,19 +268,18 @@ def bootstrap(
         raise ConfigError("need at least one bootstrap replicate")
     if exp_sample is None and obs_sample is None:
         raise ConfigError("bootstrap needs raw samples, not pre-aggregated tables")
+    # checked against dims once: a resample holds only values of its sample
+    arms = None if exp_sample is None else ExperimentalSample(dims, exp_sample.arms).arms
+    rec = None if obs_sample is None else ObservationalSample(dims, obs_sample.records).records
 
-    def draw(child: np.random.SeedSequence, warm: simplex._WarmStart) -> dict[str, float] | None:
+    def draw(child: np.random.SeedSequence, loop: bounds_mod._Loop) -> dict[str, float] | None:
         rng = np.random.default_rng(child)
         exp = obs = None
-        if exp_sample is not None:
-            arms = tuple(arm[rng.integers(0, arm.size, arm.size)] for arm in exp_sample.arms)
-            exp = empirical_experimental(ExperimentalSample(dims, arms))
-        if obs_sample is not None:
-            rec = obs_sample.records
-            obs = empirical_observational(
-                ObservationalSample(dims, rec[rng.integers(0, rec.shape[0], rec.shape[0])])
-            )
-        return _one_estimate(dims, mode, query, assumptions, exp, obs, slack, warm)
+        if arms is not None:
+            exp = _experimental_table(dims, tuple(arm[rng.integers(0, arm.size, arm.size)] for arm in arms))
+        if rec is not None:
+            obs = _observational_table(dims, rec[rng.integers(0, rec.shape[0], rec.shape[0])])
+        return _one_estimate(dims, mode, query, assumptions, exp, obs, slack, loop)
 
     return _replicate(replicates, seed, "bootstrap", draw)
 
@@ -296,13 +314,16 @@ def simulation_study(
     if mode == "identify" and data_kind == "both":
         raise ConfigError("identification needs exactly one data source; pick exp or obs")
 
-    def draw(child: np.random.SeedSequence, warm: simplex._WarmStart) -> dict[str, float] | None:
+    draw_exp = _sampler(truth, "experimental") if want_exp else None
+    draw_obs = _sampler(truth, "observational") if want_obs else None
+
+    def draw(child: np.random.SeedSequence, loop: bounds_mod._Loop) -> dict[str, float] | None:
         grand = child.spawn(2)
         exp = obs = None
-        if want_exp:
-            exp = empirical_experimental(sample_from_truth(truth, n, grand[0], "experimental"))
-        if want_obs:
-            obs = empirical_observational(sample_from_truth(truth, n, grand[1], "observational"))
-        return _one_estimate(dims, mode, query, assumptions, exp, obs, slack, warm)
+        if draw_exp is not None:
+            exp = _experimental_table(dims, draw_exp(np.random.default_rng(grand[0]), n))
+        if draw_obs is not None:
+            obs = _observational_table(dims, draw_obs(np.random.default_rng(grand[1]), n))
+        return _one_estimate(dims, mode, query, assumptions, exp, obs, slack, loop)
 
     return _replicate(reps, seed, "simulation", draw)

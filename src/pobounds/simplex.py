@@ -18,9 +18,12 @@ Every solve takes one path (:func:`_solve`): reduce, solve, lift, certify.
   system itself, when nothing reduces).
 * Solve.  Inside one replicate loop only ``rhs`` and the objectives move
   between solves, so :class:`_WarmStart` keeps each objective's final
-  basis and the next solve refactors it on the new right-hand side: the
-  basis stays dual feasible, and a few dual simplex pivots restore primal
-  feasibility (Huangfu & Hall 2018 describe the method in HiGHS).  Any
+  tableau and the next solve replaces only its right-hand side column,
+  solved afresh from the original basic columns (the right-hand-side
+  sensitivity analysis of Bertsimas & Tsitsiklis 1997, ch. 5).  The basis
+  stays dual feasible, a few dual simplex pivots restore primal
+  feasibility (Huangfu & Hall 2018 describe the method in HiGHS), and a
+  fresh dual check on the original columns accepts the final basis.  Any
   doubt sends the solve to the cold two phases of :func:`_two_phase`, and
   an infeasible reduced phase 1 to the full LP, whose certificate names
   the original rows.
@@ -82,14 +85,18 @@ class LpSolution:
 
 @dataclass(frozen=True)
 class _Rows:
-    """The arrays of a :class:`ConstraintSet` without its ``dims``, so that
-    ``A`` may have fewer columns than the model has parameters: the system a
-    presolve leaves."""
+    """The system a presolve leaves: the arrays of a :class:`ConstraintSet`
+    without its ``dims``, so that ``A`` may have fewer columns than the model
+    has parameters, with the masks of the ``rows`` and columns (``keep``) it
+    kept of the ``origin`` coefficient matrix."""
 
     A: np.ndarray
     rhs: np.ndarray
     kind: np.ndarray
     provenance: tuple[str, ...]
+    origin: np.ndarray
+    rows: np.ndarray
+    keep: np.ndarray
 
 
 def _standard_form(constraints: ConstraintSet | _Rows) -> np.ndarray:
@@ -180,20 +187,6 @@ class _Tableau:
         finally:
             self.basis = basis.tolist()
 
-    @classmethod
-    def factored(cls, M: np.ndarray, basis: np.ndarray) -> "_Tableau":
-        """``B⁻¹ M`` for rows ``M`` of a :func:`_standard_form`, where ``B`` is
-        their ``basis`` columns: the phase-2 tableau of that basis, with no
-        artificial columns.  Raises ``LinAlgError`` when ``B`` is singular."""
-        m = M.shape[0]
-        tab = cls.__new__(cls)
-        tab.m, tab.art0, tab.iterations = m, M.shape[1] - 1, 0
-        tab.T = np.zeros((m + 1, M.shape[1]))
-        tab.T[:-1] = np.linalg.solve(M[:, basis], M)
-        tab.T[:-1, basis] = np.eye(m)
-        tab.basis = basis.tolist()
-        return tab
-
     def repair(self, limit: int) -> bool:
         """Dual simplex: while some basic value is below ``-DEAD_TOL``, the most
         negative one leaves and the dual ratio test picks the entering column,
@@ -276,10 +269,11 @@ def _certified(constraints: ConstraintSet, x: np.ndarray, what: str) -> np.ndarr
 @dataclass(frozen=True)
 class _Bases:
     """Where a feasible solve ended: the rows ``drop_artificials`` kept, and
-    each objective's final basis as column indices into ``[A | slack]``."""
+    each objective's final tableau over ``[A | slack | rhs]`` on those rows,
+    its basis included."""
 
     rows: np.ndarray
-    columns: tuple[np.ndarray, ...]
+    tableaux: tuple[_Tableau, ...]
 
 
 def _two_phase(
@@ -310,7 +304,7 @@ def _two_phase(
         return feasible, [], None
 
     tab.drop_artificials()
-    solutions, columns = [], []
+    solutions, tableaux = [], []
     for objective, sense in objectives:
         branch = tab.copy()
         branch.set_costs((-1.0 if sense == "maximize" else 1.0) * objective)
@@ -319,15 +313,19 @@ def _two_phase(
             continue
         witness = branch.solution_vector()[:n]
         solutions.append(LpSolution("optimal", float(objective @ witness), witness, branch.iterations))
-        columns.append(np.array(branch.basis, dtype=np.intp))
-    bases = _Bases(np.array(tab.rows, dtype=np.intp), tuple(columns)) if len(columns) == len(objectives) else None
+        tableaux.append(branch)
+    bases = _Bases(np.array(tab.rows, dtype=np.intp), tuple(tableaux)) if len(tableaux) == len(objectives) else None
     return feasible, solutions, bases
 
 
-def _presolve(constraints: ConstraintSet) -> tuple[ConstraintSet | _Rows, np.ndarray]:
+def _presolve(
+    constraints: ConstraintSet, like: ConstraintSet | _Rows | None = None
+) -> tuple[ConstraintSet | _Rows, np.ndarray]:
     """The reduced system and the mask of the columns it keeps; the system
     itself and an all-True mask when no row forces a column to zero or the
-    reduction is left to the full LP.
+    reduction is left to the full LP.  When ``like`` is the reduction of the
+    same ``A`` object by the same masks, the reduced system shares its ``A``,
+    ``kind`` and ``provenance``.
 
     With the ``base-sum`` row ``sum(p) = 1`` and ``p >= 0``, every row has
     ``a . p >= min(a)``, so an ``le`` row with ``rhs == min(a)`` forces each
@@ -353,8 +351,11 @@ def _presolve(constraints: ConstraintSet) -> tuple[ConstraintSet | _Rows, np.nda
     if (empty & np.where(le, rhs < 0.0, rhs != 0.0)).any():
         return full
     rows = ~(forcing | empty)
+    if (isinstance(like, _Rows) and like.origin is A
+            and np.array_equal(like.rows, rows) and np.array_equal(like.keep, keep)):
+        return _Rows(like.A, rhs[rows], like.kind, like.provenance, A, rows, keep), keep
     provenance = tuple(tag for tag, kept in zip(constraints.provenance, rows) if kept)
-    return _Rows(sub[rows], rhs[rows], kind[rows], provenance), keep
+    return _Rows(sub[rows], rhs[rows], kind[rows], provenance, A, rows, keep), keep
 
 
 def _lift(x: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -364,59 +365,88 @@ def _lift(x: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return full
 
 
+def _reduced_costs(columns: np.ndarray, basis: list[int], costs: np.ndarray) -> np.ndarray:
+    """The reduced costs of ``basis`` for ``costs`` over the original
+    ``columns`` ``[A | slack]``, computed afresh: ``c - [A | slack]ᵀy`` where
+    ``Bᵀy = c_B``.  Raises ``LinAlgError`` when ``B`` is singular."""
+    return costs - columns.T @ np.linalg.solve(columns[:, basis].T, costs[basis])
+
+
 class _WarmStart:
-    """The bases that the last feasible solve through it ended on, and the key
-    of the system they belong to: its ``A``, ``kind`` and presolve column mask.
+    """The final tableaux of the last feasible solve through it, and the
+    system they belong to.
 
     One replicate loop owns one: between its solves only ``rhs`` and the
-    objectives move.  A solve whose system matches the key starts from the
-    stored bases (:meth:`resolve`); any other solve runs the cold two phases
-    and, if feasible, replaces them.
+    objectives move, and the system of each solve shares ``A`` and ``kind``,
+    the very objects, with the last.  A solve of such a system with the same
+    column mask starts from the stored tableaux (:meth:`resolve`); any other
+    solve runs the cold two phases and, if feasible, replaces them.
     """
 
     def __init__(self) -> None:
-        self.key: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self.system: ConstraintSet | _Rows | None = None
+        self.keep: np.ndarray | None = None
         self.bases: _Bases | None = None
+        self.columns: np.ndarray | None = None  # [A | slack] on the kept rows, built on first use
 
     def store(self, system: ConstraintSet | _Rows, keep: np.ndarray, bases: _Bases) -> None:
-        self.key, self.bases = (system.A, system.kind, keep), bases
+        if not (self.fits(system, keep, len(bases.tableaux)) and np.array_equal(bases.rows, self.bases.rows)):
+            self.columns = None
+        self.system, self.keep, self.bases = system, keep, bases
 
     def fits(self, system: ConstraintSet | _Rows, keep: np.ndarray, count: int) -> bool:
-        if self.key is None or len(self.bases.columns) != count:
-            return False
-        A, kind, mask = self.key
-        return np.array_equal(mask, keep) and np.array_equal(A, system.A) and np.array_equal(kind, system.kind)
+        return (
+            self.bases is not None
+            and len(self.bases.tableaux) == count
+            and system.A is self.system.A
+            and system.kind is self.system.kind
+            and np.array_equal(keep, self.keep)
+        )
 
     def resolve(
         self, system: ConstraintSet | _Rows, keep: np.ndarray, objectives: Sequence[tuple[np.ndarray, str]]
     ) -> tuple[LpSolution, list[LpSolution], _Bases] | None:
         """:func:`_two_phase`'s results, each objective (over the system's
-        columns) solved from its stored basis, or ``None`` for the cold path:
-        when the key differs, a refactored basis is singular or not dual
-        feasible for the new objective, or the repair finds no entering column
-        or needs more than ``WARM_PIVOTS_PER_ROW`` pivots per row.  The
-        phase-1 outcome is ``feasible`` at the first witness, with no pivots.
+        columns) solved from its stored tableau, or ``None`` for the cold path.
+
+        Only the right-hand side moves: the body ``B⁻¹[A | slack]`` is carried
+        over, while the basic values and the reduced costs are solved afresh
+        from the original basic columns (:func:`_reduced_costs`), so no drift
+        of the carried body can pass a basis off as optimal.  The cold path is
+        taken when the system is not the stored one, a basis is singular or
+        not dual feasible for the new objective, or the dual simplex repair
+        finds no entering column, needs more than ``WARM_PIVOTS_PER_ROW``
+        pivots per row or ends on a basis whose fresh reduced costs are not
+        all above ``-PIVOT_TOL``.  The phase-1 outcome is ``feasible`` at the
+        first witness, with no pivots.
         """
         if not self.fits(system, keep, len(objectives)):
             return None
         rows, n = self.bases.rows, system.A.shape[1]
-        M = _standard_form(system)[rows]
-        solutions, columns = [], []
-        for (objective, sense), basis in zip(objectives, self.bases.columns):
+        if self.columns is None:
+            self.columns = _standard_form(system)[rows, :-1]
+        columns, rhs = self.columns, system.rhs[rows]
+        solutions, tableaux = [], []
+        for (objective, sense), stored in zip(objectives, self.bases.tableaux):
+            tab = stored.copy()
+            tab.iterations = 0
+            costs = np.zeros(columns.shape[1])
+            costs[:n] = (-1.0 if sense == "maximize" else 1.0) * objective
             try:
-                tab = _Tableau.factored(M, basis)
+                x_B = tab.T[:-1, -1] = np.linalg.solve(columns[:, tab.basis], rhs)
+                tab.T[-1, :-1] = _reduced_costs(columns, tab.basis, costs)
+                tab.T[-1, -1] = -(costs[tab.basis] @ x_B)
+                if (tab.T[-1, :-1] < -PIVOT_TOL).any() or not tab.repair(WARM_PIVOTS_PER_ROW * rows.size):
+                    return None
+                # the pivots moved the basis on the carried body: check the final one afresh
+                if tab.iterations and (_reduced_costs(columns, tab.basis, costs) < -PIVOT_TOL).any():
+                    return None
             except np.linalg.LinAlgError:
-                return None
-            tab.set_costs((-1.0 if sense == "maximize" else 1.0) * objective)
-            red = tab.T[-1, :-1]
-            repaired = not (red < -PIVOT_TOL).any() and tab.repair(WARM_PIVOTS_PER_ROW * rows.size)
-            # dual simplex pivots keep the reduced costs nonnegative; check that rounding did too
-            if not repaired or (red < -PIVOT_TOL).any():
                 return None
             x = tab.solution_vector()[:n]
             solutions.append(LpSolution("optimal", float(objective @ x), x, tab.iterations))
-            columns.append(np.array(tab.basis, dtype=np.intp))
-        return LpSolution("feasible", 0.0, solutions[0].witness, 0), solutions, _Bases(rows, tuple(columns))
+            tableaux.append(tab)
+        return LpSolution("feasible", 0.0, solutions[0].witness, 0), solutions, _Bases(rows, tuple(tableaux))
 
 
 def _postsolve(
@@ -462,7 +492,7 @@ def _solve(
     original rows.  Without ``warm`` the bases are kept nowhere.
     """
     warm = _WarmStart() if warm is None else warm
-    system, keep = _presolve(constraints)
+    system, keep = _presolve(constraints, warm.system)
     reduced = [(objective[keep], sense) for objective, sense in objectives]
     solved = warm.resolve(system, keep, reduced)
     if solved is not None:

@@ -14,7 +14,15 @@ import numpy as np
 
 from pobounds.compile import ConstraintSet
 from pobounds.errors import MiteIncompatibleError, PoboundsError, UndefinedConditionalError, ValidationError
-from pobounds.model import Dims, ExperimentalMarginals, MonotoneTerm, ObservationalJoint, QuerySpec, require_valid
+from pobounds.model import (
+    AssumptionSet,
+    Dims,
+    ExperimentalMarginals,
+    MonotoneTerm,
+    ObservationalJoint,
+    QuerySpec,
+    require_valid,
+)
 from pobounds.queries import collapse_to_objective, condition_probability
 from pobounds.simplex import check_feasible
 
@@ -322,3 +330,60 @@ def reference_evaluate(dims: Dims, space: str, entries: dict, query: QuerySpec, 
             raise ValidationError("query depends on treatment assignment; evaluate it on a full-space joint")
         total += mass * float(row[0])
     return total / divisor
+
+
+def reference_rows(dims, exp=None, obs=None, assumptions=AssumptionSet(), slack=None):
+    """The per-cell loops the broadcast compile replaced, kept as its reference.
+
+    Returns dense ``(A, rhs, kind, provenance)`` in the order
+    :func:`pobounds.assemble_constraints` emits rows.
+    """
+    def flat(y_vec, x):
+        return flatten_index(CellIndex(y_vec, x), dims)
+
+    rows = [({i: 1.0 for i in range(dims.param_count())}, 1.0, "eq", "base-sum")]
+    if exp is not None:
+        for k in range(dims.d_x):
+            for j in range(dims.d_y - 1):
+                coeffs = {flat(y_vec, x): 1.0 for y_vec, x in cells(dims) if y_vec[k] == j}
+                rows.append((coeffs, float(exp.table[k, j]), "eq", f"experimental({k},{j})"))
+    if obs is not None:
+        for l in range(dims.d_x):
+            for m in range(dims.d_y):
+                if (l, m) == (dims.d_x - 1, dims.d_y - 1):
+                    continue
+                coeffs = {flat(y_vec, x): 1.0 for y_vec, x in cells(dims) if x == l and y_vec[l] == m}
+                rows.append((coeffs, float(obs.table[l, m]), "eq", f"observational({l},{m})"))
+    if assumptions.exogeneity:
+        px = obs.x_marginal()
+        for k in range(dims.d_x):
+            for v in range(dims.d_y):
+                for l in range(dims.d_x):
+                    if px[l] <= 0.0:
+                        continue
+                    coeffs = {}
+                    for y_vec, x in cells(dims):
+                        c = (1.0 if x == l else 0.0) - float(px[l])
+                        if y_vec[k] == v and c != 0.0:
+                            coeffs[flat(y_vec, x)] = c
+                    rows.append((coeffs, 0.0, "eq", f"exogeneity({k},{v},{l})"))
+    for w, term in enumerate(assumptions.terms):
+        admitted = [flat(y_vec, x) for y_vec, x in cells(dims) if admits(term, y_vec)]
+        if term.prob_upper < 1.0 and admitted:
+            rows.append(({i: 1.0 for i in admitted}, float(term.prob_upper), "le", f"monotone({w},upper)"))
+        if term.prob_lower > 0.0:
+            rows.append(({i: -1.0 for i in admitted}, -float(term.prob_lower), "le", f"monotone({w},lower)"))
+    if slack is not None:
+        relaxed = []
+        for coeffs, rhs, kind, tag in rows:
+            if kind == "eq" and tag.startswith(("experimental(", "observational(")):
+                relaxed.append((coeffs, rhs + slack, "le", tag))
+                relaxed.append(({i: -c for i, c in coeffs.items()}, -(rhs - slack), "le", tag))
+            else:
+                relaxed.append((coeffs, rhs, kind, tag))
+        rows = relaxed
+    A = np.zeros((len(rows), dims.param_count()))
+    for r, (coeffs, _, _, _) in enumerate(rows):
+        for i, c in coeffs.items():
+            A[r, i] = c
+    return A, np.array([r[1] for r in rows]), [r[2] for r in rows], [r[3] for r in rows]

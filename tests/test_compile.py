@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pobounds as pb
+from pobounds import bounds
 from pobounds.compile import ConstraintSet
 from pobounds.errors import ConfigError, ValidationError
 
-from oracles import CellIndex, admits, cells, constraint_residual, flatten_index
+from oracles import CellIndex, cells, constraint_residual, flatten_index, reference_rows
 
 
 def uniform_exp(dims):
@@ -274,69 +275,22 @@ def test_constraint_row_invariants():
         ConstraintSet(dims, np.zeros((1, 8)), [1.0], ["eq"], ["base-sum"])
 
 
-def reference_rows(dims, exp=None, obs=None, assumptions=pb.AssumptionSet(), slack=None):
-    """The per-cell loops the broadcast compile replaced, kept as its reference.
-
-    Returns dense ``(A, rhs, kind, provenance)`` in the order
-    :func:`pb.assemble_constraints` emits rows.
-    """
-    def flat(y_vec, x):
-        return flatten_index(CellIndex(y_vec, x), dims)
-
-    rows = [({i: 1.0 for i in range(dims.param_count())}, 1.0, "eq", "base-sum")]
-    if exp is not None:
-        for k in range(dims.d_x):
-            for j in range(dims.d_y - 1):
-                coeffs = {flat(y_vec, x): 1.0 for y_vec, x in cells(dims) if y_vec[k] == j}
-                rows.append((coeffs, float(exp.table[k, j]), "eq", f"experimental({k},{j})"))
-    if obs is not None:
-        for l in range(dims.d_x):
-            for m in range(dims.d_y):
-                if (l, m) == (dims.d_x - 1, dims.d_y - 1):
-                    continue
-                coeffs = {flat(y_vec, x): 1.0 for y_vec, x in cells(dims) if x == l and y_vec[l] == m}
-                rows.append((coeffs, float(obs.table[l, m]), "eq", f"observational({l},{m})"))
-    if assumptions.exogeneity:
-        px = obs.x_marginal()
-        for k in range(dims.d_x):
-            for v in range(dims.d_y):
-                for l in range(dims.d_x):
-                    if px[l] <= 0.0:
-                        continue
-                    coeffs = {}
-                    for y_vec, x in cells(dims):
-                        c = (1.0 if x == l else 0.0) - float(px[l])
-                        if y_vec[k] == v and c != 0.0:
-                            coeffs[flat(y_vec, x)] = c
-                    rows.append((coeffs, 0.0, "eq", f"exogeneity({k},{v},{l})"))
-    for w, term in enumerate(assumptions.terms):
-        admitted = [flat(y_vec, x) for y_vec, x in cells(dims) if admits(term, y_vec)]
-        if term.prob_upper < 1.0 and admitted:
-            rows.append(({i: 1.0 for i in admitted}, float(term.prob_upper), "le", f"monotone({w},upper)"))
-        if term.prob_lower > 0.0:
-            rows.append(({i: -1.0 for i in admitted}, -float(term.prob_lower), "le", f"monotone({w},lower)"))
-    if slack is not None:
-        relaxed = []
-        for coeffs, rhs, kind, tag in rows:
-            if kind == "eq" and tag.startswith(("experimental(", "observational(")):
-                relaxed.append((coeffs, rhs + slack, "le", tag))
-                relaxed.append(({i: -c for i, c in coeffs.items()}, -(rhs - slack), "le", tag))
-            else:
-                relaxed.append((coeffs, rhs, kind, tag))
-        rows = relaxed
-    A = np.zeros((len(rows), dims.param_count()))
-    for r, (coeffs, _, _, _) in enumerate(rows):
-        for i, c in coeffs.items():
-            A[r, i] = c
-    return A, np.array([r[1] for r in rows]), [r[2] for r in rows], [r[3] for r in rows]
+def test_with_rhs_shares_the_rows_and_checks_only_rhs():
+    dims = pb.Dims(2, 2)
+    cs = pb.compile_base(dims).merge(pb.compile_experimental(dims, uniform_exp(dims)))
+    moved = cs.with_rhs([1.0, 0.25, 0.75])
+    assert moved.A is cs.A and moved.kind is cs.kind and moved.provenance is cs.provenance
+    assert moved.rhs.tolist() == [1.0, 0.25, 0.75] and not moved.rhs.flags.writeable
+    with pytest.raises(ValidationError, match="non-finite entry in row experimental\\(1,0\\)"):
+        cs.with_rhs([1.0, 0.25, np.inf])
+    with pytest.raises(ValidationError, match="3 rows need rhs"):
+        cs.with_rhs([1.0, 0.25])
 
 
-@pytest.mark.parametrize("d", [(2, 2), (2, 3), (3, 3), (4, 3)])
-def test_compile_matches_per_cell_reference(d):
-    # bit for bit, signed zeros included: the tableau, every pivot and every
-    # witness depend on these exact floats
-    dims = pb.Dims(*d)
-    rng = np.random.default_rng(sum(d))
+def reference_cases(dims, seed):
+    """Input sets over tables of a random joint: exogeneity with and without a
+    degenerate arm, ``prob_mtr``, ``mite`` and ``slack``."""
+    rng = np.random.default_rng(seed)
     p = rng.dirichlet(np.ones(dims.param_count()))
     exp_table = np.zeros((dims.d_x, dims.d_y))
     obs_table = np.zeros((dims.d_x, dims.d_y))
@@ -350,22 +304,55 @@ def test_compile_matches_per_cell_reference(d):
     degenerate[0] = 0.0
     degenerate_obs = pb.ObservationalJoint(degenerate / degenerate.sum())
     prob_mtr = pb.preset("prob_mtr(0.3,0.9)", dims)
-    cases = [
+    return [
         dict(exp=exp, obs=obs, assumptions=pb.AssumptionSet(exogeneity=True)),
         dict(obs=degenerate_obs, assumptions=pb.AssumptionSet(exogeneity=True)),
         dict(exp=exp, obs=obs, assumptions=prob_mtr.with_exogeneity()),
         dict(exp=exp, assumptions=pb.preset("mite", dims)),
         dict(exp=exp, obs=obs, assumptions=prob_mtr, slack=0.05),
     ]
-    for case in cases:
+
+
+def assert_matches_reference(cs, dims, case):
+    A, rhs, kind, provenance = reference_rows(dims, **case)
+    assert cs.A.tobytes() == A.tobytes()
+    assert cs.rhs.tobytes() == rhs.tobytes()
+    assert list(cs.kind) == kind
+    assert list(cs.provenance) == provenance
+
+
+@pytest.mark.parametrize("d", [(2, 2), (2, 3), (3, 3), (4, 3)])
+def test_compile_matches_per_cell_reference(d):
+    # bit for bit, signed zeros included: the tableau, every pivot and every
+    # witness depend on these exact floats
+    dims = pb.Dims(*d)
+    for case in reference_cases(dims, sum(d)):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # the degenerate arm warns
             cs = pb.assemble_constraints(dims, **case)
-        A, rhs, kind, provenance = reference_rows(dims, **case)
-        assert cs.A.tobytes() == A.tobytes()
-        assert cs.rhs.tobytes() == rhs.tobytes()
-        assert list(cs.kind) == kind
-        assert list(cs.provenance) == provenance
+        assert_matches_reference(cs, dims, case)
+
+
+@pytest.mark.parametrize("d", [(2, 2), (2, 3), (3, 3), (4, 3)])
+def test_structure_filled_with_other_tables_matches_reference(d):
+    # a replicate loop compiles the structure on its first tables and then only
+    # fills in the right-hand side: bit for bit the rows compiled on the new
+    # tables, except under exogeneity, where P(X=l) sits in A and the
+    # structure belongs to its own tables
+    dims = pb.Dims(*d)
+    for first, case in zip(reference_cases(dims, sum(d)), reference_cases(dims, 100 + sum(d))):
+        args = case if case["assumptions"].exogeneity else first
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the degenerate arm warns
+            structure = bounds._structure(dims, args.get("exp"), args.get("obs"), args["assumptions"],
+                                          args.get("slack"))
+        cs = structure.fill(case.get("exp"), case.get("obs"))
+        assert_matches_reference(cs, dims, case)
+        assert cs.A is structure.rows.A and cs.kind is structure.rows.kind
+    bad = np.full((dims.d_x, dims.d_y), 1 / dims.d_y)
+    bad[0, 0] = np.nan
+    with pytest.raises(ValidationError, match="invalid experimental table"):
+        structure.fill(pb.ExperimentalMarginals(bad), case.get("obs"))
 
 
 def test_monotonicity_unsatisfiable_event():

@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 import pobounds as pb
+from pobounds import bounds
 from pobounds.errors import BootstrapFailureError, ConfigError, InsufficientDataError, ValidationError
 
 
@@ -83,6 +86,77 @@ def test_negative_seeds_and_sizes_are_config_errors(truth_b):
     for kind in ("experimental", "observational"):
         with pytest.raises(ConfigError, match="^sample size must be nonnegative, got -1$"):
             pb.sample_from_truth(truth_b, -1, 0, kind)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "3", None])
+def test_seeds_that_are_not_nonnegative_integers_are_config_errors(truth_b, seed):
+    dims = truth_b.dims
+    q = pb.build_event_query(dims, {0: 0})
+    sample = pb.sample_from_truth(truth_b, 10, 0, "experimental")
+    message = f"^seed must be a nonnegative integer, got {re.escape(str(seed))}$"
+    for kind in ("experimental", "observational"):
+        with pytest.raises(ConfigError, match=message):
+            pb.sample_from_truth(truth_b, 5, seed, kind)
+    with pytest.raises(ConfigError, match=message):
+        pb.bootstrap(dims, q, replicates=3, seed=seed, exp_sample=sample)
+    with pytest.raises(ConfigError, match=message):
+        pb.simulation_study(truth_b, n=10, reps=2, seed=seed, query=q)
+
+
+def test_integer_and_sequence_seeds_are_accepted(truth_b):
+    by_int = pb.sample_from_truth(truth_b, 20, 4, "observational")
+    by_numpy_int = pb.sample_from_truth(truth_b, 20, np.int64(4), "observational")
+    by_sequence = pb.sample_from_truth(truth_b, 20, np.random.SeedSequence(4), "observational")
+    assert np.array_equal(by_int.records, by_numpy_int.records)
+    assert np.array_equal(by_int.records, by_sequence.records)
+    q = pb.build_event_query(truth_b.dims, {0: 0})
+    res = pb.simulation_study(truth_b, n=10, reps=2, seed=np.int64(3), query=q)
+    assert res.used + res.excluded == 2
+
+
+def test_observational_frequencies_match_the_unbuffered_reference():
+    # counts by bincount, not np.add.at: the floats must be the same
+    dims = pb.Dims(3, 4)
+    rng = np.random.default_rng(11)
+    for n in (1, 7, 1000):
+        records = np.column_stack([rng.integers(0, 3, n), rng.integers(0, 4, n)])
+        table = np.zeros((3, 4))
+        np.add.at(table, (records[:, 0], records[:, 1]), 1.0)
+        got = pb.empirical_observational(pb.ObservationalSample(dims, records)).table
+        assert got.tobytes() == (table / n).tobytes()
+
+
+def test_bootstrap_checks_its_samples_against_dims_once():
+    three = pb.ExperimentalSample(pb.Dims(3, 2), (np.array([0, 1]),) * 3)
+    dims = pb.Dims(2, 2)
+    with pytest.raises(ValidationError, match="expected 2 arms, got 3"):
+        pb.bootstrap(dims, pb.build_event_query(dims, {0: 0}), 3, 0, exp_sample=three)
+
+
+@pytest.mark.parametrize("exogeneity", [False, True])
+def test_a_replicate_loop_compiles_its_structure_once(truth_a, monkeypatch, exogeneity):
+    # only the right-hand side moves between replicates, unless exogeneity
+    # puts P(X=l) into A: then every replicate compiles its own rows
+    dims = truth_a.dims
+    honest, built = bounds._structure, []
+
+    def structure(*args):
+        built.append(args)
+        return honest(*args)
+
+    monkeypatch.setattr(bounds, "_structure", structure)
+    assumptions = pb.preset("prob_mtr(0.5,1.0)", dims).with_exogeneity(exogeneity)
+    q = pb.build_event_query(dims, {0: 0, 1: 1})
+    obs_sample = pb.sample_from_truth(truth_a, 400, 5, "observational")
+    exp_sample = None if exogeneity else pb.sample_from_truth(truth_a, 400, 6, "experimental")
+    res = pb.bootstrap(dims, q, 8, 2, exp_sample=exp_sample, obs_sample=obs_sample, assumptions=assumptions)
+    assert res.used + res.excluded == 8
+    assert len(built) == (8 if exogeneity else 1)
+    built.clear()
+    res = pb.simulation_study(truth_a, 400, 8, 2, q, data_kind="obs" if exogeneity else "both",
+                              assumptions=assumptions)
+    assert res.used + res.excluded == 8
+    assert len(built) == (8 if exogeneity else 1)
 
 
 def test_bootstrap_single_replicate(truth_b):
