@@ -34,6 +34,25 @@ from .model import (
 )
 
 
+def _integral(values, what: str) -> np.ndarray:
+    """``values`` as an integer array, without a copy when they already are
+    one; a value that is not a whole number is refused, never truncated,
+    with an error naming ``what`` and, for a table of records, the row."""
+    arr = np.asarray(values)
+    if arr.dtype.kind in "iub":
+        return np.asarray(arr, dtype=int)
+    try:
+        real = np.asarray(arr, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{what} holds values that are not numbers") from None
+    bad = np.argwhere(~(np.isfinite(real) & (real == np.floor(real))))
+    if bad.size:
+        at = tuple(bad[0].tolist())
+        where = f"{what} row {at[0]}" if real.ndim == 2 else what
+        raise ValidationError(f"{where} holds {float(real[at])!r}, which is not an integer")
+    return real.astype(int)
+
+
 @dataclass(frozen=True)
 class ExperimentalSample:
     """Raw per-arm outcome draws: ``arms[k]`` holds outcomes under do(X=k)."""
@@ -42,7 +61,7 @@ class ExperimentalSample:
     arms: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        arms = tuple(np.asarray(a, dtype=int) for a in self.arms)
+        arms = tuple(_integral(a, f"arm {k}") for k, a in enumerate(self.arms))
         object.__setattr__(self, "arms", arms)
         if len(arms) != self.dims.d_x:
             raise ValidationError(f"expected {self.dims.d_x} arms, got {len(arms)}")
@@ -59,7 +78,7 @@ class ObservationalSample:
     records: np.ndarray
 
     def __post_init__(self):
-        rec = np.asarray(self.records, dtype=int).reshape(-1, 2)
+        rec = _integral(np.reshape(self.records, (-1, 2)), "records")
         object.__setattr__(self, "records", rec)
         if rec.size:
             if rec[:, 0].min() < 0 or rec[:, 0].max() >= self.dims.d_x:
@@ -78,12 +97,13 @@ def _experimental_table(dims: Dims, arms: tuple[np.ndarray, ...]) -> Experimenta
     return ExperimentalMarginals(table)
 
 
-def _observational_table(dims: Dims, records: np.ndarray) -> ObservationalJoint:
-    """:func:`empirical_observational` of records already checked against ``dims``."""
-    if records.shape[0] == 0:
+def _cell_table(dims: Dims, cells: np.ndarray) -> ObservationalJoint:
+    """:func:`empirical_observational` of records checked against ``dims``,
+    given by their flat cells ``x * d_y + y``."""
+    if cells.size == 0:
         raise InsufficientDataError("observational sample is empty")
-    counts = np.bincount(records[:, 0] * dims.d_y + records[:, 1], minlength=dims.d_x * dims.d_y)
-    return ObservationalJoint(counts.reshape(dims.d_x, dims.d_y) / records.shape[0])
+    counts = np.bincount(cells, minlength=dims.d_x * dims.d_y)
+    return ObservationalJoint(counts.reshape(dims.d_x, dims.d_y) / cells.size)
 
 
 def empirical_experimental(sample: ExperimentalSample) -> ExperimentalMarginals:
@@ -93,7 +113,8 @@ def empirical_experimental(sample: ExperimentalSample) -> ExperimentalMarginals:
 
 def empirical_observational(sample: ObservationalSample) -> ObservationalJoint:
     """Cell frequencies of the factual pair."""
-    return _observational_table(sample.dims, sample.records)
+    rec = sample.records
+    return _cell_table(sample.dims, rec[:, 0] * sample.dims.d_y + rec[:, 1])
 
 
 def _check_seed(seed) -> None:
@@ -102,18 +123,39 @@ def _check_seed(seed) -> None:
         raise ConfigError(f"seed must be a nonnegative integer, got {seed}")
 
 
+def _check_count(value, what: str) -> None:
+    """Refuse a count that is not an integer, numpy's included: a bool or a
+    float is never truncated or taken for one."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+
+
+def _cdf(p: np.ndarray) -> np.ndarray:
+    """The cumulative table ``Generator.choice`` searches for probabilities ``p``."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
 def _sampler(truth: SparseJointPO, kind: str) -> Callable[[np.random.Generator, int], np.ndarray | tuple]:
-    """``draw(rng, n)``: the arms (``experimental``) or the records
-    (``observational``) of :func:`sample_from_truth`, the same ``rng.choice``
-    calls on the truth's marginals, which are computed here once."""
-    dims = truth.dims
+    """``draw(rng, n)``: the arms (``experimental``) of :func:`sample_from_truth`,
+    or the flat cells ``x * d_y + y`` of its records (``observational``).
+
+    Each draw is ``rng.choice(k, size=n, p=p)`` on the truth's marginals,
+    which are computed here once, as numpy computes it: the cumulative
+    table of ``p`` searched at ``rng.random(n)``, so the stream and the
+    draws are the same.  The table is built once instead of per call, and
+    ``p`` is not checked again per call: the marginals of a valid joint are
+    nonnegative and sum to 1 within ``MASS_SUM_TOL``, inside ``choice``'s
+    tolerance.
+    """
     if kind == "experimental":
-        marg = truth.po_marginals().table
-        return lambda rng, n: tuple(rng.choice(dims.d_y, size=n, p=marg[k]) for k in range(dims.d_x))
+        cdfs = [_cdf(row) for row in truth.po_marginals().table]
+        return lambda rng, n: tuple(cdf.searchsorted(rng.random(n), side="right") for cdf in cdfs)
     if kind == "observational":
         flat = truth.xy_marginal().table.reshape(-1)
-        p = flat / flat.sum()
-        return lambda rng, n: np.column_stack(np.divmod(rng.choice(flat.size, size=n, p=p), dims.d_y))
+        cdf = _cdf(flat / flat.sum())
+        return lambda rng, n: cdf.searchsorted(rng.random(n), side="right")
     raise ConfigError(f"unknown sample kind {kind!r}")
 
 
@@ -129,13 +171,15 @@ def sample_from_truth(
     ``observational`` draws ``n`` factual (x, y) pairs.  ``seed`` is a
     nonnegative integer or a ``SeedSequence``.
     """
+    _check_count(n, "sample size")
     if n < 0:
         raise ConfigError(f"sample size must be nonnegative, got {n}")
     if not isinstance(seed, np.random.SeedSequence):
         _check_seed(seed)
     draws = _sampler(truth, kind)(np.random.default_rng(seed), n)
-    sample = ExperimentalSample if kind == "experimental" else ObservationalSample
-    return sample(truth.dims, draws)
+    if kind == "experimental":
+        return ExperimentalSample(truth.dims, draws)
+    return ObservationalSample(truth.dims, np.column_stack(np.divmod(draws, truth.dims.d_y)))
 
 
 @dataclass(frozen=True)
@@ -264,21 +308,24 @@ def bootstrap(
     Reports the mean and the equal-tailed 95% percentile interval per
     endpoint.
     """
+    _check_count(replicates, "replicates")
     if replicates < 1:
         raise ConfigError("need at least one bootstrap replicate")
     if exp_sample is None and obs_sample is None:
         raise ConfigError("bootstrap needs raw samples, not pre-aggregated tables")
     # checked against dims once: a resample holds only values of its sample
     arms = None if exp_sample is None else ExperimentalSample(dims, exp_sample.arms).arms
-    rec = None if obs_sample is None else ObservationalSample(dims, obs_sample.records).records
+    if obs_sample is not None:
+        rec = ObservationalSample(dims, obs_sample.records).records
+        cells = rec[:, 0] * dims.d_y + rec[:, 1]  # resampling records resamples their cells
 
     def draw(child: np.random.SeedSequence, loop: bounds_mod._Loop) -> dict[str, float] | None:
         rng = np.random.default_rng(child)
         exp = obs = None
         if arms is not None:
             exp = _experimental_table(dims, tuple(arm[rng.integers(0, arm.size, arm.size)] for arm in arms))
-        if rec is not None:
-            obs = _observational_table(dims, rec[rng.integers(0, rec.shape[0], rec.shape[0])])
+        if obs_sample is not None:
+            obs = _cell_table(dims, cells[rng.integers(0, cells.size, cells.size)])
         return _one_estimate(dims, mode, query, assumptions, exp, obs, slack, loop)
 
     return _replicate(replicates, seed, "bootstrap", draw)
@@ -302,8 +349,10 @@ def simulation_study(
     requested endpoints.  Replicates excluded as in :func:`bootstrap` are
     counted.
     """
+    _check_count(reps, "reps")
     if reps < 1:
         raise ConfigError("need at least one replicate")
+    _check_count(n, "n")
     if n < 1:
         raise ConfigError(f"need at least one draw per replicate, got n={n}")
     dims = truth.dims
@@ -323,7 +372,7 @@ def simulation_study(
         if draw_exp is not None:
             exp = _experimental_table(dims, draw_exp(np.random.default_rng(grand[0]), n))
         if draw_obs is not None:
-            obs = _observational_table(dims, draw_obs(np.random.default_rng(grand[1]), n))
+            obs = _cell_table(dims, draw_obs(np.random.default_rng(grand[1]), n))
         return _one_estimate(dims, mode, query, assumptions, exp, obs, slack, loop)
 
     return _replicate(reps, seed, "simulation", draw)

@@ -162,14 +162,14 @@ def validate_distribution(dist: ExperimentalMarginals | ObservationalJoint, dims
     if table.shape != (dims.d_x, dims.d_y):
         raise ValidationError(f"table shape {table.shape} does not match dims ({dims.d_x}, {dims.d_y})")
     report = []
-    for (i, j), v in np.ndenumerate(table):
-        if not 0 <= v <= 1:  # also catches nan
-            report.append(f"entry ({i},{j}) = {v:.6g} outside [0, 1]")
+    if not (table.min() >= 0.0 and table.max() <= 1.0):  # NaN fails both
+        outside = np.argwhere(~((table >= 0.0) & (table <= 1.0))).tolist()  # row-major order
+        report += [f"entry ({i},{j}) = {table[i, j]:.6g} outside [0, 1]" for i, j in outside]
     if isinstance(dist, ExperimentalMarginals):
-        for k in range(dims.d_x):
-            s = float(table[k].sum())
-            if abs(s - 1.0) > SUM_TOL:
-                report.append(f"arm {k} sums to {s:.12g}, expected 1")
+        sums = table.sum(axis=1)
+        off = np.abs(sums - 1.0) > SUM_TOL
+        if off.any():
+            report += [f"arm {k} sums to {sums[k]:.12g}, expected 1" for k in np.flatnonzero(off)]
     else:
         s = float(table.sum())
         if abs(s - 1.0) > SUM_TOL:

@@ -18,26 +18,27 @@ Every solve takes one path (:func:`_solve`): reduce, solve, lift, certify.
   system itself, when nothing reduces).
 * Solve.  Inside one replicate loop only ``rhs`` and the objectives move
   between solves, so :class:`_WarmStart` keeps each objective's final
-  tableau and the next solve replaces only its right-hand side column,
-  solved afresh from the original basic columns (the right-hand-side
+  tableau, its basis priced afresh on the original columns, and the next
+  solve needs only the basic values ``B⁻¹rhs`` (the right-hand-side
   sensitivity analysis of Bertsimas & Tsitsiklis 1997, ch. 5).  The basis
   stays dual feasible, a few dual simplex pivots restore primal
   feasibility (Huangfu & Hall 2018 describe the method in HiGHS), and a
-  fresh dual check on the original columns accepts the final basis.  Any
+  fresh dual check on the original columns accepts the final basis.  A
+  pivot row with no entering column excludes the solve as infeasible
+  once its Farkas ray, solved afresh, passes on the original rows.  Any
   doubt sends the solve to the cold two phases of :func:`_two_phase`, and
   an infeasible reduced phase 1 to the full LP, whose certificate names
   the original rows.
-* Lift and certify.  Each vector is scattered back through the mask, its
-  value is the objective over the full vector, and it must satisfy the
-  original rows (:func:`_postsolve`).  Every kept row is an original row
-  restricted to the kept columns and the lifted vector is zero elsewhere,
-  so this one check covers the reduced system too (Andersen & Andersen
-  1995 describe the reduce-then-postsolve structure).
+* Lift and certify.  Each distinct vector is scattered back through the
+  mask, its value is the objective over the full vector, and it must
+  satisfy the original rows (:func:`_postsolve`).  Every kept row is an
+  original row restricted to the kept columns and the lifted vector is
+  zero elsewhere, so this one check covers the reduced system too
+  (Andersen & Andersen 1995 describe the reduce-then-postsolve structure).
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -130,9 +131,11 @@ class _Tableau:
         self.T = T
         self.basis = [self.art0 + i for i in range(m)]
         self.iterations = 0
+        self.priced: _Priced | None = None  # set by a warm solve
 
     def copy(self) -> "_Tableau":
-        tab = copy.copy(self)
+        tab = object.__new__(_Tableau)
+        tab.__dict__.update(self.__dict__)
         tab.T = self.T.copy()
         tab.basis = list(self.basis)
         return tab
@@ -187,12 +190,13 @@ class _Tableau:
         finally:
             self.basis = basis.tolist()
 
-    def repair(self, limit: int) -> bool:
+    def repair(self, limit: int) -> tuple[bool, int | None]:
         """Dual simplex: while some basic value is below ``-DEAD_TOL``, the most
         negative one leaves and the dual ratio test picks the entering column,
-        ties to the lowest index.  True once the basis is primal feasible; False
-        when no column may enter (the rows are infeasible, or only entries
-        below ``PIVOT_TOL`` could pivot) or ``limit`` pivots did not suffice."""
+        ties to the lowest index.  ``(True, None)`` once the basis is primal
+        feasible; ``(False, r)`` when no column may enter at row ``r`` (the
+        rows are infeasible, or only entries below ``PIVOT_TOL`` could pivot);
+        ``(False, None)`` when ``limit`` pivots did not suffice."""
         T = self.T
         red, rhs = T[-1, :-1], T[:-1, -1]
         basis, work = np.array(self.basis, dtype=np.intp), np.empty_like(T)
@@ -200,13 +204,13 @@ class _Tableau:
             while True:
                 leaving = int(rhs.argmin())
                 if rhs[leaving] >= -DEAD_TOL:
-                    return True
+                    return True, None
                 if self.iterations >= limit:
-                    return False
+                    return False, None
                 row = T[leaving, :-1]
                 eligible = (row < -PIVOT_TOL).nonzero()[0]
                 if eligible.size == 0:
-                    return False
+                    return False, leaving
                 ratios = red[eligible] / -row[eligible]
                 entering = int(eligible[ratios <= ratios.min() + DEAD_TOL][0])
                 self._pivot(leaving, entering, basis, work)
@@ -318,14 +322,25 @@ def _two_phase(
     return feasible, solutions, bases
 
 
+def _reads(constraints: ConstraintSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What :func:`_presolve` reads of ``A`` and ``kind`` alone: the ``eq``
+    rows whose coefficients are all 1 (the base row, given ``rhs == 1``),
+    the ``le`` rows, and each row's smallest coefficient."""
+    A, kind = constraints.A, constraints.kind
+    return (kind == "eq") & (A == 1.0).all(axis=1), kind == "le", A.min(axis=1)
+
+
 def _presolve(
-    constraints: ConstraintSet, like: ConstraintSet | _Rows | None = None
+    constraints: ConstraintSet,
+    like: ConstraintSet | _Rows | None = None,
+    reads: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> tuple[ConstraintSet | _Rows, np.ndarray]:
     """The reduced system and the mask of the columns it keeps; the system
     itself and an all-True mask when no row forces a column to zero or the
-    reduction is left to the full LP.  When ``like`` is the reduction of the
-    same ``A`` object by the same masks, the reduced system shares its ``A``,
-    ``kind`` and ``provenance``.
+    reduction is left to the full LP.  When ``like`` was presolved from the
+    same ``A`` object, ``reads``, if given, are :func:`_reads` of its
+    original rows and are not read again, and a reduction by the same masks
+    shares its ``A``, ``kind`` and ``provenance``.
 
     With the ``base-sum`` row ``sum(p) = 1`` and ``p >= 0``, every row has
     ``a . p >= min(a)``, so an ``le`` row with ``rhs == min(a)`` forces each
@@ -338,10 +353,11 @@ def _presolve(
     the certificate.
     """
     A, rhs, kind = constraints.A, constraints.rhs, constraints.kind
+    same = like is not None and (like.origin if isinstance(like, _Rows) else like.A) is A
+    ones, le, low = reads if same and reads is not None else _reads(constraints)
     full = constraints, np.ones(A.shape[1], dtype=bool)
-    if not ((kind == "eq") & (rhs == 1.0) & (A == 1.0).all(axis=1)).any():
+    if not (ones & (rhs == 1.0)).any():
         return full
-    le, low = kind == "le", A.min(axis=1)
     forcing = le & (rhs == low)
     if not forcing.any() or (le & (rhs < low)).any():
         return full
@@ -351,8 +367,7 @@ def _presolve(
     if (empty & np.where(le, rhs < 0.0, rhs != 0.0)).any():
         return full
     rows = ~(forcing | empty)
-    if (isinstance(like, _Rows) and like.origin is A
-            and np.array_equal(like.rows, rows) and np.array_equal(like.keep, keep)):
+    if same and isinstance(like, _Rows) and np.array_equal(like.rows, rows) and np.array_equal(like.keep, keep):
         return _Rows(like.A, rhs[rows], like.kind, like.provenance, A, rows, keep), keep
     provenance = tuple(tag for tag, kept in zip(constraints.provenance, rows) if kept)
     return _Rows(sub[rows], rhs[rows], kind[rows], provenance, A, rows, keep), keep
@@ -365,11 +380,71 @@ def _lift(x: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return full
 
 
-def _reduced_costs(columns: np.ndarray, basis: list[int], costs: np.ndarray) -> np.ndarray:
-    """The reduced costs of ``basis`` for ``costs`` over the original
-    ``columns`` ``[A | slack]``, computed afresh: ``c - [A | slack]ᵀy`` where
-    ``Bᵀy = c_B``.  Raises ``LinAlgError`` when ``B`` is singular."""
-    return costs - columns.T @ np.linalg.solve(columns[:, basis].T, costs[basis])
+@dataclass(frozen=True)
+class _Priced:
+    """A basis priced afresh on the original columns ``[A | slack]``: the
+    inverse of its columns ``B``, and the reduced costs ``c - [A | slack]ᵀy``
+    of ``costs``, where ``Bᵀy = c_B``."""
+
+    basis: tuple[int, ...]
+    inverse: np.ndarray
+    costs: np.ndarray
+    reduced: np.ndarray
+    optimal: bool  # every reduced cost is at least -PIVOT_TOL
+
+
+def _priced(columns: np.ndarray, tab: _Tableau, costs: np.ndarray) -> _Priced:
+    """``tab``'s basis priced for ``costs`` over the original ``columns``.  The
+    pricing ``tab`` keeps is reused while its basis and costs are the ones
+    asked for, and its inverse while its basis is; raises ``LinAlgError``
+    when ``B`` is singular."""
+    kept, basis = tab.priced, tuple(tab.basis)
+    if kept is not None and kept.basis == basis:
+        if np.array_equal(kept.costs, costs):
+            return kept
+        inverse = kept.inverse
+    else:
+        inverse = np.linalg.inv(columns[:, tab.basis])
+    reduced = costs - columns.T @ (inverse.T @ costs[tab.basis])
+    return _Priced(basis, inverse, costs, reduced, bool(reduced.min() >= -PIVOT_TOL))
+
+
+def _farkas(constraints: ConstraintSet, system: ConstraintSet | _Rows, ray: np.ndarray) -> tuple[str, ...] | None:
+    """The provenance tags of the rows a Farkas ray ``ray`` over ``system``'s
+    rows proves infeasible, or ``None`` when it proves nothing.
+
+    The ray is taken to the original rows as ``y``, zero on those the
+    presolve dropped, and ``y < 0`` on an ``le`` row is set to 0.  On the
+    simplex (``p >= 0`` with the ``base-sum`` row ``sum(p) = 1``) every
+    column of ``yᵀA`` may be lifted by the same amount through that row's
+    multiplier, so ``y`` is lifted until ``min(yᵀA) = 0``, then scaled by
+    ``|y|_∞``.  It proves the rows infeasible when ``yᵀrhs <= -FEAS_TOL``:
+    any ``p >= 0`` whose rows a cold phase 1 accepts, with residue ``r``,
+    ``|r|_1 <= 1e-9``, has ``yᵀrhs = yᵀAp + yᵀslack - yᵀr > -FEAS_TOL``.
+    Without a ``base-sum`` row ``p`` is unbounded, and only a ray with
+    ``yᵀA >= 0`` as it stands proves anything.  The tags are those of rows
+    with ``|y| > 1e-7``.  ``yᵀA`` spans every original column, so a ray of
+    a reduced system that leans on a dropped column proves nothing unless
+    the lift covers it.
+    """
+    A, rhs, kind = constraints.A, constraints.rhs, constraints.kind
+    y = np.zeros(len(constraints))
+    y[system.rows if isinstance(system, _Rows) else slice(None)] = ray
+    le = kind == "le"
+    y[le] = np.maximum(y[le], 0.0)
+    low = (y @ A).min()
+    if low < 0.0:
+        base = np.flatnonzero((kind == "eq") & (rhs == 1.0) & (A == 1.0).all(axis=1))
+        if base.size == 0:
+            return None
+        y[base[0]] -= low
+    scale = np.abs(y).max()
+    if not (np.isfinite(scale) and scale > 0.0):
+        return None
+    y /= scale
+    if not y @ rhs <= -FEAS_TOL:
+        return None
+    return tuple(tag for tag, v in zip(constraints.provenance, y) if abs(v) > 1e-7)
 
 
 class _WarmStart:
@@ -380,7 +455,9 @@ class _WarmStart:
     objectives move, and the system of each solve shares ``A`` and ``kind``,
     the very objects, with the last.  A solve of such a system with the same
     column mask starts from the stored tableaux (:meth:`resolve`); any other
-    solve runs the cold two phases and, if feasible, replaces them.
+    solve runs the cold two phases and, if feasible, replaces them.  What
+    the presolve reads of the original ``A`` and ``kind`` alone is read
+    again only when the stored system is replaced.
     """
 
     def __init__(self) -> None:
@@ -388,10 +465,12 @@ class _WarmStart:
         self.keep: np.ndarray | None = None
         self.bases: _Bases | None = None
         self.columns: np.ndarray | None = None  # [A | slack] on the kept rows, built on first use
+        self.reads: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None  # _reads of the system's original rows
 
-    def store(self, system: ConstraintSet | _Rows, keep: np.ndarray, bases: _Bases) -> None:
+    def store(self, constraints: ConstraintSet, system: ConstraintSet | _Rows, keep: np.ndarray, bases: _Bases) -> None:
+        """Keep ``bases``, a solve of ``system``, presolved from ``constraints``."""
         if not (self.fits(system, keep, len(bases.tableaux)) and np.array_equal(bases.rows, self.bases.rows)):
-            self.columns = None
+            self.columns, self.reads = None, _reads(constraints)
         self.system, self.keep, self.bases = system, keep, bases
 
     def fits(self, system: ConstraintSet | _Rows, keep: np.ndarray, count: int) -> bool:
@@ -404,21 +483,32 @@ class _WarmStart:
         )
 
     def resolve(
-        self, system: ConstraintSet | _Rows, keep: np.ndarray, objectives: Sequence[tuple[np.ndarray, str]]
-    ) -> tuple[LpSolution, list[LpSolution], _Bases] | None:
+        self,
+        system: ConstraintSet | _Rows,
+        keep: np.ndarray,
+        objectives: Sequence[tuple[np.ndarray, str]],
+        constraints: ConstraintSet,
+    ) -> tuple[LpSolution, list[LpSolution], _Bases | None] | None:
         """:func:`_two_phase`'s results, each objective (over the system's
         columns) solved from its stored tableau, or ``None`` for the cold path.
 
         Only the right-hand side moves: the body ``B⁻¹[A | slack]`` is carried
         over, while the basic values and the reduced costs are solved afresh
-        from the original basic columns (:func:`_reduced_costs`), so no drift
-        of the carried body can pass a basis off as optimal.  The cold path is
-        taken when the system is not the stored one, a basis is singular or
-        not dual feasible for the new objective, or the dual simplex repair
-        finds no entering column, needs more than ``WARM_PIVOTS_PER_ROW``
-        pivots per row or ends on a basis whose fresh reduced costs are not
-        all above ``-PIVOT_TOL``.  The phase-1 outcome is ``feasible`` at the
-        first witness, with no pivots.
+        from the original basic columns (:func:`_priced`), so no drift of the
+        carried body can pass a basis off as optimal.  A stored basis keeps
+        its pricing, which is solved again only for new costs or after a
+        pivot.  A dual simplex repair of the first objective that finds no
+        entering column at row ``r`` makes the rows infeasible if the ray
+        ``y = B⁻ᵀe_r``, solved afresh, passes :func:`_farkas` on
+        ``constraints``, the original rows: the phase-1 outcome is then
+        ``infeasible`` with its tags.  The cold path is taken when the system
+        is not the stored one, a basis is singular or not dual feasible for
+        the new objective, a blocked repair's ray proves nothing or comes
+        after an earlier objective reached a feasible basis of the same rows,
+        or the repair needs more than ``WARM_PIVOTS_PER_ROW`` pivots per row
+        or ends on a basis whose fresh reduced costs are not all above
+        ``-PIVOT_TOL``.  A feasible phase-1 outcome is the first witness,
+        with no pivots.
         """
         if not self.fits(system, keep, len(objectives)):
             return None
@@ -427,25 +517,46 @@ class _WarmStart:
             self.columns = _standard_form(system)[rows, :-1]
         columns, rhs = self.columns, system.rhs[rows]
         solutions, tableaux = [], []
-        for (objective, sense), stored in zip(objectives, self.bases.tableaux):
-            tab = stored.copy()
-            tab.iterations = 0
-            costs = np.zeros(columns.shape[1])
-            costs[:n] = (-1.0 if sense == "maximize" else 1.0) * objective
-            try:
-                x_B = tab.T[:-1, -1] = np.linalg.solve(columns[:, tab.basis], rhs)
-                tab.T[-1, :-1] = _reduced_costs(columns, tab.basis, costs)
-                tab.T[-1, -1] = -(costs[tab.basis] @ x_B)
-                if (tab.T[-1, :-1] < -PIVOT_TOL).any() or not tab.repair(WARM_PIVOTS_PER_ROW * rows.size):
+        try:
+            for (objective, sense), stored in zip(objectives, self.bases.tableaux):
+                costs = np.zeros(columns.shape[1])
+                costs[:n] = (-1.0 if sense == "maximize" else 1.0) * objective
+                tab, priced = stored, _priced(columns, stored, costs)
+                if not priced.optimal:
                     return None
-                # the pivots moved the basis on the carried body: check the final one afresh
-                if tab.iterations and (_reduced_costs(columns, tab.basis, costs) < -PIVOT_TOL).any():
-                    return None
-            except np.linalg.LinAlgError:
-                return None
-            x = tab.solution_vector()[:n]
-            solutions.append(LpSolution("optimal", float(objective @ x), x, tab.iterations))
-            tableaux.append(tab)
+                x_B = priced.inverse @ rhs
+                pivots = 0
+                if x_B.min() < -DEAD_TOL:
+                    tab = stored.copy()
+                    tab.iterations = 0
+                    tab.T[:-1, -1] = x_B
+                    tab.T[-1, :-1] = priced.reduced
+                    tab.T[-1, -1] = -(costs[tab.basis] @ x_B)
+                    feasible, blocked = tab.repair(WARM_PIVOTS_PER_ROW * rows.size)
+                    if blocked is not None:
+                        if solutions:  # an earlier objective reached a feasible basis of these rows
+                            return None
+                        ray = np.zeros(system.rhs.size)
+                        ray[rows] = np.linalg.solve(columns[:, tab.basis].T, np.eye(rows.size)[blocked])
+                        certificate = _farkas(constraints, system, ray)
+                        if certificate is None:
+                            return None
+                        return LpSolution("infeasible", None, None, tab.iterations, certificate), [], None
+                    if not feasible:
+                        return None
+                    # the pivots moved the basis on the carried body: price the final one afresh
+                    pivots, priced = tab.iterations, _priced(columns, tab, costs)
+                    if not priced.optimal:
+                        return None
+                    x_B = priced.inverse @ rhs
+                tab.priced = priced
+                x = np.zeros(columns.shape[1])
+                x[tab.basis] = x_B
+                x = np.where(x > 0.0, x, 0.0)[:n]
+                solutions.append(LpSolution("optimal", float(objective @ x), x, pivots))
+                tableaux.append(tab)
+        except np.linalg.LinAlgError:
+            return None
         return LpSolution("feasible", 0.0, solutions[0].witness, 0), solutions, _Bases(rows, tuple(tableaux))
 
 
@@ -460,20 +571,23 @@ def _postsolve(
     """``solved``, a solve of ``system``, on the original rows: the phase-1
     point and every optimal witness scattered through ``keep`` into full
     vectors, each value ``objective @ witness`` over the full vector, and
-    each vector certified against ``constraints``.  Only then do the bases
+    each distinct vector certified against ``constraints`` once; the warm
+    phase-1 point is the first witness itself.  Only then do the bases
     replace those in ``warm``."""
     phase1, solutions, bases = solved
     if phase1.status == "feasible":
-        point = _certified(constraints, _lift(phase1.witness, keep), "phase-1 point")
+        raw = phase1.witness
+        point = _certified(constraints, _lift(raw, keep), "phase-1 point")
         phase1, lifted = LpSolution("feasible", 0.0, point, phase1.iterations), []
         for (objective, sense), sol in zip(objectives, solutions):
             if sol.status == "optimal":
-                witness = _certified(constraints, _lift(sol.witness, keep), f"{sense} witness")
+                witness = point if sol.witness is raw else _certified(
+                    constraints, _lift(sol.witness, keep), f"{sense} witness")
                 sol = LpSolution("optimal", float(objective @ witness), witness, sol.iterations)
             lifted.append(sol)
         solutions = lifted
     if bases is not None:
-        warm.store(system, keep, bases)
+        warm.store(constraints, system, keep, bases)
     return phase1, solutions
 
 
@@ -492,9 +606,9 @@ def _solve(
     original rows.  Without ``warm`` the bases are kept nowhere.
     """
     warm = _WarmStart() if warm is None else warm
-    system, keep = _presolve(constraints, warm.system)
-    reduced = [(objective[keep], sense) for objective, sense in objectives]
-    solved = warm.resolve(system, keep, reduced)
+    system, keep = _presolve(constraints, warm.system, warm.reads)
+    reduced = objectives if system is constraints else [(objective[keep], sense) for objective, sense in objectives]
+    solved = warm.resolve(system, keep, reduced, constraints)
     if solved is not None:
         try:
             return _postsolve(constraints, objectives, system, keep, solved, warm)

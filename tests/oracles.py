@@ -387,3 +387,76 @@ def reference_rows(dims, exp=None, obs=None, assumptions=AssumptionSet(), slack=
         for i, c in coeffs.items():
             A[r, i] = c
     return A, np.array([r[1] for r in rows]), [r[2] for r in rows], [r[3] for r in rows]
+
+
+def reference_validate_distribution(dist, dims: Dims) -> list[str]:
+    """The entry-by-entry loop :func:`pobounds.validate_distribution` replaced,
+    kept as its reference: the same messages in the same order."""
+    table = dist.table
+    if table.shape != (dims.d_x, dims.d_y):
+        raise ValidationError(f"table shape {table.shape} does not match dims ({dims.d_x}, {dims.d_y})")
+    report = []
+    for (i, j), v in np.ndenumerate(table):
+        if not 0 <= v <= 1:  # also catches nan
+            report.append(f"entry ({i},{j}) = {v:.6g} outside [0, 1]")
+    if isinstance(dist, ExperimentalMarginals):
+        for k in range(dims.d_x):
+            s = float(table[k].sum())
+            if abs(s - 1.0) > 1e-9:
+                report.append(f"arm {k} sums to {s:.12g}, expected 1")
+    else:
+        s = float(table.sum())
+        if abs(s - 1.0) > 1e-9:
+            report.append(f"table sums to {s:.12g}, expected 1")
+    return report
+
+
+def _frequencies(values: np.ndarray, size: int) -> np.ndarray:
+    counts = np.zeros(size)
+    np.add.at(counts, values, 1.0)
+    return counts / values.size
+
+
+def reference_draws(truth, n: int, rng: np.random.Generator, kind: str):
+    """What ``sample_from_truth`` documents it draws, by ``Generator.choice``:
+    ``n`` outcomes per arm from that arm's marginal, in arm order, or ``n``
+    factual ``(x, y)`` records from the normalised observed joint."""
+    dims = truth.dims
+    if kind == "experimental":
+        marg = truth.po_marginals().table
+        return tuple(rng.choice(dims.d_y, size=n, p=marg[k]) for k in range(dims.d_x))
+    flat = truth.xy_marginal().table.reshape(-1)
+    return np.column_stack(np.divmod(rng.choice(flat.size, size=n, p=flat / flat.sum()), dims.d_y))
+
+
+def bootstrap_tables(dims: Dims, seed: int, replicates: int, arms, records):
+    """The ``(exp, obs)`` tables of each bootstrap replicate, replayed from the
+    documented seeding: one child of ``SeedSequence(seed)`` per replicate,
+    whose generator resamples the arms in order and then the records."""
+    for child in np.random.SeedSequence(seed).spawn(replicates):
+        rng = np.random.default_rng(child)
+        exp = obs = None
+        if arms is not None:
+            exp = np.array([_frequencies(arm[rng.integers(0, arm.size, arm.size)], dims.d_y) for arm in arms])
+        if records is not None:
+            rec = records[rng.integers(0, len(records), len(records))]
+            obs = _frequencies(rec[:, 0] * dims.d_y + rec[:, 1], dims.d_x * dims.d_y).reshape(dims.d_x, dims.d_y)
+        yield exp, obs
+
+
+def simulation_tables(truth, n: int, reps: int, seed: int, want_exp: bool, want_obs: bool):
+    """The ``(exp, obs)`` tables of each simulation replicate, replayed from the
+    documented seeding: one child of ``SeedSequence(seed)`` per replicate,
+    whose two spawned children seed the experimental and the observational
+    draws of :func:`reference_draws`."""
+    dims = truth.dims
+    for child in np.random.SeedSequence(seed).spawn(reps):
+        grand = child.spawn(2)
+        exp = obs = None
+        if want_exp:
+            arms = reference_draws(truth, n, np.random.default_rng(grand[0]), "experimental")
+            exp = np.array([_frequencies(arm, dims.d_y) for arm in arms])
+        if want_obs:
+            rec = reference_draws(truth, n, np.random.default_rng(grand[1]), "observational")
+            obs = _frequencies(rec[:, 0] * dims.d_y + rec[:, 1], dims.d_x * dims.d_y).reshape(dims.d_x, dims.d_y)
+        yield exp, obs

@@ -103,6 +103,55 @@ def test_seeds_that_are_not_nonnegative_integers_are_config_errors(truth_b, seed
         pb.simulation_study(truth_b, n=10, reps=2, seed=seed, query=q)
 
 
+@pytest.mark.parametrize("bad", [2.5, 2.0, np.float64(3.0), True, np.bool_(True), "4", None])
+def test_counts_that_are_not_integers_are_config_errors(truth_b, bad):
+    dims = truth_b.dims
+    q = pb.build_event_query(dims, {0: 0})
+    sample = pb.sample_from_truth(truth_b, 10, 0, "experimental")
+
+    def refused(what):
+        return pytest.raises(ConfigError, match=f"^{what} must be an integer, got {re.escape(repr(bad))}$")
+
+    with refused("replicates"):
+        pb.bootstrap(dims, q, replicates=bad, seed=0, exp_sample=sample)
+    with refused("reps"):
+        pb.simulation_study(truth_b, n=10, reps=bad, seed=0, query=q)
+    with refused("n"):
+        pb.simulation_study(truth_b, n=bad, reps=2, seed=0, query=q)
+    for kind in ("experimental", "observational"):
+        with refused("sample size"):
+            pb.sample_from_truth(truth_b, bad, 0, kind)
+
+
+def test_numpy_integer_counts_are_accepted(truth_b):
+    q = pb.build_event_query(truth_b.dims, {0: 0})
+    res = pb.simulation_study(truth_b, n=np.int32(10), reps=np.int64(2), seed=0, query=q)
+    assert res.used + res.excluded == 2
+    assert all(arm.size == 7 for arm in pb.sample_from_truth(truth_b, np.uint8(7), 0, "experimental").arms)
+
+
+def test_sample_values_that_are_not_integers_are_refused_not_truncated():
+    dims = pb.Dims(2, 2)
+    with pytest.raises(ValidationError, match="^arm 0 holds 0.7, which is not an integer$"):
+        pb.ExperimentalSample(dims, ((0.7, 1.2), (0, 1)))
+    with pytest.raises(ValidationError, match="^arm 1 holds nan, which is not an integer$"):
+        pb.ExperimentalSample(dims, ((0, 1), np.array([1.0, np.nan])))
+    with pytest.raises(ValidationError, match="^records row 0 holds 0.9, which is not an integer$"):
+        pb.ObservationalSample(dims, [(0.9, 1.5)])
+    with pytest.raises(ValidationError, match="^records row 2 holds inf, which is not an integer$"):
+        pb.ObservationalSample(dims, np.array([[0, 1], [1, 0], [1, np.inf]]))
+    with pytest.raises(ValidationError, match="^arm 0 holds values that are not numbers$"):
+        pb.ExperimentalSample(dims, (["a", "b"], (0, 1)))
+    # whole numbers of any type are taken, integer arrays without a copy
+    floats = pb.ExperimentalSample(dims, (np.array([0.0, 1.0]), [1, 1]))
+    assert [arm.tolist() for arm in floats.arms] == [[0, 1], [1, 1]]
+    assert all(arm.dtype == int for arm in floats.arms)
+    arm, records = np.array([0, 1, 1]), np.array([[0, 1], [1, 1]])
+    assert pb.ExperimentalSample(dims, (arm, arm)).arms[0] is arm
+    taken = pb.ObservationalSample(dims, records).records
+    assert np.shares_memory(taken, records) and taken.tolist() == [[0, 1], [1, 1]]
+
+
 def test_integer_and_sequence_seeds_are_accepted(truth_b):
     by_int = pb.sample_from_truth(truth_b, 20, 4, "observational")
     by_numpy_int = pb.sample_from_truth(truth_b, 20, np.int64(4), "observational")

@@ -11,6 +11,8 @@ import pobounds as pb
 from pobounds import simplex
 from pobounds.model import cell_grid
 
+from test_farkas import run
+
 CUSTOM = "custom"  # Y_1 <= Y_0 <= Y_1 + 1 almost surely, written as a term
 
 
@@ -165,6 +167,36 @@ def test_satisfied_empty_rows_are_dropped():
     assert keep.sum() == 2
     res = pb.bound(dims, pb.build_event_query(dims, {0: 0, 1: 1}), exp=exp, assumptions=rising)
     assert (res.lower, res.upper) == (1.0, 1.0)
+
+
+def test_reads_are_taken_only_from_a_system_of_the_same_A():
+    # the reduction above; reads that claim there is no base row leave the
+    # system whole, which shows where they were used
+    dims = pb.Dims(2, 2)
+    rising = pb.AssumptionSet((pb.MonotoneTerm.from_pairs(2, {(1, 0): (1.0, np.inf)}, 1.0, 1.0),))
+    exp = pb.ExperimentalMarginals(np.array([[1.0, 0.0], [0.0, 1.0]]))
+    cs = pb.assemble_constraints(dims, exp=exp, assumptions=rising)
+    rows, _ = simplex._presolve(cs)
+    ones, le, low = simplex._reads(cs)
+    no_base = (np.zeros_like(ones), le, low)
+    again = cs.with_rhs(cs.rhs)  # shares A
+    assert simplex._presolve(again, cs, no_base)[0] is again
+    assert simplex._presolve(again, rows, no_base)[0] is again
+    twin = pb.ConstraintSet(dims, cs.A, cs.rhs, cs.kind, cs.provenance)  # equal values, its own A
+    for system, like in ((twin, cs), (twin, rows), (again, None)):
+        assert simplex._presolve(system, like, no_base)[0].provenance == rows.provenance
+    shared = simplex._presolve(again, rows)[0]
+    assert shared.A is rows.A and shared.kind is rows.kind
+
+
+@pytest.mark.parametrize("call", ["bootstrap", "simulation_study"])
+def test_a_replicate_loop_reads_A_once_per_stored_system(call, monkeypatch):
+    # the first replicate's presolve and the store after its cold solve
+    seen = []
+    honest = simplex._reads
+    monkeypatch.setattr(simplex, "_reads", lambda cs: seen.append(cs.A) or honest(cs))
+    summary = run(call)
+    assert summary.used > 1 and len(seen) == 2 and seen[0] is seen[1]
 
 
 @pytest.mark.parametrize("call, what", [(0, "phase-1 point"), (2, "maximize witness")])
