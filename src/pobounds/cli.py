@@ -202,7 +202,10 @@ def load_assumptions(source: str | None, dims: Dims) -> AssumptionSet:
             return preset(source, dims)
         data = _read_json_object(source)
         if "preset" in data:
-            out = preset(data["preset"], dims)
+            try:
+                out = preset(data["preset"], dims)
+            except ConfigError as exc:
+                raise ConfigError(f"{source}: {exc}") from None
             return out.with_exogeneity() if data.get("exogeneity") else out
         terms = []
         for t in data.get("terms", []):

@@ -212,6 +212,14 @@ def _consecutive_pairs(d_x: int) -> dict[tuple[int, int], tuple[float, float]]:
     return {(t + 1, t): (0.0, np.inf) for t in range(d_x - 1)}
 
 
+def _argument(name: str, text: str, cast, what: str):
+    """``cast(text)``, an argument of the preset ``name``; a ConfigError naming both if it is not ``what``."""
+    try:
+        return cast(text)
+    except ValueError:
+        raise ConfigError(f"{name}: argument {text!r} is not {what}") from None
+
+
 def preset(name: str, dims: Dims) -> AssumptionSet:
     """Named assumption presets, each a special case of the general form.
 
@@ -239,19 +247,19 @@ def preset(name: str, dims: Dims) -> AssumptionSet:
     elif base == "pairwise":
         if len(args) != 2:
             raise ConfigError("pairwise takes two arguments: pairwise(s,t)")
-        s, t = int(args[0]), int(args[1])
+        s, t = (_argument(name, a, int, "an integer") for a in args)
         term = MonotoneTerm.from_pairs(dims.d_x, {(s, t): (0.0, np.inf)}, 1.0, 1.0)
     elif base == "epsilon_harm":
         if len(args) != 1:
             raise ConfigError("epsilon_harm takes one argument: epsilon_harm(eps)")
         if dims.d_x != 2:
             raise ConfigError("epsilon_harm is defined for binary treatment only")
-        eps = float(args[0])
+        eps = _argument(name, args[0], float, "a number")
         term = MonotoneTerm.from_pairs(dims.d_x, {(1, 0): (-np.inf, -1.0)}, 0.0, eps)
     elif base == "prob_mtr":
         if len(args) != 2:
             raise ConfigError("prob_mtr takes two arguments: prob_mtr(L,U)")
-        lo, hi = float(args[0]), float(args[1])
+        lo, hi = (_argument(name, a, float, "a number") for a in args)
         term = MonotoneTerm.from_pairs(dims.d_x, _consecutive_pairs(dims.d_x), lo, hi)
     else:
         raise ConfigError(f"unknown preset {name!r}")

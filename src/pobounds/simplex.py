@@ -119,17 +119,14 @@ class _Tableau:
         M = _standard_form(constraints)
         m = M.shape[0]
         self.m, self.art0 = m, M.shape[1] - 1
-        ncols = self.art0 + m
-
-        T = np.zeros((m + 1, ncols + 1))
+        T = np.zeros((m + 1, self.art0 + m + 1))
         T[:m, : self.art0] = M[:, :-1]
         T[:m, -1] = M[:, -1]
         # rhs must start nonnegative for the artificial basis
-        neg = np.flatnonzero(T[:m, -1] < 0)
-        T[neg] *= -1.0
+        T[np.flatnonzero(T[:m, -1] < 0)] *= -1.0
         T[np.arange(m), self.art0 + np.arange(m)] = 1.0
         self.T = T
-        self.basis = [self.art0 + i for i in range(m)]
+        self.basis = np.arange(self.art0, self.art0 + m, dtype=np.intp)
         self.iterations = 0
         self.priced: _Priced | None = None  # set by a warm solve
 
@@ -137,7 +134,7 @@ class _Tableau:
         tab = object.__new__(_Tableau)
         tab.__dict__.update(self.__dict__)
         tab.T = self.T.copy()
-        tab.basis = list(self.basis)
+        tab.basis = self.basis.copy()
         return tab
 
     def set_costs(self, costs: np.ndarray) -> None:
@@ -149,8 +146,8 @@ class _Tableau:
             if c != 0.0:
                 self.T[-1, :] -= c * self.T[i, :]
 
-    def _pivot(self, row: int, col: int, basis: list[int] | np.ndarray, work: np.ndarray) -> None:
-        """Make ``col`` basic in ``row`` and record it in ``basis``; ``work`` is scratch like ``T``."""
+    def _pivot(self, row: int, col: int, work: np.ndarray) -> None:
+        """Make ``col`` basic in ``row``; ``work`` is scratch like ``T``."""
         T = self.T
         T[row] /= T[row, col]
         # outer(column, pivot row), the pivot row's own factor zeroed: a broadcast copy and
@@ -159,36 +156,31 @@ class _Tableau:
         work[row] = 0.0
         work *= T[row]
         T -= work
-        basis[row] = col
+        self.basis[row] = col
         self.iterations += 1
 
     def run(self, allowed: int) -> str:
         """Minimize until reduced costs are nonnegative (Bland's rule); only the
         first ``allowed`` columns may enter, which keeps artificials out in phase 2."""
-        T = self.T
-        red, rhs = T[-1, :allowed], T[:-1, -1]
-        basis, work = np.array(self.basis, dtype=np.intp), np.empty_like(T)
-        try:
-            while True:
-                if self.iterations > MAX_ITERATIONS:
-                    raise SolverFailureError("iteration limit exceeded", tableau=T.copy(), basis=basis.tolist())
-                negative = red < -PIVOT_TOL
-                entering = int(negative.argmax())
-                if not negative[entering]:
-                    return "optimal"
-                col = T[:-1, entering]
-                eligible = (col > PIVOT_TOL).nonzero()[0]
-                if eligible.size == 0:
-                    if np.any(col > DEAD_TOL):
-                        raise SolverFailureError(f"pivot candidates below tolerance in column {entering}",
-                                                 tableau=T.copy(), basis=basis.tolist())
-                    return "unbounded"
-                ratios = rhs[eligible] / col[eligible]
-                ties = eligible[ratios <= ratios.min() + DEAD_TOL]
-                leaving = int(ties[basis[ties].argmin()])
-                self._pivot(leaving, entering, basis, work)
-        finally:
-            self.basis = basis.tolist()
+        T, basis = self.T, self.basis
+        red, rhs, work = T[-1, :allowed], T[:-1, -1], np.empty_like(T)
+        while True:
+            if self.iterations > MAX_ITERATIONS:
+                raise SolverFailureError("iteration limit exceeded", tableau=T.copy(), basis=basis.tolist())
+            negative = red < -PIVOT_TOL
+            entering = int(negative.argmax())
+            if not negative[entering]:
+                return "optimal"
+            col = T[:-1, entering]
+            eligible = (col > PIVOT_TOL).nonzero()[0]
+            if eligible.size == 0:
+                if np.any(col > DEAD_TOL):
+                    raise SolverFailureError(f"pivot candidates below tolerance in column {entering}",
+                                             tableau=T.copy(), basis=basis.tolist())
+                return "unbounded"
+            ratios = rhs[eligible] / col[eligible]
+            ties = eligible[ratios <= ratios.min() + DEAD_TOL]
+            self._pivot(int(ties[basis[ties].argmin()]), entering, work)
 
     def repair(self, limit: int) -> tuple[bool, int | None]:
         """Dual simplex: while some basic value is below ``-DEAD_TOL``, the most
@@ -198,37 +190,36 @@ class _Tableau:
         rows are infeasible, or only entries below ``PIVOT_TOL`` could pivot);
         ``(False, None)`` when ``limit`` pivots did not suffice."""
         T = self.T
-        red, rhs = T[-1, :-1], T[:-1, -1]
-        basis, work = np.array(self.basis, dtype=np.intp), np.empty_like(T)
-        try:
-            while True:
-                leaving = int(rhs.argmin())
-                if rhs[leaving] >= -DEAD_TOL:
-                    return True, None
-                if self.iterations >= limit:
-                    return False, None
-                row = T[leaving, :-1]
-                eligible = (row < -PIVOT_TOL).nonzero()[0]
-                if eligible.size == 0:
-                    return False, leaving
-                ratios = red[eligible] / -row[eligible]
-                entering = int(eligible[ratios <= ratios.min() + DEAD_TOL][0])
-                self._pivot(leaving, entering, basis, work)
-        finally:
-            self.basis = basis.tolist()
+        red, rhs, work = T[-1, :-1], T[:-1, -1], np.empty_like(T)
+        while True:
+            leaving = int(rhs.argmin())
+            if rhs[leaving] >= -DEAD_TOL:
+                return True, None
+            if self.iterations >= limit:
+                return False, None
+            row = T[leaving, :-1]
+            eligible = (row < -PIVOT_TOL).nonzero()[0]
+            if eligible.size == 0:
+                return False, leaving
+            ratios = red[eligible] / -row[eligible]
+            self._pivot(leaving, int(eligible[ratios <= ratios.min() + DEAD_TOL][0]), work)
 
     def phase1(self) -> float:
+        """The least sum of the artificials; raises if it ends above its start ``Σ|rhs|``."""
+        start = float(self.T[: self.m, -1].sum())
         costs = np.zeros(self.art0 + self.m)
         costs[self.art0 :] = 1.0
         self.set_costs(costs)
         if self.run(allowed=self.art0 + self.m) != "optimal":
             raise SolverFailureError("phase 1 terminated without optimum", tableau=self.T.copy())
-        return -float(self.T[-1, -1])
+        end = -float(self.T[-1, -1])
+        if end > start + FEAS_TOL * max(1.0, start):  # no pivot raises it: the tableau lost precision
+            raise SolverFailureError(f"phase 1 ended at {end:.6g}, above its start {start:.6g}", tableau=self.T.copy())
+        return end
 
     def phase1_duals(self) -> np.ndarray:
         """Row multipliers certifying infeasibility (Farkas certificate)."""
-        red_art = self.T[-1, self.art0 : self.art0 + self.m]
-        return 1.0 - red_art
+        return 1.0 - self.T[-1, self.art0 : self.art0 + self.m]
 
     def drop_artificials(self) -> None:
         """Pivot zero-level artificials out of the basis; delete rows that
@@ -243,13 +234,12 @@ class _Tableau:
             if abs(row[best]) > PIVOT_TOL:
                 # largest entry keeps the (near-zero) artificial level from
                 # being amplified into the entering variable
-                self._pivot(i, best, self.basis, work)
+                self._pivot(i, best, work)
                 keep.append(i)
             # else: redundant row, dropped
-        keep_rows = keep + [self.m]
-        self.T = self.T[keep_rows][:, list(range(self.art0)) + [-1]]
-        self.basis = [self.basis[i] for i in keep]
-        self.m = len(self.basis)
+        self.T = self.T[keep + [self.m]][:, list(range(self.art0)) + [-1]]
+        self.basis = self.basis[keep]
+        self.m = len(keep)
         self.rows = keep
 
     def solution_vector(self) -> np.ndarray:
@@ -264,9 +254,8 @@ def _certified(constraints: ConstraintSet, x: np.ndarray, what: str) -> np.ndarr
     resid = constraints.residuals(x)
     if not (resid <= FEAS_TOL).all():
         i = int(np.argmax(resid))
-        raise SolverFailureError(
-            f"{what} violates row {constraints.provenance[i]} by {resid[i]:.3g} (tolerance {FEAS_TOL:g})"
-        )
+        raise SolverFailureError(f"{what} violates row {constraints.provenance[i]} by {resid[i]:.3g} "
+                                 f"(tolerance {FEAS_TOL:g})")
     return x
 
 
@@ -300,8 +289,7 @@ def _two_phase(
     n = system.A.shape[1]
     tab = _Tableau(system)
     if tab.phase1() > 1e-9:
-        duals = tab.phase1_duals()
-        cert = tuple(tag for tag, dual in zip(system.provenance, duals) if abs(dual) > 1e-7)
+        cert = tuple(tag for tag, dual in zip(system.provenance, tab.phase1_duals()) if abs(dual) > 1e-7)
         return LpSolution("infeasible", None, None, tab.iterations, cert), [], None
     feasible = LpSolution("feasible", 0.0, tab.solution_vector()[:n], tab.iterations)
     if not objectives:
@@ -322,52 +310,50 @@ def _two_phase(
     return feasible, solutions, bases
 
 
-def _reads(constraints: ConstraintSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """What :func:`_presolve` reads of ``A`` and ``kind`` alone: the ``eq``
-    rows whose coefficients are all 1 (the base row, given ``rhs == 1``),
-    the ``le`` rows, and each row's smallest coefficient."""
-    A, kind = constraints.A, constraints.kind
-    return (kind == "eq") & (A == 1.0).all(axis=1), kind == "le", A.min(axis=1)
+def _base_rows(constraints: ConstraintSet) -> np.ndarray:
+    """The indices of the ``base-sum`` rows ``sum(p) = 1``: ``eq`` rows with
+    ``rhs == 1`` whose coefficients are all 1."""
+    A, kind, rhs = constraints.A, constraints.kind, constraints.rhs
+    rows = np.flatnonzero((kind == "eq") & (rhs == 1.0))
+    return rows[(A[rows] == 1.0).all(axis=1)]
 
 
 def _presolve(
-    constraints: ConstraintSet,
-    like: ConstraintSet | _Rows | None = None,
-    reads: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    constraints: ConstraintSet, like: ConstraintSet | _Rows | None = None
 ) -> tuple[ConstraintSet | _Rows, np.ndarray]:
     """The reduced system and the mask of the columns it keeps; the system
     itself and an all-True mask when no row forces a column to zero or the
-    reduction is left to the full LP.  When ``like`` was presolved from the
-    same ``A`` object, ``reads``, if given, are :func:`_reads` of its
-    original rows and are not read again, and a reduction by the same masks
-    shares its ``A``, ``kind`` and ``provenance``.
+    reduction is left to the full LP.  A reduction by the same masks as
+    ``like``, presolved from the same ``A`` object, shares its ``A``,
+    ``kind`` and ``provenance``.
 
     With the ``base-sum`` row ``sum(p) = 1`` and ``p >= 0``, every row has
     ``a . p >= min(a)``, so an ``le`` row with ``rhs == min(a)`` forces each
     column where ``a > min(a)`` to zero.  The reduction drops those columns,
     the forcing rows (over the columns left each one is ``min(a)`` times
     the base row, so the base row implies it) and the rows left all-zero
-    with a right-hand side they meet.  Nothing is reduced if some ``le``
-    row has ``rhs < min(a)`` or a row is left all-zero with a right-hand
-    side it misses: the system is infeasible then, and the full LP finds
-    the certificate.
+    with a right-hand side they meet.  Only the ``le`` rows are read until
+    one forces.  Nothing is reduced if some ``le`` row has ``rhs < min(a)``
+    or a row is left all-zero with a right-hand side it misses: the system
+    is infeasible then, and the full LP finds the certificate.
     """
     A, rhs, kind = constraints.A, constraints.rhs, constraints.kind
-    same = like is not None and (like.origin if isinstance(like, _Rows) else like.A) is A
-    ones, le, low = reads if same and reads is not None else _reads(constraints)
     full = constraints, np.ones(A.shape[1], dtype=bool)
-    if not (ones & (rhs == 1.0)).any():
+    le = kind == "le"
+    low = A[le].min(axis=1, initial=np.inf)
+    tight = rhs[le] == low
+    if not tight.any() or (rhs[le] < low).any() or _base_rows(constraints).size == 0:
         return full
-    forcing = le & (rhs == low)
-    if not forcing.any() or (le & (rhs < low)).any():
-        return full
-    keep = ~(A[forcing] > low[forcing, None]).any(axis=0)
+    forcing = le.copy()
+    forcing[le] = tight
+    keep = ~(A[forcing] > low[tight, None]).any(axis=0)
     sub = A[:, keep]
     empty = ~forcing & ~sub.any(axis=1)
     if (empty & np.where(le, rhs < 0.0, rhs != 0.0)).any():
         return full
     rows = ~(forcing | empty)
-    if same and isinstance(like, _Rows) and np.array_equal(like.rows, rows) and np.array_equal(like.keep, keep):
+    shared = isinstance(like, _Rows) and like.origin is A
+    if shared and np.array_equal(like.rows, rows) and np.array_equal(like.keep, keep):
         return _Rows(like.A, rhs[rows], like.kind, like.provenance, A, rows, keep), keep
     provenance = tuple(tag for tag, kept in zip(constraints.provenance, rows) if kept)
     return _Rows(sub[rows], rhs[rows], kind[rows], provenance, A, rows, keep), keep
@@ -398,7 +384,7 @@ def _priced(columns: np.ndarray, tab: _Tableau, costs: np.ndarray) -> _Priced:
     pricing ``tab`` keeps is reused while its basis and costs are the ones
     asked for, and its inverse while its basis is; raises ``LinAlgError``
     when ``B`` is singular."""
-    kept, basis = tab.priced, tuple(tab.basis)
+    kept, basis = tab.priced, tuple(tab.basis.tolist())
     if kept is not None and kept.basis == basis:
         if np.array_equal(kept.costs, costs):
             return kept
@@ -434,7 +420,7 @@ def _farkas(constraints: ConstraintSet, system: ConstraintSet | _Rows, ray: np.n
     y[le] = np.maximum(y[le], 0.0)
     low = (y @ A).min()
     if low < 0.0:
-        base = np.flatnonzero((kind == "eq") & (rhs == 1.0) & (A == 1.0).all(axis=1))
+        base = _base_rows(constraints)
         if base.size == 0:
             return None
         y[base[0]] -= low
@@ -455,9 +441,9 @@ class _WarmStart:
     objectives move, and the system of each solve shares ``A`` and ``kind``,
     the very objects, with the last.  A solve of such a system with the same
     column mask starts from the stored tableaux (:meth:`resolve`); any other
-    solve runs the cold two phases and, if feasible, replaces them.  What
-    the presolve reads of the original ``A`` and ``kind`` alone is read
-    again only when the stored system is replaced.
+    solve runs the cold two phases and, if feasible, replaces them.  The
+    stored system is the presolve's ``like``, so a reduction by the same
+    masks shares its arrays and :meth:`fits` sees the same objects.
     """
 
     def __init__(self) -> None:
@@ -465,12 +451,11 @@ class _WarmStart:
         self.keep: np.ndarray | None = None
         self.bases: _Bases | None = None
         self.columns: np.ndarray | None = None  # [A | slack] on the kept rows, built on first use
-        self.reads: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None  # _reads of the system's original rows
 
-    def store(self, constraints: ConstraintSet, system: ConstraintSet | _Rows, keep: np.ndarray, bases: _Bases) -> None:
-        """Keep ``bases``, a solve of ``system``, presolved from ``constraints``."""
+    def store(self, system: ConstraintSet | _Rows, keep: np.ndarray, bases: _Bases) -> None:
+        """Keep ``bases``, a solve of ``system``."""
         if not (self.fits(system, keep, len(bases.tableaux)) and np.array_equal(bases.rows, self.bases.rows)):
-            self.columns, self.reads = None, _reads(constraints)
+            self.columns = None
         self.system, self.keep, self.bases = system, keep, bases
 
     def fits(self, system: ConstraintSet | _Rows, keep: np.ndarray, count: int) -> bool:
@@ -491,6 +476,7 @@ class _WarmStart:
     ) -> tuple[LpSolution, list[LpSolution], _Bases | None] | None:
         """:func:`_two_phase`'s results, each objective (over the system's
         columns) solved from its stored tableau, or ``None`` for the cold path.
+        The witnesses are valued by :func:`_postsolve`, over the full vector.
 
         Only the right-hand side moves: the body ``B⁻¹[A | slack]`` is carried
         over, while the basic values and the reduced costs are solved afresh
@@ -552,8 +538,7 @@ class _WarmStart:
                 tab.priced = priced
                 x = np.zeros(columns.shape[1])
                 x[tab.basis] = x_B
-                x = np.where(x > 0.0, x, 0.0)[:n]
-                solutions.append(LpSolution("optimal", float(objective @ x), x, pivots))
+                solutions.append(LpSolution("optimal", None, np.where(x > 0.0, x, 0.0)[:n], pivots))
                 tableaux.append(tab)
         except np.linalg.LinAlgError:
             return None
@@ -587,7 +572,7 @@ def _postsolve(
             lifted.append(sol)
         solutions = lifted
     if bases is not None:
-        warm.store(constraints, system, keep, bases)
+        warm.store(system, keep, bases)
     return phase1, solutions
 
 
@@ -606,7 +591,7 @@ def _solve(
     original rows.  Without ``warm`` the bases are kept nowhere.
     """
     warm = _WarmStart() if warm is None else warm
-    system, keep = _presolve(constraints, warm.system, warm.reads)
+    system, keep = _presolve(constraints, warm.system)
     reduced = objectives if system is constraints else [(objective[keep], sense) for objective, sense in objectives]
     solved = warm.resolve(system, keep, reduced, constraints)
     if solved is not None:

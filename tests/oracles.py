@@ -24,7 +24,7 @@ from pobounds.model import (
     require_valid,
 )
 from pobounds.queries import collapse_to_objective, condition_probability
-from pobounds.simplex import check_feasible
+from pobounds.simplex import _Rows, check_feasible
 
 
 class SizeError(PoboundsError, ValueError):
@@ -460,3 +460,31 @@ def simulation_tables(truth, n: int, reps: int, seed: int, want_exp: bool, want_
             rec = reference_draws(truth, n, np.random.default_rng(grand[1]), "observational")
             obs = _frequencies(rec[:, 0] * dims.d_y + rec[:, 1], dims.d_x * dims.d_y).reshape(dims.d_x, dims.d_y)
         yield exp, obs
+
+
+def reference_presolve(constraints: ConstraintSet, like=None):
+    """The presolve as it was written first: every row's base-row test and
+    smallest coefficient read up front, then the exits in the order the
+    reduction meets them.  Returns what ``simplex._presolve`` does: the
+    system and an all-True mask when nothing reduces, else the reduced rows
+    (sharing ``like``'s arrays when ``like`` was reduced by the same masks
+    from the same ``A``) and the mask of the kept columns."""
+    A, rhs, kind = constraints.A, constraints.rhs, constraints.kind
+    ones, le, low = (kind == "eq") & (A == 1.0).all(axis=1), kind == "le", A.min(axis=1)
+    full = constraints, np.ones(A.shape[1], dtype=bool)
+    if not (ones & (rhs == 1.0)).any():
+        return full
+    forcing = le & (rhs == low)
+    if not forcing.any() or (le & (rhs < low)).any():
+        return full
+    keep = ~(A[forcing] > low[forcing, None]).any(axis=0)
+    sub = A[:, keep]
+    empty = ~forcing & ~sub.any(axis=1)
+    if (empty & np.where(le, rhs < 0.0, rhs != 0.0)).any():
+        return full
+    rows = ~(forcing | empty)
+    same = isinstance(like, _Rows) and like.origin is A
+    if same and np.array_equal(like.rows, rows) and np.array_equal(like.keep, keep):
+        return _Rows(like.A, rhs[rows], like.kind, like.provenance, A, rows, keep), keep
+    provenance = tuple(tag for tag, kept in zip(constraints.provenance, rows) if kept)
+    return _Rows(sub[rows], rhs[rows], kind[rows], provenance, A, rows, keep), keep

@@ -358,7 +358,8 @@ def test_malformed_values_exit_1_naming_the_file(tmp_path, capsys, truth_a):
     exp = exp_json(tmp_path, truth_a)
     bound = ["bound", "--dims", "3,3", "--exp", exp]
     pairs = [{"s": 1, "t": 0, "lower": 0}]
-    assumes = [{"terms": [{"prob_lower": "abc", "pairs": pairs}]}, {"terms": [{"pairs": 5}]}]
+    assumes = [{"terms": [{"prob_lower": "abc", "pairs": pairs}]}, {"terms": [{"pairs": 5}]},
+               {"preset": "prob_mtr(abc,1)"}]
     queries = [
         {"kind": "moment", "order": "two", "arms": [1, 0]},
         {"kind": "event", "po": {"0": 0}, "x": "a"},

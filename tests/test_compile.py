@@ -219,6 +219,18 @@ def test_preset_errors():
         pb.preset("pairwise(1)", dims)
     with pytest.raises(ConfigError):
         pb.preset("epsilon_harm(0.1)", dims)  # d_x != 2
+    # an argument that is not a number is the preset's error, not int()'s or float()'s
+    binary = pb.Dims(2, 2)
+    for name, text, what in [("pairwise(x,1)", "'x'", "an integer"), ("pairwise(1.5,0)", "'1.5'", "an integer"),
+                             ("pairwise(,1)", "''", "an integer"), ("prob_mtr(abc,1)", "'abc'", "a number"),
+                             ("prob_mtr(1, y)", "'y'", "a number"), ("epsilon_harm(z)", "'z'", "a number")]:
+        with pytest.raises(ConfigError) as info:
+            pb.preset(f"  {name} ", binary)
+        assert str(info.value) == f"{name}: argument {text} is not {what}"
+    # arguments that are numbers but not valid ones stay the term's errors
+    for name in ("pairwise(3,0)", "prob_mtr(nan,1)", "prob_mtr(1e400,1)", "epsilon_harm(-1)"):
+        with pytest.raises(pb.PoboundsError):
+            pb.preset(name, binary)
 
 
 def test_truth_satisfies_compiled_rows(truth_a):

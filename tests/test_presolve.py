@@ -11,7 +11,8 @@ import pobounds as pb
 from pobounds import simplex
 from pobounds.model import cell_grid
 
-from test_farkas import run
+from oracles import reference_presolve
+from test_farkas import tiny
 
 CUSTOM = "custom"  # Y_1 <= Y_0 <= Y_1 + 1 almost surely, written as a term
 
@@ -169,34 +170,150 @@ def test_satisfied_empty_rows_are_dropped():
     assert (res.lower, res.upper) == (1.0, 1.0)
 
 
-def test_reads_are_taken_only_from_a_system_of_the_same_A():
-    # the reduction above; reads that claim there is no base row leave the
-    # system whole, which shows where they were used
+def test_a_reduction_shares_arrays_only_with_a_system_of_the_same_A():
+    # the reduction above, again on the same A: the same masks share the
+    # reduced A, kind and provenance; a twin with its own A builds its own
     dims = pb.Dims(2, 2)
     rising = pb.AssumptionSet((pb.MonotoneTerm.from_pairs(2, {(1, 0): (1.0, np.inf)}, 1.0, 1.0),))
     exp = pb.ExperimentalMarginals(np.array([[1.0, 0.0], [0.0, 1.0]]))
     cs = pb.assemble_constraints(dims, exp=exp, assumptions=rising)
     rows, _ = simplex._presolve(cs)
-    ones, le, low = simplex._reads(cs)
-    no_base = (np.zeros_like(ones), le, low)
-    again = cs.with_rhs(cs.rhs)  # shares A
-    assert simplex._presolve(again, cs, no_base)[0] is again
-    assert simplex._presolve(again, rows, no_base)[0] is again
+    shared = simplex._presolve(cs.with_rhs(cs.rhs), rows)[0]
+    assert shared.A is rows.A and shared.kind is rows.kind and shared.provenance is rows.provenance
     twin = pb.ConstraintSet(dims, cs.A, cs.rhs, cs.kind, cs.provenance)  # equal values, its own A
-    for system, like in ((twin, cs), (twin, rows), (again, None)):
-        assert simplex._presolve(system, like, no_base)[0].provenance == rows.provenance
-    shared = simplex._presolve(again, rows)[0]
-    assert shared.A is rows.A and shared.kind is rows.kind
+    own = simplex._presolve(twin, rows)[0]
+    assert own.A is not rows.A and own.kind is not rows.kind
+    assert np.array_equal(own.A, rows.A) and own.provenance == rows.provenance
 
 
-@pytest.mark.parametrize("call", ["bootstrap", "simulation_study"])
-def test_a_replicate_loop_reads_A_once_per_stored_system(call, monkeypatch):
-    # the first replicate's presolve and the store after its cold solve
-    seen = []
-    honest = simplex._reads
-    monkeypatch.setattr(simplex, "_reads", lambda cs: seen.append(cs.A) or honest(cs))
-    summary = run(call)
-    assert summary.used > 1 and len(seen) == 2 and seen[0] is seen[1]
+def same_as_reference(cs, like=None, like_reference=None):
+    """``simplex._presolve`` and the oracle agree bit for bit on ``cs``:
+    whether it reduces, the masks, the arrays, the provenance and what is
+    shared with ``like``; returns both results."""
+    got, keep = simplex._presolve(cs, like)
+    want, want_keep = reference_presolve(cs, like_reference)
+    assert (got is cs) == (want is cs)
+    assert keep.dtype == want_keep.dtype and np.array_equal(keep, want_keep)
+    if want is not cs:
+        for name in ("A", "rhs", "kind", "rows", "keep"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        assert got.provenance == want.provenance and got.origin is want.origin is cs.A
+        if like is not None:
+            assert (got.A is like.A) == (want.A is like_reference.A)
+            assert (got.kind is like.kind) == (want.kind is like_reference.kind)
+    return got, want
+
+
+def tiny_systems():
+    """The 2x2 systems of test_farkas.py's ray checks."""
+    lower = [[(j, -1.0) for j in range(8)]]
+    out = [
+        tiny(lower, [-1.5], ["le"], ["monotone(0,lower)"]),
+        tiny([[(j, 1.0) for j in range(8)]], [0.5], ["le"], ["monotone(0,upper)"]),
+        tiny([[(0, 1.0)]], [2.0], ["le"], ["monotone(0,upper)"]),
+        tiny([[(j, 1.0) for j in range(4, 8)], [(0, 1.0), (1, 1.0), (2, 1.0), (3, 1.0), (4, 2.0)]],
+             [0.0, 1.5], ["le", "eq"], ["monotone(0,upper)", "experimental(0,0)"]),
+        pb.ConstraintSet(pb.Dims(2, 2), -np.ones((1, 8)), [-1.5], ["le"], ["monotone(0,lower)"]),
+        pb.ConstraintSet(pb.Dims(2, 2), np.vstack([-np.ones(8), np.ones(8)]), [-1.5, 1.0], ["le", "le"],
+                         ["monotone(0,lower)", "monotone(0,upper)"]),
+    ]
+    return out + [tiny(lower, [-(1.0 + t)], ["le"], ["monotone(0,lower)"]) for t in (1e-9, 5e-9, 2e-8)]
+
+
+PLANTS = ("no-le", "no-base", "below-min", "all-equal", "empty-met", "empty-missed", "mixed", "slack=0")
+
+
+def random_system(rng, plant, i):
+    """A seeded system of one of the ``PLANTS``: over the 8 cells of a 2x2
+    model, the base row, the planted rows, and rows that neither force nor
+    empty (``eq``, every coefficient nonzero); ``mixed`` draws every row at
+    random, and ``slack=0`` compiles tables with zeros and ones at slack 0,
+    whose data rows force.  ``i`` picks the row a ``no-base`` system has in
+    place of the base row."""
+    dims = pb.Dims(2, 2)
+    if plant == "slack=0":
+        exp = pb.ExperimentalMarginals(rng.permuted(np.array([[1.0, 0.0], [0.5, 0.5]]), axis=1))
+        obs = pb.ObservationalJoint(rng.permuted(np.array([[0.0, 0.3], [0.7, 0.0]]).ravel()).reshape(2, 2))
+        return pb.assemble_constraints(dims, exp=exp, obs=obs, slack=0.0)
+    rows = [(np.ones(8), 1.0, "eq")]
+    if plant == "no-base":  # nothing, or a row that is almost the base row
+        rows = [[], [(np.ones(8), 0.5, "eq")], [(np.ones(8), 1.0, "le")], [(np.full(8, 2.0), 1.0, "eq")]][i % 4]
+    zeros_on = rng.permutation(8)[: rng.integers(1, 7)]  # the cells a planted forcing row drops
+    forcing = np.zeros(8)
+    forcing[zeros_on] = rng.integers(1, 3, size=zeros_on.size)
+    if plant in ("no-base", "below-min", "empty-met", "empty-missed"):
+        rows.append((forcing, 0.0, "le"))
+    if plant == "below-min":
+        a = rng.integers(-1, 3, size=8).astype(float)
+        rows.append((a, a.min() - 0.5, "le"))
+    if plant == "all-equal":
+        c = float(rng.choice([-2.0, -1.0, 1.0, 2.0]))
+        rows.append((np.full(8, c), c, "le"))
+    if plant in ("empty-met", "empty-missed"):
+        a = np.zeros(8)
+        a[zeros_on] = rng.integers(1, 3, size=zeros_on.size)
+        met = [(a, 0.0, "eq"), (-a, 0.25, "le")]
+        missed = [(a, 0.25, "eq"), (a, -0.25, "eq"), (-a, -0.25, "le")]
+        emptied = [met[rng.integers(2)]] + ([missed[rng.integers(3)]] if plant == "empty-missed" else [])
+        rows += emptied[:: int(rng.choice([-1, 1]))]
+    for _ in range(rng.integers(0 if plant != "no-le" else 1, 3)):
+        a = rng.choice([-1.0, 1.0, 2.0], size=8)
+        rows.append((a, float(a @ rng.dirichlet(np.ones(8))), "eq"))
+    if plant == "mixed":
+        for _ in range(rng.integers(1, 5)):
+            a = rng.integers(-1, 3, size=8).astype(float)
+            a[0] += not a.any()
+            rows.append((a, float(rng.choice([a.min(), a.min() - 0.5, 0.0, 0.5, 1.0])), str(rng.choice(["eq", "le"]))))
+    A, rhs, kind = zip(*rows)
+    return pb.ConstraintSet(dims, np.array(A), rhs, kind, [f"row({i})" for i in range(len(rows))])
+
+
+def suite_systems():
+    out = {}
+    for case in cases():
+        d_x, d_y, name, exogeneity, slack, kind, seed = case
+        dims = pb.Dims(d_x, d_y)
+        exp, obs, assumptions, _ = instance(dims, name, exogeneity, kind, seed)
+        out[case_id(case)] = pb.assemble_constraints(dims, exp=exp, obs=obs, assumptions=assumptions, slack=slack)
+    for name, (dims, exp, assumptions, _) in infeasible_systems().items():
+        out[name] = pb.assemble_constraints(dims, exp=exp, assumptions=assumptions)
+    for i, cs in enumerate(tiny_systems()):
+        out[f"tiny-{i}"] = cs
+    return out
+
+
+def test_the_presolve_equals_the_reference_on_the_suite_systems():
+    reduced = 0
+    for name, cs in suite_systems().items():
+        got, want = same_as_reference(cs)
+        if want is not cs:
+            reduced += 1
+            # again on the same A, with and without the first reduction as like
+            again = cs.with_rhs(cs.rhs)
+            same_as_reference(again, got, want)
+            same_as_reference(again)
+    assert reduced >= len(cases())
+
+
+def test_the_presolve_equals_the_reference_on_random_systems():
+    rng = np.random.default_rng(20261018)
+    seen = {plant: [] for plant in PLANTS}
+    for i in range(200):
+        plant = PLANTS[i % len(PLANTS)]
+        cs = random_system(rng, plant, i // len(PLANTS))
+        got, want = same_as_reference(cs)
+        if want is not cs:
+            same_as_reference(cs.with_rhs(cs.rhs), got, want)
+        seen[plant].append(want is cs or (int(want.keep.sum()), int(want.rows.sum()), len(cs)))
+    for plant in ("no-le", "no-base", "below-min", "empty-missed"):
+        assert all(whole is True for whole in seen[plant]), plant
+    # an all-equal forcing row drops itself and keeps every column
+    assert all(whole is not True and whole[0] == 8 and whole[1] < whole[2] for whole in seen["all-equal"])
+    # the emptied row is met, so it leaves with the forcing row
+    assert all(whole is not True and whole[0] < 8 and whole[1] <= whole[2] - 2 for whole in seen["empty-met"])
+    for plant in ("mixed", "slack=0"):
+        assert any(whole is True for whole in seen[plant]) and any(whole is not True for whole in seen[plant]), plant
 
 
 @pytest.mark.parametrize("call, what", [(0, "phase-1 point"), (2, "maximize witness")])

@@ -332,3 +332,27 @@ def test_bounds_match_highs():
                                        bounds=(0, None), method="highs")
                 assert ref.status == 0, (seed, mix, ref.message)
                 assert sol.value == pytest.approx(sign * ref.fun, abs=1e-6), (seed, mix)
+
+
+def test_a_phase_1_that_ends_above_its_start_raises():
+    # a 3x3 exogenous truth with P(X=1) = 2.9e-9: phase 1 starts at sum|rhs| = 3.66
+    # and, having lost precision, ends at 1.19e6, which no pivot can reach;
+    # the tables add one cell at a time in flattened order, as SparseJointPO does
+    rng = np.random.default_rng(5)
+    dims = pb.Dims(3, 3)
+    py = rng.dirichlet(np.ones(27))
+    px = rng.dirichlet(np.full(3, 0.3))
+    mass = np.outer(py, px).reshape(-1)
+    cell = np.indices((3, 3, 3, 3)).reshape(4, -1)
+    exp, obs = np.zeros((3, 3)), np.zeros((3, 3))
+    np.add.at(exp, (np.tile(np.arange(3), mass.size), cell[:3].T.reshape(-1)), np.repeat(mass, 3))
+    np.add.at(obs, (cell[3], cell[cell[3], np.arange(mass.size)]), mass)
+    assert 2e-9 < obs[1].sum() < 4e-9
+    exp, obs = pb.ExperimentalMarginals(exp), pb.ObservationalJoint(obs)
+    exogenous = pb.AssumptionSet().with_exogeneity(True)
+    query = pb.build_event_query(dims, {0: 0, 1: {"ge": 1}})
+    with pytest.raises(pb.SolverFailureError, match=r"^phase 1 ended at 1\.1\d*e\+06, above its start 3\.66\d*$"):
+        pb.bound(dims, query, exp=exp, obs=obs, assumptions=exogenous)
+    cs = pb.assemble_constraints(dims, exp=exp, obs=obs, assumptions=exogenous)
+    with pytest.raises(pb.SolverFailureError, match="^phase 1 ended at"):
+        pb.check_feasible(cs)

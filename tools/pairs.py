@@ -5,25 +5,28 @@
 Each pair runs ``perfbench/run.py`` once on a checkout of ``--base`` and
 once on the working tree, alternating which of the two goes first so that
 a drift of the host's speed over the run falls on both sides alike.
-The base checkout is a ``git worktree`` made for the run and removed after
-it.  Each side runs its own ``perfbench/``, as a comparison between two
-commits would.
+The base checkout is a ``git archive`` of ``--base`` unpacked into a
+temporary directory and removed after the run.  Each side runs its own
+``perfbench/``, as a comparison between two commits would.
 
 Printed per metric: the median and quartiles of the base's runs and of
 the working tree's, the change of the medians, and in how many pairs the
 working tree was better, by the direction ``BENCHMARK.json`` declares (a
-metric it does not declare counts lower as better).  Each run's
-``correct`` flag is printed as it finishes.
+metric it does not declare counts lower as better).  Each end-to-end
+metric also gets a verdict (:func:`verdict`).  Each run's ``correct`` flag
+is printed as it finishes.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tarfile
 import tempfile
 from statistics import median, quantiles
 
@@ -43,11 +46,12 @@ def parse_args(argv):
     return args
 
 
-def directions() -> dict[str, str]:
-    """``better`` of every metric ``BENCHMARK.json`` declares, by name."""
+def declared() -> dict[str, dict]:
+    """Every metric ``BENCHMARK.json`` declares, by name: its ``better`` and,
+    for an end-to-end metric, its ``bound``."""
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
-    return {m["name"]: m["better"] for m in spec.get("end_to_end", []) + spec.get("per_layer", [])}
+    return {m["name"]: m for m in spec.get("end_to_end", []) + spec.get("per_layer", [])}
 
 
 def run(checkout: str, args) -> dict:
@@ -61,46 +65,79 @@ def run(checkout: str, args) -> dict:
     return {"correct": result["correct"], "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
 
 
-def better(name: str, head: float, base: float, declared: dict[str, str]) -> bool:
-    # under --workload all a metric is named "<workload>.<metric>"
-    way = declared.get(name, declared.get(name.split(".", 1)[-1], "lower"))
+def metric(name: str, metrics: dict[str, dict]) -> dict:
+    """The declaration of ``name``; under --workload all a metric is named "<workload>.<metric>"."""
+    return metrics.get(name, metrics.get(name.split(".", 1)[-1], {}))
+
+
+def better(way: str, head: float, base: float) -> bool:
     return head > base if way == "higher" else head < base
 
 
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    return tuple(quantiles(values, n=4, method="inclusive")) if len(values) > 1 else (values[0],) * 3
+
+
+def verdict(base: list[float], head: list[float], way: str, bound: float) -> str:
+    """What paired runs show of one end-to-end metric, ``base[i]`` and
+    ``head[i]`` being pair ``i``:
+
+    * ``worse``: the head's median is worse than the base's by more than
+      ``bound``, a fraction of the base's median;
+    * ``unresolved``: the base's interquartile range is wider than that
+      bound, and not every head run beats every base run;
+    * ``gain``: the head wins at least 9 in 10 pairs, and its median beats
+      the base's by more than the base's interquartile range;
+    * ``same`` otherwise.
+    """
+    q1, mid, q3 = quartiles(base)
+    allowed = bound * abs(mid)
+    gap = median(head) - mid if way == "higher" else mid - median(head)
+    if gap < -allowed:
+        return "worse"
+    if q3 - q1 > allowed and not all(better(way, h, b) for h in head for b in base):
+        return "unresolved"
+    if sum(better(way, h, b) for h, b in zip(head, base)) >= 0.9 * len(head) and gap > q3 - q1:
+        return "gain"
+    return "same"
+
+
 def spread(values: list[float]) -> str:
-    q1, _, q3 = quantiles(values, n=4, method="inclusive") if len(values) > 1 else (values[0],) * 3
-    return f"{median(values):.4g} [{q1:.4g}, {q3:.4g}]"
+    q1, mid, q3 = quartiles(values)
+    return f"{mid:.4g} [{q1:.4g}, {q3:.4g}]"
 
 
-def report(runs: dict[str, list[dict]], declared: dict[str, str]) -> None:
+def report(runs: dict[str, list[dict]], metrics: dict[str, dict]) -> None:
     names = sorted(set.intersection(*(set(r["metrics"]) for r in runs["base"] + runs["head"])))
-    print(f"{'metric':44s} {'base median [q1, q3]':28s} {'head median [q1, q3]':28s} {'change':>8s}  wins")
+    print(f"{'metric':44s} {'base median [q1, q3]':28s} {'head median [q1, q3]':28s} {'change':>8s}  wins  verdict")
     for name in names:
         base = [r["metrics"][name] for r in runs["base"]]
         head = [r["metrics"][name] for r in runs["head"]]
-        wins = sum(better(name, h, b, declared) for h, b in zip(head, base))
+        spec = metric(name, metrics)
+        way = spec.get("better", "lower")
+        wins = sum(better(way, h, b) for h, b in zip(head, base))
         change = f"{100 * (median(head) / median(base) - 1):+.1f}%" if median(base) else "n/a"
-        print(f"{name:44s} {spread(base):28s} {spread(head):28s} {change:>8s}  {wins}/{len(head)}")
+        judged = verdict(base, head, way, spec["bound"]) if "bound" in spec else ""
+        print(f"{name:44s} {spread(base):28s} {spread(head):28s} {change:>8s}  {wins}/{len(head)}  {judged}")
 
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    declared = directions()
+    metrics = declared()
+    archive = subprocess.run(["git", "archive", args.base], cwd=ROOT, check=True, stdout=subprocess.PIPE).stdout
     base_dir = tempfile.mkdtemp(prefix="pairs-base-")
-    os.rmdir(base_dir)
-    subprocess.run(["git", "worktree", "add", "--detach", base_dir, args.base], cwd=ROOT, check=True,
-                   stdout=subprocess.DEVNULL)
     runs: dict[str, list[dict]] = {"base": [], "head": []}
     try:
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(base_dir, filter="data")
         for i in range(args.pairs):
             order = [("base", base_dir), ("head", ROOT)]
             for side, checkout in order if i % 2 == 0 else order[::-1]:
                 runs[side].append(run(checkout, args))
                 print(f"pair {i + 1}/{args.pairs} {side}: correct={runs[side][-1]['correct']}", flush=True)
     finally:
-        subprocess.run(["git", "worktree", "remove", "--force", base_dir], cwd=ROOT, check=False)
         shutil.rmtree(base_dir, ignore_errors=True)
-    report(runs, declared)
+    report(runs, metrics)
     return 0
 
 
