@@ -214,11 +214,11 @@ def load_assumptions(source: str | None, dims: Dims) -> AssumptionSet:
                 lo = -np.inf if p.get("lower") is None else float(p["lower"])
                 hi = np.inf if p.get("upper") is None else float(p["upper"])
                 pairs[(as_integer(p["s"], "pair s"), as_integer(p["t"], "pair t"))] = (lo, hi)
-            terms.append(
-                MonotoneTerm.from_pairs(
-                    dims.d_x, pairs, float(t.get("prob_lower", 1.0)), float(t.get("prob_upper", 1.0))
-                )
-            )
+            window = float(t.get("prob_lower", 1.0)), float(t.get("prob_upper", 1.0))
+            try:
+                terms.append(MonotoneTerm.from_pairs(dims.d_x, pairs, *window))
+            except ValidationError as exc:
+                raise ValidationError(f"{source}: {exc}") from None
         return AssumptionSet(tuple(terms), bool(data.get("exogeneity", False)))
 
 

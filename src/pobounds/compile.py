@@ -238,29 +238,31 @@ def preset(name: str, dims: Dims) -> AssumptionSet:
     if base == "mtr":
         if args:
             raise ConfigError("mtr takes no arguments")
-        term = MonotoneTerm.from_pairs(dims.d_x, _consecutive_pairs(dims.d_x), 1.0, 1.0)
+        pairs, lo, hi = _consecutive_pairs(dims.d_x), 1.0, 1.0
     elif base == "mite":
         if args:
             raise ConfigError("mite takes no arguments")
-        pairs = {(s, t): (0.0, 1.0) for s in range(dims.d_x) for t in range(s)}
-        term = MonotoneTerm.from_pairs(dims.d_x, pairs, 1.0, 1.0)
+        pairs, lo, hi = {(s, t): (0.0, 1.0) for s in range(dims.d_x) for t in range(s)}, 1.0, 1.0
     elif base == "pairwise":
         if len(args) != 2:
             raise ConfigError("pairwise takes two arguments: pairwise(s,t)")
         s, t = (_argument(name, a, int, "an integer") for a in args)
-        term = MonotoneTerm.from_pairs(dims.d_x, {(s, t): (0.0, np.inf)}, 1.0, 1.0)
+        pairs, lo, hi = {(s, t): (0.0, np.inf)}, 1.0, 1.0
     elif base == "epsilon_harm":
         if len(args) != 1:
             raise ConfigError("epsilon_harm takes one argument: epsilon_harm(eps)")
         if dims.d_x != 2:
             raise ConfigError("epsilon_harm is defined for binary treatment only")
-        eps = _argument(name, args[0], float, "a number")
-        term = MonotoneTerm.from_pairs(dims.d_x, {(1, 0): (-np.inf, -1.0)}, 0.0, eps)
+        pairs, lo, hi = {(1, 0): (-np.inf, -1.0)}, 0.0, _argument(name, args[0], float, "a number")
     elif base == "prob_mtr":
         if len(args) != 2:
             raise ConfigError("prob_mtr takes two arguments: prob_mtr(L,U)")
         lo, hi = (_argument(name, a, float, "a number") for a in args)
-        term = MonotoneTerm.from_pairs(dims.d_x, _consecutive_pairs(dims.d_x), lo, hi)
+        pairs = _consecutive_pairs(dims.d_x)
     else:
         raise ConfigError(f"unknown preset {name!r}")
+    try:
+        term = MonotoneTerm.from_pairs(dims.d_x, pairs, lo, hi)
+    except ValidationError as exc:
+        raise ConfigError(f"{name}: {exc}") from None
     return AssumptionSet((term,))

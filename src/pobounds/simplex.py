@@ -161,10 +161,18 @@ class _Tableau:
 
     def run(self, allowed: int) -> str:
         """Minimize until reduced costs are nonnegative (Bland's rule); only the
-        first ``allowed`` columns may enter, which keeps artificials out in phase 2."""
+        first ``allowed`` columns may enter, which keeps artificials out in phase 2.
+        No pivot raises the objective ``-T[-1, -1]``, so one that lifts it above its
+        value at the start by more than ``FEAS_TOL·max(1, |start|)`` shows that the
+        tableau has lost precision, and raises."""
         T, basis = self.T, self.basis
         red, rhs, work = T[-1, :allowed], T[:-1, -1], np.empty_like(T)
+        start = -float(T[-1, -1])
+        floor = -(start + FEAS_TOL * max(1.0, abs(start)))
         while True:
+            if T[-1, -1] < floor:
+                raise SolverFailureError(f"objective rose to {-T[-1, -1]:.6g} at pivot {self.iterations}, "
+                                         f"above its start {start:.6g}", tableau=T.copy(), basis=basis.tolist())
             if self.iterations > MAX_ITERATIONS:
                 raise SolverFailureError("iteration limit exceeded", tableau=T.copy(), basis=basis.tolist())
             negative = red < -PIVOT_TOL
@@ -205,17 +213,14 @@ class _Tableau:
             self._pivot(leaving, int(eligible[ratios <= ratios.min() + DEAD_TOL][0]), work)
 
     def phase1(self) -> float:
-        """The least sum of the artificials; raises if it ends above its start ``Σ|rhs|``."""
-        start = float(self.T[: self.m, -1].sum())
+        """The least sum of the artificials, from its start ``Σ|rhs|``; ``run``
+        raises at any pivot that lifts the sum above that start."""
         costs = np.zeros(self.art0 + self.m)
         costs[self.art0 :] = 1.0
         self.set_costs(costs)
         if self.run(allowed=self.art0 + self.m) != "optimal":
             raise SolverFailureError("phase 1 terminated without optimum", tableau=self.T.copy())
-        end = -float(self.T[-1, -1])
-        if end > start + FEAS_TOL * max(1.0, start):  # no pivot raises it: the tableau lost precision
-            raise SolverFailureError(f"phase 1 ended at {end:.6g}, above its start {start:.6g}", tableau=self.T.copy())
-        return end
+        return -float(self.T[-1, -1])
 
     def phase1_duals(self) -> np.ndarray:
         """Row multipliers certifying infeasibility (Farkas certificate)."""

@@ -353,13 +353,13 @@ def test_negative_seed_and_sample_size_exit_1(tmp_path, capsys, truth_a):
 
 
 def test_malformed_values_exit_1_naming_the_file(tmp_path, capsys, truth_a):
-    # non-numeric values, wrong container types and ragged tables end in
-    # "error: <path>: ...", never in a traceback
+    # non-numeric values, out-of-range assumption terms, wrong container types
+    # and ragged tables end in "error: <path>: ...", never in a traceback
     exp = exp_json(tmp_path, truth_a)
     bound = ["bound", "--dims", "3,3", "--exp", exp]
     pairs = [{"s": 1, "t": 0, "lower": 0}]
     assumes = [{"terms": [{"prob_lower": "abc", "pairs": pairs}]}, {"terms": [{"pairs": 5}]},
-               {"preset": "prob_mtr(abc,1)"}]
+               {"preset": "prob_mtr(abc,1)"}, {"preset": "prob_mtr(2,1)"}, {"terms": [{"pairs": [{"s": 3, "t": 0}]}]}]
     queries = [
         {"kind": "moment", "order": "two", "arms": [1, 0]},
         {"kind": "event", "po": {"0": 0}, "x": "a"},
@@ -378,8 +378,8 @@ def test_malformed_values_exit_1_naming_the_file(tmp_path, capsys, truth_a):
     for i, payload in enumerate(tables):
         path = write_json(tmp_path / f"table{i}.json", payload)
         cases.append((path, ["bound", "--dims", "3,3", "--exp", path, "--query", event_query(tmp_path)]))
-    preset = "prob_mtr(abc,1)"
-    cases.append((preset, bound + ["--assume", preset, "--query", event_query(tmp_path)]))
+    for preset in ("prob_mtr(abc,1)", "pairwise(3,0)"):
+        cases.append((preset, bound + ["--assume", preset, "--query", event_query(tmp_path)]))
     for path, argv in cases:
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith(f"error: {path}: ")

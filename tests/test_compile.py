@@ -227,10 +227,14 @@ def test_preset_errors():
         with pytest.raises(ConfigError) as info:
             pb.preset(f"  {name} ", binary)
         assert str(info.value) == f"{name}: argument {text} is not {what}"
-    # arguments that are numbers but not valid ones stay the term's errors
-    for name in ("pairwise(3,0)", "prob_mtr(nan,1)", "prob_mtr(1e400,1)", "epsilon_harm(-1)"):
-        with pytest.raises(pb.PoboundsError):
+    # arguments that are numbers but not valid ones give the term's error, after the preset
+    for name, message in [("pairwise(3,0)", "pair (3,0) must satisfy 0 <= t < s < d_x"),
+                          ("prob_mtr(nan,1)", "probability window [nan, 1.0] invalid"),
+                          ("prob_mtr(1e400,1)", "probability window [inf, 1.0] invalid"),
+                          ("epsilon_harm(-1)", "probability window [0.0, -1.0] invalid")]:
+        with pytest.raises(ConfigError) as info:
             pb.preset(name, binary)
+        assert str(info.value) == f"{name}: {message}"
 
 
 def test_truth_satisfies_compiled_rows(truth_a):

@@ -1,7 +1,8 @@
-"""The verdict ``tools/pairs.py`` prints for one end-to-end metric of paired
-benchmark runs, on hand-made run lists."""
+"""What ``tools/pairs.py`` prints of paired benchmark runs, on hand-made run
+lists: the verdict on one end-to-end metric, and each side's op counts."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -46,3 +47,24 @@ def test_a_metric_is_declared_by_its_name_after_the_workload():
     assert pairs.metric("replicates.op_ms_p50", metrics) == metrics["op_ms_p50"]
     assert pairs.metric("op_ms_p50", metrics) == metrics["op_ms_p50"]
     assert pairs.metric("simplex.phase1_ms.3x3", metrics) == {}
+
+
+def _stdout(attempted, failed, ok_frac, rss):
+    last = {"correct": True, "attempted": attempted, "failed": failed,
+            "metrics": {"ok_frac": {"value": ok_frac, "unit": "ratio"}, "peak_rss_mb": {"value": rss, "unit": "MB"}}}
+    return f"machine: {{}}\nbound-grid ops={attempted}\n{json.dumps(last)}\n"
+
+
+def test_a_run_carries_its_op_counts_as_undeclared_rows(capsys):
+    runs = {"base": [pairs.outcome(_stdout(250, 10, 0.96, 50.6)), pairs.outcome(_stdout(260, 10, 0.96, 50.9))],
+            "head": [pairs.outcome(_stdout(700, 28, 0.96, 55.7)), pairs.outcome(_stdout(720, 29, 0.96, 55.9))]}
+    assert runs["base"][0] == {"correct": True,
+                               "metrics": {"ok_frac": 0.96, "peak_rss_mb": 50.6, "attempted": 250, "failed": 10}}
+    declared = {"ok_frac": {"name": "ok_frac", "better": "higher", "bound": 0.01},
+                "peak_rss_mb": {"name": "peak_rss_mb", "better": "lower", "bound": 0.15}}
+    pairs.report(runs, declared)
+    rows = {line.split()[0]: line.split() for line in capsys.readouterr().out.splitlines()[1:]}
+    assert set(rows) == {"attempted", "failed", "ok_frac", "peak_rss_mb"}
+    assert rows["attempted"][1:] == ["255", "[252.5,", "257.5]", "710", "[705,", "715]", "+178.4%", "0/2"]
+    assert rows["failed"][1:4] == ["10", "[10,", "10]"] and rows["failed"][-1] == "0/2"  # no verdict
+    assert rows["ok_frac"][-1] == "same" and rows["peak_rss_mb"][-1] == "same"  # +10%, inside its 15%

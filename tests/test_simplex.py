@@ -351,8 +351,63 @@ def test_a_phase_1_that_ends_above_its_start_raises():
     exp, obs = pb.ExperimentalMarginals(exp), pb.ObservationalJoint(obs)
     exogenous = pb.AssumptionSet().with_exogeneity(True)
     query = pb.build_event_query(dims, {0: 0, 1: {"ge": 1}})
-    with pytest.raises(pb.SolverFailureError, match=r"^phase 1 ended at 1\.1\d*e\+06, above its start 3\.66\d*$"):
+    with pytest.raises(pb.SolverFailureError, match=r"^objective rose to 7\.7\d* at pivot 9, above its start 3\.66\d*$"):
         pb.bound(dims, query, exp=exp, obs=obs, assumptions=exogenous)
     cs = pb.assemble_constraints(dims, exp=exp, obs=obs, assumptions=exogenous)
-    with pytest.raises(pb.SolverFailureError, match="^phase 1 ended at"):
+    with pytest.raises(pb.SolverFailureError, match="^objective rose to .* at pivot 9, above its start"):
         pb.check_feasible(cs)
+
+
+def test_the_pinned_4x4_raises_within_a_thousand_pivots():
+    # a 4x4 exogenous truth with P(X=0) = 1.4e-4 whose phase 1 lifts its own
+    # objective at pivot 362 and, unchecked, pivots on to the iteration limit;
+    # the tables add one cell at a time in flattened order, as SparseJointPO does
+    rng = np.random.default_rng(0)
+    dims = pb.Dims(4, 4)
+    py = rng.dirichlet(np.ones(256))
+    px = rng.dirichlet(np.ones(4))
+    mass = np.outer(py, px).reshape(-1)
+    cell = np.indices((4,) * 5).reshape(5, -1)
+    exp, obs = np.zeros((4, 4)), np.zeros((4, 4))
+    np.add.at(exp, (np.tile(np.arange(4), mass.size), cell[:4].T.reshape(-1)), np.repeat(mass, 4))
+    np.add.at(obs, (cell[4], cell[cell[4], np.arange(mass.size)]), mass)
+    assert 1e-4 < obs[0].sum() < 2e-4
+    query = pb.build_event_query(dims, {0: 0, 1: {"ge": 1}})
+    rose = r"^objective rose to \S+ at pivot (\d+), above its start \S+$"
+    with pytest.raises(pb.SolverFailureError, match=rose) as info:
+        pb.bound(dims, query, exp=pb.ExperimentalMarginals(exp), obs=pb.ObservationalJoint(obs),
+                 assumptions=pb.AssumptionSet().with_exogeneity(True))
+    pivot = int(re.match(rose, str(info.value)).group(1))
+    assert pivot <= 1000 < simplex.MAX_ITERATIONS
+
+
+@pytest.mark.parametrize("phase", [1, 2])
+def test_a_pivot_that_raises_the_objective_raises(truth_a, monkeypatch, phase):
+    # forge a loss of precision: pivot k of one phase lifts the objective by 100,
+    # far above where the run started (both phases start below 10 here)
+    dims = truth_a.dims
+    cs = pb.assemble_constraints(dims, exp=truth_a.po_marginals(), obs=truth_a.xy_marginal())
+    obj = pb.collapse_to_objective(pb.build_event_query(dims, {0: 0, 1: 0, 2: 1}), dims)
+    honest = simplex._Tableau._pivot
+    pivots = {1: [], 2: []}
+
+    def record(self, row, col, work):
+        honest(self, row, col, work)
+        # phase 2 runs on a tableau whose artificial columns are gone
+        pivots[2 if self.T.shape[1] == self.art0 + 1 else 1].append(self.iterations)
+
+    monkeypatch.setattr(simplex._Tableau, "_pivot", record)
+    simplex._two_phase(cs, [(obj, "maximize")])
+    assert len(pivots[phase]) >= 3
+    k = pivots[phase][2]
+
+    def forged(self, row, col, work):
+        record(self, row, col, work)
+        if self.iterations == k:
+            self.T[-1, -1] -= 100.0  # T[-1, -1] is minus the objective
+
+    monkeypatch.setattr(simplex._Tableau, "_pivot", forged)
+    rose = rf"^objective rose to \S+ at pivot {k}, above its start \S+$"
+    with pytest.raises(pb.SolverFailureError, match=rose) as info:
+        simplex._two_phase(cs, [(obj, "maximize")])
+    assert info.value.basis is not None and info.value.tableau.flags.owndata

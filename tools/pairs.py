@@ -13,8 +13,10 @@ Printed per metric: the median and quartiles of the base's runs and of
 the working tree's, the change of the medians, and in how many pairs the
 working tree was better, by the direction ``BENCHMARK.json`` declares (a
 metric it does not declare counts lower as better).  Each end-to-end
-metric also gets a verdict (:func:`verdict`).  Each run's ``correct`` flag
-is printed as it finishes.
+metric also gets a verdict (:func:`verdict`).  The ops each run attempted
+and failed are printed as two undeclared rows, ``attempted`` and
+``failed``, without a verdict.  Each run's ``correct`` flag is printed as
+it finishes.
 """
 
 from __future__ import annotations
@@ -61,8 +63,18 @@ def run(checkout: str, args) -> dict:
     proc = subprocess.run(argv, cwd=checkout, stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, text=True)
     if proc.returncode != 0:
         sys.exit(f"error: {' '.join(argv)} in {checkout} exited with {proc.returncode}")
-    result = json.loads(proc.stdout.rstrip("\n").split("\n")[-1])
-    return {"correct": result["correct"], "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+    return outcome(proc.stdout)
+
+
+def outcome(stdout: str) -> dict:
+    """The ``correct`` flag and metrics of the JSON object on the last line of
+    a run's standard output, with its ``attempted`` and ``failed`` op counts
+    among the metrics (summed over the workloads under ``--workload all``):
+    the bench keeps every op, so ``peak_rss_mb`` reads against them."""
+    result = json.loads(stdout.rstrip("\n").split("\n")[-1])
+    metrics = {k: v["value"] for k, v in result["metrics"].items()}
+    metrics.update(attempted=result["attempted"], failed=result["failed"])
+    return {"correct": result["correct"], "metrics": metrics}
 
 
 def metric(name: str, metrics: dict[str, dict]) -> dict:
