@@ -93,6 +93,13 @@ def _key_integer(key: str, what: str) -> int:
     return int(key)
 
 
+def _number(value, what: str) -> float:
+    """A JSON number as a float; a boolean is refused, not read as 0 or 1."""
+    if isinstance(value, bool):
+        raise TypeError(f"{what} {value!r} is not a number")
+    return float(value)
+
+
 def _read_json_object(path: str) -> dict:
     data = _read_json(path)
     if not isinstance(data, dict):
@@ -157,12 +164,18 @@ def _raise_first_bad_row(path: str, columns: tuple[str, str], limits: tuple[int,
     raise ValidationError(f"{path}: unreadable records: {reason}")
 
 
-def _load_table(path: str) -> np.ndarray:
+def _load_table(path: str, dims: Dims, kind):
+    """A ``kind`` table from a JSON matrix, bare or under ``"table"``, whose
+    shape must match ``dims``."""
     data = _read_json(path)
     if isinstance(data, dict) and "table" in data:
         data = data["table"]
     with _reading(path):
-        return np.asarray(data, dtype=float)
+        table = np.asarray(data, dtype=float)
+    dist = kind(table)
+    if dist.dims != dims:
+        raise ValidationError(f"{path}: table shape {table.shape} does not match --dims")
+    return dist
 
 
 def load_experimental(path: str, dims: Dims):
@@ -173,11 +186,7 @@ def load_experimental(path: str, dims: Dims):
         arms = tuple(rec[rec[:, 0] == k, 1] for k in range(dims.d_x))
         sample = estimate_mod.ExperimentalSample(dims, arms)
         return sample, estimate_mod.empirical_experimental(sample)
-    table = _load_table(path)
-    exp = ExperimentalMarginals(table)
-    if exp.dims != dims:
-        raise ValidationError(f"{path}: table shape {table.shape} does not match --dims")
-    return None, exp
+    return None, _load_table(path, dims, ExperimentalMarginals)
 
 
 def load_observational(path: str, dims: Dims):
@@ -186,11 +195,7 @@ def load_observational(path: str, dims: Dims):
         rec = _read_csv_records(path, ("x", "y"), (dims.d_x, dims.d_y))
         sample = estimate_mod.ObservationalSample(dims, rec)
         return sample, estimate_mod.empirical_observational(sample)
-    table = _load_table(path)
-    obs = ObservationalJoint(table)
-    if obs.dims != dims:
-        raise ValidationError(f"{path}: table shape {table.shape} does not match --dims")
-    return None, obs
+    return None, _load_table(path, dims, ObservationalJoint)
 
 
 def load_assumptions(source: str | None, dims: Dims) -> AssumptionSet:
@@ -201,25 +206,28 @@ def load_assumptions(source: str | None, dims: Dims) -> AssumptionSet:
         if not os.path.exists(source):
             return preset(source, dims)
         data = _read_json_object(source)
+        exogeneity = data.get("exogeneity", False)
+        if not isinstance(exogeneity, bool):
+            raise TypeError(f"exogeneity {exogeneity!r} is not true or false")
         if "preset" in data:
             try:
                 out = preset(data["preset"], dims)
             except ConfigError as exc:
                 raise ConfigError(f"{source}: {exc}") from None
-            return out.with_exogeneity() if data.get("exogeneity") else out
+            return out.with_exogeneity() if exogeneity else out
         terms = []
         for t in data.get("terms", []):
             pairs = {}
             for p in t.get("pairs", []):
-                lo = -np.inf if p.get("lower") is None else float(p["lower"])
-                hi = np.inf if p.get("upper") is None else float(p["upper"])
+                lo = -np.inf if p.get("lower") is None else _number(p["lower"], "lower")
+                hi = np.inf if p.get("upper") is None else _number(p["upper"], "upper")
                 pairs[(as_integer(p["s"], "pair s"), as_integer(p["t"], "pair t"))] = (lo, hi)
-            window = float(t.get("prob_lower", 1.0)), float(t.get("prob_upper", 1.0))
+            window = _number(t.get("prob_lower", 1.0), "prob_lower"), _number(t.get("prob_upper", 1.0), "prob_upper")
             try:
                 terms.append(MonotoneTerm.from_pairs(dims.d_x, pairs, *window))
             except ValidationError as exc:
                 raise ValidationError(f"{source}: {exc}") from None
-        return AssumptionSet(tuple(terms), bool(data.get("exogeneity", False)))
+        return AssumptionSet(tuple(terms), exogeneity)
 
 
 def load_query(path: str, dims: Dims) -> tuple[QuerySpec, Any]:
@@ -294,40 +302,42 @@ def _bootstrap_block(args, dims, query, assumptions, mode, exp_sample, obs_sampl
     return result.to_json_dict()
 
 
-def cmd_bound(args) -> int:
-    dims = _parse_dims(args.dims)
-    if not args.exp and not args.obs:
-        raise ConfigError("need --exp and/or --obs")
-    exp_sample = obs_sample = None
-    exp = obs = None
-    if args.exp:
-        exp_sample, exp = load_experimental(args.exp, dims)
-    if args.obs:
-        obs_sample, obs = load_observational(args.obs, dims)
+def _load_data(args, dims: Dims):
+    """The samples and tables that --exp and --obs name; None where a flag is absent."""
+    exp_sample, exp = load_experimental(args.exp, dims) if args.exp else (None, None)
+    obs_sample, obs = load_observational(args.obs, dims) if args.obs else (None, None)
+    return exp_sample, exp, obs_sample, obs
+
+
+def _report_head(args, query_raw: Any) -> dict:
+    """The command, the echo of its parsed flags and the query as given."""
+    config = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
+    return {"command": args.command, "config": config, "query": query_raw}
+
+
+def _load_model(args, dims: Dims) -> tuple[AssumptionSet, QuerySpec, dict]:
+    """The --assume set or-ed with --exogeneity, the --query, and the report
+    head with the assumptions."""
     assumptions = load_assumptions(args.assume, dims)
     if args.exogeneity:
         assumptions = assumptions.with_exogeneity()
     query, query_raw = load_query(args.query, dims)
+    return assumptions, query, {**_report_head(args, query_raw), "assumptions": assumptions.to_json_dict()}
 
-    report: dict = {
-        "command": "bound",
-        "config": _echo_config(args),
-        "assumptions": assumptions.to_json_dict(),
-        "query": query_raw,
-    }
-    result = bounds_mod.bound(
-        dims, query, exp=exp, obs=obs, assumptions=assumptions, slack=args.slack
-    )
+
+def cmd_bound(args) -> int:
+    dims = _parse_dims(args.dims)
+    if not args.exp and not args.obs:
+        raise ConfigError("need --exp and/or --obs")
+    exp_sample, exp, obs_sample, obs = _load_data(args, dims)
+    assumptions, query, report = _load_model(args, dims)
+    result = bounds_mod.bound(dims, query, exp=exp, obs=obs, assumptions=assumptions, slack=args.slack)
     report.update(result.to_json_dict(include_witnesses=args.witnesses))
-    if result.status != "ok":
-        _emit(report, args.out)
-        return EXIT_INFEASIBLE
-    if args.bootstrap:
-        report["bootstrap"] = _bootstrap_block(
-            args, dims, query, assumptions, "bound", exp_sample, obs_sample
-        )
+    ok = result.status == "ok"
+    if ok and args.bootstrap:
+        report["bootstrap"] = _bootstrap_block(args, dims, query, assumptions, "bound", exp_sample, obs_sample)
     _emit(report, args.out)
-    return EXIT_OK
+    return EXIT_OK if ok else EXIT_INFEASIBLE
 
 
 def cmd_identify(args) -> int:
@@ -335,37 +345,23 @@ def cmd_identify(args) -> int:
     if bool(args.exp) == bool(args.obs):
         raise ConfigError("identification needs exactly one of --exp or --obs")
     query, query_raw = load_query(args.query, dims)
-    report: dict = {"command": "identify", "config": _echo_config(args), "query": query_raw}
-    if args.exp:
-        exp_sample, exp = load_experimental(args.exp, dims)
-        obs_sample = None
-        joint = identify_mod.identify_experimental(exp)
-        estimate = identify_mod.evaluate(joint, query)
-    else:
+    report = _report_head(args, query_raw)
+    if args.obs:
         print("note: observational identification assumes treatment exogeneity", file=sys.stderr)
-        obs_sample, obs = load_observational(args.obs, dims)
-        exp_sample = None
-        joint = identify_mod.identify_observational(obs)
-        estimate = identify_mod.evaluate(joint, query, obs=obs)
-    report["status"] = "ok"
-    report["estimate"] = estimate
+    exp_sample, exp, obs_sample, obs = _load_data(args, dims)
+    joint = identify_mod.identify_experimental(exp) if args.exp else identify_mod.identify_observational(obs)
+    report.update(status="ok", estimate=identify_mod.evaluate(joint, query, obs=obs))
     if args.joint:
         report["joint"] = joint.to_json_dict()
     if args.bootstrap:
-        report["bootstrap"] = _bootstrap_block(
-            args, dims, query, None, "identify", exp_sample, obs_sample
-        )
+        report["bootstrap"] = _bootstrap_block(args, dims, query, None, "identify", exp_sample, obs_sample)
     _emit(report, args.out)
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
     truth = load_truth(args.truth)
-    dims = truth.dims
-    assumptions = load_assumptions(args.assume, dims)
-    if args.exogeneity:
-        assumptions = assumptions.with_exogeneity()
-    query, query_raw = load_query(args.query, dims)
+    assumptions, query, report = _load_model(args, truth.dims)
     result = estimate_mod.simulation_study(
         truth,
         n=args.n,
@@ -377,21 +373,9 @@ def cmd_simulate(args) -> int:
         assumptions=assumptions,
         slack=args.slack,
     )
-    report = {
-        "command": "simulate",
-        "config": _echo_config(args),
-        "assumptions": assumptions.to_json_dict(),
-        "query": query_raw,
-        "status": "ok",
-    }
-    report.update(result.to_json_dict())
+    report.update({"status": "ok", **result.to_json_dict()})
     _emit(report, args.out)
     return EXIT_OK
-
-
-def _echo_config(args) -> dict:
-    skip = {"func"}
-    return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -401,44 +385,39 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_bound = sub.add_parser("bound", help="solve the min/max programs for a query")
-    p_bound.add_argument("--dims", required=True, help="treatment,outcome level counts, e.g. 3,3")
-    p_bound.add_argument("--exp", help="experimental data: CSV (arm,y) or JSON matrix")
-    p_bound.add_argument("--obs", help="observational data: CSV (x,y) or JSON matrix")
-    p_bound.add_argument("--assume", help="assumption preset name or JSON file")
-    p_bound.add_argument("--query", required=True, help="query JSON file")
-    p_bound.add_argument("--exogeneity", action="store_true", help="add exogeneity constraints (needs --obs)")
-    p_bound.add_argument("--bootstrap", type=int, default=0, metavar="B")
-    p_bound.add_argument("--seed", type=int, default=0)
-    p_bound.add_argument("--slack", type=float, default=None, metavar="EPS",
-                         help="relax data equalities to |row-rhs| <= EPS")
+    # each flag that several subcommands take is declared once, in a parent parser
+    data = argparse.ArgumentParser(add_help=False)
+    data.add_argument("--dims", required=True, help="treatment,outcome level counts, e.g. 3,3")
+    data.add_argument("--exp", help="experimental data: CSV (arm,y) or JSON matrix")
+    data.add_argument("--obs", help="observational data: CSV (x,y) or JSON matrix")
+    data.add_argument("--bootstrap", type=int, default=0, metavar="B",
+                      help="bootstrap replicates of the raw-record CSV inputs")
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("--assume", help="assumption preset name or JSON file")
+    model.add_argument("--exogeneity", action="store_true",
+                       help="add exogeneity constraints (needs observational data)")
+    model.add_argument("--slack", type=float, default=None, metavar="EPS",
+                       help="relax data equalities to |row-rhs| <= EPS")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--query", required=True, help="query JSON file")
+    common.add_argument("--seed", type=int, default=0, help="seed of all random draws")
+    common.add_argument("--out", help="write the JSON report here instead of stdout")
+
+    p_bound = sub.add_parser("bound", parents=[data, model, common], help="solve the min/max programs for a query")
     p_bound.add_argument("--witnesses", action="store_true", help="include achieving parameter vectors")
-    p_bound.add_argument("--out", help="write the JSON report here instead of stdout")
     p_bound.set_defaults(func=cmd_bound)
 
-    p_ident = sub.add_parser("identify", help="closed-form point identification")
-    p_ident.add_argument("--dims", required=True)
-    p_ident.add_argument("--exp", help="experimental data (CSV or JSON matrix)")
-    p_ident.add_argument("--obs", help="observational data (CSV or JSON matrix); implies exogeneity")
-    p_ident.add_argument("--query", required=True)
-    p_ident.add_argument("--bootstrap", type=int, default=0, metavar="B")
-    p_ident.add_argument("--seed", type=int, default=0)
+    p_ident = sub.add_parser("identify", parents=[data, common],
+                             help="closed-form point identification; --obs assumes exogeneity")
     p_ident.add_argument("--joint", action="store_true", help="include the identified joint in the report")
-    p_ident.add_argument("--out")
     p_ident.set_defaults(func=cmd_identify)
 
-    p_sim = sub.add_parser("simulate", help="sample -> estimate -> bound/identify loop")
+    p_sim = sub.add_parser("simulate", parents=[model, common], help="sample -> estimate -> bound/identify loop")
     p_sim.add_argument("--truth", required=True, help="ground-truth joint JSON")
     p_sim.add_argument("--n", type=int, required=True, help="sample size (per arm for experimental)")
     p_sim.add_argument("--reps", type=int, required=True)
-    p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--mode", choices=["bound", "identify"], default="bound")
     p_sim.add_argument("--data", choices=["exp", "obs", "both"], default="both")
-    p_sim.add_argument("--assume")
-    p_sim.add_argument("--exogeneity", action="store_true")
-    p_sim.add_argument("--query", required=True)
-    p_sim.add_argument("--slack", type=float, default=None)
-    p_sim.add_argument("--out")
     p_sim.set_defaults(func=cmd_simulate)
     return parser
 
@@ -457,14 +436,11 @@ def main(argv: list[str] | None = None) -> int:
             "status": "mite-incompatible",
             "violations": [{"cell": name, "mass": mass} for name, mass in exc.violations],
         }
-        _emit(report, getattr(args, "out", None))
+        _emit(report, args.out)
         return EXIT_MITE
-    except BootstrapFailureError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
     except (PoboundsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_INFEASIBLE if isinstance(exc, BootstrapFailureError) else EXIT_USAGE
 
 
 if __name__ == "__main__":

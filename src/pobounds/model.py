@@ -287,7 +287,6 @@ class QuerySpec:
 
     coeffs: np.ndarray
     condition: tuple[int, int] | None = None
-    label: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", _frozen_table(self.coeffs))

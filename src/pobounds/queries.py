@@ -67,27 +67,25 @@ def _event_cells(dims: Dims, po: Event) -> np.ndarray:
     return np.take_along_axis(admitted, Y, axis=1).all(axis=0)
 
 
-def _query(dims: Dims, values: np.ndarray, x, y, condition, label: str) -> QuerySpec:
+def _query(dims: Dims, values: np.ndarray, x, y, condition) -> QuerySpec:
     """``values`` (one per cell) at each factual pair that ``x``, ``y`` allow (None: all)."""
     pairs = np.zeros((dims.d_x, dims.d_y), dtype=bool)
     pairs[slice(None) if x is None else _index(x, dims.d_x, "treatment value"),
           slice(None) if y is None else _index(y, dims.d_y, "observed outcome")] = True
     _, X = cell_grid(dims)
-    return QuerySpec(np.where(pairs[X], values[:, None], 0.0).reshape(dims.full_shape()), condition, label=label)
+    return QuerySpec(np.where(pairs[X], values[:, None], 0.0).reshape(dims.full_shape()), condition)
 
 
-def build_event_query(
-    dims: Dims, po: Event = None, x: int | None = None, y: int | None = None, label: str = ""
-) -> QuerySpec:
+def build_event_query(dims: Dims, po: Event = None, x: int | None = None, y: int | None = None) -> QuerySpec:
     """Indicator functional of a conjunction event over POs and optionally (X, Y).
 
     ``po`` maps PO indices to value constraints; unmentioned POs are free, so an
     empty event is the constant-one functional."""
-    return _query(dims, _event_cells(dims, po), x, y, None, label)
+    return _query(dims, _event_cells(dims, po), x, y, None)
 
 
 def build_conditional_query(
-    dims: Dims, po: Event, given: tuple[int, int], x: int | None = None, y: int | None = None, label: str = ""
+    dims: Dims, po: Event, given: tuple[int, int], x: int | None = None, y: int | None = None
 ) -> QuerySpec:
     """Event probability conditional on the factual pair (X=l, Y=m)."""
     l, m = _index(given[0], dims.d_x, "treatment value"), _index(given[1], dims.d_y, "observed outcome")
@@ -95,10 +93,10 @@ def build_conditional_query(
         raise ContradictionError(f"event fixes X={x} but condition fixes X={l}")
     if y is not None and _index(y, dims.d_y, "observed outcome") != m:
         raise ContradictionError(f"event fixes Y={y} but condition fixes Y={m}")
-    return _query(dims, _event_cells(dims, po), l, m, (l, m), label)
+    return _query(dims, _event_cells(dims, po), l, m, (l, m))
 
 
-def build_moment_query(dims: Dims, order: int, arms: tuple[int, int], label: str = "") -> QuerySpec:
+def build_moment_query(dims: Dims, order: int, arms: tuple[int, int]) -> QuerySpec:
     """The m-th moment of the outcome contrast between two arms."""
     i, j = (_index(a, dims.d_x, "arm") for a in arms)
     order = as_integer(order, "moment order")
@@ -108,17 +106,15 @@ def build_moment_query(dims: Dims, order: int, arms: tuple[int, int], label: str
     # a huge order overflows to inf without a warning; QuerySpec.validate refuses it
     with np.errstate(over="ignore"):
         contrast = (Y[i] - Y[j]).astype(float) ** order
-    return _query(dims, contrast, None, None, None, label or f"moment{order}({i}-{j})")
+    return _query(dims, contrast, None, None, None)
 
 
-def build_posterior_effect_query(
-    dims: Dims, arms: tuple[int, int], given: tuple[int, int], label: str = ""
-) -> QuerySpec:
+def build_posterior_effect_query(dims: Dims, arms: tuple[int, int], given: tuple[int, int]) -> QuerySpec:
     """Expected contrast between two arms, conditional on factual (X=l, Y=m)."""
     i, j = (_index(a, dims.d_x, "arm") for a in arms)
     l, m = _index(given[0], dims.d_x, "treatment value"), _index(given[1], dims.d_y, "observed outcome")
     Y, _ = cell_grid(dims)
-    return _query(dims, (Y[l] == m) * (Y[i] - Y[j]), l, m, (l, m), label or f"effect({i}-{j}|X={l},Y={m})")
+    return _query(dims, (Y[l] == m) * (Y[i] - Y[j]), l, m, (l, m))
 
 
 def collapse_to_objective(query: QuerySpec, dims: Dims) -> np.ndarray:

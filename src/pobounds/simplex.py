@@ -50,6 +50,11 @@ from .errors import SolverFailureError, ValidationError
 PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-8
 DEAD_TOL = 1e-12
+# a phase 1 that ends above this leaves the system infeasible; _farkas's
+# soundness argument assumes it
+INFEASIBLE_TOL = 1e-9
+# a row with a dual multiplier above this in size is named in a certificate
+CERT_TOL = 1e-7
 MAX_ITERATIONS = 200_000
 WARM_PIVOTS_PER_ROW = 3
 
@@ -293,8 +298,8 @@ def _two_phase(
     """
     n = system.A.shape[1]
     tab = _Tableau(system)
-    if tab.phase1() > 1e-9:
-        cert = tuple(tag for tag, dual in zip(system.provenance, tab.phase1_duals()) if abs(dual) > 1e-7)
+    if tab.phase1() > INFEASIBLE_TOL:
+        cert = tuple(tag for tag, dual in zip(system.provenance, tab.phase1_duals()) if abs(dual) > CERT_TOL)
         return LpSolution("infeasible", None, None, tab.iterations, cert), [], None
     feasible = LpSolution("feasible", 0.0, tab.solution_vector()[:n], tab.iterations)
     if not objectives:
@@ -411,10 +416,10 @@ def _farkas(constraints: ConstraintSet, system: ConstraintSet | _Rows, ray: np.n
     multiplier, so ``y`` is lifted until ``min(yᵀA) = 0``, then scaled by
     ``|y|_∞``.  It proves the rows infeasible when ``yᵀrhs <= -FEAS_TOL``:
     any ``p >= 0`` whose rows a cold phase 1 accepts, with residue ``r``,
-    ``|r|_1 <= 1e-9``, has ``yᵀrhs = yᵀAp + yᵀslack - yᵀr > -FEAS_TOL``.
+    ``|r|_1 <= INFEASIBLE_TOL``, has ``yᵀrhs = yᵀAp + yᵀslack - yᵀr > -FEAS_TOL``.
     Without a ``base-sum`` row ``p`` is unbounded, and only a ray with
     ``yᵀA >= 0`` as it stands proves anything.  The tags are those of rows
-    with ``|y| > 1e-7``.  ``yᵀA`` spans every original column, so a ray of
+    with ``|y| > CERT_TOL``.  ``yᵀA`` spans every original column, so a ray of
     a reduced system that leans on a dropped column proves nothing unless
     the lift covers it.
     """
@@ -435,7 +440,7 @@ def _farkas(constraints: ConstraintSet, system: ConstraintSet | _Rows, ray: np.n
     y /= scale
     if not y @ rhs <= -FEAS_TOL:
         return None
-    return tuple(tag for tag, v in zip(constraints.provenance, y) if abs(v) > 1e-7)
+    return tuple(tag for tag, v in zip(constraints.provenance, y) if abs(v) > CERT_TOL)
 
 
 class _WarmStart:

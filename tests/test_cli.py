@@ -120,6 +120,17 @@ def test_bound_bootstrap_rejects_aggregated_tables(tmp_path, capsys, truth_a):
     assert code == 1
 
 
+def test_bound_bootstrap_with_every_replicate_excluded_exits_2(tmp_path, capsys):
+    # the one (1,1) record is missed by the seed-0 resample, which leaves
+    # P(X=1, Y=1) = 0 and the posterior effect undefined
+    obs = tmp_path / "obs.csv"
+    obs.write_text("x,y\n" + "0,0\n" * 40 + "0,1\n" * 40 + "1,0\n" * 19 + "1,1\n")
+    q = write_json(tmp_path / "q.json", {"kind": "posterior_effect", "arms": [1, 0], "given": {"x": 1, "y": 1}})
+    argv = ["bound", "--dims", "2,2", "--obs", str(obs), "--query", q, "--bootstrap", "1", "--seed", "0"]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: all 1 bootstrap replicates were excluded\n")
+
+
 def test_bound_requires_data(tmp_path, capsys):
     code, _ = run(capsys, ["bound", "--dims", "2,2", "--query", event_query(tmp_path)])
     assert code == 1
@@ -353,13 +364,19 @@ def test_negative_seed_and_sample_size_exit_1(tmp_path, capsys, truth_a):
 
 
 def test_malformed_values_exit_1_naming_the_file(tmp_path, capsys, truth_a):
-    # non-numeric values, out-of-range assumption terms, wrong container types
-    # and ragged tables end in "error: <path>: ...", never in a traceback
+    # non-numeric values, booleans outside `exogeneity` and anything else in
+    # it, out-of-range assumption terms, wrong container types and ragged
+    # tables end in "error: <path>: ...", never in a traceback
     exp = exp_json(tmp_path, truth_a)
     bound = ["bound", "--dims", "3,3", "--exp", exp]
     pairs = [{"s": 1, "t": 0, "lower": 0}]
     assumes = [{"terms": [{"prob_lower": "abc", "pairs": pairs}]}, {"terms": [{"pairs": 5}]},
-               {"preset": "prob_mtr(abc,1)"}, {"preset": "prob_mtr(2,1)"}, {"terms": [{"pairs": [{"s": 3, "t": 0}]}]}]
+               {"preset": "prob_mtr(abc,1)"}, {"preset": "prob_mtr(2,1)"}, {"terms": [{"pairs": [{"s": 3, "t": 0}]}]},
+               {"preset": "mtr", "exogeneity": "false"}, {"terms": [], "exogeneity": "no"},
+               {"terms": [], "exogeneity": 1}, {"terms": [{"prob_lower": True, "pairs": pairs}]},
+               {"terms": [{"prob_upper": True, "pairs": pairs}]},
+               {"terms": [{"pairs": [{"s": 1, "t": 0, "lower": True}]}]},
+               {"terms": [{"pairs": [{"s": 1, "t": 0, "lower": 0, "upper": False}]}]}]
     queries = [
         {"kind": "moment", "order": "two", "arms": [1, 0]},
         {"kind": "event", "po": {"0": 0}, "x": "a"},
@@ -383,6 +400,53 @@ def test_malformed_values_exit_1_naming_the_file(tmp_path, capsys, truth_a):
     for path, argv in cases:
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
+def test_each_subcommand_keeps_its_flags_and_defaults(tmp_path, capsys, truth_a, truth_b):
+    query = event_query(tmp_path)
+    exp = exp_json(tmp_path, truth_b)
+    truth = write_json(tmp_path / "truth.json", truth_a.to_json_dict())
+    shared = {"out": None, "query": query, "seed": 0}
+    runs = {
+        "bound": (["--dims", "3,3", "--exp", exp], {
+            "assume": None, "bootstrap": 0, "dims": "3,3", "exogeneity": False, "exp": exp, "obs": None,
+            "slack": None, "witnesses": False}),
+        "identify": (["--dims", "3,3", "--exp", exp], {
+            "bootstrap": 0, "dims": "3,3", "exp": exp, "joint": False, "obs": None}),
+        "simulate": (["--truth", truth, "--n", "100", "--reps", "1"], {
+            "assume": None, "data": "both", "exogeneity": False, "mode": "bound", "n": 100, "reps": 1,
+            "slack": None, "truth": truth}),
+    }
+    for command, (argv, config) in runs.items():
+        code, report = run(capsys, [command, *argv, "--query", query])
+        assert code == 0
+        assert report["config"] == {"command": command, **shared, **config}
+        assert main([command, "--help"]) == 0
+        assert capsys.readouterr().out.startswith(f"usage: pobounds {command} ")
+
+
+def test_a_reports_assumptions_block_is_an_assume_file(tmp_path, capsys, truth_b):
+    # the report of the block passed back as --assume equals the first, config aside
+    data3 = ["--dims", "3,3", "--exp", exp_json(tmp_path, truth_b), "--obs", obs_json(tmp_path, truth_b)]
+    data2 = ["--dims", "2,2", "--exp", write_json(tmp_path / "exp2.json", {"table": [[0.6, 0.4], [0.3, 0.7]]}),
+             "--obs", write_json(tmp_path / "obs2.json", {"table": [[0.3, 0.2], [0.15, 0.35]]})]
+    query3 = event_query(tmp_path)
+    query2 = write_json(tmp_path / "query2.json", {"kind": "event", "po": {"0": 0, "1": 1}})
+    custom = write_json(tmp_path / "custom.json", {"terms": [{"prob_lower": 0.9, "prob_upper": 1.0, "pairs": [
+        {"s": 1, "t": 0, "lower": 0, "upper": None}, {"s": 2, "t": 1, "lower": None, "upper": 1}]}]})
+    cases = [
+        (data3, query3, ["--assume", "mtr"]),
+        (data2, query2, ["--assume", "epsilon_harm(0.05)"]),
+        (data3, query3, ["--assume", custom]),
+        (data3, query3, ["--assume", "prob_mtr(0.9,1)", "--exogeneity"]),
+    ]
+    for i, (data, query, flags) in enumerate(cases):
+        code, report = run(capsys, ["bound", *data, "--query", query, "--witnesses", *flags])
+        assert code == 0
+        block = write_json(tmp_path / f"block{i}.json", report["assumptions"])
+        code, again = run(capsys, ["bound", *data, "--query", query, "--witnesses", "--assume", block])
+        assert code == 0
+        assert {k: v for k, v in again.items() if k != "config"} == {k: v for k, v in report.items() if k != "config"}
 
 
 def test_non_utf8_inputs_exit_1_naming_the_file(tmp_path, capsys, truth_a):
