@@ -19,7 +19,15 @@ from .compile import (
     observational_rhs,
 )
 from .errors import ConfigError, PoboundsError
-from .model import AssumptionSet, Dims, ExperimentalMarginals, ObservationalJoint, QuerySpec, require_valid
+from .model import (
+    SUM_TOL,
+    AssumptionSet,
+    Dims,
+    ExperimentalMarginals,
+    ObservationalJoint,
+    QuerySpec,
+    require_valid,
+)
 from .queries import bind_condition, collapse_to_objective
 
 
@@ -193,6 +201,32 @@ class _Loop:
         return self.structure.fill(exp, obs)
 
 
+def _arm_marginals(
+    cs: ConstraintSet,
+    exp: ExperimentalMarginals | None,
+    obs: ObservationalJoint | None,
+    assumptions: AssumptionSet | None,
+    slack: float | None,
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """``P(X=l)`` and the arm marginals ``m[k] = P(Y=·|X=k)`` of ``obs``
+    when ``cs``, compiled on these inputs, may be solved in its q-form (see
+    :func:`simplex._couple`); ``None`` when it keeps the full LP.  The q-form
+    needs exogeneity, no monotone row in ``cs``, no ``slack``, every
+    ``P(X=l) > 0`` and, when ``exp`` is given, ``exp`` equal to ``m`` within
+    ``SUM_TOL``: on a mismatch the full LP finds the certificate."""
+    if slack is not None or assumptions is None or not assumptions.exogeneity:
+        return None
+    if any(tag.startswith("monotone(") for tag in cs.provenance):
+        return None
+    px = obs.x_marginal()
+    if not (px > 0.0).all():
+        return None
+    m = obs.table / px[:, None]
+    if exp is not None and not (np.abs(exp.table - m) <= SUM_TOL).all():
+        return None
+    return px, m
+
+
 def bound(
     dims: Dims,
     query: QuerySpec,
@@ -230,7 +264,8 @@ def _bound(
     else:
         objective = collapse_to_objective(query, dims)
 
-    phase1, solutions = simplex._solve(cs, [(objective, "minimize"), (objective, "maximize")], loop.warm)
+    marginals = _arm_marginals(cs, exp, obs, assumptions, slack)
+    phase1, solutions = simplex._solve(cs, [(objective, "minimize"), (objective, "maximize")], loop.warm, marginals)
     if phase1.status == "infeasible":
         return BoundResult("infeasible", diagnostics=phase1.certificate)
     lo, hi = solutions

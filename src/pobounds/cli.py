@@ -10,6 +10,7 @@ import argparse
 import contextlib
 import csv
 import json
+import math
 import os
 import re
 import sys
@@ -94,9 +95,13 @@ def _key_integer(key: str, what: str) -> int:
 
 
 def _number(value, what: str) -> float:
-    """A JSON number as a float; a boolean is refused, not read as 0 or 1."""
-    if isinstance(value, bool):
+    """A finite JSON number as a float.  A boolean is refused, not read as 0
+    or 1; so are a string, even one that spells a number, and ``NaN`` or
+    ``Infinity`` (an unbounded window end is ``null``)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"{what} {value!r} is not a number")
+    if abs(value) > sys.float_info.max or not math.isfinite(value):  # an int too large for a float, NaN, inf
+        raise ValueError(f"{what} {value!r} is not a finite number")
     return float(value)
 
 

@@ -157,7 +157,10 @@ def compile_exogeneity(dims: Dims, obs: ObservationalJoint) -> ConstraintSet:
     where ``x = l`` and ``-P(X=l)`` elsewhere.  Arms with zero probability
     produce 0 = 0 rows and are skipped with a warning.  Linearly dependent
     rows within a (k, v) group are emitted anyway; the solver copes with
-    redundancy.
+    redundancy.  Without monotone rows, ``slack`` or a zero-probability arm,
+    ``bound()`` solves these rows' q-form instead, an LP over couplings of
+    the arm marginals (:func:`simplex._couple`), and checks its witnesses
+    on these rows.
     """
     require_valid(obs, dims)
     px = obs.x_marginal()

@@ -16,6 +16,21 @@ Every solve takes one path (:func:`_solve`): reduce, solve, lift, certify.
   rows.  :func:`_presolve` drops those columns and rows and returns the
   system left with the mask of the columns it keeps (all of them, and the
   system itself, when nothing reduces).
+* Reduce to couplings.  Under exogeneity with every ``P(X=l) > 0`` and
+  no monotone row, each feasible vector is ``p(y, l) = P(X=l)·q_l(y)``,
+  where every ``q_l`` is a coupling of the same arm marginals
+  ``m_k = P(Y=·|X=k)`` (a Fréchet class; Balke & Pearl 1997, Rüschendorf
+  1991), and nothing else ties the ``q_l`` together.  The caller, which
+  knows the tables, passes ``P(X=l)`` and ``m``, and :func:`_couple`
+  states the q-form: one LP over the ``d_y^d_x`` outcome vectors with the
+  base row and ``d_x(d_y-1)`` 0/1 marginal rows, where the full LP has
+  ``d_x`` times the columns and ``d_x²·d_y`` exogeneity rows besides its
+  data rows.  An objective that is the same for every arm stays one
+  objective over ``q``; one that depends on the arm becomes one per arm
+  where it is nonzero, all after the one phase 1.  A q-form that is
+  infeasible, loses precision or lifts a vector off an original row
+  leaves the inputs to the presolve and the full LP, as if it had not
+  been tried.
 * Solve.  Inside one replicate loop only ``rhs`` and the objectives move
   between solves, so :class:`_WarmStart` keeps each objective's final
   tableau, its basis priced afresh on the original columns, and the next
@@ -29,23 +44,27 @@ Every solve takes one path (:func:`_solve`): reduce, solve, lift, certify.
   doubt sends the solve to the cold two phases of :func:`_two_phase`, and
   an infeasible reduced phase 1 to the full LP, whose certificate names
   the original rows.
-* Lift and certify.  Each distinct vector is scattered back through the
-  mask, its value is the objective over the full vector, and it must
-  satisfy the original rows (:func:`_postsolve`).  Every kept row is an
-  original row restricted to the kept columns and the lifted vector is
-  zero elsewhere, so this one check covers the reduced system too
-  (Andersen & Andersen 1995 describe the reduce-then-postsolve structure).
+* Lift and certify.  Each distinct vector is taken back to the cells,
+  scattered through the presolve's mask or spread over the arms as
+  ``P(X=l)·q_l``; its value is the objective over the full vector, and it
+  must satisfy the original rows (:func:`_postsolve`).  Every kept row is
+  an original row restricted to the kept columns and the lifted vector is
+  zero elsewhere, so this one check covers the reduced system too, and it
+  checks the q-form's lift against every data and exogeneity row (Andersen
+  & Andersen 1995 describe the reduce-then-postsolve structure).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cache, partial
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .compile import ConstraintSet
 from .errors import SolverFailureError, ValidationError
+from .model import Dims, cell_grid
 
 PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-8
@@ -105,7 +124,7 @@ class _Rows:
     keep: np.ndarray
 
 
-def _standard_form(constraints: ConstraintSet | _Rows) -> np.ndarray:
+def _standard_form(constraints: ConstraintSet | _Rows | _Couplings) -> np.ndarray:
     """``[A | slack | rhs]``, with one slack column per ``le`` row in row order."""
     m, n_params = constraints.A.shape
     le = np.flatnonzero(constraints.kind == "le")
@@ -120,7 +139,7 @@ class _Tableau:
     """Standard-form tableau with one slack per inequality and one artificial
     per row.  Maintains reduced costs in the last row (minimization form)."""
 
-    def __init__(self, constraints: ConstraintSet | _Rows):
+    def __init__(self, constraints: ConstraintSet | _Rows | _Couplings):
         M = _standard_form(constraints)
         m = M.shape[0]
         self.m, self.art0 = m, M.shape[1] - 1
@@ -280,7 +299,7 @@ class _Bases:
 
 
 def _two_phase(
-    system: ConstraintSet | _Rows, objectives: Sequence[tuple[np.ndarray, str]]
+    system: ConstraintSet | _Rows | _Couplings, objectives: Sequence[tuple[np.ndarray, str]]
 ) -> tuple[LpSolution, list[LpSolution], _Bases | None]:
     """Phase 1 once, then phase 2 once per ``(objective, sense)``.
 
@@ -374,6 +393,101 @@ def _lift(x: np.ndarray, keep: np.ndarray) -> np.ndarray:
     full = np.zeros(keep.size)
     full[keep] = x
     return full
+
+
+def _scattered(keep: np.ndarray, phase1: LpSolution, solutions: list[LpSolution]) -> tuple[np.ndarray, list[LpSolution]]:
+    """The presolve's lift (see :func:`_postsolve`): each vector scattered
+    through ``keep``; a witness that is the phase-1 point stays that point."""
+    point = _lift(phase1.witness, keep)
+    return point, [
+        LpSolution(sol.status, None, point if sol.witness is phase1.witness else _lift(sol.witness, keep),
+                   sol.iterations) if sol.status == "optimal" else sol
+        for sol in solutions
+    ]
+
+
+@cache
+def _coupling_rows(dims: Dims) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+    """``A``, ``kind`` and ``provenance`` of the q-form's rows over the outcome
+    vectors, in C order: the base row, then the 0/1 row of ``y_k = j`` for
+    each arm ``k`` and level ``j < d_y - 1``, the top level being implied as
+    in :func:`compile.compile_experimental`.  Read-only, since every q-form
+    of these dims shares them."""
+    Y = cell_grid(dims)[0][:, :: dims.d_x]
+    levels = np.arange(dims.d_y - 1)
+    A = np.vstack([np.ones(Y.shape[1]), (Y[:, None, :] == levels[None, :, None]).reshape(-1, Y.shape[1])])
+    kind = np.full(A.shape[0], "eq")
+    A.setflags(write=False)
+    kind.setflags(write=False)
+    return A, kind, ("base-sum",) + tuple(f"marginal({k},{j})" for k in range(dims.d_x) for j in levels.tolist())
+
+
+@dataclass(frozen=True)
+class _Couplings:
+    """The q-form (see :func:`_couple`): rows over couplings ``q`` of the arm
+    marginals, the objectives over ``q``, and what lifts a solve of them.
+
+    ``plan[i]`` pairs each objective over ``q`` that the ``i``-th original
+    objective became with the mask of the arms it stands for; ``px`` is
+    ``P(X=l)``."""
+
+    A: np.ndarray
+    rhs: np.ndarray
+    kind: np.ndarray
+    provenance: tuple[str, ...]
+    objectives: list[tuple[np.ndarray, str]]
+    plan: tuple[tuple[tuple[int, np.ndarray], ...], ...]
+    px: np.ndarray
+
+    def lift(self, phase1: LpSolution, solutions: list[LpSolution]) -> tuple[np.ndarray, list[LpSolution]]:
+        """Each coupling to the cells as ``p(y, l) = P(X=l)·q_l(y)`` (see
+        :func:`_postsolve`).  The phase-1 point puts its own ``q`` on every
+        arm; the witness of an original objective puts on each arm the
+        witness of its own objective over ``q``, and the phase-1 ``q`` on the
+        arms where the original objective is zero."""
+        start = np.tile(phase1.witness, (self.px.size, 1))
+        lifted = []
+        for parts in self.plan:
+            solved = [solutions[i] for i, _ in parts]
+            pivots = sum(sol.iterations for sol in solved)
+            if any(sol.status != "optimal" for sol in solved):
+                lifted.append(LpSolution("unbounded", None, None, pivots))
+                continue
+            q = start.copy()
+            for sol, (_, arms) in zip(solved, parts):
+                q[arms] = sol.witness
+            lifted.append(LpSolution("optimal", None, (q.T * self.px).reshape(-1), pivots))
+        return (start.T * self.px).reshape(-1), lifted
+
+
+def _couple(
+    constraints: ConstraintSet, objectives: Sequence[tuple[np.ndarray, str]], px: np.ndarray, m: np.ndarray
+) -> _Couplings:
+    """The q-form of ``constraints``, an exogeneity system with no monotone
+    row over tables whose ``P(X=l)`` is ``px``, every entry positive, and
+    whose arm marginals ``P(Y=·|X=k)`` are the rows of ``m``.
+
+    Its rows say that ``q``, over the outcome vectors, sums to one and has
+    marginal ``m[k]`` on ``y_k``; ``p(y, l) = P(X=l)·q_l(y)`` meets the
+    original rows exactly when each ``q_l`` meets these.  An objective
+    ``c`` reads ``Σ_l P(X=l)·c_l·q_l`` with ``c_l = c(·, l)``: when every
+    ``c_l`` is the same it is that one objective over ``q``, every ``q_l``
+    being its witness; otherwise it is one objective per arm with ``c_l``
+    nonzero, and each other arm may take any coupling, the phase-1 one.
+    """
+    dims = constraints.dims
+    A, kind, provenance = _coupling_rows(dims)
+    reduced, plan = [], []
+    for objective, sense in objectives:
+        per_arm = objective.reshape(-1, dims.d_x).T
+        if (per_arm == per_arm[0]).all():
+            arms = [np.ones(dims.d_x, dtype=bool)]
+        else:
+            arms = [np.arange(dims.d_x) == l for l in np.flatnonzero(per_arm.any(axis=1))]
+        plan.append(tuple((len(reduced) + i, mask) for i, mask in enumerate(arms)))
+        reduced += [(per_arm[int(np.argmax(mask))], sense) for mask in arms]
+    rhs = np.concatenate(([1.0], m[:, :-1].reshape(-1)))
+    return _Couplings(A, rhs, kind, provenance, reduced, tuple(plan), px)
 
 
 @dataclass(frozen=True)
@@ -558,62 +672,79 @@ class _WarmStart:
 def _postsolve(
     constraints: ConstraintSet,
     objectives: Sequence[tuple[np.ndarray, str]],
-    system: ConstraintSet | _Rows,
-    keep: np.ndarray,
+    lift: Callable[[LpSolution, list[LpSolution]], tuple[np.ndarray, list[LpSolution]]],
     solved: tuple[LpSolution, list[LpSolution], _Bases | None],
-    warm: _WarmStart,
 ) -> tuple[LpSolution, list[LpSolution]]:
-    """``solved``, a solve of ``system``, on the original rows: the phase-1
-    point and every optimal witness scattered through ``keep`` into full
-    vectors, each value ``objective @ witness`` over the full vector, and
-    each distinct vector certified against ``constraints`` once; the warm
-    phase-1 point is the first witness itself.  Only then do the bases
-    replace those in ``warm``."""
-    phase1, solutions, bases = solved
-    if phase1.status == "feasible":
-        raw = phase1.witness
-        point = _certified(constraints, _lift(raw, keep), "phase-1 point")
-        phase1, lifted = LpSolution("feasible", 0.0, point, phase1.iterations), []
-        for (objective, sense), sol in zip(objectives, solutions):
-            if sol.status == "optimal":
-                witness = point if sol.witness is raw else _certified(
-                    constraints, _lift(sol.witness, keep), f"{sense} witness")
-                sol = LpSolution("optimal", float(objective @ witness), witness, sol.iterations)
-            lifted.append(sol)
-        solutions = lifted
-    if bases is not None:
-        warm.store(system, keep, bases)
-    return phase1, solutions
+    """``solved``, a solve of a reduced system, on the original rows.  For a
+    feasible solve ``lift`` takes the phase-1 point and the solutions to
+    full vectors, one solution per original objective, a witness that is
+    the phase-1 point being that very vector; each value is then
+    ``objective @ witness`` over the full vector, and each distinct vector
+    is certified against ``constraints`` once."""
+    phase1, solutions, _ = solved
+    if phase1.status != "feasible":
+        return phase1, solutions
+    point, solutions = lift(phase1, solutions)
+    _certified(constraints, point, "phase-1 point")
+    lifted = []
+    for (objective, sense), sol in zip(objectives, solutions):
+        if sol.status == "optimal":
+            if sol.witness is not point:
+                _certified(constraints, sol.witness, f"{sense} witness")
+            sol = LpSolution("optimal", float(objective @ sol.witness), sol.witness, sol.iterations)
+        lifted.append(sol)
+    return LpSolution("feasible", 0.0, point, phase1.iterations), lifted
 
 
 def _solve(
     constraints: ConstraintSet,
     objectives: Sequence[tuple[np.ndarray, str]],
     warm: _WarmStart | None = None,
+    marginals: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[LpSolution, list[LpSolution]]:
     """Phase 1 and one solution per ``(objective, sense)`` on the original
     rows, through the one path of reduce, solve, lift and certify.
 
-    The system :func:`_presolve` leaves is solved from the bases in ``warm``
-    if they fit and their witnesses pass :func:`_postsolve`, and by
+    Given ``marginals``, ``P(X=l)`` and the arm marginals of an exogeneity
+    system with no monotone row (see :func:`_couple`), the q-form is solved
+    first; it stands if it is feasible and its lifted vectors pass
+    :func:`_postsolve`, and it stores no bases.  Otherwise the system
+    :func:`_presolve` leaves is solved from the bases in ``warm`` if they
+    fit and their witnesses pass :func:`_postsolve`, and by
     :func:`_two_phase` otherwise; an infeasible reduced phase 1 is solved
     again on the full system, so infeasibility certificates always name
-    original rows.  Without ``warm`` the bases are kept nowhere.
+    original rows.  The bases of a feasible cold solve replace those in
+    ``warm`` once its vectors pass; without ``warm`` they are kept nowhere.
     """
     warm = _WarmStart() if warm is None else warm
+    if marginals is not None:
+        coupled = _couple(constraints, objectives, *marginals)
+        try:
+            solved = _two_phase(coupled, coupled.objectives)
+            if solved[0].status == "feasible":
+                return _postsolve(constraints, objectives, coupled.lift, solved)
+        except SolverFailureError:
+            pass  # lost precision, or a vector off an original row: the full LP decides
     system, keep = _presolve(constraints, warm.system)
+
+    def certified(solved):
+        result = _postsolve(constraints, objectives, partial(_scattered, keep), solved)
+        if solved[2] is not None:
+            warm.store(system, keep, solved[2])
+        return result
+
     reduced = objectives if system is constraints else [(objective[keep], sense) for objective, sense in objectives]
     solved = warm.resolve(system, keep, reduced, constraints)
     if solved is not None:
         try:
-            return _postsolve(constraints, objectives, system, keep, solved, warm)
+            return certified(solved)
         except SolverFailureError:
             pass  # a warm witness off its certificate: solve cold
     solved = _two_phase(system, reduced)
     if solved[0].status == "infeasible" and system is not constraints:
         system, keep = constraints, np.ones_like(keep)
         solved = _two_phase(system, objectives)
-    return _postsolve(constraints, objectives, system, keep, solved, warm)
+    return certified(solved)
 
 
 def solve(problem: LpProblem) -> LpSolution:

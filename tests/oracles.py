@@ -488,3 +488,20 @@ def reference_presolve(constraints: ConstraintSet, like=None):
         return _Rows(like.A, rhs[rows], like.kind, like.provenance, A, rows, keep), keep
     provenance = tuple(tag for tag, kept in zip(constraints.provenance, rows) if kept)
     return _Rows(sub[rows], rhs[rows], kind[rows], provenance, A, rows, keep), keep
+
+
+def rare_arm_tables(d_x, d_y, seed, alpha):
+    """``py ~ Dirichlet(1)`` over the outcome vectors and, independent of it,
+    ``px ~ Dirichlet(alpha)``, from ``default_rng(seed)``; the truth's
+    tables, added one cell at a time in flattened order as SparseJointPO
+    does, and the truth's value of the event ``P(Y_0=0, Y_1>=1)``."""
+    rng = np.random.default_rng(seed)
+    py = rng.dirichlet(np.ones(d_y**d_x))
+    px = rng.dirichlet(np.full(d_x, alpha))
+    mass = np.outer(py, px).reshape(-1)
+    cell = np.indices((d_y,) * d_x + (d_x,)).reshape(d_x + 1, -1)
+    exp, obs = np.zeros((d_x, d_y)), np.zeros((d_x, d_y))
+    np.add.at(exp, (np.tile(np.arange(d_x), mass.size), cell[:d_x].T.reshape(-1)), np.repeat(mass, d_x))
+    np.add.at(obs, (cell[d_x], cell[cell[d_x], np.arange(mass.size)]), mass)
+    Y = np.indices((d_y,) * d_x).reshape(d_x, -1)
+    return exp, obs, float(py[(Y[0] == 0) & (Y[1] >= 1)].sum())

@@ -9,7 +9,7 @@ import pobounds as pb
 from pobounds.cli import _read_csv_records, main
 from pobounds.errors import ValidationError
 
-from oracles import outcome_vectors
+from oracles import outcome_vectors, rare_arm_tables
 
 
 def write_json(path, payload):
@@ -321,6 +321,22 @@ def test_exogeneity_flag_requires_obs(tmp_path, capsys, truth_a):
     assert code == 1
 
 
+def test_a_rare_arm_under_exogeneity_gets_its_interval(tmp_path, capsys):
+    # the 3x3 tables whose full LP loses precision at pivot 9 (P(X=1) = 2.9e-9)
+    exp, obs, truth = rare_arm_tables(3, 3, 5, 0.3)
+    query = write_json(tmp_path / "query.json", {"kind": "event", "po": {"0": 0, "1": {"ge": 1}}})
+    code, report = run(capsys, [
+        "bound", "--dims", "3,3",
+        "--exp", write_json(tmp_path / "exp.json", {"table": exp.tolist()}),
+        "--obs", write_json(tmp_path / "obs.json", {"table": obs.tolist()}),
+        "--exogeneity", "--query", query,
+    ])
+    assert code == 0
+    assert report["status"] == "ok"
+    assert (report["lower"], report["upper"]) == pytest.approx((0.0, 0.2661917633992854), abs=1e-12)
+    assert report["lower"] <= truth <= report["upper"]
+
+
 def test_malformed_input_files_exit_1(tmp_path, capsys, truth_a):
     listed = write_json(tmp_path / "assume.json", [{"preset": "mtr"}])
     keyless = write_json(tmp_path / "keyless.json", {"terms": [{"pairs": [{"s": 1}]}]})
@@ -364,9 +380,10 @@ def test_negative_seed_and_sample_size_exit_1(tmp_path, capsys, truth_a):
 
 
 def test_malformed_values_exit_1_naming_the_file(tmp_path, capsys, truth_a):
-    # non-numeric values, booleans outside `exogeneity` and anything else in
-    # it, out-of-range assumption terms, wrong container types and ragged
-    # tables end in "error: <path>: ...", never in a traceback
+    # non-numeric values (strings that spell numbers included), non-finite
+    # window ends and probabilities, booleans outside `exogeneity` and
+    # anything else in it, out-of-range assumption terms, wrong container
+    # types and ragged tables end in "error: <path>: ...", never in a traceback
     exp = exp_json(tmp_path, truth_a)
     bound = ["bound", "--dims", "3,3", "--exp", exp]
     pairs = [{"s": 1, "t": 0, "lower": 0}]
@@ -376,7 +393,12 @@ def test_malformed_values_exit_1_naming_the_file(tmp_path, capsys, truth_a):
                {"terms": [], "exogeneity": 1}, {"terms": [{"prob_lower": True, "pairs": pairs}]},
                {"terms": [{"prob_upper": True, "pairs": pairs}]},
                {"terms": [{"pairs": [{"s": 1, "t": 0, "lower": True}]}]},
-               {"terms": [{"pairs": [{"s": 1, "t": 0, "lower": 0, "upper": False}]}]}]
+               {"terms": [{"pairs": [{"s": 1, "t": 0, "lower": 0, "upper": False}]}]},
+               {"terms": [{"prob_lower": "0.5", "pairs": pairs}]},
+               {"terms": [{"pairs": [{"s": 1, "t": 0, "lower": 0, "upper": "Infinity"}]}]},
+               {"terms": [{"pairs": [{"s": 1, "t": 0, "lower": float("nan")}]}]},
+               {"terms": [{"pairs": [{"s": 1, "t": 0, "lower": 0, "upper": float("inf")}]}]},
+               {"terms": [{"prob_upper": float("nan"), "pairs": pairs}]}]
     queries = [
         {"kind": "moment", "order": "two", "arms": [1, 0]},
         {"kind": "event", "po": {"0": 0}, "x": "a"},

@@ -8,7 +8,7 @@ import pobounds as pb
 from pobounds import simplex
 from pobounds.compile import ConstraintSet
 
-from oracles import constraint_residual, vertex_enumerate_small
+from oracles import constraint_residual, rare_arm_tables, vertex_enumerate_small
 
 
 def test_max_single_coordinate():
@@ -222,17 +222,25 @@ PINNED = {
 }
 
 
-# bound() on the same instances, through the presolve: float.hex and witness
-# SHA-256 of the lower and upper endpoints.  The two exp+obs+mtr instances
-# reduce, so their witnesses and last bits differ from the full LP's above.
+# bound() on the same instances, through the presolve or the q-form: float.hex
+# and witness SHA-256 of the lower and upper endpoints.  The two exp+obs+mtr
+# instances reduce, and the two exp+obs+exogeneity instances are solved over
+# couplings of the arm marginals, so their witnesses and last bits differ
+# from the full LP's above.
 PINNED_BOUND = {
-    (3, 3, "exp+obs+exogeneity", "event", 0): PINNED[3, 3, "exp+obs+exogeneity", "event", 0][1:],
+    (3, 3, "exp+obs+exogeneity", "event", 0): (
+        ("0x0.0p+0", "6bfdbb0174edc7d5e6aef6edf14a2704acbeb2d48efba9cfcbedce91041ab36c"),
+        ("0x1.07bf7eac335afp-2", "7aa203dd6342f0ecc973aaf36fc30bc7e49f34a5845ef2606360e72a47227042"),
+    ),
     (4, 3, "obs+exogeneity+prob_mtr", "moment", 1): PINNED[4, 3, "obs+exogeneity+prob_mtr", "moment", 1][1:],
     (3, 4, "exp+obs+mtr", "posterior_effect", 2): (
         ("0x0.0p+0", "60085b5bec437572027d97f527c15039cd14c3b2c0605fcf8dd0b0f566222991"),
         ("0x1.0000000000000p+1", "5b6fd1453ca13eb45fe13c8175ba3e37f064d2d6f7f4aabdc5d7a4b13ff8d95a"),
     ),
-    (4, 4, "exp+obs+exogeneity", "event", 3): PINNED[4, 4, "exp+obs+exogeneity", "event", 3][1:],
+    (4, 4, "exp+obs+exogeneity", "event", 3): (
+        ("0x1.1958a2055e6ccp-6", "2e915f7c3632a03ee42949ff2a23ea025383047701c8ba991417c33a93ea48e5"),
+        ("0x1.eaa0da14f3680p-3", "dfcf61822865fedda2246cac24028e75eead4158ebbf80bdebaca60007cca2e8"),
+    ),
     (5, 3, "obs+exogeneity+prob_mtr", "moment", 4): PINNED[5, 3, "obs+exogeneity+prob_mtr", "moment", 4][1:],
     (3, 3, "exp+obs+mtr", "posterior_effect", 5): (
         ("0x0.0p+0", "a7f3de84807bd383c6fbfc3161a21ae555899f0b3f89cacbd236f90c0b43c546"),
@@ -334,51 +342,62 @@ def test_bounds_match_highs():
                 assert sol.value == pytest.approx(sign * ref.fun, abs=1e-6), (seed, mix)
 
 
-def test_a_phase_1_that_ends_above_its_start_raises():
-    # a 3x3 exogenous truth with P(X=1) = 2.9e-9: phase 1 starts at sum|rhs| = 3.66
-    # and, having lost precision, ends at 1.19e6, which no pivot can reach;
-    # the tables add one cell at a time in flattened order, as SparseJointPO does
-    rng = np.random.default_rng(5)
-    dims = pb.Dims(3, 3)
-    py = rng.dirichlet(np.ones(27))
-    px = rng.dirichlet(np.full(3, 0.3))
-    mass = np.outer(py, px).reshape(-1)
-    cell = np.indices((3, 3, 3, 3)).reshape(4, -1)
-    exp, obs = np.zeros((3, 3)), np.zeros((3, 3))
-    np.add.at(exp, (np.tile(np.arange(3), mass.size), cell[:3].T.reshape(-1)), np.repeat(mass, 3))
-    np.add.at(obs, (cell[3], cell[cell[3], np.arange(mass.size)]), mass)
-    assert 2e-9 < obs[1].sum() < 4e-9
-    exp, obs = pb.ExperimentalMarginals(exp), pb.ObservationalJoint(obs)
+def assert_interval_is_sharp(dims, exp, obs, truth, want):
+    """``bound()`` of ``P(Y_0=0, Y_1>=1)`` under exogeneity is ``want``, holds
+    the truth, and equals HiGHS on the full rows to 1e-9.  HiGHS runs its
+    dual simplex without presolve, which on the rarest arm calls these
+    feasible rows infeasible."""
     exogenous = pb.AssumptionSet().with_exogeneity(True)
+    exp, obs = pb.ExperimentalMarginals(exp), pb.ObservationalJoint(obs)
     query = pb.build_event_query(dims, {0: 0, 1: {"ge": 1}})
-    with pytest.raises(pb.SolverFailureError, match=r"^objective rose to 7\.7\d* at pivot 9, above its start 3\.66\d*$"):
-        pb.bound(dims, query, exp=exp, obs=obs, assumptions=exogenous)
+    res = pb.bound(dims, query, exp=exp, obs=obs, assumptions=exogenous)
+    assert res.status == "ok"
+    assert (res.lower, res.upper) == pytest.approx(want, abs=1e-12)
+    assert res.lower <= truth <= res.upper
+    optimize = pytest.importorskip("scipy.optimize")
     cs = pb.assemble_constraints(dims, exp=exp, obs=obs, assumptions=exogenous)
-    with pytest.raises(pb.SolverFailureError, match="^objective rose to .* at pivot 9, above its start"):
+    obj = pb.collapse_to_objective(query, dims)
+    for sign, value in ((1.0, res.lower), (-1.0, res.upper)):
+        ref = optimize.linprog(sign * obj, A_eq=cs.A, b_eq=cs.rhs, bounds=(0, None), method="highs-ds",
+                               options={"presolve": False})
+        assert ref.status == 0, ref.message
+        assert abs(value - sign * ref.fun) <= 1e-9
+
+
+def test_a_phase_1_that_ends_above_its_start_raises():
+    # a 3x3 exogenous truth with P(X=1) = 2.9e-9: on the full rows phase 1
+    # starts at sum|rhs| = 3.66 and, having lost precision, ends at 1.19e6,
+    # which no pivot can reach; bound() solves the q-form instead
+    dims = pb.Dims(3, 3)
+    exp, obs, truth = rare_arm_tables(3, 3, 5, 0.3)
+    assert 2e-9 < obs[1].sum() < 4e-9
+    assert_interval_is_sharp(dims, exp, obs, truth, (0.0, 0.2661917633992854))
+    cs = pb.assemble_constraints(dims, exp=pb.ExperimentalMarginals(exp), obs=pb.ObservationalJoint(obs),
+                                 assumptions=pb.AssumptionSet().with_exogeneity(True))
+    with pytest.raises(pb.SolverFailureError, match=r"^objective rose to 7\.7\d* at pivot 9, above its start 3\.66\d*$"):
         pb.check_feasible(cs)
 
 
 def test_the_pinned_4x4_raises_within_a_thousand_pivots():
-    # a 4x4 exogenous truth with P(X=0) = 1.4e-4 whose phase 1 lifts its own
-    # objective at pivot 362 and, unchecked, pivots on to the iteration limit;
-    # the tables add one cell at a time in flattened order, as SparseJointPO does
-    rng = np.random.default_rng(0)
+    # a 4x4 exogenous truth with P(X=0) = 1.4e-4 whose phase 1 on the full
+    # rows lifts its own objective at pivot 362 and, unchecked, pivots on to
+    # the iteration limit
     dims = pb.Dims(4, 4)
-    py = rng.dirichlet(np.ones(256))
-    px = rng.dirichlet(np.ones(4))
-    mass = np.outer(py, px).reshape(-1)
-    cell = np.indices((4,) * 5).reshape(5, -1)
-    exp, obs = np.zeros((4, 4)), np.zeros((4, 4))
-    np.add.at(exp, (np.tile(np.arange(4), mass.size), cell[:4].T.reshape(-1)), np.repeat(mass, 4))
-    np.add.at(obs, (cell[4], cell[cell[4], np.arange(mass.size)]), mass)
+    exp, obs, _ = rare_arm_tables(4, 4, 0, 1.0)
     assert 1e-4 < obs[0].sum() < 2e-4
-    query = pb.build_event_query(dims, {0: 0, 1: {"ge": 1}})
+    cs = pb.assemble_constraints(dims, exp=pb.ExperimentalMarginals(exp), obs=pb.ObservationalJoint(obs),
+                                 assumptions=pb.AssumptionSet().with_exogeneity(True))
     rose = r"^objective rose to \S+ at pivot (\d+), above its start \S+$"
     with pytest.raises(pb.SolverFailureError, match=rose) as info:
-        pb.bound(dims, query, exp=pb.ExperimentalMarginals(exp), obs=pb.ObservationalJoint(obs),
-                 assumptions=pb.AssumptionSet().with_exogeneity(True))
+        pb.check_feasible(cs)
     pivot = int(re.match(rose, str(info.value)).group(1))
     assert pivot <= 1000 < simplex.MAX_ITERATIONS
+
+
+def test_the_pinned_4x4_bound_is_sharp():
+    # bound() solves the q-form of the instance above
+    exp, obs, truth = rare_arm_tables(4, 4, 0, 1.0)
+    assert_interval_is_sharp(pb.Dims(4, 4), exp, obs, truth, (0.0, 0.22925583204885255))
 
 
 @pytest.mark.parametrize("phase", [1, 2])
