@@ -444,15 +444,16 @@ class _Couplings:
         :func:`_postsolve`).  The phase-1 point puts its own ``q`` on every
         arm; the witness of an original objective puts on each arm the
         witness of its own objective over ``q``, and the phase-1 ``q`` on the
-        arms where the original objective is zero."""
+        arms where the original objective is zero.  Raises
+        ``SolverFailureError`` when a solve over ``q`` is not optimal: the
+        q-form's polytope is bounded, so only lost precision ends it so."""
         start = np.tile(phase1.witness, (self.px.size, 1))
         lifted = []
         for parts in self.plan:
             solved = [solutions[i] for i, _ in parts]
             pivots = sum(sol.iterations for sol in solved)
             if any(sol.status != "optimal" for sol in solved):
-                lifted.append(LpSolution("unbounded", None, None, pivots))
-                continue
+                raise SolverFailureError("a phase 2 over the couplings ended without optimum")
             q = start.copy()
             for sol, (_, arms) in zip(solved, parts):
                 q[arms] = sol.witness

@@ -7,8 +7,12 @@ so they live with the tests rather than in the package.
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
+import sys
 from dataclasses import dataclass
+from functools import cache
+from pathlib import Path
 
 import numpy as np
 
@@ -490,14 +494,15 @@ def reference_presolve(constraints: ConstraintSet, like=None):
     return _Rows(sub[rows], rhs[rows], kind[rows], provenance, A, rows, keep), keep
 
 
-def rare_arm_tables(d_x, d_y, seed, alpha):
+def rare_arm_tables(d_x, d_y, seed, alpha, px=None):
     """``py ~ Dirichlet(1)`` over the outcome vectors and, independent of it,
-    ``px ~ Dirichlet(alpha)``, from ``default_rng(seed)``; the truth's
-    tables, added one cell at a time in flattened order as SparseJointPO
-    does, and the truth's value of the event ``P(Y_0=0, Y_1>=1)``."""
+    ``px ~ Dirichlet(alpha)`` unless ``px`` is given, from
+    ``default_rng(seed)``; the truth's tables, added one cell at a time in
+    flattened order as SparseJointPO does (and as ``tools/stress.py`` draws
+    them), and the truth's value of the event ``P(Y_0=0, Y_1>=1)``."""
     rng = np.random.default_rng(seed)
     py = rng.dirichlet(np.ones(d_y**d_x))
-    px = rng.dirichlet(np.full(d_x, alpha))
+    px = rng.dirichlet(np.full(d_x, alpha)) if px is None else np.asarray(px, dtype=float)
     mass = np.outer(py, px).reshape(-1)
     cell = np.indices((d_y,) * d_x + (d_x,)).reshape(d_x + 1, -1)
     exp, obs = np.zeros((d_x, d_y)), np.zeros((d_x, d_y))
@@ -505,3 +510,13 @@ def rare_arm_tables(d_x, d_y, seed, alpha):
     np.add.at(obs, (cell[d_x], cell[cell[d_x], np.arange(mass.size)]), mass)
     Y = np.indices((d_y,) * d_x).reshape(d_x, -1)
     return exp, obs, float(py[(Y[0] == 0) & (Y[1] >= 1)].sum())
+
+
+@cache
+def tool(name):
+    """The module of ``tools/<name>.py``, loaded once and registered under
+    ``name``, since a dataclass looks its module up by name."""
+    spec = importlib.util.spec_from_file_location(name, Path(__file__).parent.parent / "tools" / f"{name}.py")
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

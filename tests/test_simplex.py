@@ -8,7 +8,7 @@ import pobounds as pb
 from pobounds import simplex
 from pobounds.compile import ConstraintSet
 
-from oracles import constraint_residual, rare_arm_tables, vertex_enumerate_small
+from oracles import constraint_residual, rare_arm_tables, tool, vertex_enumerate_small
 
 
 def test_max_single_coordinate():
@@ -344,9 +344,8 @@ def test_bounds_match_highs():
 
 def assert_interval_is_sharp(dims, exp, obs, truth, want):
     """``bound()`` of ``P(Y_0=0, Y_1>=1)`` under exogeneity is ``want``, holds
-    the truth, and equals HiGHS on the full rows to 1e-9.  HiGHS runs its
-    dual simplex without presolve, which on the rarest arm calls these
-    feasible rows infeasible."""
+    the truth, and equals HiGHS on the full rows to 1e-9 (through the
+    stress sweep's HiGHS, whose presolve is off)."""
     exogenous = pb.AssumptionSet().with_exogeneity(True)
     exp, obs = pb.ExperimentalMarginals(exp), pb.ObservationalJoint(obs)
     query = pb.build_event_query(dims, {0: 0, 1: {"ge": 1}})
@@ -354,14 +353,13 @@ def assert_interval_is_sharp(dims, exp, obs, truth, want):
     assert res.status == "ok"
     assert (res.lower, res.upper) == pytest.approx(want, abs=1e-12)
     assert res.lower <= truth <= res.upper
-    optimize = pytest.importorskip("scipy.optimize")
+    highs = tool("stress").highs_solver()
+    if highs is None:
+        pytest.skip("scipy does not import")
     cs = pb.assemble_constraints(dims, exp=exp, obs=obs, assumptions=exogenous)
-    obj = pb.collapse_to_objective(query, dims)
-    for sign, value in ((1.0, res.lower), (-1.0, res.upper)):
-        ref = optimize.linprog(sign * obj, A_eq=cs.A, b_eq=cs.rhs, bounds=(0, None), method="highs-ds",
-                               options={"presolve": False})
-        assert ref.status == 0, ref.message
-        assert abs(value - sign * ref.fun) <= 1e-9
+    ref = highs(cs, pb.collapse_to_objective(query, dims))
+    assert None not in ref
+    assert abs(res.lower - ref[0]) <= 1e-9 and abs(res.upper - ref[1]) <= 1e-9
 
 
 def test_a_phase_1_that_ends_above_its_start_raises():

@@ -1,30 +1,36 @@
 """``tools/stress.py``: what it prints of hand-made outcomes, and a short
 rare-arm sweep in which no instance may raise or answer wrongly."""
 
-import importlib.util
-import sys
-import time
-from pathlib import Path
-
+import numpy as np
 import pytest
 
-_spec = importlib.util.spec_from_file_location("stress", Path(__file__).parent.parent / "tools" / "stress.py")
-stress = importlib.util.module_from_spec(_spec)
-sys.modules["stress"] = stress  # its dataclass looks its module up by name
-_spec.loader.exec_module(stress)
+from oracles import rare_arm_tables, tool
+
+stress = tool("stress")
 Outcome = stress.Outcome
 
 
 def test_dims_parse_as_pairs():
     assert stress.parse_dims("3x3,4x3,5x3") == [(3, 3), (4, 3), (5, 3)]
     args = stress.parse_args(["--dims", "4x4", "--seeds", "40", "--alpha", "0.3"])
-    assert (args.dims, args.seeds, args.alpha, args.first) == ([(4, 4)], 40, 0.3, 1000)
+    assert (args.dims, args.seeds, args.alpha) == ([(4, 4)], 40, 0.3)
     for bad in (["--dims", "3by3"], ["--dims", "3x3x3"], ["--dims", "1x3"], ["--seeds", "0"], ["--alpha", "0"],
                 ["--alpha", "nan"]):
         argv = dict(zip(["--dims", "--seeds", "--alpha"], ["3x3", "1", "0.3"]))
         argv.update(dict(zip(bad[::2], bad[1::2])))
         with pytest.raises(SystemExit):
             stress.parse_args([part for pair in argv.items() for part in pair])
+
+
+def test_the_sweep_draws_the_tables_of_the_pinned_rare_arm_tests():
+    # the sweep's SparseJointPO tables and the tests' rare_arm_tables agree to the bit
+    for d_x, d_y, seed, alpha in ((3, 3, 5, 0.3), (4, 4, 0, 1.0), (5, 3, 1000, 0.3)):
+        dims, query, exp, obs, px, value = stress.instance(d_x, d_y, seed, alpha)
+        want = rare_arm_tables(d_x, d_y, seed, alpha)
+        np.testing.assert_array_equal(exp.table, want[0])
+        np.testing.assert_array_equal(obs.table, want[1])
+        assert value == want[2]
+        np.testing.assert_array_equal(obs.x_marginal() > 0.0, px > 0.0)
 
 
 def test_a_failure_is_grouped_by_the_first_three_words_of_its_message():
@@ -55,10 +61,7 @@ def test_the_report_counts_each_verdict_per_dims():
 def test_a_rare_arm_sweep_neither_raises_nor_answers_wrongly():
     # exp+obs+exogeneity with P(X=l) ~ Dirichlet(0.3): before the q-form the
     # full LP raised on 3, 7, 11 and 11 of seeds 1000-1039 at these dims
-    start = time.perf_counter()
-    outcomes = stress.sweep([(3, 3), (4, 3), (4, 4), (5, 3)], range(1000, 1010), 0.3, stress.highs_solver())
-    elapsed = time.perf_counter() - start
+    outcomes = stress.sweep([(3, 3), (4, 3), (4, 4), (5, 3)], range(stress.FIRST_SEED, stress.FIRST_SEED + 10), 0.3, stress.highs_solver())
     assert len(outcomes) == 40
     assert [o for o in outcomes if o.verdict != "ok"] == []
     assert min(o.min_px for o in outcomes) < 1e-9  # the sweep reaches the rarest arms
-    assert elapsed < 3.0

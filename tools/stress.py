@@ -5,7 +5,7 @@
 Each instance is a truth with exogenous treatment: outcome vectors
 ``py ~ Dirichlet(1)`` and, independently, treatment ``px ~ Dirichlet(alpha)``,
 both drawn from ``default_rng(seed)`` in that order, for the seeds
-``--first`` (1000 by default) up to ``--first + --seeds - 1``.  A small
+``FIRST_SEED`` (1000) up to ``FIRST_SEED + --seeds - 1``.  A small
 ``alpha`` makes some arm rare, with ``P(X=l)`` down to 1e-9 and below.  The
 tables are the experimental and observational marginals of the truth as a
 ``SparseJointPO``, and the query is the event ``P(Y_0=0, Y_1>=1)`` under
@@ -38,6 +38,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 import pobounds as pb  # noqa: E402
 
 TOL = 1e-9
+FIRST_SEED = 1000
 
 
 @dataclass(frozen=True)
@@ -70,10 +71,9 @@ def parse_args(argv):
     parser.add_argument("--dims", type=parse_dims, required=True, help="e.g. 3x3,4x3,4x4,5x3")
     parser.add_argument("--seeds", type=int, required=True, help="instances per dims")
     parser.add_argument("--alpha", type=float, required=True, help="Dirichlet concentration of P(X=l)")
-    parser.add_argument("--first", type=int, default=1000, help="first seed")
     args = parser.parse_args(argv)
-    if args.seeds < 1 or args.first < 0:
-        parser.error("--seeds must be at least 1 and --first nonnegative")
+    if args.seeds < 1:
+        parser.error("--seeds must be at least 1")
     if not (np.isfinite(args.alpha) and args.alpha > 0.0):
         parser.error("--alpha must be a positive number")
     return args
@@ -175,7 +175,7 @@ def main(argv=None) -> int:
     highs = highs_solver()
     if highs is None:
         print("scipy does not import: endpoints are checked against the truth only")
-    outcomes = sweep(args.dims, range(args.first, args.first + args.seeds), args.alpha, highs)
+    outcomes = sweep(args.dims, range(FIRST_SEED, FIRST_SEED + args.seeds), args.alpha, highs)
     print("\n".join(summarize(outcomes, highs is not None)))
     return 0
 
