@@ -7,7 +7,7 @@ with a built-in two-phase simplex, and, under the unit-increment assumption,
 evaluates closed-form point identifications instead.
 """
 
-from .bounds import BoundResult, SweepPoint, assemble_constraints, bound, bound_sweep
+from .bounds import BoundResult, assemble_constraints, bound
 from .compile import (
     ConstraintSet,
     compile_base,
@@ -92,14 +92,12 @@ __all__ = [
     "ReplicationResult",
     "SolverFailureError",
     "SparseJointPO",
-    "SweepPoint",
     "UndefinedConditionalError",
     "ValidationError",
     "assemble_constraints",
     "bind_condition",
     "bootstrap",
     "bound",
-    "bound_sweep",
     "build_conditional_query",
     "build_event_query",
     "build_moment_query",

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -84,7 +83,7 @@ def _relax_data_rows(
     rhs[upper] = rhs[upper] + eps
     rhs[lower] = -(rhs[lower] - eps)
     kind[data[rows]] = "le"
-    relaxed = ConstraintSet(cs.dims, A, rhs, kind, [cs.provenance[i] for i in rows])
+    relaxed = ConstraintSet._checked(cs.dims, A, rhs, kind, tuple(cs.provenance[i] for i in rows))
     return relaxed, np.flatnonzero(upper), np.flatnonzero(lower)
 
 
@@ -100,13 +99,16 @@ class _Structure:
     ``slack`` that row takes the entry plus ``slack`` and row ``lower[j]``
     takes ``-(entry - slack)``.  No table entry enters ``A`` except
     ``P(X=l)`` under exogeneity, so only an exogeneity structure belongs to
-    its tables.
+    its tables.  ``marginals`` holds ``P(X=l)`` and the arm marginals
+    ``m[k] = P(Y=·|X=k)`` when the rows may be solved in their q-form (see
+    :func:`simplex._couple`), and is ``None`` otherwise.
     """
 
     rows: ConstraintSet
     upper: np.ndarray
     lower: np.ndarray
     slack: float | None
+    marginals: tuple[np.ndarray, np.ndarray] | None = None
 
     def fill(self, exp: ExperimentalMarginals | None, obs: ObservationalJoint | None) -> ConstraintSet:
         """The rows on these tables: the tables are validated, and only ``rhs`` is new."""
@@ -135,25 +137,34 @@ def _structure(
     slack: float | None,
 ) -> _Structure:
     """The structure of :func:`assemble_constraints` for these inputs, its
-    rows compiled on these tables: they are :func:`assemble_constraints`."""
+    rows compiled on these tables: they are :func:`assemble_constraints`.
+
+    The data rows follow the base row.  The q-form needs exogeneity, no
+    monotone row, no ``slack``, every ``P(X=l) > 0`` and, when ``exp`` is
+    given, ``exp`` equal to ``m`` within ``SUM_TOL``: on a mismatch the full
+    LP finds the certificate."""
     assumptions = assumptions or AssumptionSet()
     if exp is None and obs is None:
         raise ConfigError("need at least one of experimental or observational data")
     if assumptions.exogeneity and obs is None:
         raise ConfigError("exogeneity constraints need the observational table for P(X=l)")
-    parts = []
-    if exp is not None:
-        parts.append(compile_experimental(dims, exp))
+    data = [compile_experimental(dims, exp)] if exp is not None else []
     if obs is not None:
-        parts.append(compile_observational(dims, obs))
-    if assumptions.exogeneity:
-        parts.append(compile_exogeneity(dims, obs))
-    parts.append(compile_monotonicity(dims, assumptions))
-    cs = compile_base(dims).merge(*parts)
-    data = (cs.kind == "eq") & np.array([tag.startswith(("experimental(", "observational(")) for tag in cs.provenance])
-    if slack is None:
-        return _Structure(cs, np.flatnonzero(data), np.zeros(0, dtype=np.intp), None)
-    return _Structure(*_relax_data_rows(cs, data, slack), slack)
+        data.append(compile_observational(dims, obs))
+    exogeneity = [compile_exogeneity(dims, obs)] if assumptions.exogeneity else []
+    monotone = compile_monotonicity(dims, assumptions)
+    cs = compile_base(dims).merge(*data, *exogeneity, monotone)
+    upper = np.arange(1, 1 + sum(map(len, data)))
+    if slack is not None:
+        return _Structure(*_relax_data_rows(cs, np.isin(np.arange(len(cs)), upper), slack), slack)
+    marginals = None
+    if exogeneity and not len(monotone):
+        px = obs.x_marginal()
+        if (px > 0.0).all():
+            m = obs.table / px[:, None]
+            if exp is None or (np.abs(exp.table - m) <= SUM_TOL).all():
+                marginals = px, m
+    return _Structure(cs, upper, np.zeros(0, dtype=np.intp), None, marginals)
 
 
 def assemble_constraints(
@@ -175,7 +186,9 @@ class _Loop:
     A bound reuses the structure when its dims, tables present and ``slack``
     equal the last bound's, its ``assumptions`` are the same object, and
     they do not ask for exogeneity, whose rows hold ``P(X=l)`` in ``A``;
-    otherwise it compiles its own.
+    otherwise it compiles its own.  :meth:`constraints` gives the rows and
+    the structure's ``marginals``; a reused structure is never an exogeneity
+    structure, so it gives ``None``.
     """
 
     def __init__(self) -> None:
@@ -191,40 +204,14 @@ class _Loop:
         obs: ObservationalJoint | None,
         assumptions: AssumptionSet | None,
         slack: float | None,
-    ) -> ConstraintSet:
+    ) -> tuple[ConstraintSet, tuple[np.ndarray, np.ndarray] | None]:
         key = (dims, exp is not None, obs is not None, slack)
         exogeneity = assumptions is not None and assumptions.exogeneity
         if self.structure is None or key != self.key or assumptions is not self.assumptions or exogeneity:
             self.key, self.assumptions = key, assumptions
             self.structure = _structure(dims, exp, obs, assumptions, slack)
-            return self.structure.rows
-        return self.structure.fill(exp, obs)
-
-
-def _arm_marginals(
-    cs: ConstraintSet,
-    exp: ExperimentalMarginals | None,
-    obs: ObservationalJoint | None,
-    assumptions: AssumptionSet | None,
-    slack: float | None,
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """``P(X=l)`` and the arm marginals ``m[k] = P(Y=·|X=k)`` of ``obs``
-    when ``cs``, compiled on these inputs, may be solved in its q-form (see
-    :func:`simplex._couple`); ``None`` when it keeps the full LP.  The q-form
-    needs exogeneity, no monotone row in ``cs``, no ``slack``, every
-    ``P(X=l) > 0`` and, when ``exp`` is given, ``exp`` equal to ``m`` within
-    ``SUM_TOL``: on a mismatch the full LP finds the certificate."""
-    if slack is not None or assumptions is None or not assumptions.exogeneity:
-        return None
-    if any(tag.startswith("monotone(") for tag in cs.provenance):
-        return None
-    px = obs.x_marginal()
-    if not (px > 0.0).all():
-        return None
-    m = obs.table / px[:, None]
-    if exp is not None and not (np.abs(exp.table - m) <= SUM_TOL).all():
-        return None
-    return px, m
+            return self.structure.rows, self.structure.marginals
+        return self.structure.fill(exp, obs), None
 
 
 def bound(
@@ -258,13 +245,11 @@ def _bound(
     if query.condition is not None and obs is None:
         raise ConfigError("conditional queries need the observational table to bind the divisor")
     loop = _Loop() if loop is None else loop
-    cs = loop.constraints(dims, exp, obs, assumptions, slack)
+    cs, marginals = loop.constraints(dims, exp, obs, assumptions, slack)
     if query.condition is not None:
         objective = bind_condition(query, obs)
     else:
         objective = collapse_to_objective(query, dims)
-
-    marginals = _arm_marginals(cs, exp, obs, assumptions, slack)
     phase1, solutions = simplex._solve(cs, [(objective, "minimize"), (objective, "maximize")], loop.warm, marginals)
     if phase1.status == "infeasible":
         return BoundResult("infeasible", diagnostics=phase1.certificate)
@@ -280,30 +265,3 @@ def _bound(
         lower_witness=lo.witness,
         upper_witness=hi.witness,
     )
-
-
-@dataclass(frozen=True)
-class SweepPoint:
-    assumptions: AssumptionSet
-    result: BoundResult | None
-    error: str | None = None
-
-
-def bound_sweep(
-    dims: Dims,
-    query: QuerySpec,
-    assumption_grid: Sequence[AssumptionSet],
-    exp: ExperimentalMarginals | None = None,
-    obs: ObservationalJoint | None = None,
-    slack: float | None = None,
-) -> list[SweepPoint]:
-    """One bound per grid point, in input order; per-point failures are
-    recorded and do not stop the sweep."""
-    out = []
-    for assumptions in assumption_grid:
-        try:
-            res = bound(dims, query, exp=exp, obs=obs, assumptions=assumptions, slack=slack)
-            out.append(SweepPoint(assumptions, res))
-        except PoboundsError as exc:
-            out.append(SweepPoint(assumptions, None, error=str(exc)))
-    return out

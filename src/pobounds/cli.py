@@ -10,7 +10,6 @@ import argparse
 import contextlib
 import csv
 import json
-import math
 import os
 import re
 import sys
@@ -40,6 +39,7 @@ from .model import (
     QuerySpec,
     SparseJointPO,
     as_integer,
+    as_number,
     scatter_cells,
 )
 from .queries import (
@@ -92,17 +92,6 @@ def _key_integer(key: str, what: str) -> int:
     if not _INTEGER.fullmatch(key):
         raise TypeError(f"{what} {key!r} is not an integer")
     return int(key)
-
-
-def _number(value, what: str) -> float:
-    """A finite JSON number as a float.  A boolean is refused, not read as 0
-    or 1; so are a string, even one that spells a number, and ``NaN`` or
-    ``Infinity`` (an unbounded window end is ``null``)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"{what} {value!r} is not a number")
-    if abs(value) > sys.float_info.max or not math.isfinite(value):  # an int too large for a float, NaN, inf
-        raise ValueError(f"{what} {value!r} is not a finite number")
-    return float(value)
 
 
 def _read_json_object(path: str) -> dict:
@@ -176,7 +165,8 @@ def _load_table(path: str, dims: Dims, kind):
     if isinstance(data, dict) and "table" in data:
         data = data["table"]
     with _reading(path):
-        table = np.asarray(data, dtype=float)
+        entries = np.asarray(data, dtype=object)
+        table = np.array([as_number(v, "table entry") for v in entries.flat]).reshape(entries.shape)
     dist = kind(table)
     if dist.dims != dims:
         raise ValidationError(f"{path}: table shape {table.shape} does not match --dims")
@@ -224,10 +214,10 @@ def load_assumptions(source: str | None, dims: Dims) -> AssumptionSet:
         for t in data.get("terms", []):
             pairs = {}
             for p in t.get("pairs", []):
-                lo = -np.inf if p.get("lower") is None else _number(p["lower"], "lower")
-                hi = np.inf if p.get("upper") is None else _number(p["upper"], "upper")
+                lo = -np.inf if p.get("lower") is None else as_number(p["lower"], "lower")
+                hi = np.inf if p.get("upper") is None else as_number(p["upper"], "upper")
                 pairs[(as_integer(p["s"], "pair s"), as_integer(p["t"], "pair t"))] = (lo, hi)
-            window = _number(t.get("prob_lower", 1.0), "prob_lower"), _number(t.get("prob_upper", 1.0), "prob_upper")
+            window = [as_number(t.get(end, 1.0), end) for end in ("prob_lower", "prob_upper")]
             try:
                 terms.append(MonotoneTerm.from_pairs(dims.d_x, pairs, *window))
             except ValidationError as exc:
@@ -261,7 +251,7 @@ def load_query(path: str, dims: Dims) -> tuple[QuerySpec, Any]:
             cells = data["cells"]
             y_vecs = [tuple(as_integer(v, "level") for v in cell["y_vec"]) for cell in cells]
             xy = [(as_integer(cell["x"], "level"), as_integer(cell["y"], "level")) for cell in cells]
-            coeffs = scatter_cells(dims, y_vecs, [float(cell["coeff"]) for cell in cells], xy)
+            coeffs = scatter_cells(dims, y_vecs, [as_number(cell["coeff"], "coeff") for cell in cells], xy)
             q = QuerySpec(coeffs, given_pair)
             q.validate(dims)
         else:

@@ -76,21 +76,28 @@ class ConstraintSet:
     def __len__(self) -> int:
         return len(self.provenance)
 
+    @classmethod
+    def _checked(cls, dims: Dims, A: np.ndarray, rhs: np.ndarray, kind: np.ndarray,
+                 provenance: tuple[str, ...]) -> "ConstraintSet":
+        """A set over arrays that have been checked already: they are frozen
+        in place, and neither copied nor checked again."""
+        cs = object.__new__(cls)
+        for name, value in (("dims", dims), ("A", _frozen(A)), ("rhs", _frozen(rhs)), ("kind", _frozen(kind)),
+                            ("provenance", provenance)):
+            object.__setattr__(cs, name, value)
+        return cs
+
     def with_rhs(self, rhs: np.ndarray) -> "ConstraintSet":
         """The same rows with another right-hand side.  ``A``, ``kind`` and
         ``provenance`` are this set's own objects, already checked; only
         ``rhs`` is copied and checked."""
-        rhs = _frozen(np.array(rhs, dtype=float))
+        rhs = np.array(rhs, dtype=float)
         if rhs.shape != self.rhs.shape:
             raise ValidationError(f"{len(self)} rows need rhs {self.rhs.shape}; got {rhs.shape}")
         finite = np.isfinite(rhs)
         if not finite.all():
             raise ValidationError(f"non-finite entry in row {self.provenance[int(np.argmin(finite))]}")
-        cs = object.__new__(ConstraintSet)
-        for name, value in (("dims", self.dims), ("A", self.A), ("rhs", rhs), ("kind", self.kind),
-                            ("provenance", self.provenance)):
-            object.__setattr__(cs, name, value)
-        return cs
+        return ConstraintSet._checked(self.dims, self.A, rhs, self.kind, self.provenance)
 
     def residuals(self, x: np.ndarray) -> np.ndarray:
         """Per-row violation by ``x``: ``|A x - rhs|`` on eq rows, the positive
@@ -99,10 +106,12 @@ class ConstraintSet:
         return np.where(self.kind == "eq", np.abs(gap), np.maximum(gap, 0.0))
 
     def merge(self, *others: "ConstraintSet") -> "ConstraintSet":
+        """These rows, then those of each of ``others`` in turn.  The parts
+        are checked already, so the merged arrays are not checked again."""
         parts = (self, *others)
         if any(other.dims != self.dims for other in others):
             raise ValidationError("cannot merge constraint sets over different dimensions")
-        return ConstraintSet(
+        return ConstraintSet._checked(
             self.dims,
             np.concatenate([cs.A for cs in parts]),
             np.concatenate([cs.rhs for cs in parts]),
@@ -157,10 +166,7 @@ def compile_exogeneity(dims: Dims, obs: ObservationalJoint) -> ConstraintSet:
     where ``x = l`` and ``-P(X=l)`` elsewhere.  Arms with zero probability
     produce 0 = 0 rows and are skipped with a warning.  Linearly dependent
     rows within a (k, v) group are emitted anyway; the solver copes with
-    redundancy.  Without monotone rows, ``slack`` or a zero-probability arm,
-    ``bound()`` solves these rows' q-form instead, an LP over couplings of
-    the arm marginals (:func:`simplex._couple`), and checks its witnesses
-    on these rows.
+    redundancy.
     """
     require_valid(obs, dims)
     px = obs.x_marginal()

@@ -248,10 +248,9 @@ def _one_estimate(
         try:
             if exp is not None:
                 joint = identify_mod.identify_experimental(exp)
-                value = identify_mod.evaluate(joint, query)
             else:
                 joint = identify_mod.identify_observational(obs)
-                value = identify_mod.evaluate(joint, query, obs=obs)
+            value = identify_mod.evaluate(joint, query, obs=obs)
         except (MiteIncompatibleError, UndefinedConditionalError):
             return None
         return {"estimate": value}

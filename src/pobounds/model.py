@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from functools import cache
 from types import MappingProxyType
@@ -39,6 +40,18 @@ def as_integer(value, what: str) -> int:
     if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Integral):
         raise NotAnIntegerError(f"{what} {value!r} is not an integer")
     return int(value)
+
+
+def as_number(value, what: str) -> float:
+    """``value`` as a finite ``float`` if it is a real number, numpy's
+    included; a bool, a string (even one that spells a number), NaN, an
+    infinity and an int too large for a float are refused with an error
+    naming ``what``."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        raise MalformedValueError(f"{what} {value!r} is not a number")
+    if not abs(value) <= sys.float_info.max:  # NaN compares false
+        raise MalformedValueError(f"{what} {value!r} is not a finite number")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -424,5 +437,5 @@ class SparseJointPO:
                 key: tuple = y_vec
             else:
                 key = (y_vec, as_integer(cell["x"], "x"), as_integer(cell["y"], "y"))
-            entries[key] = entries.get(key, 0.0) + float(cell["mass"])
+            entries[key] = entries.get(key, 0.0) + as_number(cell["mass"], "mass")
         return cls(dims, entries, space)

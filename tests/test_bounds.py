@@ -157,31 +157,30 @@ def test_sweep_single_point_equals_bound(truth_a, joint_po_query):
     exp, obs = truth_a.po_marginals(), truth_a.xy_marginal()
     assumptions = pb.preset("prob_mtr(0.95,1.0)", dims)
     direct = pb.bound(dims, joint_po_query, exp=exp, obs=obs, assumptions=assumptions)
-    points = pb.bound_sweep(dims, joint_po_query, [assumptions], exp=exp, obs=obs)
+    points = [pb.bound(dims, joint_po_query, exp=exp, obs=obs, assumptions=a) for a in [assumptions]]
     assert len(points) == 1
-    assert points[0].result.lower == direct.lower
-    assert points[0].result.upper == direct.upper
+    assert points[0].lower == direct.lower
+    assert points[0].upper == direct.upper
 
 
 def test_sweep_upper_bound_decreases(truth_a, joint_po_query):
     dims = truth_a.dims
     grid = [pb.preset(f"prob_mtr({l},1.0)", dims) for l in (0.90, 0.95, 1.00)]
-    points = pb.bound_sweep(
-        dims, joint_po_query, grid, exp=truth_a.po_marginals(), obs=truth_a.xy_marginal()
-    )
-    ubs = [pt.result.upper for pt in points]
+    exp, obs = truth_a.po_marginals(), truth_a.xy_marginal()
+    ubs = [pb.bound(dims, joint_po_query, exp=exp, obs=obs, assumptions=a).upper for a in grid]
     assert ubs[0] == pytest.approx(0.275, abs=0.01)
     assert ubs[-1] == pytest.approx(0.165, abs=0.01)
     assert all(b <= a + 1e-9 for a, b in zip(ubs, ubs[1:]))
 
 
 def test_sweep_survives_infeasible_point():
+    # an infeasible point of the grid is reported, and the points after it are solved
     dims = pb.Dims(2, 2)
     exp = pb.ExperimentalMarginals(np.array([[0.0, 1.0], [1.0, 0.0]]))
     q = pb.build_event_query(dims, {0: 1, 1: 0})
     grid = [pb.AssumptionSet(), pb.preset("mtr", dims), pb.AssumptionSet()]
-    points = pb.bound_sweep(dims, q, grid, exp=exp)
-    assert points[0].result.status == "ok"
-    assert points[1].result.status == "infeasible"
-    assert points[2].result.status == "ok"
-    assert points[0].result.lower == points[2].result.lower
+    points = [pb.bound(dims, q, exp=exp, assumptions=a) for a in grid]
+    assert points[0].status == "ok"
+    assert points[1].status == "infeasible"
+    assert points[2].status == "ok"
+    assert points[0].lower == points[2].lower

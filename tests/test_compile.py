@@ -303,6 +303,37 @@ def test_with_rhs_shares_the_rows_and_checks_only_rhs():
         cs.with_rhs([1.0, 0.25])
 
 
+def test_merge_checks_its_dims_and_freezes_the_concatenation():
+    dims = pb.Dims(2, 2)
+    parts = (pb.compile_base(dims), pb.compile_experimental(dims, uniform_exp(dims)),
+             pb.compile_observational(dims, uniform_obs(dims)))
+    cs = parts[0].merge(*parts[1:])
+    for name in ("A", "rhs", "kind"):
+        assert getattr(cs, name).tobytes() == np.concatenate([getattr(p, name) for p in parts]).tobytes()
+        assert not getattr(cs, name).flags.writeable
+    assert cs.provenance == sum((p.provenance for p in parts), ())
+    with pytest.raises(ValidationError, match="different dimensions"):
+        cs.merge(pb.compile_base(pb.Dims(2, 3)))
+
+
+@pytest.mark.parametrize("slack", [None, 0.05])
+def test_a_bound_checks_each_part_once_and_not_their_merge(truth_a, monkeypatch, slack):
+    # base, experimental, observational, exogeneity and (empty) monotone rows:
+    # the merged system and its relaxed copy under slack are not checked again
+    checked, honest = [], ConstraintSet.__post_init__
+
+    def post_init(self):
+        honest(self)
+        checked.append(self.provenance[:1])
+
+    monkeypatch.setattr(ConstraintSet, "__post_init__", post_init)
+    dims = truth_a.dims
+    exogenous = pb.AssumptionSet().with_exogeneity()
+    pb.bound(dims, pb.build_event_query(dims, {0: 0}), exp=truth_a.po_marginals(), obs=truth_a.xy_marginal(),
+             assumptions=exogenous, slack=slack)
+    assert checked == [("experimental(0,0)",), ("observational(0,0)",), ("exogeneity(0,0,0)",), (), ("base-sum",)]
+
+
 def reference_cases(dims, seed):
     """Input sets over tables of a random joint: exogeneity with and without a
     degenerate arm, ``prob_mtr``, ``mite`` and ``slack``."""

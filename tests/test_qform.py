@@ -12,7 +12,7 @@ import pytest
 
 import pobounds as pb
 from oracles import rare_arm_tables, tool
-from pobounds import simplex
+from pobounds import bounds, simplex
 
 
 def tables(d_x, d_y, seed, px=None):
@@ -115,6 +115,22 @@ def test_the_same_inputs_give_the_same_bytes():
     exp, obs = tables(4, 3, 3)
     args = dict(exp=exp, obs=obs, assumptions=pb.AssumptionSet().with_exogeneity(True))
     assert digest(pb.bound(dims, query(dims, "moment"), **args)) == digest(pb.bound(dims, query(dims, "moment"), **args))
+
+
+def test_the_structure_records_the_marginals_of_its_tables():
+    # exp may differ from m = P(Y=.|X=k) by SUM_TOL, and not by more
+    dims = pb.Dims(3, 3)
+    exp, obs = tables(3, 3, 16)
+    exogenous = pb.AssumptionSet().with_exogeneity()
+    px, m = bounds._structure(dims, exp, obs, exogenous, None).marginals
+    assert px.tobytes() == obs.x_marginal().tobytes() and m.tobytes() == (obs.table / px[:, None]).tobytes()
+    for gap, kept in ((0.5e-9, True), (2e-9, False)):
+        table = m.copy()
+        table[0] += [-gap, gap, 0.0]
+        close = pb.ExperimentalMarginals(table)
+        assert (bounds._structure(dims, close, obs, exogenous, None).marginals is not None) == kept
+    assert bounds._structure(dims, None, obs, exogenous, None).marginals is not None
+    assert bounds._structure(dims, exp, obs, pb.AssumptionSet(), None).marginals is None
 
 
 def mismatch():

@@ -49,6 +49,8 @@ CASES = {
                          None, False),
     "obs+exogeneity+prob_mtr": (pb.preset("prob_mtr(0.5,1.0)", DIMS).with_exogeneity(),
                                 pb.build_event_query(DIMS, {0: 0, 1: 1}), None, True),
+    # no monotone term: each replicate compiles its own structure, solved in its q-form
+    "obs+exogeneity": (pb.AssumptionSet().with_exogeneity(), pb.build_event_query(DIMS, {0: 0, 1: 1}), None, True),
 }
 
 
