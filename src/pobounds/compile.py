@@ -5,12 +5,21 @@ parameter vector, one row per constraint, built by broadcasting over the cell
 grid rather than by visiting cells one at a time.  Nonnegativity of the
 parameters is implicit (the solver treats all variables as >= 0), so it never
 appears as an explicit row.
+
+The rows that no table sets are built and checked once per :class:`Dims`
+and then shared read-only: the base row (:func:`compile_base`), the 0/1
+experimental and observational rows, and the masks of the ``y_k = v``
+groups of the exogeneity rows, with their tags.  A ``compile_*`` call adds
+only what its table sets: the data rows' right-hand side, through
+:meth:`ConstraintSet.with_rhs`, and the exogeneity rows' ``1 - P(X=l)`` and
+``-P(X=l)`` entries, written into one fresh array that is checked once.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -49,14 +58,16 @@ class ConstraintSet:
     provenance: tuple[str, ...]
 
     def __post_init__(self):
-        A = _frozen(np.array(self.A, dtype=float))
-        rhs = _frozen(np.array(self.rhs, dtype=float))
-        kind = _frozen(np.array(self.kind, dtype=str))
-        provenance = tuple(self.provenance)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "provenance", provenance)
+        for name, dtype in (("A", float), ("rhs", float), ("kind", str)):
+            object.__setattr__(self, name, _frozen(np.array(getattr(self, name), dtype=dtype)))
+        object.__setattr__(self, "provenance", tuple(self.provenance))
+        self._check()
+
+    def _check(self) -> None:
+        """Raise ``ValidationError`` unless the arrays fit the provenance tags
+        and ``dims``, and every row has a known kind, finite entries and a
+        nonzero coefficient."""
+        A, rhs, kind, provenance = self.A, self.rhs, self.kind, self.provenance
         m, n = len(provenance), self.dims.param_count()
         if A.shape != (m, n) or rhs.shape != (m,) or kind.shape != (m,):
             raise ValidationError(
@@ -85,6 +96,15 @@ class ConstraintSet:
         for name, value in (("dims", dims), ("A", _frozen(A)), ("rhs", _frozen(rhs)), ("kind", _frozen(kind)),
                             ("provenance", provenance)):
             object.__setattr__(cs, name, value)
+        return cs
+
+    @classmethod
+    def _built(cls, dims: Dims, A: np.ndarray, rhs: np.ndarray, kind: np.ndarray,
+               provenance: tuple[str, ...]) -> "ConstraintSet":
+        """A set over arrays built for it alone: they are frozen in place and
+        checked, but not copied."""
+        cs = cls._checked(dims, A, rhs, kind, provenance)
+        cs._check()
         return cs
 
     def with_rhs(self, rhs: np.ndarray) -> "ConstraintSet":
@@ -120,8 +140,9 @@ class ConstraintSet:
         )
 
 
+@cache
 def compile_base(dims: Dims) -> ConstraintSet:
-    """The normalization row: all parameters sum to one."""
+    """The normalization row: all parameters sum to one.  Built once per dims."""
     return ConstraintSet(dims, np.ones((1, dims.param_count())), [1.0], ["eq"], ["base-sum"])
 
 
@@ -135,27 +156,50 @@ def observational_rhs(obs: ObservationalJoint) -> np.ndarray:
     return obs.table.reshape(-1)[:-1]
 
 
-def compile_experimental(dims: Dims, exp: ExperimentalMarginals) -> ConstraintSet:
-    """Arm-marginal equalities, one per (arm, outcome) with the top outcome
-    omitted: its row is implied by the base row and the others."""
-    require_valid(exp, dims)
+@cache
+def _experimental_rows(dims: Dims) -> ConstraintSet:
+    """:func:`compile_experimental`'s rows with a zero right-hand side."""
     Y, _ = cell_grid(dims)
     levels = np.arange(dims.d_y - 1)
     A = (Y[:, None, :] == levels[None, :, None]).reshape(-1, dims.param_count())
     tags = [f"experimental({k},{j})" for k in range(dims.d_x) for j in range(dims.d_y - 1)]
-    return ConstraintSet(dims, A, experimental_rhs(exp), ["eq"] * len(tags), tags)
+    return ConstraintSet(dims, A, np.zeros(len(tags)), ["eq"] * len(tags), tags)
+
+
+@cache
+def _observational_rows(dims: Dims) -> ConstraintSet:
+    """:func:`compile_observational`'s rows with a zero right-hand side."""
+    Y, X = cell_grid(dims)
+    factual = Y[X, np.arange(X.size)]
+    arms, levels = np.arange(dims.d_x), np.arange(dims.d_y)
+    A = (X == arms[:, None, None]) & (factual == levels[None, :, None])
+    tags = [f"observational({l},{m})" for l in range(dims.d_x) for m in range(dims.d_y)][:-1]
+    return ConstraintSet(dims, A.reshape(-1, X.size)[:-1], np.zeros(len(tags)), ["eq"] * len(tags), tags)
+
+
+@cache
+def _exogeneity_groups(dims: Dims) -> tuple[np.ndarray, np.ndarray]:
+    """The masks of :func:`compile_exogeneity`'s groups, row ``k·d_y + v``
+    selecting the cells with ``y_k = v``, and the tag of row ``(k, v, l)``
+    at ``[k·d_y + v, l]``."""
+    Y, _ = cell_grid(dims)
+    groups = _frozen((Y[:, None, :] == np.arange(dims.d_y)[None, :, None]).reshape(-1, Y.shape[1]))
+    tags = [[f"exogeneity({k},{v},{l})" for l in range(dims.d_x)] for k in range(dims.d_x) for v in range(dims.d_y)]
+    return groups, _frozen(np.array(tags))
+
+
+def compile_experimental(dims: Dims, exp: ExperimentalMarginals) -> ConstraintSet:
+    """Arm-marginal equalities, one per (arm, outcome) with the top outcome
+    omitted: its row is implied by the base row and the others."""
+    require_valid(exp, dims)
+    return _experimental_rows(dims).with_rhs(experimental_rhs(exp))
 
 
 def compile_observational(dims: Dims, obs: ObservationalJoint) -> ConstraintSet:
     """Factual-cell equalities, skipping the final (x, y) cell whose row is
     implied by the base row and the others."""
     require_valid(obs, dims)
-    Y, X = cell_grid(dims)
-    factual = Y[X, np.arange(X.size)]
-    arms, levels = np.arange(dims.d_x), np.arange(dims.d_y)
-    A = (X == arms[:, None, None]) & (factual == levels[None, :, None])
-    tags = [f"observational({l},{m})" for l in range(dims.d_x) for m in range(dims.d_y)][:-1]
-    return ConstraintSet(dims, A.reshape(-1, X.size)[:-1], observational_rhs(obs), ["eq"] * len(tags), tags)
+    return _observational_rows(dims).with_rhs(observational_rhs(obs))
 
 
 def compile_exogeneity(dims: Dims, obs: ObservationalJoint) -> ConstraintSet:
@@ -173,14 +217,12 @@ def compile_exogeneity(dims: Dims, obs: ObservationalJoint) -> ConstraintSet:
     degenerate = [l for l in range(dims.d_x) if px[l] <= 0.0]
     if degenerate:
         warnings.warn(f"degenerate treatment arms {degenerate} have zero probability; exogeneity rows skipped")
-    Y, X = cell_grid(dims)
+    groups, tags = _exogeneity_groups(dims)
+    _, X = cell_grid(dims)
     arms = np.flatnonzero(px > 0.0)
-    levels = np.arange(dims.d_y)
     coeffs = (X == arms[:, None]) - px[arms, None]
-    in_group = Y[:, None, None, :] == levels[None, :, None, None]
-    A = np.where(in_group, coeffs[None, None], 0.0).reshape(-1, X.size)
-    tags = [f"exogeneity({k},{v},{l})" for k in range(dims.d_x) for v in range(dims.d_y) for l in arms.tolist()]
-    return ConstraintSet(dims, A, np.zeros(len(tags)), ["eq"] * len(tags), tags)
+    A = np.where(groups[:, None, :], coeffs[None], 0.0).reshape(-1, X.size)
+    return ConstraintSet._built(dims, A, np.zeros(len(A)), np.full(len(A), "eq"), tuple(tags[:, arms].ravel().tolist()))
 
 
 def indicator_mask(dims: Dims, term: MonotoneTerm) -> np.ndarray:

@@ -27,7 +27,10 @@ Every solve takes one path (:func:`_solve`): reduce, solve, lift, certify.
   ``d_x`` times the columns and ``d_x²·d_y`` exogeneity rows besides its
   data rows.  An objective that is the same for every arm stays one
   objective over ``q``; one that depends on the arm becomes one per arm
-  where it is nonzero, all after the one phase 1.  A q-form that is
+  where it is nonzero, all after the one phase 1.  That phase 1 starts at
+  the comonotone vertex (:func:`_comonotone`, the north-west-corner rule;
+  Dantzig 1963, ch. 14), so with one of its cells per row it takes no
+  pivot.  A q-form that is
   infeasible, loses precision or lifts a vector off an original row
   leaves the inputs to the presolve and the full LP, as if it had not
   been tried.
@@ -214,6 +217,21 @@ class _Tableau:
             ties = eligible[ratios <= ratios.min() + DEAD_TOL]
             self._pivot(int(ties[basis[ties].argmin()]), entering, work)
 
+    def enter(self, columns: np.ndarray) -> bool:
+        """Pivot each of ``columns`` in turn into the row, among those an
+        artificial still holds, where its entry is largest in size; a column
+        whose largest entry there is below ``PIVOT_TOL`` in size is skipped.
+        Whether every basic value is still nonnegative."""
+        work = np.empty_like(self.T)
+        for col in columns.tolist():
+            rows = np.flatnonzero(self.basis >= self.art0)
+            if rows.size == 0:
+                break
+            row = int(rows[np.abs(self.T[rows, col]).argmax()])
+            if abs(self.T[row, col]) >= PIVOT_TOL:
+                self._pivot(row, col, work)
+        return not (self.T[:-1, -1] < 0.0).any()
+
     def repair(self, limit: int) -> tuple[bool, int | None]:
         """Dual simplex: while some basic value is below ``-DEAD_TOL``, the most
         negative one leaves and the dual ratio test picks the entering column,
@@ -314,9 +332,15 @@ def _two_phase(
     Vectors are over the system's columns and not yet certified (see
     :func:`_postsolve`); the bases are ``None`` when the system is
     infeasible, no objective is solved or one is unbounded.
+
+    A q-form's phase 1 starts from its comonotone coupling: the columns of
+    ``system.start`` are pivoted in first (:meth:`_Tableau.enter`), and if
+    that leaves a basic value negative, from the artificial basis.
     """
     n = system.A.shape[1]
     tab = _Tableau(system)
+    if isinstance(system, _Couplings) and not tab.enter(system.start):
+        tab = _Tableau(system)
     if tab.phase1() > INFEASIBLE_TOL:
         cert = tuple(tag for tag, dual in zip(system.provenance, tab.phase1_duals()) if abs(dual) > CERT_TOL)
         return LpSolution("infeasible", None, None, tab.iterations, cert), [], None
@@ -422,6 +446,25 @@ def _coupling_rows(dims: Dims) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]
     return A, kind, ("base-sum",) + tuple(f"marginal({k},{j})" for k in range(dims.d_x) for j in levels.tolist())
 
 
+def _comonotone(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The comonotone coupling of the arm marginals ``m``: the outcome
+    vectors it charges, as q-form columns, and their masses.
+
+    The breakpoints of the arms' CDFs, their sorted union, cut ``(0, 1]``
+    into segments; the segment that ends at ``u`` charges its length to
+    the outcome vector with ``y_k`` the least level where ``F_k`` reaches
+    ``u``.  There are at most ``d_x(d_y-1)`` breakpoints below 1, so at
+    most ``1 + d_x(d_y-1)`` vectors, the q-form's row count; this is the
+    north-west-corner rule of transportation problems (Dantzig 1963,
+    ch. 14) over several marginals."""
+    d_x, d_y = m.shape
+    cdf = np.cumsum(m[:, :-1], axis=1)
+    ends = np.unique(np.append(cdf, 1.0))
+    ends = ends[(ends > 0.0) & (ends <= 1.0)]
+    Y = [np.searchsorted(F, ends) for F in cdf]
+    return np.ravel_multi_index(Y, (d_y,) * d_x), np.diff(ends, prepend=0.0)
+
+
 @dataclass(frozen=True)
 class _Couplings:
     """The q-form (see :func:`_couple`): rows over couplings ``q`` of the arm
@@ -429,7 +472,8 @@ class _Couplings:
 
     ``plan[i]`` pairs each objective over ``q`` that the ``i``-th original
     objective became with the mask of the arms it stands for; ``px`` is
-    ``P(X=l)``."""
+    ``P(X=l)``; ``start`` holds the columns of the comonotone coupling
+    (:func:`_comonotone`), where phase 1 starts."""
 
     A: np.ndarray
     rhs: np.ndarray
@@ -438,6 +482,7 @@ class _Couplings:
     objectives: list[tuple[np.ndarray, str]]
     plan: tuple[tuple[tuple[int, np.ndarray], ...], ...]
     px: np.ndarray
+    start: np.ndarray
 
     def lift(self, phase1: LpSolution, solutions: list[LpSolution]) -> tuple[np.ndarray, list[LpSolution]]:
         """Each coupling to the cells as ``p(y, l) = P(X=l)·q_l(y)`` (see
@@ -488,7 +533,7 @@ def _couple(
         plan.append(tuple((len(reduced) + i, mask) for i, mask in enumerate(arms)))
         reduced += [(per_arm[int(np.argmax(mask))], sense) for mask in arms]
     rhs = np.concatenate(([1.0], m[:, :-1].reshape(-1)))
-    return _Couplings(A, rhs, kind, provenance, reduced, tuple(plan), px)
+    return _Couplings(A, rhs, kind, provenance, reduced, tuple(plan), px, _comonotone(m)[0])
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pobounds as pb
-from pobounds import bounds
+from pobounds import bounds, compile
 from pobounds.compile import ConstraintSet
 from pobounds.errors import ConfigError, ValidationError
 
@@ -318,20 +318,47 @@ def test_merge_checks_its_dims_and_freezes_the_concatenation():
 
 @pytest.mark.parametrize("slack", [None, 0.05])
 def test_a_bound_checks_each_part_once_and_not_their_merge(truth_a, monkeypatch, slack):
-    # base, experimental, observational, exogeneity and (empty) monotone rows:
-    # the merged system and its relaxed copy under slack are not checked again
-    checked, honest = [], ConstraintSet.__post_init__
+    # the base, experimental and observational blocks are checked the first
+    # time their dims are compiled and never again; the exogeneity and (empty)
+    # monotone parts once per bound(); the merged system and its relaxed copy
+    # under slack not at all
+    for block in (pb.compile_base, compile._experimental_rows, compile._observational_rows):
+        block.cache_clear()
+    checked, honest = [], ConstraintSet._check
 
-    def post_init(self):
+    def check(self):
         honest(self)
         checked.append(self.provenance[:1])
 
-    monkeypatch.setattr(ConstraintSet, "__post_init__", post_init)
+    monkeypatch.setattr(ConstraintSet, "_check", check)
     dims = truth_a.dims
     exogenous = pb.AssumptionSet().with_exogeneity()
-    pb.bound(dims, pb.build_event_query(dims, {0: 0}), exp=truth_a.po_marginals(), obs=truth_a.xy_marginal(),
-             assumptions=exogenous, slack=slack)
-    assert checked == [("experimental(0,0)",), ("observational(0,0)",), ("exogeneity(0,0,0)",), (), ("base-sum",)]
+    for _ in range(2):
+        pb.bound(dims, pb.build_event_query(dims, {0: 0}), exp=truth_a.po_marginals(), obs=truth_a.xy_marginal(),
+                 assumptions=exogenous, slack=slack)
+    assert checked == [("experimental(0,0)",), ("observational(0,0)",), ("exogeneity(0,0,0)",), (), ("base-sum",),
+                       ("exogeneity(0,0,0)",), ()]
+
+
+@pytest.mark.parametrize("d", [(2, 2), (3, 3), (5, 3)])
+def test_the_data_free_blocks_are_built_once_per_dims_and_read_only(d):
+    def blocks(dims):
+        return (pb.compile_base(dims), compile._experimental_rows(dims), compile._observational_rows(dims))
+
+    dims = pb.Dims(*d)
+    for block, again in zip(blocks(dims), blocks(pb.Dims(*d))):
+        assert block is again
+        for arr in (block.A, block.rhs, block.kind):
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            block.A[0, 0] = 2.0
+    assert compile._exogeneity_groups(dims) is compile._exogeneity_groups(pb.Dims(*d))
+    assert not any(arr.flags.writeable for arr in compile._exogeneity_groups(dims))
+    # a compiled part shares its block's rows and adds only the table's right-hand side
+    for part, block in ((pb.compile_experimental(dims, uniform_exp(dims)), blocks(dims)[1]),
+                        (pb.compile_observational(dims, uniform_obs(dims)), blocks(dims)[2])):
+        assert part.A is block.A and part.kind is block.kind and part.provenance is block.provenance
+        assert not part.rhs.flags.writeable and part.rhs.any()
 
 
 def reference_cases(dims, seed):

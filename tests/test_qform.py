@@ -232,3 +232,94 @@ def test_a_failed_q_form_leaves_the_full_lp(monkeypatch, coupled, owner, name, f
     res = pb.bound(dims, q, **args)
     assert coupled == [2]
     assert digest(res) == tuple((s.value.hex(), hashlib.sha256(s.witness.tobytes()).hexdigest()) for s in want)
+
+
+START_DIMS = [(2, 2), (3, 2), (2, 3), (3, 3), (4, 3), (3, 4), (4, 4), (5, 3)]
+
+
+def seeded_marginals(d_x, d_y, seed):
+    """Arm marginals from ``default_rng(seed)`` where arm 0 has no mass on
+    level ``seed % d_y`` and arm 1 puts arm 0's mass on level 0, so that
+    their first breakpoints tie."""
+    rng = np.random.default_rng(seed)
+    m = rng.dirichlet(np.ones(d_y), size=d_x)
+    m[0, seed % d_y] = 0.0
+    m[0] /= m[0].sum()
+    m[1, 1:] *= (1.0 - m[0, 0]) / m[1, 1:].sum()
+    m[1, 0] = m[0, 0]
+    return m
+
+
+@pytest.mark.parametrize("d_x, d_y", START_DIMS)
+def test_the_start_is_a_coupling_on_at_most_the_row_count_of_cells(d_x, d_y):
+    Y = np.indices((d_y,) * d_x).reshape(d_x, -1)
+    for seed in range(6):
+        m = seeded_marginals(d_x, d_y, seed)
+        cells, masses = simplex._comonotone(m)
+        assert cells.size <= 1 + d_x * (d_y - 1)
+        assert (masses > 0.0).all()
+        for k in range(d_x):
+            np.testing.assert_allclose(np.bincount(Y[k, cells], masses, minlength=d_y), m[k], rtol=0, atol=1e-12)
+
+
+@pytest.fixture
+def phase1(monkeypatch):
+    """``(pivots before, pivots in)`` each phase-1 run of the test."""
+    seen, honest = [], simplex._Tableau.run
+
+    def run(self, allowed):
+        before = self.iterations
+        try:
+            return honest(self, allowed)
+        finally:
+            if allowed > self.art0:
+                seen.append((before, self.iterations - before))
+
+    monkeypatch.setattr(simplex._Tableau, "run", run)
+    return seen
+
+
+@pytest.mark.parametrize("d_x, d_y", START_DIMS)
+def test_a_start_with_one_cell_per_row_leaves_phase_1_no_pivot(d_x, d_y, phase1):
+    dims = pb.Dims(d_x, d_y)
+    exp, obs = tables(d_x, d_y, 60 + d_x * d_y)
+    rows = 1 + d_x * (d_y - 1)
+    assert simplex._comonotone(obs.table / obs.x_marginal()[:, None])[0].size == rows
+    res = pb.bound(dims, query(dims, "event"), exp=exp, obs=obs, assumptions=pb.AssumptionSet().with_exogeneity())
+    assert res.status == "ok" and phase1 == [(rows, 0)]
+
+
+def interval(dims, exp, obs):
+    res = pb.bound(dims, query(dims, "moment"), exp=exp, obs=obs, assumptions=pb.AssumptionSet().with_exogeneity())
+    return res.lower, res.upper
+
+
+@pytest.mark.parametrize("d_x, d_y", [(3, 3), (5, 3), (4, 4)])
+def test_a_forged_start_falls_back_to_the_plain_start(d_x, d_y, monkeypatch, phase1):
+    dims = pb.Dims(d_x, d_y)
+    exp, obs = tables(d_x, d_y, 70 + d_x * d_y)
+    px = obs.x_marginal()
+    m = obs.table / px[:, None]
+    honest = simplex._comonotone
+    cells = honest(m)[0]
+    want = interval(dims, exp, obs)
+
+    def forge(start):
+        monkeypatch.setattr(simplex, "_comonotone", lambda m: (start, np.ones(start.size)))
+        del phase1[:]
+        return interval(dims, exp, obs)
+
+    plain = forge(np.zeros(0, dtype=np.intp))
+    plain_pivots = list(phase1)
+    assert plain_pivots[0][0] == 0 and plain_pivots[0][1] > 0
+    # a dependent column, the first one again, is skipped, and the others fill every row
+    got = forge(np.insert(cells, 1, cells[0]))
+    assert phase1 == [(cells.size, 0)]
+    # the comonotone coupling of other marginals leaves a basic value negative
+    other = honest(np.random.default_rng(0).dirichlet(np.ones(d_y), size=d_x))[0]
+    cs = pb.assemble_constraints(dims, exp=exp, obs=obs, assumptions=pb.AssumptionSet().with_exogeneity())
+    assert not simplex._Tableau(simplex._couple(cs, [], px, m)).enter(other)
+    negative = forge(other)
+    assert phase1 == plain_pivots
+    for forged in (plain, got, negative):
+        assert abs(forged[0] - want[0]) <= 1e-12 and abs(forged[1] - want[1]) <= 1e-12

@@ -229,8 +229,8 @@ PINNED = {
 # from the full LP's above.
 PINNED_BOUND = {
     (3, 3, "exp+obs+exogeneity", "event", 0): (
-        ("0x0.0p+0", "6bfdbb0174edc7d5e6aef6edf14a2704acbeb2d48efba9cfcbedce91041ab36c"),
-        ("0x1.07bf7eac335afp-2", "7aa203dd6342f0ecc973aaf36fc30bc7e49f34a5845ef2606360e72a47227042"),
+        ("0x0.0p+0", "f536eea02e4d9f068e9d27feefb1caba4b086c82c01881def6e06f8adfc959df"),
+        ("0x1.07bf7eac335b0p-2", "4c601af78bd3a9a94574fb20b8016003ee1eb61578298b657e97893f634497b5"),
     ),
     (4, 3, "obs+exogeneity+prob_mtr", "moment", 1): PINNED[4, 3, "obs+exogeneity+prob_mtr", "moment", 1][1:],
     (3, 4, "exp+obs+mtr", "posterior_effect", 2): (
@@ -238,8 +238,8 @@ PINNED_BOUND = {
         ("0x1.0000000000000p+1", "5b6fd1453ca13eb45fe13c8175ba3e37f064d2d6f7f4aabdc5d7a4b13ff8d95a"),
     ),
     (4, 4, "exp+obs+exogeneity", "event", 3): (
-        ("0x1.1958a2055e6ccp-6", "2e915f7c3632a03ee42949ff2a23ea025383047701c8ba991417c33a93ea48e5"),
-        ("0x1.eaa0da14f3680p-3", "dfcf61822865fedda2246cac24028e75eead4158ebbf80bdebaca60007cca2e8"),
+        ("0x1.1958a2055e620p-6", "d233a2c19a1c30fe9fa8f7fdee735c4d3d31e5e586525eec15afc9c6e93603c5"),
+        ("0x1.eaa0da14f366ap-3", "0f2ecddfe60e73eeae176d8c1ea7ea352c19f80c0f28547528066adcb4175db9"),
     ),
     (5, 3, "obs+exogeneity+prob_mtr", "moment", 4): PINNED[5, 3, "obs+exogeneity+prob_mtr", "moment", 4][1:],
     (3, 3, "exp+obs+mtr", "posterior_effect", 5): (
