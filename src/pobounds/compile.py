@@ -8,9 +8,10 @@ appears as an explicit row.
 
 The rows that no table sets are built and checked once per :class:`Dims`
 and then shared read-only: the base row (:func:`compile_base`), the 0/1
-experimental and observational rows, and the masks of the ``y_k = v``
-groups of the exogeneity rows, with their tags.  A ``compile_*`` call adds
-only what its table sets: the data rows' right-hand side, through
+experimental and observational rows, the monotone part of a set with no
+term, and the masks of the ``y_k = v`` groups of the exogeneity rows, with
+their tags.  A ``compile_*`` call adds only what its table sets: the data
+rows' right-hand side, through
 :meth:`ConstraintSet.with_rhs`, and the exogeneity rows' ``1 - P(X=l)`` and
 ``-P(X=l)`` entries, written into one fresh array that is checked once.
 """
@@ -237,9 +238,18 @@ def indicator_mask(dims: Dims, term: MonotoneTerm) -> np.ndarray:
     return (inside | ~below_diagonal).all(axis=(0, 1)).astype(float)
 
 
+@cache
+def _no_monotone_rows(dims: Dims) -> ConstraintSet:
+    """:func:`compile_monotonicity`'s set for no term: no row."""
+    return ConstraintSet(dims, np.zeros((0, dims.param_count())), [], [], [])
+
+
 def compile_monotonicity(dims: Dims, assumptions: AssumptionSet) -> ConstraintSet:
     """Two inequality rows per term, dropping sides that are vacuous given the
-    base constraints (upper side when U = 1, lower side when L = 0)."""
+    base constraints (upper side when U = 1, lower side when L = 0).  With no
+    term the set has no row, and it is built once per dims."""
+    if not assumptions.terms:
+        return _no_monotone_rows(dims)
     rows, rhs, tags = [], [], []
     for w, term in enumerate(assumptions.terms):
         mask = indicator_mask(dims, term)

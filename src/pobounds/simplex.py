@@ -22,18 +22,27 @@ Every solve takes one path (:func:`_solve`): reduce, solve, lift, certify.
   ``m_k = P(Y=·|X=k)`` (a Fréchet class; Balke & Pearl 1997, Rüschendorf
   1991), and nothing else ties the ``q_l`` together.  The caller, which
   knows the tables, passes ``P(X=l)`` and ``m``, and :func:`_couple`
-  states the q-form: one LP over the ``d_y^d_x`` outcome vectors with the
-  base row and ``d_x(d_y-1)`` 0/1 marginal rows, where the full LP has
-  ``d_x`` times the columns and ``d_x²·d_y`` exogeneity rows besides its
-  data rows.  An objective that is the same for every arm stays one
-  objective over ``q``; one that depends on the arm becomes one per arm
-  where it is nonzero, all after the one phase 1.  That phase 1 starts at
-  the comonotone vertex (:func:`_comonotone`, the north-west-corner rule;
-  Dantzig 1963, ch. 14), so with one of its cells per row it takes no
-  pivot.  A q-form that is
-  infeasible, loses precision or lifts a vector off an original row
-  leaves the inputs to the presolve and the full LP, as if it had not
-  been tried.
+  states the q-form over only the arms ``S`` the objectives read, those
+  along which a coefficient varies: two for an event or a moment, three
+  for a posterior effect.  It is one LP over the ``d_y^|S|`` outcome
+  vectors of those arms with the base row and ``|S|(d_y-1)`` 0/1 marginal
+  rows, where the full LP has ``d_x·d_y^d_x`` columns and ``d_x²·d_y``
+  exogeneity rows besides its data rows: 9 columns for an event at 5x3,
+  against 243 over every arm and 1215 in the full LP.  The other arms may
+  be coupled any way at all, so each coupling ``π`` of ``m[S]`` is glued
+  to the comonotone coupling ``κ`` of the other arms' marginals as
+  ``π ⊗ κ`` (Rüschendorf 1991); an objective that reads every arm has
+  ``κ`` the point mass and the rows over all ``d_y^d_x`` vectors.  On a
+  2-CPU Xeon a 5x3 ``bound()`` of an event took a median 1.05 ms this
+  way against 1.43 ms over every arm, and of a moment 1.01 against
+  2.16 ms.  An objective that is the same for every arm stays one
+  objective over ``π``; one that depends on the arm becomes one per arm
+  where it is nonzero, all after the one phase 1.  That phase 1 starts
+  at the comonotone vertex (:func:`_comonotone`, the north-west-corner
+  rule; Dantzig 1963, ch. 14), so with one of its cells per row it takes
+  no pivot.  A q-form that is infeasible, loses precision or lifts a
+  vector off an original row leaves the inputs to the presolve and the
+  full LP, as if it had not been tried.
 * Solve.  Inside one replicate loop only ``rhs`` and the objectives move
   between solves, so :class:`_WarmStart` keeps each objective's final
   tableau, its basis priced afresh on the original columns, and the next
@@ -48,13 +57,14 @@ Every solve takes one path (:func:`_solve`): reduce, solve, lift, certify.
   an infeasible reduced phase 1 to the full LP, whose certificate names
   the original rows.
 * Lift and certify.  Each distinct vector is taken back to the cells,
-  scattered through the presolve's mask or spread over the arms as
-  ``P(X=l)·q_l``; its value is the objective over the full vector, and it
-  must satisfy the original rows (:func:`_postsolve`).  Every kept row is
-  an original row restricted to the kept columns and the lifted vector is
-  zero elsewhere, so this one check covers the reduced system too, and it
-  checks the q-form's lift against every data and exogeneity row (Andersen
-  & Andersen 1995 describe the reduce-then-postsolve structure).
+  scattered through the presolve's mask or glued and spread over the
+  arms as ``P(X=l)·q_l``; its value is the objective over the full
+  vector, and it must satisfy the original rows (:func:`_postsolve`).
+  Every kept row is an original row restricted to the kept columns and
+  the lifted vector is zero elsewhere, so this one check covers the
+  reduced system too, and it checks the q-form's lift against every data
+  and exogeneity row (Andersen & Andersen 1995 describe the
+  reduce-then-postsolve structure).
 """
 
 from __future__ import annotations
@@ -67,7 +77,7 @@ import numpy as np
 
 from .compile import ConstraintSet
 from .errors import SolverFailureError, ValidationError
-from .model import Dims, cell_grid
+from .model import Dims
 
 PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-8
@@ -431,19 +441,35 @@ def _scattered(keep: np.ndarray, phase1: LpSolution, solutions: list[LpSolution]
 
 
 @cache
-def _coupling_rows(dims: Dims) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+def _coupling_rows(d_y: int, arms: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
     """``A``, ``kind`` and ``provenance`` of the q-form's rows over the outcome
-    vectors, in C order: the base row, then the 0/1 row of ``y_k = j`` for
-    each arm ``k`` and level ``j < d_y - 1``, the top level being implied as
-    in :func:`compile.compile_experimental`.  Read-only, since every q-form
-    of these dims shares them."""
-    Y = cell_grid(dims)[0][:, :: dims.d_x]
-    levels = np.arange(dims.d_y - 1)
+    vectors of ``arms``, in C order: the base row, then the 0/1 row of
+    ``y_k = j`` for each arm ``k`` of ``arms`` and level ``j < d_y - 1``, the
+    top level being implied as in :func:`compile.compile_experimental`.  The
+    tags name the arms as the model does.  Read-only, since every q-form on
+    these arms shares them."""
+    Y = np.indices((d_y,) * len(arms)).reshape(len(arms), d_y ** len(arms))
+    levels = np.arange(d_y - 1)
     A = np.vstack([np.ones(Y.shape[1]), (Y[:, None, :] == levels[None, :, None]).reshape(-1, Y.shape[1])])
     kind = np.full(A.shape[0], "eq")
     A.setflags(write=False)
     kind.setflags(write=False)
-    return A, kind, ("base-sum",) + tuple(f"marginal({k},{j})" for k in range(dims.d_x) for j in levels.tolist())
+    return A, kind, ("base-sum",) + tuple(f"marginal({k},{j})" for k in arms for j in levels.tolist())
+
+
+@cache
+def _glue_order(dims: Dims, read: tuple[int, ...]) -> np.ndarray:
+    """The outcome vectors in arm order, as indices into those flattened
+    with the axes of the arms ``read`` first and the others after them."""
+    rest = tuple(k for k in range(dims.d_x) if k not in read)
+    order = np.arange(dims.d_y**dims.d_x).reshape((dims.d_y,) * dims.d_x).transpose(np.argsort(read + rest)).reshape(-1)
+    order.setflags(write=False)
+    return order
+
+
+def _varies(cube: np.ndarray) -> bool:
+    """Whether some entry of ``cube`` differs from the one at index 0 of its middle axis."""
+    return bool((cube[:, 1:] != cube[:, :1]).any())
 
 
 def _comonotone(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -461,19 +487,23 @@ def _comonotone(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     cdf = np.cumsum(m[:, :-1], axis=1)
     ends = np.unique(np.append(cdf, 1.0))
     ends = ends[(ends > 0.0) & (ends <= 1.0)]
-    Y = [np.searchsorted(F, ends) for F in cdf]
-    return np.ravel_multi_index(Y, (d_y,) * d_x), np.diff(ends, prepend=0.0)
+    Y = (cdf[:, :, None] < ends).sum(axis=1)  # y_k at each end u: the breakpoints of F_k below u
+    return d_y ** np.arange(d_x - 1, -1, -1) @ Y, ends - np.append(0.0, ends[:-1])
 
 
 @dataclass(frozen=True)
 class _Couplings:
-    """The q-form (see :func:`_couple`): rows over couplings ``q`` of the arm
-    marginals, the objectives over ``q``, and what lifts a solve of them.
+    """The q-form (see :func:`_couple`): rows over couplings ``π`` of the
+    marginals of the arms ``read``, the objectives over ``π``, and what
+    lifts a solve of them.
 
-    ``plan[i]`` pairs each objective over ``q`` that the ``i``-th original
-    objective became with the mask of the arms it stands for; ``px`` is
-    ``P(X=l)``; ``start`` holds the columns of the comonotone coupling
-    (:func:`_comonotone`), where phase 1 starts."""
+    ``plan[i]`` pairs each objective over ``π`` that the ``i``-th original
+    objective became with the mask of the treatment arms it stands for;
+    ``px`` is ``P(X=l)``; ``start`` holds the columns of the comonotone
+    coupling of the read arms (:func:`_comonotone`), where phase 1 starts;
+    ``other`` is the comonotone coupling ``κ`` of the other arms, over their
+    outcome vectors in C order, and ``order`` takes ``π ⊗ κ``, flattened
+    with the read arms' axes first, to the outcome vectors in arm order."""
 
     A: np.ndarray
     rhs: np.ndarray
@@ -483,16 +513,24 @@ class _Couplings:
     plan: tuple[tuple[tuple[int, np.ndarray], ...], ...]
     px: np.ndarray
     start: np.ndarray
+    read: tuple[int, ...]
+    other: np.ndarray
+    order: np.ndarray
+
+    def glued(self, coupling: np.ndarray) -> np.ndarray:
+        """``coupling``, over the read arms, glued to ``κ``: the coupling
+        ``π ⊗ κ`` of every arm marginal (Rüschendorf 1991)."""
+        return np.outer(coupling, self.other).reshape(-1)[self.order]
 
     def lift(self, phase1: LpSolution, solutions: list[LpSolution]) -> tuple[np.ndarray, list[LpSolution]]:
-        """Each coupling to the cells as ``p(y, l) = P(X=l)·q_l(y)`` (see
-        :func:`_postsolve`).  The phase-1 point puts its own ``q`` on every
-        arm; the witness of an original objective puts on each arm the
-        witness of its own objective over ``q``, and the phase-1 ``q`` on the
-        arms where the original objective is zero.  Raises
-        ``SolverFailureError`` when a solve over ``q`` is not optimal: the
-        q-form's polytope is bounded, so only lost precision ends it so."""
-        start = np.tile(phase1.witness, (self.px.size, 1))
+        """Each coupling glued to ``κ`` (:meth:`glued`) and taken to the cells
+        as ``p(y, l) = P(X=l)·q_l(y)`` (see :func:`_postsolve`).  The phase-1
+        point puts its own ``q`` on every arm; the witness of an original
+        objective puts on each arm the witness of its own objective, and the
+        phase-1 ``q`` on the arms where the original objective is zero.
+        Raises ``SolverFailureError`` when a solve over ``π`` is not optimal:
+        the q-form's polytope is bounded, so only lost precision ends it so."""
+        start = np.tile(self.glued(phase1.witness), (self.px.size, 1))
         lifted = []
         for parts in self.plan:
             solved = [solutions[i] for i, _ in parts]
@@ -501,7 +539,7 @@ class _Couplings:
                 raise SolverFailureError("a phase 2 over the couplings ended without optimum")
             q = start.copy()
             for sol, (_, arms) in zip(solved, parts):
-                q[arms] = sol.witness
+                q[arms] = self.glued(sol.witness)
             lifted.append(LpSolution("optimal", None, (q.T * self.px).reshape(-1), pivots))
         return (start.T * self.px).reshape(-1), lifted
 
@@ -513,27 +551,44 @@ def _couple(
     row over tables whose ``P(X=l)`` is ``px``, every entry positive, and
     whose arm marginals ``P(Y=·|X=k)`` are the rows of ``m``.
 
-    Its rows say that ``q``, over the outcome vectors, sums to one and has
-    marginal ``m[k]`` on ``y_k``; ``p(y, l) = P(X=l)·q_l(y)`` meets the
-    original rows exactly when each ``q_l`` meets these.  An objective
-    ``c`` reads ``Σ_l P(X=l)·c_l·q_l`` with ``c_l = c(·, l)``: when every
-    ``c_l`` is the same it is that one objective over ``q``, every ``q_l``
-    being its witness; otherwise it is one objective per arm with ``c_l``
-    nonzero, and each other arm may take any coupling, the phase-1 one.
+    ``p(y, l) = P(X=l)·q_l(y)`` meets the original rows exactly when each
+    ``q_l`` is a coupling of the arm marginals: it sums to one and has
+    marginal ``m[k]`` on ``y_k``.  An objective ``c`` reads
+    ``Σ_l P(X=l)·c_l·q_l`` with ``c_l = c(·, l)``.  The arms along which
+    some ``c_l`` varies are the ones read, ``S``: ``{a, b}`` for an event
+    or a moment on arms ``a`` and ``b``, ``{a, b, l}`` for a posterior
+    effect given ``X=l``.  Each ``c_l`` is then a function of ``y_S`` alone,
+    taken at level 0 along the other axes, and the rows are those of
+    couplings ``π`` of ``m[S]``: every such ``π`` is the marginal of a
+    coupling of all of ``m``, ``π ⊗ κ`` for any coupling ``κ`` of the other
+    arms' marginals, here the comonotone one.  When every ``c_l`` is the
+    same it is that one objective over ``π``, every ``q_l`` being its
+    witness; otherwise it is one objective per arm with ``c_l`` nonzero,
+    and each other arm may take any coupling, the phase-1 one.  An
+    objective that reads every arm leaves ``κ`` the point mass on no arm,
+    and the q-form over all ``d_y^d_x`` outcome vectors.
     """
-    dims = constraints.dims
-    A, kind, provenance = _coupling_rows(dims)
+    d_x, d_y = constraints.dims.d_x, constraints.dims.d_y
+    shape = (d_y,) * d_x
+    distinct = {id(objective): objective for objective, _ in objectives}.values()  # one array for both senses
+    read = tuple(k for k in range(d_x) if any(_varies(c.reshape(d_y**k, d_y, -1)) for c in distinct))
+    rest = tuple(k for k in range(d_x) if k not in read)
+    at = tuple(slice(None) if k in read else 0 for k in range(d_x))
+    A, kind, provenance = _coupling_rows(d_y, read)
     reduced, plan = [], []
     for objective, sense in objectives:
-        per_arm = objective.reshape(-1, dims.d_x).T
+        per_arm = objective.reshape(*shape, d_x)[at].reshape(-1, d_x).T
         if (per_arm == per_arm[0]).all():
-            arms = [np.ones(dims.d_x, dtype=bool)]
+            arms = [np.ones(d_x, dtype=bool)]
         else:
-            arms = [np.arange(dims.d_x) == l for l in np.flatnonzero(per_arm.any(axis=1))]
+            arms = [np.arange(d_x) == l for l in np.flatnonzero(per_arm.any(axis=1))]
         plan.append(tuple((len(reduced) + i, mask) for i, mask in enumerate(arms)))
         reduced += [(per_arm[int(np.argmax(mask))], sense) for mask in arms]
-    rhs = np.concatenate(([1.0], m[:, :-1].reshape(-1)))
-    return _Couplings(A, rhs, kind, provenance, reduced, tuple(plan), px, _comonotone(m)[0])
+    rhs = np.concatenate(([1.0], m[list(read), :-1].reshape(-1)))
+    cells, masses = _comonotone(m[list(rest)])
+    other = np.bincount(cells, masses, minlength=d_y ** len(rest))
+    return _Couplings(A, rhs, kind, provenance, reduced, tuple(plan), px, _comonotone(m[list(read)])[0], read,
+                      other, _glue_order(constraints.dims, read))
 
 
 @dataclass(frozen=True)

@@ -318,11 +318,12 @@ def test_merge_checks_its_dims_and_freezes_the_concatenation():
 
 @pytest.mark.parametrize("slack", [None, 0.05])
 def test_a_bound_checks_each_part_once_and_not_their_merge(truth_a, monkeypatch, slack):
-    # the base, experimental and observational blocks are checked the first
-    # time their dims are compiled and never again; the exogeneity and (empty)
-    # monotone parts once per bound(); the merged system and its relaxed copy
-    # under slack not at all
-    for block in (pb.compile_base, compile._experimental_rows, compile._observational_rows):
+    # the base, experimental and observational blocks and the empty monotone
+    # part are checked the first time their dims are compiled and never again;
+    # the exogeneity part once per bound(); the merged system and its relaxed
+    # copy under slack not at all
+    for block in (pb.compile_base, compile._experimental_rows, compile._observational_rows,
+                  compile._no_monotone_rows):
         block.cache_clear()
     checked, honest = [], ConstraintSet._check
 
@@ -337,7 +338,7 @@ def test_a_bound_checks_each_part_once_and_not_their_merge(truth_a, monkeypatch,
         pb.bound(dims, pb.build_event_query(dims, {0: 0}), exp=truth_a.po_marginals(), obs=truth_a.xy_marginal(),
                  assumptions=exogenous, slack=slack)
     assert checked == [("experimental(0,0)",), ("observational(0,0)",), ("exogeneity(0,0,0)",), (), ("base-sum",),
-                       ("exogeneity(0,0,0)",), ()]
+                       ("exogeneity(0,0,0)",)]
 
 
 @pytest.mark.parametrize("d", [(2, 2), (3, 3), (5, 3)])
@@ -354,6 +355,10 @@ def test_the_data_free_blocks_are_built_once_per_dims_and_read_only(d):
             block.A[0, 0] = 2.0
     assert compile._exogeneity_groups(dims) is compile._exogeneity_groups(pb.Dims(*d))
     assert not any(arr.flags.writeable for arr in compile._exogeneity_groups(dims))
+    # a set with no monotone term shares one empty part per dims
+    empty = pb.compile_monotonicity(dims, pb.AssumptionSet())
+    assert empty is pb.compile_monotonicity(pb.Dims(*d), pb.AssumptionSet().with_exogeneity())
+    assert len(empty) == 0 and empty.A.shape == (0, dims.param_count()) and not empty.A.flags.writeable
     # a compiled part shares its block's rows and adds only the table's right-hand side
     for part, block in ((pb.compile_experimental(dims, uniform_exp(dims)), blocks(dims)[1]),
                         (pb.compile_observational(dims, uniform_obs(dims)), blocks(dims)[2])):

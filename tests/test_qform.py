@@ -281,10 +281,12 @@ def phase1(monkeypatch):
 
 @pytest.mark.parametrize("d_x, d_y", START_DIMS)
 def test_a_start_with_one_cell_per_row_leaves_phase_1_no_pivot(d_x, d_y, phase1):
+    # the event reads arms 0 and 1, so the q-form has a row per level below
+    # the top of each of them, and the base row
     dims = pb.Dims(d_x, d_y)
     exp, obs = tables(d_x, d_y, 60 + d_x * d_y)
-    rows = 1 + d_x * (d_y - 1)
-    assert simplex._comonotone(obs.table / obs.x_marginal()[:, None])[0].size == rows
+    rows = 1 + 2 * (d_y - 1)
+    assert simplex._comonotone((obs.table / obs.x_marginal()[:, None])[:2])[0].size == rows
     res = pb.bound(dims, query(dims, "event"), exp=exp, obs=obs, assumptions=pb.AssumptionSet().with_exogeneity())
     assert res.status == "ok" and phase1 == [(rows, 0)]
 
@@ -300,12 +302,15 @@ def test_a_forged_start_falls_back_to_the_plain_start(d_x, d_y, monkeypatch, pha
     exp, obs = tables(d_x, d_y, 70 + d_x * d_y)
     px = obs.x_marginal()
     m = obs.table / px[:, None]
+    read = m[:2]  # the moment of Y_1 - Y_0 reads arms 0 and 1
     honest = simplex._comonotone
-    cells = honest(m)[0]
+    cells = honest(read)[0]
     want = interval(dims, exp, obs)
 
     def forge(start):
-        monkeypatch.setattr(simplex, "_comonotone", lambda m: (start, np.ones(start.size)))
+        # the read arms start from ``start``; the other arms keep their glue
+        monkeypatch.setattr(simplex, "_comonotone", lambda marginals: (start, np.ones(start.size))
+                            if np.array_equal(marginals, read) else honest(marginals))
         del phase1[:]
         return interval(dims, exp, obs)
 
@@ -316,10 +321,131 @@ def test_a_forged_start_falls_back_to_the_plain_start(d_x, d_y, monkeypatch, pha
     got = forge(np.insert(cells, 1, cells[0]))
     assert phase1 == [(cells.size, 0)]
     # the comonotone coupling of other marginals leaves a basic value negative
-    other = honest(np.random.default_rng(0).dirichlet(np.ones(d_y), size=d_x))[0]
+    other = honest(np.random.default_rng(0).dirichlet(np.ones(d_y), size=2))[0]
     cs = pb.assemble_constraints(dims, exp=exp, obs=obs, assumptions=pb.AssumptionSet().with_exogeneity())
-    assert not simplex._Tableau(simplex._couple(cs, [], px, m)).enter(other)
+    coupled = simplex._couple(cs, [(pb.collapse_to_objective(query(dims, "moment"), dims), "minimize")], px, m)
+    assert coupled.read == (0, 1) and coupled.A.shape == (cells.size, d_y**2)
+    assert not simplex._Tableau(coupled).enter(other)
     negative = forge(other)
     assert phase1 == plain_pivots
     for forged in (plain, got, negative):
         assert abs(forged[0] - want[0]) <= 1e-12 and abs(forged[1] - want[1]) <= 1e-12
+
+
+def couplings_of(dims, obs, q, cs):
+    """The q-form ``bound()`` states for ``q``."""
+    px = obs.x_marginal()
+    c = objective(q, dims, obs)
+    return simplex._couple(cs, [(c, "minimize"), (c, "maximize")], px, obs.table / px[:, None])
+
+
+def test_the_q_form_reads_only_the_arms_its_objective_varies_along():
+    dims = pb.Dims(5, 3)
+    exp, obs = tables(5, 3, 17)
+    exogenous = pb.AssumptionSet().with_exogeneity()
+    cs = pb.assemble_constraints(dims, exp=exp, obs=obs, assumptions=exogenous)
+    m = obs.table / obs.x_marginal()[:, None]
+    for a, b, l in ((0, 1, 4), (3, 1, 3), (4, 2, 0)):
+        for q, read in ((pb.build_event_query(dims, {a: 0, b: {"ge": 1}}), {a, b}),
+                        (pb.build_moment_query(dims, 1, (a, b)), {a, b}),
+                        (pb.build_posterior_effect_query(dims, (a, b), (l, 1)), {a, b, l})):
+            coupled = couplings_of(dims, obs, q, cs)
+            assert coupled.read == tuple(sorted(read))
+            assert coupled.A.shape == (1 + 2 * len(read), 3 ** len(read))
+            tags = tuple(f"marginal({k},{j})" for k in sorted(read) for j in (0, 1))
+            assert coupled.provenance == ("base-sum",) + tags
+            np.testing.assert_array_equal(coupled.rhs, np.append(1.0, m[sorted(read), :-1]))
+            assert coupled.other.size == 3 ** (5 - len(read))
+    # an event on one arm reads that arm alone, and is identified
+    res = pb.bound(dims, pb.build_event_query(dims, {2: 0}), exp=exp, obs=obs, assumptions=exogenous)
+    assert couplings_of(dims, obs, pb.build_event_query(dims, {2: 0}), cs).read == (2,)
+    assert abs(res.lower - m[2, 0]) <= 1e-12 and abs(res.upper - m[2, 0]) <= 1e-12
+
+
+def test_a_constant_objective_reads_no_arm_and_keeps_its_one_point_interval(coupled):
+    dims = pb.Dims(4, 3)
+    exp, obs = tables(4, 3, 18)
+    q = pb.build_moment_query(dims, 0, (1, 0))  # (Y_1 - Y_0)**0 is 1 on every cell
+    res = pb.bound(dims, q, exp=exp, obs=obs, assumptions=pb.AssumptionSet().with_exogeneity())
+    assert coupled == [2] and res.status == "ok"
+    assert abs(res.lower - 1.0) <= 1e-12 and abs(res.upper - 1.0) <= 1e-12
+    cs = pb.assemble_constraints(dims, exp=exp, obs=obs, assumptions=pb.AssumptionSet().with_exogeneity())
+    assert simplex._certified(cs, res.lower_witness, "witness") is res.lower_witness
+    assert couplings_of(dims, obs, q, cs).read == ()
+
+
+# bound() of a raw query with a random coefficient on every cell, and the
+# SHA-256 of its q-form's arrays, as they were before the q-form was
+# projected on the arms its objective reads
+RAW = {
+    (4, 3, 21): ("35f01c17c41a06d47c837903457a3367cfd244dfbddca291d21097bbf600fba5",
+                 (("-0x1.50778994f497dp+0", "48ee90ff84752cd0c20413913f0c3e126e4216295a99b11d58952ae20b69fc66"),
+                  ("0x1.46566cd748508p+0", "778176920ce8ca712d1f721ff099a391d19f9b3afabb91c7bf6ce9369237729a"))),
+    (3, 4, 22): ("79db52914c805a0e60901f1849ec9da2f5205310e84eeec517691b865c29ddc1",
+                 (("-0x1.465975a3c97eep+0", "a9eefb98bf1ebe96a377f477b956835e684d6544ee9588a9dab221cc9a9877ba"),
+                  ("0x1.4bc5737389520p+0", "eee4f5530b51e8432224f768bb080433acc13b7f04ecd93903609c0f3c283aed"))),
+}
+
+
+@pytest.mark.parametrize("case", list(RAW), ids=lambda c: f"{c[0]}x{c[1]}")
+def test_a_query_on_every_arm_keeps_the_q_form_over_every_outcome_vector(case):
+    d_x, d_y, seed = case
+    dims = pb.Dims(d_x, d_y)
+    exp, obs = tables(d_x, d_y, seed)
+    q = pb.QuerySpec(np.random.default_rng(seed).normal(size=dims.full_shape()))
+    args = dict(exp=exp, obs=obs, assumptions=pb.AssumptionSet().with_exogeneity())
+    coupled = couplings_of(dims, obs, q, pb.assemble_constraints(dims, **args))
+    assert coupled.read == tuple(range(d_x))
+    # the glue is the point mass on no arm, in arm order: each coupling lifts as it is
+    assert coupled.other.tolist() == [1.0] and coupled.order.tolist() == list(range(d_y**d_x))
+    digest_of = hashlib.sha256()
+    for arr in (coupled.A, coupled.rhs, coupled.kind, coupled.start) + tuple(c for c, _ in coupled.objectives):
+        digest_of.update(np.ascontiguousarray(arr).tobytes())
+    digest_of.update(repr(coupled.provenance).encode())
+    digest_of.update(repr([[(i, arms.tolist()) for i, arms in parts] for parts in coupled.plan]).encode())
+    assert (digest_of.hexdigest(), digest(pb.bound(dims, q, **args))) == RAW[case]
+
+
+def projected_query(dims, kind, rng):
+    """A query of ``kind`` on two arms drawn from ``rng``, given a third for a posterior effect."""
+    a, b = rng.choice(dims.d_x, 2, replace=False).tolist()
+    if kind == "event":
+        return pb.build_event_query(dims, {a: 0, b: {"ge": 1}})
+    if kind == "moment":
+        return pb.build_moment_query(dims, 2, (a, b))
+    return pb.build_posterior_effect_query(dims, (a, b), (int(rng.integers(dims.d_x)), 1))
+
+
+@pytest.mark.parametrize("kind", ["event", "moment", "posterior_effect"])
+@pytest.mark.parametrize("d_x, d_y", [(3, 3), (4, 3), (3, 4), (4, 4), (5, 3)])
+def test_the_projected_q_form_equals_the_full_lp_and_lifts_couplings(d_x, d_y, kind, coupled, monkeypatch):
+    glued, honest = [], simplex._Couplings.glued
+
+    def glue(self, coupling):
+        glued.append(honest(self, coupling))
+        return glued[-1]
+
+    monkeypatch.setattr(simplex._Couplings, "glued", glue)
+    dims = pb.Dims(d_x, d_y)
+    exogenous = pb.AssumptionSet().with_exogeneity()
+    highs = tool("stress").highs_solver()
+    Y = np.indices((d_y,) * d_x).reshape(d_x, -1)
+    rng = np.random.default_rng(d_x * d_y)
+    for seed in range(5):
+        exp, obs = tables(d_x, d_y, 80 + seed)
+        m = obs.table / obs.x_marginal()[:, None]
+        q = projected_query(dims, kind, rng)
+        del coupled[:], glued[:]
+        res = pb.bound(dims, q, exp=exp, obs=obs, assumptions=exogenous)
+        assert coupled == [2] and res.status == "ok" and len(glued) >= 3
+        for q_l in glued:
+            assert (q_l >= 0.0).all()
+            for k in range(d_x):
+                np.testing.assert_allclose(np.bincount(Y[k], q_l, minlength=d_y), m[k], rtol=0, atol=1e-12)
+        cs = pb.assemble_constraints(dims, exp=exp, obs=obs, assumptions=exogenous)
+        c = objective(q, dims, obs)
+        full = simplex._two_phase(cs, [(c, "minimize"), (c, "maximize")])[1]
+        assert abs(res.lower - full[0].value) <= 1e-9 and abs(res.upper - full[1].value) <= 1e-9
+        if highs is not None:
+            ref = highs(cs, c)
+            assert abs(res.lower - ref[0]) <= 1e-9 and abs(res.upper - ref[1]) <= 1e-9

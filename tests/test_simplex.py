@@ -229,8 +229,8 @@ PINNED = {
 # from the full LP's above.
 PINNED_BOUND = {
     (3, 3, "exp+obs+exogeneity", "event", 0): (
-        ("0x0.0p+0", "f536eea02e4d9f068e9d27feefb1caba4b086c82c01881def6e06f8adfc959df"),
-        ("0x1.07bf7eac335b0p-2", "4c601af78bd3a9a94574fb20b8016003ee1eb61578298b657e97893f634497b5"),
+        ("0x0.0p+0", "e6c66021bd5643a2c660f7be1a479df77242998ace0ef09eef461732afb13ee0"),
+        ("0x1.07bf7eac335b0p-2", "840267a3cd6c70d714f64d1be98b254de84050ca21b02fd26066ae2145aa05ff"),
     ),
     (4, 3, "obs+exogeneity+prob_mtr", "moment", 1): PINNED[4, 3, "obs+exogeneity+prob_mtr", "moment", 1][1:],
     (3, 4, "exp+obs+mtr", "posterior_effect", 2): (
@@ -238,8 +238,8 @@ PINNED_BOUND = {
         ("0x1.0000000000000p+1", "5b6fd1453ca13eb45fe13c8175ba3e37f064d2d6f7f4aabdc5d7a4b13ff8d95a"),
     ),
     (4, 4, "exp+obs+exogeneity", "event", 3): (
-        ("0x1.1958a2055e620p-6", "d233a2c19a1c30fe9fa8f7fdee735c4d3d31e5e586525eec15afc9c6e93603c5"),
-        ("0x1.eaa0da14f366ap-3", "0f2ecddfe60e73eeae176d8c1ea7ea352c19f80c0f28547528066adcb4175db9"),
+        ("0x1.1958a2055e620p-6", "eb1242937052062406269bd6464f461f5dc925e183ce2074daa037893f09002d"),
+        ("0x1.eaa0da14f3668p-3", "9aa83be86a846cd53440f6e3b2a12e2198774230a4c25d1f1d573746c7928a9b"),
     ),
     (5, 3, "obs+exogeneity+prob_mtr", "moment", 4): PINNED[5, 3, "obs+exogeneity+prob_mtr", "moment", 4][1:],
     (3, 3, "exp+obs+mtr", "posterior_effect", 5): (

@@ -4,6 +4,7 @@ rare-arm sweep in which no instance may raise or answer wrongly."""
 import numpy as np
 import pytest
 
+import pobounds as pb
 from oracles import rare_arm_tables, tool
 
 stress = tool("stress")
@@ -13,9 +14,11 @@ Outcome = stress.Outcome
 def test_dims_parse_as_pairs():
     assert stress.parse_dims("3x3,4x3,5x3") == [(3, 3), (4, 3), (5, 3)]
     args = stress.parse_args(["--dims", "4x4", "--seeds", "40", "--alpha", "0.3"])
-    assert (args.dims, args.seeds, args.alpha) == ([(4, 4)], 40, 0.3)
+    assert (args.dims, args.seeds, args.alpha, args.query) == ([(4, 4)], 40, 0.3, "event")
+    assert stress.parse_args(["--dims", "4x4", "--seeds", "1", "--alpha", "1", "--query", "posterior_effect"]).query \
+        == "posterior_effect"
     for bad in (["--dims", "3by3"], ["--dims", "3x3x3"], ["--dims", "1x3"], ["--seeds", "0"], ["--alpha", "0"],
-                ["--alpha", "nan"]):
+                ["--alpha", "nan"], ["--query", "moment"]):
         argv = dict(zip(["--dims", "--seeds", "--alpha"], ["3x3", "1", "0.3"]))
         argv.update(dict(zip(bad[::2], bad[1::2])))
         with pytest.raises(SystemExit):
@@ -65,3 +68,34 @@ def test_a_rare_arm_sweep_neither_raises_nor_answers_wrongly():
     assert len(outcomes) == 40
     assert [o for o in outcomes if o.verdict != "ok"] == []
     assert min(o.min_px for o in outcomes) < 1e-9  # the sweep reaches the rarest arms
+
+
+def test_a_rare_arm_sweep_of_a_three_arm_posterior_effect_neither_raises_nor_answers_wrongly():
+    # E[Y_0 - Y_1 | X=d_x-1, Y=0] reads arms 0, 1 and d_x-1, and divides by
+    # the mass of the last arm, which the sweep makes rare; HiGHS checks it
+    # on the coupling rows, which hold no P(X=l)
+    highs = stress.highs_solver()
+    outcomes = stress.sweep([(3, 3), (4, 3), (4, 4), (5, 3)], range(stress.FIRST_SEED, stress.FIRST_SEED + 5), 0.3,
+                            highs, "posterior_effect")
+    assert len(outcomes) == 20
+    assert [o for o in outcomes if o.verdict != "ok"] == []
+    if highs is not None:
+        assert all(o.checked for o in outcomes)
+
+
+def test_the_posterior_effect_of_the_sweep_is_its_truths_value():
+    # the truth's value lies inside the bound, and HiGHS over the couplings
+    # gives the bound's endpoints; a single arm with a nonzero objective
+    # contributes P(X=l) times its extremes
+    dims, spec, exp, obs, px, value = stress.instance(3, 3, 1001, 1.0, "posterior_effect")
+    assert spec.condition == (2, 0)
+    Y = np.indices((3,) * 3).reshape(3, -1)
+    py = np.random.default_rng(1001).dirichlet(np.ones(27))
+    assert abs(value - (py * (Y[0] - Y[1]))[Y[2] == 0].sum() / py[Y[2] == 0].sum()) <= 1e-15
+    highs = stress.highs_solver()
+    if highs is None:
+        pytest.skip("scipy does not import")
+    res = pb.bound(dims, spec, exp=exp, obs=obs, assumptions=pb.AssumptionSet().with_exogeneity())
+    lower, upper = stress.coupled_extremes(highs, dims, obs, pb.bind_condition(spec, obs))
+    assert lower <= value <= upper
+    assert abs(res.lower - lower) <= 1e-9 and abs(res.upper - upper) <= 1e-9

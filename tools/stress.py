@@ -1,6 +1,7 @@
 """A rare-arm stress sweep of ``bound()`` under exogeneity.
 
     python3 tools/stress.py --dims 3x3,4x3,4x4,5x3 --seeds 40 --alpha 0.3
+    python3 tools/stress.py --dims 3x3,4x3,4x4,5x3 --seeds 40 --alpha 0.3 --query posterior_effect
 
 Each instance is a truth with exogenous treatment: outcome vectors
 ``py ~ Dirichlet(1)`` and, independently, treatment ``px ~ Dirichlet(alpha)``,
@@ -8,17 +9,23 @@ both drawn from ``default_rng(seed)`` in that order, for the seeds
 ``FIRST_SEED`` (1000) up to ``FIRST_SEED + --seeds - 1``.  A small
 ``alpha`` makes some arm rare, with ``P(X=l)`` down to 1e-9 and below.  The
 tables are the experimental and observational marginals of the truth as a
-``SparseJointPO``, and the query is the event ``P(Y_0=0, Y_1>=1)`` under
-exogeneity with both tables.
+``SparseJointPO``, and the query, bounded under exogeneity with both
+tables, is ``--query``: the event ``P(Y_0=0, Y_1>=1)`` (the default), or
+the posterior effect ``E[Y_0 - Y_1 | X=d_x-1, Y=0]``, which reads three
+arms and divides by the mass of the last arm.
 
 Printed per dims: how many instances returned an interval (``ok``); how
 many raised, grouped by the first three words of the message (``raised``);
 and how many answered wrongly (``wrong``): "infeasible", though the truth
 meets the rows, an interval that misses the truth's value by more than
-1e-9, or, when scipy imports, an endpoint more than 1e-9 away from HiGHS
-on the same rows.  ``unchecked`` counts the ok instances HiGHS did not
-solve.  Each failure is then listed with its seed, its least ``P(X=l)``,
-the seconds it took and its message.
+1e-9, or, when scipy imports, an endpoint more than 1e-9 away from HiGHS.
+HiGHS solves the event on the same rows as ``bound()``, and the posterior
+effect over couplings ``q`` of the arm marginals ``m = P(Y=.|X=k)``, as
+``sum_l P(X=l) * extreme of c_l . q``: those rows hold no ``P(X=l)``,
+while on the full rows of a rare arm HiGHS misses by up to 0.2.
+``unchecked`` counts the ok instances HiGHS did not solve.  Each failure
+is then listed with its seed, its least ``P(X=l)``, the seconds it took
+and its message.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ import sys
 import time
 from collections import Counter
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -39,6 +47,7 @@ import pobounds as pb  # noqa: E402
 
 TOL = 1e-9
 FIRST_SEED = 1000
+QUERIES = ("event", "posterior_effect")
 
 
 @dataclass(frozen=True)
@@ -71,6 +80,7 @@ def parse_args(argv):
     parser.add_argument("--dims", type=parse_dims, required=True, help="e.g. 3x3,4x3,4x4,5x3")
     parser.add_argument("--seeds", type=int, required=True, help="instances per dims")
     parser.add_argument("--alpha", type=float, required=True, help="Dirichlet concentration of P(X=l)")
+    parser.add_argument("--query", choices=QUERIES, default="event", help="the query bounded (default: event)")
     args = parser.parse_args(argv)
     if args.seeds < 1:
         parser.error("--seeds must be at least 1")
@@ -79,7 +89,7 @@ def parse_args(argv):
     return args
 
 
-def instance(d_x: int, d_y: int, seed: int, alpha: float):
+def instance(d_x: int, d_y: int, seed: int, alpha: float, query: str = "event"):
     """The dims, the query, the truth's experimental and observational
     tables, its ``P(X=l)`` and its value of the query."""
     rng = np.random.default_rng(seed)
@@ -91,9 +101,15 @@ def instance(d_x: int, d_y: int, seed: int, alpha: float):
     entries = {(tuple(Y[:, i].tolist()), x, int(Y[x, i])): float(mass[i, x])
                for i in range(py.size) for x in range(d_x) if mass[i, x] > 0.0}
     truth = pb.SparseJointPO(dims, entries, "full")
-    query = pb.build_event_query(dims, {0: 0, 1: {"ge": 1}})
-    value = float(py[(Y[0] == 0) & (Y[1] >= 1)].sum())
-    return dims, query, truth.po_marginals(), truth.xy_marginal(), px, value
+    if query == "event":
+        spec = pb.build_event_query(dims, {0: 0, 1: {"ge": 1}})
+        value = float(py[(Y[0] == 0) & (Y[1] >= 1)].sum())
+    else:
+        # under exogeneity X=d_x-1 tells nothing of Y beyond Y_{d_x-1}
+        spec = pb.build_posterior_effect_query(dims, (0, 1), (d_x - 1, 0))
+        given = Y[d_x - 1] == 0
+        value = float(py[given] @ (Y[0] - Y[1])[given] / py[given].sum())
+    return dims, spec, truth.po_marginals(), truth.xy_marginal(), px, value
 
 
 def highs_solver():
@@ -119,13 +135,29 @@ def highs_solver():
     return extremes
 
 
-def run_one(d_x: int, d_y: int, seed: int, alpha: float, highs) -> Outcome:
-    dims, query, exp, obs, px, value = instance(d_x, d_y, seed, alpha)
+def coupled_extremes(highs, dims, obs, objective) -> tuple[float | None, float | None]:
+    """The extremes of ``objective`` over ``p(y, l) = P(X=l)·q_l(y)``, each
+    ``q_l`` a coupling of the arm marginals of ``obs``, solved by HiGHS
+    one arm at a time on the coupling rows; ``None`` where HiGHS reports
+    no optimum."""
+    px = obs.x_marginal()
+    m = obs.table / px[:, None]
+    Y = np.indices((dims.d_y,) * dims.d_x).reshape(dims.d_x, -1)
+    levels = np.arange(dims.d_y - 1)
+    rows = np.vstack([np.ones(Y.shape[1]), (Y[:, None, :] == levels[:, None]).reshape(-1, Y.shape[1])])
+    couplings = SimpleNamespace(A=rows, rhs=np.append(1.0, m[:, :-1]), kind=np.full(len(rows), "eq"))
+    per_arm = objective.reshape(-1, dims.d_x).T
+    ends = [highs(couplings, c) if c.any() else (0.0, 0.0) for c in per_arm]
+    return tuple(None if None in side else float(px @ np.array(side)) for side in zip(*ends))
+
+
+def run_one(d_x: int, d_y: int, seed: int, alpha: float, highs, query: str = "event") -> Outcome:
+    dims, spec, exp, obs, px, value = instance(d_x, d_y, seed, alpha, query)
     exogenous = pb.AssumptionSet().with_exogeneity(True)
     head = ((d_x, d_y), seed)
     start = time.perf_counter()
     try:
-        res = pb.bound(dims, query, exp=exp, obs=obs, assumptions=exogenous)
+        res = pb.bound(dims, spec, exp=exp, obs=obs, assumptions=exogenous)
     except pb.PoboundsError as exc:
         return Outcome(*head, "raised", float(px.min()), time.perf_counter() - start, str(exc))
     seconds = time.perf_counter() - start
@@ -135,9 +167,13 @@ def run_one(d_x: int, d_y: int, seed: int, alpha: float, highs) -> Outcome:
     elif not res.lower - TOL <= value <= res.upper + TOL:
         problem = f"[{res.lower!r}, {res.upper!r}] misses the truth's {value!r}"
     elif highs is not None:
-        cs = pb.assemble_constraints(dims, exp=exp, obs=obs, assumptions=exogenous)
-        ref = highs(cs, pb.collapse_to_objective(query, dims))
-        off = [f"{name} {got!r}, HiGHS {want!r}" for name, got, want in zip(("lower", "upper"), (res.lower, res.upper), ref)
+        if query == "event":
+            cs = pb.assemble_constraints(dims, exp=exp, obs=obs, assumptions=exogenous)
+            ref = highs(cs, pb.collapse_to_objective(spec, dims))
+        else:
+            ref = coupled_extremes(highs, dims, obs, pb.bind_condition(spec, obs))
+        off = [f"{name} {got!r}, HiGHS {want!r}"
+               for name, got, want in zip(("lower", "upper"), (res.lower, res.upper), ref)
                if want is not None and abs(got - want) > TOL]
         problem, checked = "; ".join(off), None not in ref
     return Outcome(*head, "wrong" if problem else "ok", float(px.min()), seconds, problem, checked)
@@ -166,8 +202,8 @@ def summarize(outcomes: list[Outcome], highs: bool) -> list[str]:
     return lines
 
 
-def sweep(dims: list[tuple[int, int]], seeds: range, alpha: float, highs) -> list[Outcome]:
-    return [run_one(d_x, d_y, seed, alpha, highs) for d_x, d_y in dims for seed in seeds]
+def sweep(dims: list[tuple[int, int]], seeds: range, alpha: float, highs, query: str = "event") -> list[Outcome]:
+    return [run_one(d_x, d_y, seed, alpha, highs, query) for d_x, d_y in dims for seed in seeds]
 
 
 def main(argv=None) -> int:
@@ -175,7 +211,7 @@ def main(argv=None) -> int:
     highs = highs_solver()
     if highs is None:
         print("scipy does not import: endpoints are checked against the truth only")
-    outcomes = sweep(args.dims, range(FIRST_SEED, FIRST_SEED + args.seeds), args.alpha, highs)
+    outcomes = sweep(args.dims, range(FIRST_SEED, FIRST_SEED + args.seeds), args.alpha, highs, args.query)
     print("\n".join(summarize(outcomes, highs is not None)))
     return 0
 
