@@ -1,4 +1,12 @@
-"""Orchestration: compile a problem, solve both directions, report the interval."""
+"""Orchestration: compile a problem, solve both directions, report the interval.
+
+The rows that hold no table entry are compiled once per shape and shared
+by every bound of that shape (:func:`_structure`): each ``bound()`` and
+each replicate of a bootstrap or simulation only validates its tables and
+writes the right-hand side.  Under exogeneity the rows are handed to the
+solver with the exogeneity block kept factored, and it is compiled only
+when the full LP runs.
+"""
 
 from __future__ import annotations
 
@@ -9,12 +17,13 @@ import numpy as np
 from . import simplex
 from .compile import (
     ConstraintSet,
+    FactoredExogeneity,
+    _experimental_rows,
+    _observational_rows,
     compile_base,
-    compile_exogeneity,
-    compile_experimental,
-    compile_monotonicity,
-    compile_observational,
     experimental_rhs,
+    monotone_rhs,
+    monotone_rows,
     observational_rhs,
 )
 from .errors import ConfigError, PoboundsError
@@ -23,6 +32,7 @@ from .model import (
     AssumptionSet,
     Dims,
     ExperimentalMarginals,
+    MonotoneTerm,
     ObservationalJoint,
     QuerySpec,
     require_valid,
@@ -62,109 +72,131 @@ class BoundResult:
         return out
 
 
-def _relax_data_rows(
-    cs: ConstraintSet, data: np.ndarray, eps: float
-) -> tuple[ConstraintSet, np.ndarray, np.ndarray]:
-    """Replace each data-equality row (``data`` is their mask) by |row - rhs| <= eps.
+def _relaxed(cs: ConstraintSet, data: np.ndarray) -> tuple[ConstraintSet, np.ndarray, np.ndarray]:
+    """Replace each data-equality row (``data`` is their mask) by the pair
+    ``row <= .`` and ``-row <= .`` in its place, for ``|row - rhs| <= slack``.
 
     Opt-in escape hatch for sampling noise: relaxation applies to rows
     sourced from the experimental/observational tables only and is recorded
-    in the provenance, never silent.  Each relaxed row becomes the pair
-    ``row <= rhs + eps`` and ``-row <= -(rhs - eps)`` in its place.  Returns
-    the relaxed set and the indices of the upper and of the lower copies.
+    in the provenance, never silent.  Returns the relaxed rows and the
+    indices of the upper and of the lower copies, whose right-hand sides
+    :meth:`_Structure.fill` writes.
     """
-    if not np.isfinite(eps) or eps < 0:
-        raise ConfigError(f"slack must be a finite nonnegative number, got {eps}")
     rows = np.repeat(np.arange(len(cs)), np.where(data, 2, 1))
     lower = np.concatenate(([False], rows[1:] == rows[:-1]))  # second copy of a relaxed row
     upper = data[rows] & ~lower
     A, rhs, kind = cs.A[rows], cs.rhs[rows], cs.kind[rows]
     A[lower] = 0.0 - A[lower]
-    rhs[upper] = rhs[upper] + eps
-    rhs[lower] = -(rhs[lower] - eps)
     kind[data[rows]] = "le"
     relaxed = ConstraintSet._checked(cs.dims, A, rhs, kind, tuple(cs.provenance[i] for i in rows))
     return relaxed, np.flatnonzero(upper), np.flatnonzero(lower)
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class _Structure:
-    """The rows :func:`assemble_constraints` compiles, split from the tables
-    that set their right-hand side.
+    """The rows :func:`assemble_constraints` compiles for one shape, less
+    the exogeneity rows, split from the tables and levels that set their
+    right-hand side.
 
-    ``rows`` is the system compiled on the tables the structure was built
-    from: ``A``, ``kind`` and ``provenance``, checked once, and the
-    right-hand side.  :meth:`fill` gives the same rows on other tables:
-    entry ``j`` of their data vector goes to row ``upper[j]``; under
-    ``slack`` that row takes the entry plus ``slack`` and row ``lower[j]``
-    takes ``-(entry - slack)``.  No table entry enters ``A`` except
-    ``P(X=l)`` under exogeneity, so only an exogeneity structure belongs to
-    its tables.  ``marginals`` holds ``P(X=l)`` and the arm marginals
-    ``m[k] = P(Y=·|X=k)`` when the rows may be solved in their q-form (see
-    :func:`simplex._couple`), and is ``None`` otherwise.
+    ``rows`` holds ``A``, ``kind`` and ``provenance``, checked once: the
+    base row, the data rows (each as an ``upper`` and a ``lower`` copy under
+    ``slack``) and the monotone rows, last, whose terms and sides are
+    ``sides`` (see :func:`compile.monotone_rows`).  No table entry enters
+    them, so :meth:`fill` gives the rows of any tables and levels of the
+    shape.  The exogeneity rows, the one block that holds a table entry,
+    go before the monotone rows.  ``like`` is the last reduction the
+    presolve made of these rows, which the next one shares arrays with.
     """
 
     rows: ConstraintSet
     upper: np.ndarray
     lower: np.ndarray
-    slack: float | None
-    marginals: tuple[np.ndarray, np.ndarray] | None = None
+    sides: tuple[tuple[int, bool], ...]
+    like: ConstraintSet | simplex._Rows | None = None
 
-    def fill(self, exp: ExperimentalMarginals | None, obs: ObservationalJoint | None) -> ConstraintSet:
-        """The rows on these tables: the tables are validated, and only ``rhs`` is new."""
-        dims, data = self.rows.dims, []
-        if exp is not None:
-            require_valid(exp, dims)
-            data.append(experimental_rhs(exp))
-        if obs is not None:
-            require_valid(obs, dims)
-            data.append(observational_rhs(obs))
-        data = np.concatenate(data)
+    def fill(self, data: np.ndarray, terms: tuple[MonotoneTerm, ...], slack: float | None) -> ConstraintSet:
+        """The rows with ``data``, the tables' entries in row order, and the
+        levels of ``terms``: entry ``j`` goes to row ``upper[j]``; under
+        ``slack`` that row takes the entry plus ``slack`` and row
+        ``lower[j]`` takes ``-(entry - slack)``.  Only ``rhs`` is new."""
         rhs = self.rows.rhs.copy()
-        if self.slack is None:
+        if slack is None:
             rhs[self.upper] = data
         else:
-            rhs[self.upper] = data + self.slack
-            rhs[self.lower] = -(data - self.slack)
+            if not np.isfinite(slack) or slack < 0:
+                raise ConfigError(f"slack must be a finite nonnegative number, got {slack}")
+            rhs[self.upper] = data + slack
+            rhs[self.lower] = -(data - slack)
+        rhs[rhs.size - len(self.sides) :] = monotone_rhs(terms, self.sides)
         return self.rows.with_rhs(rhs)
 
 
-def _structure(
+# one structure per shape: dims, the tables present, whether slack is set and
+# each monotone term's windows and sides; filled anew by every bound
+_STRUCTURES: dict[tuple, _Structure] = {}
+
+
+def _structure(dims: Dims, exp: bool, obs: bool, slack: bool, assumptions: AssumptionSet) -> _Structure:
+    """The structure of this shape, compiled the first time it is asked for:
+    ``exp`` and ``obs`` say which tables are present and ``slack`` whether
+    the data rows are relaxed.  A term's side compiles when its level is
+    not vacuous (``U < 1``, ``L > 0``), so levels on the same sides share
+    one structure."""
+    terms = tuple((t.d_lower.tobytes(), t.d_upper.tobytes(), t.prob_upper < 1.0, t.prob_lower > 0.0)
+                  for t in assumptions.terms)
+    key = (dims, exp, obs, slack, terms)
+    structure = _STRUCTURES.get(key)
+    if structure is None:
+        data = [block(dims) for block, present in ((_experimental_rows, exp), (_observational_rows, obs)) if present]
+        monotone, sides = monotone_rows(dims, assumptions)
+        cs = compile_base(dims).merge(*data, monotone)
+        upper, lower = np.arange(1, 1 + sum(map(len, data))), np.zeros(0, dtype=np.intp)
+        if slack:
+            cs, upper, lower = _relaxed(cs, np.isin(np.arange(len(cs)), upper))
+        structure = _STRUCTURES[key] = _Structure(cs, upper, lower, sides)
+    return structure
+
+
+def _system(
     dims: Dims,
     exp: ExperimentalMarginals | None,
     obs: ObservationalJoint | None,
     assumptions: AssumptionSet | None,
     slack: float | None,
-) -> _Structure:
-    """The structure of :func:`assemble_constraints` for these inputs, its
-    rows compiled on these tables: they are :func:`assemble_constraints`.
+) -> tuple[_Structure, ConstraintSet | FactoredExogeneity, tuple[np.ndarray, np.ndarray] | None]:
+    """The structure of these inputs, their rows, and the marginals of the
+    q-form when it applies (see :func:`simplex._couple`), else ``None``.
 
-    The data rows follow the base row.  The q-form needs exogeneity, no
-    monotone row, no ``slack``, every ``P(X=l) > 0`` and, when ``exp`` is
-    given, ``exp`` equal to ``m`` within ``SUM_TOL``: on a mismatch the full
-    LP finds the certificate."""
+    The tables are validated and written into the structure's rows.  Under
+    exogeneity the rows are :class:`FactoredExogeneity` when the q-form
+    applies, and compiled in full otherwise.  The q-form needs no monotone
+    row, no ``slack``, every ``P(X=l) > 0`` and, when ``exp`` is given,
+    ``exp`` equal to the arm marginals ``m[k] = P(Y=·|X=k)`` within
+    ``SUM_TOL``: on a mismatch the full LP finds the certificate."""
     assumptions = assumptions or AssumptionSet()
     if exp is None and obs is None:
         raise ConfigError("need at least one of experimental or observational data")
     if assumptions.exogeneity and obs is None:
         raise ConfigError("exogeneity constraints need the observational table for P(X=l)")
-    data = [compile_experimental(dims, exp)] if exp is not None else []
+    data = []
+    if exp is not None:
+        require_valid(exp, dims)
+        data.append(experimental_rhs(exp))
     if obs is not None:
-        data.append(compile_observational(dims, obs))
-    exogeneity = [compile_exogeneity(dims, obs)] if assumptions.exogeneity else []
-    monotone = compile_monotonicity(dims, assumptions)
-    cs = compile_base(dims).merge(*data, *exogeneity, monotone)
-    upper = np.arange(1, 1 + sum(map(len, data)))
-    if slack is not None:
-        return _Structure(*_relax_data_rows(cs, np.isin(np.arange(len(cs)), upper), slack), slack)
-    marginals = None
-    if exogeneity and not len(monotone):
+        require_valid(obs, dims)
+        data.append(observational_rhs(obs))
+    structure = _structure(dims, exp is not None, obs is not None, slack is not None, assumptions)
+    cs = structure.fill(np.concatenate(data), assumptions.terms, slack)
+    if not assumptions.exogeneity:
+        return structure, cs, None
+    exogenous = FactoredExogeneity(cs, len(cs) - len(structure.sides), obs)
+    if slack is None and not structure.sides:
         px = obs.x_marginal()
         if (px > 0.0).all():
             m = obs.table / px[:, None]
             if exp is None or (np.abs(exp.table - m) <= SUM_TOL).all():
-                marginals = px, m
-    return _Structure(cs, upper, np.zeros(0, dtype=np.intp), None, marginals)
+                return structure, exogenous, (px, m)
+    return structure, exogenous.full(), None
 
 
 def assemble_constraints(
@@ -174,44 +206,10 @@ def assemble_constraints(
     assumptions: AssumptionSet | None = None,
     slack: float | None = None,
 ) -> ConstraintSet:
-    """Base + whatever data is available + exogeneity + monotone rows: the
-    rows of the structure compiled on these tables."""
-    return _structure(dims, exp, obs, assumptions, slack).rows
-
-
-class _Loop:
-    """What one replicate loop carries from one bound to the next: the last
-    structure compiled, and the final tableaux of the last solve in ``warm``.
-
-    A bound reuses the structure when its dims, tables present and ``slack``
-    equal the last bound's, its ``assumptions`` are the same object, and
-    they do not ask for exogeneity, whose rows hold ``P(X=l)`` in ``A``;
-    otherwise it compiles its own.  :meth:`constraints` gives the rows and
-    the structure's ``marginals``; a reused structure is never an exogeneity
-    structure, so it gives ``None``.
-    """
-
-    def __init__(self) -> None:
-        self.key: tuple | None = None
-        self.assumptions: AssumptionSet | None = None
-        self.structure: _Structure | None = None
-        self.warm = simplex._WarmStart()
-
-    def constraints(
-        self,
-        dims: Dims,
-        exp: ExperimentalMarginals | None,
-        obs: ObservationalJoint | None,
-        assumptions: AssumptionSet | None,
-        slack: float | None,
-    ) -> tuple[ConstraintSet, tuple[np.ndarray, np.ndarray] | None]:
-        key = (dims, exp is not None, obs is not None, slack)
-        exogeneity = assumptions is not None and assumptions.exogeneity
-        if self.structure is None or key != self.key or assumptions is not self.assumptions or exogeneity:
-            self.key, self.assumptions = key, assumptions
-            self.structure = _structure(dims, exp, obs, assumptions, slack)
-            return self.structure.rows, self.structure.marginals
-        return self.structure.fill(exp, obs), None
+    """Base + whatever data is available + exogeneity + monotone rows, in
+    that order, with each data row relaxed to a pair under ``slack``."""
+    _, system, marginals = _system(dims, exp, obs, assumptions, slack)
+    return system if marginals is None else system.full()
 
 
 def bound(
@@ -237,20 +235,22 @@ def _bound(
     obs: ObservationalJoint | None,
     assumptions: AssumptionSet | None,
     slack: float | None,
-    loop: _Loop | None = None,
+    warm: simplex._WarmStart | None = None,
 ) -> BoundResult:
-    """:func:`bound`, on the structure ``loop`` compiled and from the
-    tableaux it keeps where they apply (see :func:`simplex._solve`); a
-    replicate loop passes the same ``loop`` to each of its replicates."""
+    """:func:`bound`, from the tableaux ``warm`` keeps where they apply (see
+    :func:`simplex._solve`); a replicate loop passes the same ``warm`` to
+    each of its replicates.  Without ``warm`` the solve is cold."""
     if query.condition is not None and obs is None:
         raise ConfigError("conditional queries need the observational table to bind the divisor")
-    loop = _Loop() if loop is None else loop
-    cs, marginals = loop.constraints(dims, exp, obs, assumptions, slack)
+    structure, system, marginals = _system(dims, exp, obs, assumptions, slack)
     if query.condition is not None:
         objective = bind_condition(query, obs)
     else:
         objective = collapse_to_objective(query, dims)
-    phase1, solutions = simplex._solve(cs, [(objective, "minimize"), (objective, "maximize")], loop.warm, marginals)
+    warm = simplex._WarmStart(structure.like) if warm is None else warm
+    phase1, solutions = simplex._solve(system, [(objective, "minimize"), (objective, "maximize")], warm, marginals)
+    if isinstance(system, ConstraintSet) and system.A is structure.rows.A:  # no exogeneity block in A
+        structure.like = warm.system
     if phase1.status == "infeasible":
         return BoundResult("infeasible", diagnostics=phase1.certificate)
     lo, hi = solutions

@@ -14,6 +14,11 @@ their tags.  A ``compile_*`` call adds only what its table sets: the data
 rows' right-hand side, through
 :meth:`ConstraintSet.with_rhs`, and the exogeneity rows' ``1 - P(X=l)`` and
 ``-P(X=l)`` entries, written into one fresh array that is checked once.
+Those entries are the only table entries that reach a coefficient matrix.
+:class:`FactoredExogeneity` holds a system's exogeneity rows in the
+factored form they are built from, ``P(Y_k=v, X=l) - P(X=l)·P(Y_k=v)``
+(:func:`exogeneity_residuals`), and compiles the dense block only when
+:meth:`FactoredExogeneity.full` is asked for it.
 """
 
 from __future__ import annotations
@@ -179,14 +184,15 @@ def _observational_rows(dims: Dims) -> ConstraintSet:
 
 
 @cache
-def _exogeneity_groups(dims: Dims) -> tuple[np.ndarray, np.ndarray]:
+def _exogeneity_groups(dims: Dims) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The masks of :func:`compile_exogeneity`'s groups, row ``k·d_y + v``
-    selecting the cells with ``y_k = v``, and the tag of row ``(k, v, l)``
-    at ``[k·d_y + v, l]``."""
+    selecting the cells with ``y_k = v``; the same masks over the outcome
+    vectors, one cell of each, as 0/1 floats; and the tag of row
+    ``(k, v, l)`` at ``[k·d_y + v, l]``."""
     Y, _ = cell_grid(dims)
     groups = _frozen((Y[:, None, :] == np.arange(dims.d_y)[None, :, None]).reshape(-1, Y.shape[1]))
     tags = [[f"exogeneity({k},{v},{l})" for l in range(dims.d_x)] for k in range(dims.d_x) for v in range(dims.d_y)]
-    return groups, _frozen(np.array(tags))
+    return groups, _frozen(groups[:, :: dims.d_x].astype(float)), _frozen(np.array(tags))
 
 
 def compile_experimental(dims: Dims, exp: ExperimentalMarginals) -> ConstraintSet:
@@ -218,12 +224,67 @@ def compile_exogeneity(dims: Dims, obs: ObservationalJoint) -> ConstraintSet:
     degenerate = [l for l in range(dims.d_x) if px[l] <= 0.0]
     if degenerate:
         warnings.warn(f"degenerate treatment arms {degenerate} have zero probability; exogeneity rows skipped")
-    groups, tags = _exogeneity_groups(dims)
+    groups, _, tags = _exogeneity_groups(dims)
     _, X = cell_grid(dims)
     arms = np.flatnonzero(px > 0.0)
     coeffs = (X == arms[:, None]) - px[arms, None]
     A = np.where(groups[:, None, :], coeffs[None], 0.0).reshape(-1, X.size)
     return ConstraintSet._built(dims, A, np.zeros(len(A)), np.full(len(A), "eq"), tuple(tags[:, arms].ravel().tolist()))
+
+
+def exogeneity_residuals(dims: Dims, px: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``|A x|`` for the rows ``A`` that :func:`compile_exogeneity` builds
+    when ``P(X=l)`` is ``px``, in their order, without building ``A``.
+
+    With ``x`` split by arm, ``M = groups @ x`` holds ``P(Y_k=v, X=l)`` at
+    ``[k·d_y + v, l]`` and its row sums ``P(Y_k=v)``, so row ``(k, v, l)``
+    reads ``M[k·d_y + v, l] - P(X=l)·Σ_l M[k·d_y + v, l]``.  It equals
+    the dense product up to the order of the sums."""
+    _, groups, _ = _exogeneity_groups(dims)
+    M = groups @ x.reshape(-1, dims.d_x)
+    return np.abs(M - M.sum(axis=1, keepdims=True) * px)[:, px > 0.0].reshape(-1)
+
+
+@dataclass(frozen=True)
+class FactoredExogeneity:
+    """The rows of ``rows`` with :func:`compile_exogeneity`'s rows for
+    ``obs`` inserted before row ``at``: every row of the system, the
+    exogeneity rows kept factored.
+
+    :meth:`residuals` and :attr:`provenance` read as those of
+    :meth:`full`, the exogeneity rows evaluated by
+    :func:`exogeneity_residuals`; only :meth:`full` builds their dense
+    block."""
+
+    rows: ConstraintSet
+    at: int
+    obs: ObservationalJoint
+
+    @property
+    def dims(self) -> Dims:
+        return self.rows.dims
+
+    @property
+    def provenance(self) -> tuple[str, ...]:
+        tags = _exogeneity_groups(self.dims)[2][:, self.obs.x_marginal() > 0.0].ravel().tolist()
+        return self.rows.provenance[: self.at] + tuple(tags) + self.rows.provenance[self.at :]
+
+    def residuals(self, x: np.ndarray) -> np.ndarray:
+        """Per-row violation by ``x``, as :meth:`ConstraintSet.residuals` of :meth:`full`."""
+        own = self.rows.residuals(x)
+        return np.concatenate((own[: self.at], exogeneity_residuals(self.dims, self.obs.x_marginal(), x),
+                               own[self.at :]))
+
+    def full(self) -> ConstraintSet:
+        """The rows with the exogeneity block compiled in (:func:`compile_exogeneity`)."""
+        rows, block, at = self.rows, compile_exogeneity(self.dims, self.obs), self.at
+        return ConstraintSet._checked(
+            self.dims,
+            np.concatenate((rows.A[:at], block.A, rows.A[at:])),
+            np.concatenate((rows.rhs[:at], block.rhs, rows.rhs[at:])),
+            np.concatenate((rows.kind[:at], block.kind, rows.kind[at:])),
+            rows.provenance[:at] + block.provenance + rows.provenance[at:],
+        )
 
 
 def indicator_mask(dims: Dims, term: MonotoneTerm) -> np.ndarray:
@@ -248,25 +309,38 @@ def compile_monotonicity(dims: Dims, assumptions: AssumptionSet) -> ConstraintSe
     """Two inequality rows per term, dropping sides that are vacuous given the
     base constraints (upper side when U = 1, lower side when L = 0).  With no
     term the set has no row, and it is built once per dims."""
+    return monotone_rows(dims, assumptions)[0]
+
+
+def monotone_rows(dims: Dims, assumptions: AssumptionSet) -> tuple[ConstraintSet, tuple[tuple[int, bool], ...]]:
+    """:func:`compile_monotonicity`'s set and, for each of its rows, the
+    term ``w`` and whether it is that term's upper side: what
+    :func:`monotone_rhs` needs to give the rows of other levels."""
     if not assumptions.terms:
-        return _no_monotone_rows(dims)
-    rows, rhs, tags = [], [], []
+        return _no_monotone_rows(dims), ()
+    rows, sides = [], []
     for w, term in enumerate(assumptions.terms):
         mask = indicator_mask(dims, term)
         if term.prob_upper < 1.0 and mask.any():
             # empty mask makes the upper side vacuous (0 <= U)
             rows.append(mask)
-            rhs.append(float(term.prob_upper))
-            tags.append(f"monotone({w},upper)")
+            sides.append((w, True))
         if term.prob_lower > 0.0:
             if not mask.any():
                 # no outcome vector can realize the event; no data could fix this
                 raise ValidationError(f"term {w} admits no outcome vector but requires probability >= {term.prob_lower}")
             rows.append(np.where(mask > 0.0, -1.0, 0.0))
-            rhs.append(-float(term.prob_lower))
-            tags.append(f"monotone({w},lower)")
-    A = np.reshape(rows, (len(rows), dims.param_count()))
-    return ConstraintSet(dims, A, rhs, ["le"] * len(tags), tags)
+            sides.append((w, False))
+    A, sides = np.reshape(rows, (len(rows), dims.param_count())), tuple(sides)
+    tags = [f"monotone({w},{'upper' if upper else 'lower'})" for w, upper in sides]
+    return ConstraintSet(dims, A, monotone_rhs(assumptions.terms, sides), ["le"] * len(tags), tags), sides
+
+
+def monotone_rhs(terms: tuple[MonotoneTerm, ...], sides: tuple[tuple[int, bool], ...]) -> list[float]:
+    """The right-hand side of the monotone rows ``sides`` (see
+    :func:`monotone_rows`) at the levels of ``terms``: ``U`` on an upper
+    side, ``-L`` on a lower one."""
+    return [float(terms[w].prob_upper) if upper else -float(terms[w].prob_lower) for w, upper in sides]
 
 
 def _consecutive_pairs(d_x: int) -> dict[tuple[int, int], tuple[float, float]]:

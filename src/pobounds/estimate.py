@@ -15,6 +15,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import identify as identify_mod
+from . import simplex
 from .errors import (
     BootstrapFailureError,
     ConfigError,
@@ -229,14 +230,14 @@ def _one_estimate(
     exp: ExperimentalMarginals | None,
     obs: ObservationalJoint | None,
     slack: float | None,
-    loop: bounds_mod._Loop,
+    warm: simplex._WarmStart,
 ) -> dict[str, float] | None:
     """Endpoint values for one replicate, or None when it must be excluded
     (infeasible bound, a conditioning cell resampled to zero, identification
-    incompatibility).  Bounds reuse the structure and tableaux in ``loop``."""
+    incompatibility).  Bounds start from the tableaux in ``warm``."""
     if mode == "bound":
         try:
-            res = bounds_mod._bound(dims, query, exp, obs, assumptions, slack, loop)
+            res = bounds_mod._bound(dims, query, exp, obs, assumptions, slack, warm)
         except UndefinedConditionalError:
             return None
         if res.status != "ok":
@@ -261,21 +262,22 @@ def _replicate(
     count: int,
     seed: int,
     what: str,
-    draw: Callable[[np.random.SeedSequence, bounds_mod._Loop], dict[str, float] | None],
+    draw: Callable[[np.random.SeedSequence, simplex._WarmStart], dict[str, float] | None],
 ) -> ReplicationResult:
-    """Run ``draw(child, loop)`` once per child of the seed's sequence and summarize.
+    """Run ``draw(child, warm)`` once per child of the seed's sequence and summarize.
 
     ``draw`` returns one replicate's endpoint values, or None when the
-    replicate must be excluded; exclusions are counted.  ``loop`` carries
-    the compiled structure and the optimal tableaux of one replicate's
-    bounds to the next, and lives only as long as this call.
+    replicate must be excluded; exclusions are counted.  ``warm`` carries
+    the optimal tableaux of one replicate's bounds to the next, and lives
+    only as long as this call; the rows are the structure every bound of
+    their shape shares.
     """
     _check_seed(seed)
     collected: dict[str, list[float]] = {}
     excluded = 0
-    loop = bounds_mod._Loop()
+    warm = simplex._WarmStart()
     for child in np.random.SeedSequence(seed).spawn(count):
-        values = draw(child, loop)
+        values = draw(child, warm)
         if values is None:
             excluded += 1
             continue
@@ -318,14 +320,14 @@ def bootstrap(
         rec = ObservationalSample(dims, obs_sample.records).records
         cells = rec[:, 0] * dims.d_y + rec[:, 1]  # resampling records resamples their cells
 
-    def draw(child: np.random.SeedSequence, loop: bounds_mod._Loop) -> dict[str, float] | None:
+    def draw(child: np.random.SeedSequence, warm: simplex._WarmStart) -> dict[str, float] | None:
         rng = np.random.default_rng(child)
         exp = obs = None
         if arms is not None:
             exp = _experimental_table(dims, tuple(arm[rng.integers(0, arm.size, arm.size)] for arm in arms))
         if obs_sample is not None:
             obs = _cell_table(dims, cells[rng.integers(0, cells.size, cells.size)])
-        return _one_estimate(dims, mode, query, assumptions, exp, obs, slack, loop)
+        return _one_estimate(dims, mode, query, assumptions, exp, obs, slack, warm)
 
     return _replicate(replicates, seed, "bootstrap", draw)
 
@@ -365,13 +367,13 @@ def simulation_study(
     draw_exp = _sampler(truth, "experimental") if want_exp else None
     draw_obs = _sampler(truth, "observational") if want_obs else None
 
-    def draw(child: np.random.SeedSequence, loop: bounds_mod._Loop) -> dict[str, float] | None:
+    def draw(child: np.random.SeedSequence, warm: simplex._WarmStart) -> dict[str, float] | None:
         grand = child.spawn(2)
         exp = obs = None
         if draw_exp is not None:
             exp = _experimental_table(dims, draw_exp(np.random.default_rng(grand[0]), n))
         if draw_obs is not None:
             obs = _cell_table(dims, draw_obs(np.random.default_rng(grand[1]), n))
-        return _one_estimate(dims, mode, query, assumptions, exp, obs, slack, loop)
+        return _one_estimate(dims, mode, query, assumptions, exp, obs, slack, warm)
 
     return _replicate(reps, seed, "simulation", draw)

@@ -21,10 +21,12 @@ Every solve takes one path (:func:`_solve`): reduce, solve, lift, certify.
   where every ``q_l`` is a coupling of the same arm marginals
   ``m_k = P(Y=·|X=k)`` (a Fréchet class; Balke & Pearl 1997, Rüschendorf
   1991), and nothing else ties the ``q_l`` together.  The caller, which
-  knows the tables, passes ``P(X=l)`` and ``m``, and :func:`_couple`
-  states the q-form over only the arms ``S`` the objectives read, those
-  along which a coefficient varies: two for an event or a moment, three
-  for a posterior effect.  It is one LP over the ``d_y^|S|`` outcome
+  knows the tables, passes ``P(X=l)`` and ``m``, and the rows as a
+  :class:`compile.FactoredExogeneity`, whose dense exogeneity block is
+  compiled only if the full LP runs.  :func:`_couple` states the q-form
+  over only the arms ``S`` the objectives read, those along which a
+  coefficient varies: two for an event or a moment, three for a
+  posterior effect.  It is one LP over the ``d_y^|S|`` outcome
   vectors of those arms with the base row and ``|S|(d_y-1)`` 0/1 marginal
   rows, where the full LP has ``d_x·d_y^d_x`` columns and ``d_x²·d_y``
   exogeneity rows besides its data rows: 9 columns for an event at 5x3,
@@ -63,8 +65,10 @@ Every solve takes one path (:func:`_solve`): reduce, solve, lift, certify.
   Every kept row is an original row restricted to the kept columns and
   the lifted vector is zero elsewhere, so this one check covers the
   reduced system too, and it checks the q-form's lift against every data
-  and exogeneity row (Andersen & Andersen 1995 describe the
-  reduce-then-postsolve structure).
+  and exogeneity row, the latter in the factored form they are built
+  from, ``P(Y_k=v, X=l) - P(X=l)·P(Y_k=v)``
+  (:func:`compile.exogeneity_residuals`; Andersen & Andersen 1995
+  describe the reduce-then-postsolve structure).
 """
 
 from __future__ import annotations
@@ -75,7 +79,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .compile import ConstraintSet
+from .compile import ConstraintSet, FactoredExogeneity
 from .errors import SolverFailureError, ValidationError
 from .model import Dims
 
@@ -305,9 +309,10 @@ class _Tableau:
         return np.where(x > 0.0, x, 0.0)
 
 
-def _certified(constraints: ConstraintSet, x: np.ndarray, what: str) -> np.ndarray:
+def _certified(constraints: ConstraintSet | FactoredExogeneity, x: np.ndarray, what: str) -> np.ndarray:
     """``x`` itself if it satisfies every original row to ``FEAS_TOL``;
-    otherwise raise, naming the worst row."""
+    otherwise raise, naming the worst row.  Factored exogeneity rows are
+    evaluated as they are held (:func:`compile.exogeneity_residuals`)."""
     resid = constraints.residuals(x)
     if not (resid <= FEAS_TOL).all():
         i = int(np.argmax(resid))
@@ -545,7 +550,10 @@ class _Couplings:
 
 
 def _couple(
-    constraints: ConstraintSet, objectives: Sequence[tuple[np.ndarray, str]], px: np.ndarray, m: np.ndarray
+    constraints: ConstraintSet | FactoredExogeneity,
+    objectives: Sequence[tuple[np.ndarray, str]],
+    px: np.ndarray,
+    m: np.ndarray,
 ) -> _Couplings:
     """The q-form of ``constraints``, an exogeneity system with no monotone
     row over tables whose ``P(X=l)`` is ``px``, every entry positive, and
@@ -668,11 +676,12 @@ class _WarmStart:
     column mask starts from the stored tableaux (:meth:`resolve`); any other
     solve runs the cold two phases and, if feasible, replaces them.  The
     stored system is the presolve's ``like``, so a reduction by the same
-    masks shares its arrays and :meth:`fits` sees the same objects.
+    masks shares its arrays and :meth:`fits` sees the same objects; a
+    start given ``like`` and no tableaux serves a cold solve that way.
     """
 
-    def __init__(self) -> None:
-        self.system: ConstraintSet | _Rows | None = None
+    def __init__(self, like: ConstraintSet | _Rows | None = None) -> None:
+        self.system = like  # the presolve's like: an earlier reduction of these rows until a solve is stored
         self.keep: np.ndarray | None = None
         self.bases: _Bases | None = None
         self.columns: np.ndarray | None = None  # [A | slack] on the kept rows, built on first use
@@ -771,7 +780,7 @@ class _WarmStart:
 
 
 def _postsolve(
-    constraints: ConstraintSet,
+    constraints: ConstraintSet | FactoredExogeneity,
     objectives: Sequence[tuple[np.ndarray, str]],
     lift: Callable[[LpSolution, list[LpSolution]], tuple[np.ndarray, list[LpSolution]]],
     solved: tuple[LpSolution, list[LpSolution], _Bases | None],
@@ -798,7 +807,7 @@ def _postsolve(
 
 
 def _solve(
-    constraints: ConstraintSet,
+    constraints: ConstraintSet | FactoredExogeneity,
     objectives: Sequence[tuple[np.ndarray, str]],
     warm: _WarmStart | None = None,
     marginals: tuple[np.ndarray, np.ndarray] | None = None,
@@ -809,12 +818,14 @@ def _solve(
     Given ``marginals``, ``P(X=l)`` and the arm marginals of an exogeneity
     system with no monotone row (see :func:`_couple`), the q-form is solved
     first; it stands if it is feasible and its lifted vectors pass
-    :func:`_postsolve`, and it stores no bases.  Otherwise the system
-    :func:`_presolve` leaves is solved from the bases in ``warm`` if they
-    fit and their witnesses pass :func:`_postsolve`, and by
-    :func:`_two_phase` otherwise; an infeasible reduced phase 1 is solved
-    again on the full system, so infeasibility certificates always name
-    original rows.  The bases of a feasible cold solve replace those in
+    :func:`_postsolve`, and it stores no bases.  Its rows may be
+    :class:`FactoredExogeneity`, which certifies without the dense
+    exogeneity block; that block is compiled only here, for the full LP.
+    Otherwise the system :func:`_presolve` leaves is solved from the
+    bases in ``warm`` if they fit and their witnesses pass
+    :func:`_postsolve`, and by :func:`_two_phase` otherwise; an infeasible
+    reduced phase 1 is solved again on the full system, so infeasibility
+    certificates always name original rows.  The bases of a feasible cold solve replace those in
     ``warm`` once its vectors pass; without ``warm`` they are kept nowhere.
     """
     warm = _WarmStart() if warm is None else warm
@@ -826,6 +837,8 @@ def _solve(
                 return _postsolve(constraints, objectives, coupled.lift, solved)
         except SolverFailureError:
             pass  # lost precision, or a vector off an original row: the full LP decides
+    if isinstance(constraints, FactoredExogeneity):
+        constraints = constraints.full()
     system, keep = _presolve(constraints, warm.system)
 
     def certified(solved):

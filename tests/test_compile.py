@@ -318,13 +318,15 @@ def test_merge_checks_its_dims_and_freezes_the_concatenation():
 
 @pytest.mark.parametrize("slack", [None, 0.05])
 def test_a_bound_checks_each_part_once_and_not_their_merge(truth_a, monkeypatch, slack):
-    # the base, experimental and observational blocks and the empty monotone
-    # part are checked the first time their dims are compiled and never again;
-    # the exogeneity part once per bound(); the merged system and its relaxed
+    # the experimental and observational blocks, the empty monotone part and
+    # the base row are checked when their shape is first compiled and never
+    # again; the exogeneity block once per bound() that solves the full LP,
+    # and not at all in a q-form bound(); the merged system and its relaxed
     # copy under slack not at all
     for block in (pb.compile_base, compile._experimental_rows, compile._observational_rows,
                   compile._no_monotone_rows):
         block.cache_clear()
+    bounds._STRUCTURES.clear()
     checked, honest = [], ConstraintSet._check
 
     def check(self):
@@ -332,13 +334,18 @@ def test_a_bound_checks_each_part_once_and_not_their_merge(truth_a, monkeypatch,
         checked.append(self.provenance[:1])
 
     monkeypatch.setattr(ConstraintSet, "_check", check)
-    dims = truth_a.dims
+    dims, obs = truth_a.dims, truth_a.xy_marginal()
     exogenous = pb.AssumptionSet().with_exogeneity()
+    event = pb.build_event_query(dims, {0: 0})
     for _ in range(2):
-        pb.bound(dims, pb.build_event_query(dims, {0: 0}), exp=truth_a.po_marginals(), obs=truth_a.xy_marginal(),
-                 assumptions=exogenous, slack=slack)
-    assert checked == [("experimental(0,0)",), ("observational(0,0)",), ("exogeneity(0,0,0)",), (), ("base-sum",),
+        pb.bound(dims, event, exp=truth_a.po_marginals(), obs=obs, assumptions=exogenous, slack=slack)
+    assert checked == [("experimental(0,0)",), ("observational(0,0)",), (), ("base-sum",), ("exogeneity(0,0,0)",),
                        ("exogeneity(0,0,0)",)]
+    # tables whose experimental marginals are P(Y=.|X=k): the q-form, unless slack is set
+    checked.clear()
+    exp = pb.ExperimentalMarginals(obs.table / obs.x_marginal()[:, None])
+    pb.bound(dims, event, exp=exp, obs=obs, assumptions=exogenous, slack=slack)
+    assert checked == ([] if slack is None else [("exogeneity(0,0,0)",)])
 
 
 @pytest.mark.parametrize("d", [(2, 2), (3, 3), (5, 3)])
@@ -414,24 +421,31 @@ def test_compile_matches_per_cell_reference(d):
 
 @pytest.mark.parametrize("d", [(2, 2), (2, 3), (3, 3), (4, 3)])
 def test_structure_filled_with_other_tables_matches_reference(d):
-    # a replicate loop compiles the structure on its first tables and then only
-    # fills in the right-hand side: bit for bit the rows compiled on the new
-    # tables, except under exogeneity, where P(X=l) sits in A and the
-    # structure belongs to its own tables
+    # the structure of a shape is compiled on its first tables and then only
+    # filled in with the right-hand side of others, levels included: bit for
+    # bit the rows compiled on the new tables, with the exogeneity rows of
+    # their own P(X=l) under exogeneity
     dims = pb.Dims(*d)
-    for first, case in zip(reference_cases(dims, sum(d)), reference_cases(dims, 100 + sum(d))):
-        args = case if case["assumptions"].exogeneity else first
+    firsts, cases = reference_cases(dims, sum(d)), reference_cases(dims, 100 + sum(d))
+    # other levels on the same sides of the same term
+    firsts.append(dict(exp=firsts[-1]["exp"], obs=firsts[-1]["obs"], assumptions=pb.preset("prob_mtr(0.3,0.9)", dims)))
+    cases.append(dict(exp=cases[-1]["exp"], obs=cases[-1]["obs"], assumptions=pb.preset("prob_mtr(0.6,0.7)", dims)))
+    for first, case in zip(firsts, cases):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # the degenerate arm warns
-            structure = bounds._structure(dims, args.get("exp"), args.get("obs"), args["assumptions"],
-                                          args.get("slack"))
-        cs = structure.fill(case.get("exp"), case.get("obs"))
+            before, _, _ = bounds._system(dims, first.get("exp"), first.get("obs"), first["assumptions"],
+                                          first.get("slack"))
+            structure, system, marginals = bounds._system(dims, case.get("exp"), case.get("obs"),
+                                                          case["assumptions"], case.get("slack"))
+            cs = system if marginals is None else system.full()
+        assert structure is before
         assert_matches_reference(cs, dims, case)
-        assert cs.A is structure.rows.A and cs.kind is structure.rows.kind
+        if not case["assumptions"].exogeneity:
+            assert cs.A is structure.rows.A and cs.kind is structure.rows.kind
     bad = np.full((dims.d_x, dims.d_y), 1 / dims.d_y)
     bad[0, 0] = np.nan
     with pytest.raises(ValidationError, match="invalid experimental table"):
-        structure.fill(pb.ExperimentalMarginals(bad), case.get("obs"))
+        bounds._system(dims, pb.ExperimentalMarginals(bad), case.get("obs"), case["assumptions"], None)
 
 
 def test_monotonicity_unsatisfiable_event():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import pobounds as pb
-from pobounds import bounds
+from pobounds import bounds, compile
 from pobounds.errors import BootstrapFailureError, ConfigError, InsufficientDataError, ValidationError
 
 
@@ -184,28 +184,37 @@ def test_bootstrap_checks_its_samples_against_dims_once():
 
 @pytest.mark.parametrize("exogeneity", [False, True])
 def test_a_replicate_loop_compiles_its_structure_once(truth_a, monkeypatch, exogeneity):
-    # only the right-hand side moves between replicates, unless exogeneity
-    # puts P(X=l) into A: then every replicate compiles its own rows
-    dims = truth_a.dims
-    honest, built = bounds._structure, []
+    # only the right-hand side moves between replicates: the structure of the
+    # shape is compiled once and shared by the bootstrap and the simulation,
+    # which has the same shape; exogeneity puts P(X=l) into A, so with a
+    # monotone row every replicate compiles its own exogeneity block
+    bounds._STRUCTURES.clear()
+    built, blocks = [], []
+    honest_rows, honest_block = bounds.monotone_rows, compile.compile_exogeneity
 
-    def structure(*args):
+    def rows(*args):
         built.append(args)
-        return honest(*args)
+        return honest_rows(*args)
 
-    monkeypatch.setattr(bounds, "_structure", structure)
+    def block(*args):
+        blocks.append(args)
+        return honest_block(*args)
+
+    monkeypatch.setattr(bounds, "monotone_rows", rows)
+    monkeypatch.setattr(compile, "compile_exogeneity", block)
+    dims = truth_a.dims
     assumptions = pb.preset("prob_mtr(0.5,1.0)", dims).with_exogeneity(exogeneity)
     q = pb.build_event_query(dims, {0: 0, 1: 1})
     obs_sample = pb.sample_from_truth(truth_a, 400, 5, "observational")
     exp_sample = None if exogeneity else pb.sample_from_truth(truth_a, 400, 6, "experimental")
     res = pb.bootstrap(dims, q, 8, 2, exp_sample=exp_sample, obs_sample=obs_sample, assumptions=assumptions)
     assert res.used + res.excluded == 8
-    assert len(built) == (8 if exogeneity else 1)
-    built.clear()
+    assert (len(built), len(blocks)) == (1, 8 if exogeneity else 0)
+    built.clear(), blocks.clear()
     res = pb.simulation_study(truth_a, 400, 8, 2, q, data_kind="obs" if exogeneity else "both",
                               assumptions=assumptions)
     assert res.used + res.excluded == 8
-    assert len(built) == (8 if exogeneity else 1)
+    assert (len(built), len(blocks)) == (0, 8 if exogeneity else 0)
 
 
 def test_bootstrap_single_replicate(truth_b):

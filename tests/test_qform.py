@@ -5,6 +5,7 @@ LP's and HiGHS's on the same rows, every witness must meet the original
 rows, and every other mix must keep the full LP's bytes."""
 
 import hashlib
+import re
 import warnings
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 
 import pobounds as pb
 from oracles import rare_arm_tables, tool
-from pobounds import bounds, simplex
+from pobounds import bounds, compile, simplex
 
 
 def tables(d_x, d_y, seed, px=None):
@@ -122,15 +123,15 @@ def test_the_structure_records_the_marginals_of_its_tables():
     dims = pb.Dims(3, 3)
     exp, obs = tables(3, 3, 16)
     exogenous = pb.AssumptionSet().with_exogeneity()
-    px, m = bounds._structure(dims, exp, obs, exogenous, None).marginals
+    px, m = bounds._system(dims, exp, obs, exogenous, None)[2]
     assert px.tobytes() == obs.x_marginal().tobytes() and m.tobytes() == (obs.table / px[:, None]).tobytes()
     for gap, kept in ((0.5e-9, True), (2e-9, False)):
         table = m.copy()
         table[0] += [-gap, gap, 0.0]
         close = pb.ExperimentalMarginals(table)
-        assert (bounds._structure(dims, close, obs, exogenous, None).marginals is not None) == kept
-    assert bounds._structure(dims, None, obs, exogenous, None).marginals is not None
-    assert bounds._structure(dims, exp, obs, pb.AssumptionSet(), None).marginals is None
+        assert (bounds._system(dims, close, obs, exogenous, None)[2] is not None) == kept
+    assert bounds._system(dims, None, obs, exogenous, None)[2] is not None
+    assert bounds._system(dims, exp, obs, pb.AssumptionSet(), None)[2] is None
 
 
 def mismatch():
@@ -215,12 +216,32 @@ def forged_unbounded(system, objectives):
     return phase1, solutions, bases
 
 
-@pytest.mark.parametrize("owner, name, forged", [(simplex._Couplings, "lift", forged_lift),
-                                                 (simplex, "_two_phase", forged_two_phase),
-                                                 (simplex, "_two_phase", forged_infeasible),
-                                                 (simplex, "_two_phase", forged_unbounded)],
-                         ids=["witness-off-its-rows", "lost-precision", "infeasible", "phase-2-without-optimum"])
-def test_a_failed_q_form_leaves_the_full_lp(monkeypatch, coupled, owner, name, forged):
+def forged_exogeneity_lift(self, phase1, solutions):
+    # 1e-6 moves from (y, 0) to (y', 0) and from (y', 1) to (y, 1), where
+    # y = (0, 0, 0) and y' = (0, 0, 1) agree on arms 0 and 1: every base,
+    # experimental and observational row holds, and P(Y_2=v, X=l) is off by
+    # 1e-6 for v, l in {0, 1}
+    point, lifted = honest_lift(self, phase1, solutions)
+    forged = []
+    for s in lifted:
+        w = s.witness.copy()
+        w[[0, 4]] -= 1e-6
+        w[[3, 1]] += 1e-6
+        forged.append(pb.LpSolution(s.status, None, w, s.iterations))
+    return point, forged
+
+
+@pytest.mark.parametrize("owner, name, forged, refused", [
+    (simplex._Couplings, "lift", forged_lift, None),
+    (simplex._Couplings, "lift", forged_exogeneity_lift,
+     r"minimize witness violates row exogeneity\(2,[01],[01]\) by 1e-06"),
+    (simplex, "_two_phase", forged_two_phase, None),
+    (simplex, "_two_phase", forged_infeasible, None),
+    (simplex, "_two_phase", forged_unbounded, None)],
+    ids=["witness-off-its-rows", "witness-off-an-exogeneity-row", "lost-precision", "infeasible",
+         "phase-2-without-optimum"])
+def test_a_failed_q_form_leaves_the_full_lp(monkeypatch, coupled, owner, name, forged, refused):
+    # the exogeneity block is compiled once, for the full LP that decides
     dims = pb.Dims(3, 3)
     exp, obs = tables(3, 3, 15)
     args = dict(exp=exp, obs=obs, assumptions=pb.AssumptionSet().with_exogeneity())
@@ -229,9 +250,74 @@ def test_a_failed_q_form_leaves_the_full_lp(monkeypatch, coupled, owner, name, f
     c = objective(q, dims, obs)
     want = simplex._solve(cs, [(c, "minimize"), (c, "maximize")])[1]
     monkeypatch.setattr(owner, name, forged)
+    blocks, refusals = exogeneity_blocks(monkeypatch), []
+    honest_certified = simplex._certified
+
+    def certified(constraints, x, what):
+        try:
+            return honest_certified(constraints, x, what)
+        except pb.SolverFailureError as exc:
+            refusals.append(str(exc))
+            raise
+
+    monkeypatch.setattr(simplex, "_certified", certified)
     res = pb.bound(dims, q, **args)
-    assert coupled == [2]
+    assert coupled == [2] and len(blocks) == 1
     assert digest(res) == tuple((s.value.hex(), hashlib.sha256(s.witness.tobytes()).hexdigest()) for s in want)
+    if refused is not None:
+        assert len(refusals) == 1 and re.fullmatch(refused + r" \(tolerance 1e-08\)", refusals[0]), refusals
+
+
+def exogeneity_blocks(monkeypatch):
+    """The arguments of each ``compile_exogeneity`` call from now on in the test."""
+    seen, honest = [], compile.compile_exogeneity
+
+    def block(*args):
+        seen.append(args)
+        return honest(*args)
+
+    monkeypatch.setattr(compile, "compile_exogeneity", block)
+    return seen
+
+
+@pytest.mark.parametrize("mix", ["exp+obs+exogeneity", "obs+exogeneity"])
+def test_a_q_form_bound_compiles_no_exogeneity_block(monkeypatch, coupled, mix):
+    dims = pb.Dims(5, 3)
+    exp, obs = tables(5, 3, 17)
+    blocks = exogeneity_blocks(monkeypatch)
+    res = pb.bound(dims, query(dims, "event"), exp=exp if mix.startswith("exp") else None, obs=obs,
+                   assumptions=pb.AssumptionSet().with_exogeneity())
+    assert res.status == "ok" and coupled == [2] and blocks == []
+
+
+@pytest.mark.parametrize("d_x, d_y", [(2, 2), (3, 2), (2, 3), (3, 3), (4, 3), (3, 4), (4, 4), (5, 3)])
+def test_the_factored_exogeneity_rows_are_the_dense_ones(d_x, d_y):
+    # the residuals of every row, in the same order and with the same tags, for
+    # random vectors on the simplex and the lifted witnesses of the q-form; with
+    # the exogeneity rows before monotone rows and with a zero arm as well
+    dims = pb.Dims(d_x, d_y)
+    exp, obs = tables(d_x, d_y, 90 + d_x * d_y)
+    zero = tables(d_x, d_y, 90, px=np.append(0.0, np.full(d_x - 1, 1 / (d_x - 1))))[1]
+    rng = np.random.default_rng(d_x * d_y)
+    cases = [(exp, obs, pb.AssumptionSet()), (None, obs, pb.preset("prob_mtr(0.2,0.9)", dims)),
+             (None, zero, pb.AssumptionSet())]
+    for exp_k, obs_k, assumptions in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the zero arm warns
+            full = pb.assemble_constraints(dims, exp=exp_k, obs=obs_k, assumptions=assumptions.with_exogeneity())
+            rows = pb.assemble_constraints(dims, exp=exp_k, obs=obs_k, assumptions=assumptions)
+            monotone = sum(tag.startswith("monotone") for tag in rows.provenance)
+            factored = compile.FactoredExogeneity(rows, len(rows) - monotone, obs_k)
+        assert factored.provenance == full.provenance
+        vectors = list(rng.dirichlet(np.ones(dims.param_count()), size=4))
+        if obs_k is obs and not assumptions.terms:
+            res = pb.bound(dims, query(dims, "posterior_effect"), exp=exp_k, obs=obs_k,
+                           assumptions=assumptions.with_exogeneity())
+            vectors += [res.lower_witness, res.upper_witness]
+        for x in vectors:
+            got, want = factored.residuals(x), full.residuals(x)
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-15
 
 
 START_DIMS = [(2, 2), (3, 2), (2, 3), (3, 3), (4, 3), (3, 4), (4, 4), (5, 3)]

@@ -131,11 +131,10 @@ def test_a_drifted_tableau_is_refused_by_the_fresh_dual_check(truth_a, monkeypat
     exp, obs = truth_a.po_marginals(), truth_a.xy_marginal()
     assumptions = pb.preset("prob_mtr(0.5,1.0)", dims)
     query = pb.build_event_query(dims, {0: 0, 2: 1})
-    loop = bounds._Loop()
-    cold = bounds._bound(dims, query, exp, obs, assumptions, None, loop)
+    warm = simplex._WarmStart()
+    cold = bounds._bound(dims, query, exp, obs, assumptions, None, warm)
     assert cold.status == "ok" and cold.upper - cold.lower > 0.1
 
-    warm = loop.warm
     _, highest = warm.bases.tableaux
     forged = highest.copy()
     forged.T[:-1, np.setdiff1d(np.arange(forged.T.shape[1] - 1), forged.basis)] = 0.0
@@ -154,9 +153,9 @@ def test_a_drifted_tableau_is_refused_by_the_fresh_dual_check(truth_a, monkeypat
         return solved
 
     monkeypatch.setattr(simplex._WarmStart, "resolve", resolve)
-    again = bounds._bound(dims, query, exp, obs, assumptions, None, loop)
+    again = bounds._bound(dims, query, exp, obs, assumptions, None, warm)
     assert served == [False]
     assert abs(again.lower - cold.lower) <= 1e-9 and abs(again.upper - cold.upper) <= 1e-9
     # the cold solve stored fresh tableaux, which serve the next replicate
-    assert bounds._bound(dims, query, exp, obs, assumptions, None, loop).lower == pytest.approx(cold.lower, abs=1e-9)
+    assert bounds._bound(dims, query, exp, obs, assumptions, None, warm).lower == pytest.approx(cold.lower, abs=1e-9)
     assert served == [False, True]

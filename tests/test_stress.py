@@ -6,6 +6,7 @@ import pytest
 
 import pobounds as pb
 from oracles import rare_arm_tables, tool
+from pobounds import simplex
 
 stress = tool("stress")
 Outcome = stress.Outcome
@@ -14,11 +15,12 @@ Outcome = stress.Outcome
 def test_dims_parse_as_pairs():
     assert stress.parse_dims("3x3,4x3,5x3") == [(3, 3), (4, 3), (5, 3)]
     args = stress.parse_args(["--dims", "4x4", "--seeds", "40", "--alpha", "0.3"])
-    assert (args.dims, args.seeds, args.alpha, args.query) == ([(4, 4)], 40, 0.3, "event")
+    assert (args.dims, args.seeds, args.alpha, args.query, args.mix) == ([(4, 4)], 40, 0.3, "event", "q-form")
     assert stress.parse_args(["--dims", "4x4", "--seeds", "1", "--alpha", "1", "--query", "posterior_effect"]).query \
         == "posterior_effect"
+    assert stress.parse_args(["--dims", "4x4", "--seeds", "1", "--alpha", "1", "--mix", "full"]).mix == "full"
     for bad in (["--dims", "3by3"], ["--dims", "3x3x3"], ["--dims", "1x3"], ["--seeds", "0"], ["--alpha", "0"],
-                ["--alpha", "nan"], ["--query", "moment"]):
+                ["--alpha", "nan"], ["--query", "moment"], ["--mix", "q"]):
         argv = dict(zip(["--dims", "--seeds", "--alpha"], ["3x3", "1", "0.3"]))
         argv.update(dict(zip(bad[::2], bad[1::2])))
         with pytest.raises(SystemExit):
@@ -99,3 +101,24 @@ def test_the_posterior_effect_of_the_sweep_is_its_truths_value():
     lower, upper = stress.coupled_extremes(highs, dims, obs, pb.bind_condition(spec, obs))
     assert lower <= value <= upper
     assert abs(res.lower - lower) <= 1e-9 and abs(res.upper - upper) <= 1e-9
+
+
+def test_the_full_mix_bounds_the_same_polytope_on_the_full_lp(monkeypatch):
+    # slack=0 leaves the q-form aside; where the full LP answers, it answers
+    # as the q-form does
+    coupled, honest = [], simplex._couple
+
+    def couple(*args):
+        coupled.append(args)
+        return honest(*args)
+
+    monkeypatch.setattr(simplex, "_couple", couple)
+    seeds = range(stress.FIRST_SEED, stress.FIRST_SEED + 3)
+    full = stress.sweep([(3, 3), (4, 3)], seeds, 1.0, None, mix="full")
+    assert coupled == [] and [o.verdict for o in full] == ["ok"] * 6
+    for o in full:
+        dims, spec, exp, obs, _, _ = stress.instance(*o.dims, o.seed, 1.0)
+        exogenous = pb.AssumptionSet().with_exogeneity()
+        got = pb.bound(dims, spec, exp=exp, obs=obs, assumptions=exogenous, slack=0.0)
+        want = pb.bound(dims, spec, exp=exp, obs=obs, assumptions=exogenous)
+        assert abs(got.lower - want.lower) <= 1e-9 and abs(got.upper - want.upper) <= 1e-9

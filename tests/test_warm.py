@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import pobounds as pb
-from pobounds import bounds, simplex
+from pobounds import bounds, compile, simplex
 from pobounds.model import cell_grid
 
 DIMS = pb.Dims(3, 3)
@@ -182,3 +182,18 @@ def test_a_warm_witness_off_its_certificate_is_solved_cold(call, recorder, monke
     assert abs(res.lower - cold.lower) <= 1e-9 and abs(res.upper - cold.upper) <= 1e-9
     # every other replicate runs phase 1 exactly when the warm start did not serve it
     assert all((entry["phase1"] > 0) == (not entry["warm"]) for j, entry in enumerate(log) if j != i)
+
+
+@pytest.mark.parametrize("call", ["bootstrap", "simulation_study"])
+def test_q_form_replicates_compile_no_exogeneity_block(call, monkeypatch):
+    # every replicate of the obs+exogeneity case is solved in its q-form,
+    # which certifies on the factored exogeneity rows
+    blocks, honest = [], compile.compile_exogeneity
+
+    def block(*args):
+        blocks.append(args)
+        return honest(*args)
+
+    monkeypatch.setattr(compile, "compile_exogeneity", block)
+    summary = run(call, "obs+exogeneity", 30)
+    assert summary.used == REPLICATES and blocks == []

@@ -2,6 +2,7 @@
 
     python3 tools/stress.py --dims 3x3,4x3,4x4,5x3 --seeds 40 --alpha 0.3
     python3 tools/stress.py --dims 3x3,4x3,4x4,5x3 --seeds 40 --alpha 0.3 --query posterior_effect
+    python3 tools/stress.py --dims 3x3,4x3,4x4,5x3 --seeds 40 --alpha 0.3 --mix full
 
 Each instance is a truth with exogenous treatment: outcome vectors
 ``py ~ Dirichlet(1)`` and, independently, treatment ``px ~ Dirichlet(alpha)``,
@@ -12,7 +13,11 @@ tables are the experimental and observational marginals of the truth as a
 ``SparseJointPO``, and the query, bounded under exogeneity with both
 tables, is ``--query``: the event ``P(Y_0=0, Y_1>=1)`` (the default), or
 the posterior effect ``E[Y_0 - Y_1 | X=d_x-1, Y=0]``, which reads three
-arms and divides by the mass of the last arm.
+arms and divides by the mass of the last arm.  ``--mix q-form`` (the
+default) bounds them as given, which ``bound()`` solves over couplings of
+the arm marginals; ``--mix full`` bounds them with ``slack=0``, which
+relaxes each data row to a pair of inequalities with the same solutions:
+the same polytope, solved as the full LP.
 
 Printed per dims: how many instances returned an interval (``ok``); how
 many raised, grouped by the first three words of the message (``raised``);
@@ -48,6 +53,8 @@ import pobounds as pb  # noqa: E402
 TOL = 1e-9
 FIRST_SEED = 1000
 QUERIES = ("event", "posterior_effect")
+# the slack each mix bounds with: none leaves the q-form to bound(), 0 forces the full LP
+MIXES = {"q-form": None, "full": 0.0}
 
 
 @dataclass(frozen=True)
@@ -81,6 +88,8 @@ def parse_args(argv):
     parser.add_argument("--seeds", type=int, required=True, help="instances per dims")
     parser.add_argument("--alpha", type=float, required=True, help="Dirichlet concentration of P(X=l)")
     parser.add_argument("--query", choices=QUERIES, default="event", help="the query bounded (default: event)")
+    parser.add_argument("--mix", choices=MIXES, default="q-form",
+                        help="q-form: bound as given (default); full: with slack=0, the same polytope as the full LP")
     args = parser.parse_args(argv)
     if args.seeds < 1:
         parser.error("--seeds must be at least 1")
@@ -151,13 +160,13 @@ def coupled_extremes(highs, dims, obs, objective) -> tuple[float | None, float |
     return tuple(None if None in side else float(px @ np.array(side)) for side in zip(*ends))
 
 
-def run_one(d_x: int, d_y: int, seed: int, alpha: float, highs, query: str = "event") -> Outcome:
+def run_one(d_x: int, d_y: int, seed: int, alpha: float, highs, query: str = "event", mix: str = "q-form") -> Outcome:
     dims, spec, exp, obs, px, value = instance(d_x, d_y, seed, alpha, query)
-    exogenous = pb.AssumptionSet().with_exogeneity(True)
+    exogenous, slack = pb.AssumptionSet().with_exogeneity(True), MIXES[mix]
     head = ((d_x, d_y), seed)
     start = time.perf_counter()
     try:
-        res = pb.bound(dims, spec, exp=exp, obs=obs, assumptions=exogenous)
+        res = pb.bound(dims, spec, exp=exp, obs=obs, assumptions=exogenous, slack=slack)
     except pb.PoboundsError as exc:
         return Outcome(*head, "raised", float(px.min()), time.perf_counter() - start, str(exc))
     seconds = time.perf_counter() - start
@@ -168,7 +177,7 @@ def run_one(d_x: int, d_y: int, seed: int, alpha: float, highs, query: str = "ev
         problem = f"[{res.lower!r}, {res.upper!r}] misses the truth's {value!r}"
     elif highs is not None:
         if query == "event":
-            cs = pb.assemble_constraints(dims, exp=exp, obs=obs, assumptions=exogenous)
+            cs = pb.assemble_constraints(dims, exp=exp, obs=obs, assumptions=exogenous, slack=slack)
             ref = highs(cs, pb.collapse_to_objective(spec, dims))
         else:
             ref = coupled_extremes(highs, dims, obs, pb.bind_condition(spec, obs))
@@ -202,8 +211,9 @@ def summarize(outcomes: list[Outcome], highs: bool) -> list[str]:
     return lines
 
 
-def sweep(dims: list[tuple[int, int]], seeds: range, alpha: float, highs, query: str = "event") -> list[Outcome]:
-    return [run_one(d_x, d_y, seed, alpha, highs, query) for d_x, d_y in dims for seed in seeds]
+def sweep(dims: list[tuple[int, int]], seeds: range, alpha: float, highs, query: str = "event",
+          mix: str = "q-form") -> list[Outcome]:
+    return [run_one(d_x, d_y, seed, alpha, highs, query, mix) for d_x, d_y in dims for seed in seeds]
 
 
 def main(argv=None) -> int:
@@ -211,7 +221,7 @@ def main(argv=None) -> int:
     highs = highs_solver()
     if highs is None:
         print("scipy does not import: endpoints are checked against the truth only")
-    outcomes = sweep(args.dims, range(FIRST_SEED, FIRST_SEED + args.seeds), args.alpha, highs, args.query)
+    outcomes = sweep(args.dims, range(FIRST_SEED, FIRST_SEED + args.seeds), args.alpha, highs, args.query, args.mix)
     print("\n".join(summarize(outcomes, highs is not None)))
     return 0
 
