@@ -104,15 +104,13 @@ class _Structure:
     ``sides`` (see :func:`compile.monotone_rows`).  No table entry enters
     them, so :meth:`fill` gives the rows of any tables and levels of the
     shape.  The exogeneity rows, the one block that holds a table entry,
-    go before the monotone rows.  ``like`` is the last reduction the
-    presolve made of these rows, which the next one shares arrays with.
+    go before the monotone rows.
     """
 
     rows: ConstraintSet
     upper: np.ndarray
     lower: np.ndarray
     sides: tuple[tuple[int, bool], ...]
-    like: ConstraintSet | simplex._Rows | None = None
 
     def fill(self, data: np.ndarray, terms: tuple[MonotoneTerm, ...], slack: float | None) -> ConstraintSet:
         """The rows with ``data``, the tables' entries in row order, and the
@@ -242,15 +240,12 @@ def _bound(
     each of its replicates.  Without ``warm`` the solve is cold."""
     if query.condition is not None and obs is None:
         raise ConfigError("conditional queries need the observational table to bind the divisor")
-    structure, system, marginals = _system(dims, exp, obs, assumptions, slack)
+    _, system, marginals = _system(dims, exp, obs, assumptions, slack)
     if query.condition is not None:
         objective = bind_condition(query, obs)
     else:
         objective = collapse_to_objective(query, dims)
-    warm = simplex._WarmStart(structure.like) if warm is None else warm
     phase1, solutions = simplex._solve(system, [(objective, "minimize"), (objective, "maximize")], warm, marginals)
-    if isinstance(system, ConstraintSet) and system.A is structure.rows.A:  # no exogeneity block in A
-        structure.like = warm.system
     if phase1.status == "infeasible":
         return BoundResult("infeasible", diagnostics=phase1.certificate)
     lo, hi = solutions

@@ -1,12 +1,19 @@
 """Self-contained dense two-phase simplex solver.
 
 Problem sizes here are small (a few hundred variables, a few dozen rows), and
-basic solutions double as sharpness witnesses, so a dense tableau with
-Bland's rule is the right tool: deterministic pivots, exact vertex output,
-and no external dependencies.  Each pivot is a few whole-array operations:
-a mask and ``argmax`` find the first column with reduced cost below
-``-PIVOT_TOL``, ``argmin`` over the integer basis the ratio tie with the
-smallest basic index, then one rank-1 update; the path is Bland's, bit for bit.
+basic solutions double as sharpness witnesses, so a dense tableau is the
+right tool: deterministic pivots, exact vertex output, and no external
+dependencies.  Each run of the primal simplex prices by Dantzig's rule, the
+most negative reduced cost entering (the lowest index on ties), until its
+first degenerate pivot, one whose least ratio is at most ``DEAD_TOL``, and
+by Bland's rule, the first column with reduced cost below ``-PIVOT_TOL``,
+from then on (Dantzig 1963; Bland 1977).  Before that pivot each one
+strictly lowers the objective, so no basis repeats, and after it Bland's
+rule cannot cycle.  An exogeneity system's zero right-hand sides make the
+first pivot of its phase 1 degenerate, so that phase 1 keeps Bland's path.
+Each pivot is a few whole-array operations: an ``argmin``, or a mask and
+``argmax``, finds the entering column, ``argmin`` over the integer basis the
+ratio tie with the smallest basic index, then one rank-1 update.
 
 Every solve takes one path (:func:`_solve`): reduce, solve, lift, certify.
 
@@ -201,24 +208,27 @@ class _Tableau:
         self.iterations += 1
 
     def run(self, allowed: int) -> str:
-        """Minimize until reduced costs are nonnegative (Bland's rule); only the
-        first ``allowed`` columns may enter, which keeps artificials out in phase 2.
-        No pivot raises the objective ``-T[-1, -1]``, so one that lifts it above its
-        value at the start by more than ``FEAS_TOL·max(1, |start|)`` shows that the
-        tableau has lost precision, and raises."""
+        """Minimize until reduced costs are nonnegative; only the first ``allowed``
+        columns may enter, which keeps artificials out in phase 2.  The column with
+        the most negative reduced cost enters (Dantzig's rule) until a pivot is
+        degenerate, its least ratio at most ``DEAD_TOL``, and the first one below
+        ``-PIVOT_TOL`` (Bland's rule) for the rest of the run.  No pivot raises the
+        objective ``-T[-1, -1]``, so one that lifts it above its value at the start
+        by more than ``FEAS_TOL·max(1, |start|)`` shows that the tableau has lost
+        precision, and raises."""
         T, basis = self.T, self.basis
         red, rhs, work = T[-1, :allowed], T[:-1, -1], np.empty_like(T)
         start = -float(T[-1, -1])
         floor = -(start + FEAS_TOL * max(1.0, abs(start)))
+        degenerate = False
         while True:
             if T[-1, -1] < floor:
                 raise SolverFailureError(f"objective rose to {-T[-1, -1]:.6g} at pivot {self.iterations}, "
                                          f"above its start {start:.6g}", tableau=T.copy(), basis=basis.tolist())
             if self.iterations > MAX_ITERATIONS:
                 raise SolverFailureError("iteration limit exceeded", tableau=T.copy(), basis=basis.tolist())
-            negative = red < -PIVOT_TOL
-            entering = int(negative.argmax())
-            if not negative[entering]:
+            entering = int((red < -PIVOT_TOL).argmax() if degenerate else red.argmin())
+            if not red[entering] < -PIVOT_TOL:
                 return "optimal"
             col = T[:-1, entering]
             eligible = (col > PIVOT_TOL).nonzero()[0]
@@ -228,7 +238,9 @@ class _Tableau:
                                              tableau=T.copy(), basis=basis.tolist())
                 return "unbounded"
             ratios = rhs[eligible] / col[eligible]
-            ties = eligible[ratios <= ratios.min() + DEAD_TOL]
+            least = ratios.min()
+            degenerate |= least <= DEAD_TOL
+            ties = eligible[ratios <= least + DEAD_TOL]
             self._pivot(int(ties[basis[ties].argmin()]), entering, work)
 
     def enter(self, columns: np.ndarray) -> bool:
@@ -676,12 +688,11 @@ class _WarmStart:
     column mask starts from the stored tableaux (:meth:`resolve`); any other
     solve runs the cold two phases and, if feasible, replaces them.  The
     stored system is the presolve's ``like``, so a reduction by the same
-    masks shares its arrays and :meth:`fits` sees the same objects; a
-    start given ``like`` and no tableaux serves a cold solve that way.
+    masks shares its arrays and :meth:`fits` sees the same objects.
     """
 
-    def __init__(self, like: ConstraintSet | _Rows | None = None) -> None:
-        self.system = like  # the presolve's like: an earlier reduction of these rows until a solve is stored
+    def __init__(self) -> None:
+        self.system: ConstraintSet | _Rows | None = None
         self.keep: np.ndarray | None = None
         self.bases: _Bases | None = None
         self.columns: np.ndarray | None = None  # [A | slack] on the kept rows, built on first use

@@ -160,18 +160,19 @@ def prob_mtr():
     return dims, dict(obs=obs, assumptions=pb.preset("prob_mtr(0.1,1.0)", dims).with_exogeneity())
 
 
-# bound() of the event query on each input set that keeps the full LP, as the
-# full LP gave it before the q-form existed
+# bound() of the event query on each input set that keeps the full LP: the
+# certificate, as before the q-form existed, or the full LP's endpoints under
+# the pivot rule of simplex._Tableau.run
 FULL_LP = {
     # every exogeneity row but the first two
     mismatch: ("base-sum", "experimental(0,0)", "experimental(0,1)")
               + tuple(f"observational({l},{m})" for l in range(2) for m in range(3))
               + tuple(f"exogeneity({k},{v},{l})" for k in range(3) for v in range(3) for l in range(3))[2:],
-    zero_arm: (("0x1.88a8105ee2f04p-3", "140255ab6cf196f0474375feffd08d808116d910a6a9dde718513f9af24cd8fe"),
+    zero_arm: (("0x1.88a8105ee2f04p-3", "269a10c5294b37ffb74f584c56b8b033bd9616e9d1fd7e523bf96e273961890e"),
                ("0x1.9de88830e70cep-2", "10dfe166217e617c32b74a8afff78c1c4610949c3f7ba8519b0845551b655240")),
-    slack: (("0x0.0p+0", "8a36235970ec6664da3b7b26e05faaf4ff2ffbd6ad9ac5b6378b0944cbaee8af"),
-            ("0x1.442f6207e7a6bp-2", "781ebf65047b61ef87becd620ff6b97f2f61368fdd1d0370bdbdabb6993bde16")),
-    prob_mtr: (("0x1.1f504e5819590p-4", "75b6cb7916d24e246b0faaa1fbc60b2416db1b0a9ab568f428d5996bd74ed2b8"),
+    slack: (("0x0.0p+0", "474bfc9fef4a7a6344dbee7b1253de6aa9d6899153a80a3dafbe976b9386e35f"),
+            ("0x1.442f6207e7a6cp-2", "17b9557bab629e231ff108cb836e31e427ab4c40c7f2406d796896da8553ec1a")),
+    prob_mtr: (("0x1.1f504e5819522p-4", "6fd53adb53975c5e227a3df6c8433e0fd8b4ec2dce860ac6b4d35eabe9c93a1b"),
                ("0x1.c2c705784804ap-2", "2f3b6ce05d431d94d65415607e0d5c6a7ae7b18ae44df9a42655cef640200333")),
 }
 
@@ -461,15 +462,15 @@ def test_a_constant_objective_reads_no_arm_and_keeps_its_one_point_interval(coup
 
 
 # bound() of a raw query with a random coefficient on every cell, and the
-# SHA-256 of its q-form's arrays, as they were before the q-form was
-# projected on the arms its objective reads
+# SHA-256 of its q-form's arrays, which are as they were before the q-form
+# was projected on the arms its objective reads
 RAW = {
     (4, 3, 21): ("35f01c17c41a06d47c837903457a3367cfd244dfbddca291d21097bbf600fba5",
-                 (("-0x1.50778994f497dp+0", "48ee90ff84752cd0c20413913f0c3e126e4216295a99b11d58952ae20b69fc66"),
-                  ("0x1.46566cd748508p+0", "778176920ce8ca712d1f721ff099a391d19f9b3afabb91c7bf6ce9369237729a"))),
+                 (("-0x1.50778994f497ep+0", "948db0be5c7e4a70329c5ab29ab66abaac8f50e0fd36ca05e3cbf45dac478573"),
+                  ("0x1.46566cd748506p+0", "3660c82fef3e21ef30e656a1b110e58cdc01dcf1d22e827439b7d9b9df7470d1"))),
     (3, 4, 22): ("79db52914c805a0e60901f1849ec9da2f5205310e84eeec517691b865c29ddc1",
-                 (("-0x1.465975a3c97eep+0", "a9eefb98bf1ebe96a377f477b956835e684d6544ee9588a9dab221cc9a9877ba"),
-                  ("0x1.4bc5737389520p+0", "eee4f5530b51e8432224f768bb080433acc13b7f04ecd93903609c0f3c283aed"))),
+                 (("-0x1.465975a3c97eep+0", "b3d8fff28f0652f45bec474d22631d819a902ea654946e07a0a7843cdb7db9dd"),
+                  ("0x1.4bc573738951fp+0", "2a21e59f5c24380839a77798e5e90b96069cbcd14e91a5448cb4ef060244203b"))),
 }
 
 

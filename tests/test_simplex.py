@@ -185,39 +185,40 @@ def test_problem_shape_validation():
         pb.LpProblem(np.ones(8), pb.compile_base(dims), "upward")
 
 
-# Bland's pivot path on fixed instances: (d_x, d_y, mix, query kind, seed) ->
-# phase-1 pivots, then float.hex and witness SHA-256 of the min and max
-# endpoints.  A change of pivot rule changes these on purpose.
+# The pivot path on fixed instances, Dantzig's rule until the first degenerate
+# pivot and Bland's after it: (d_x, d_y, mix, query kind, seed) -> phase-1
+# pivots, then float.hex and witness SHA-256 of the min and max endpoints.  A
+# change of pivot rule changes these on purpose.
 PINNED = {
     (3, 3, "exp+obs+exogeneity", "event", 0): (
         42,
-        ("0x0.0p+0", "b473335e58be94e8ac2b84eef4011af9b0efdb993cba9a1187b579389fd2c98a"),
+        ("0x0.0p+0", "4623a771bf8a677afd3e170ee58a1c439c2ffe0c2a0963914eae7f10c20c21d0"),
         ("0x1.07bf7eac335aep-2", "d0658c4b505a81ae4ee64fa94f96b12f0845c2a078bcf11da23ab2570bad9f5c"),
     ),
     (4, 3, "obs+exogeneity+prob_mtr", "moment", 1): (
         132,
-        ("0x1.172deba955694p-3", "f38b9ae1a5e32473a4cc765fbd75934832b36023ddbe32e67d3d3ef9109b2567"),
+        ("0x1.172deba95569ap-3", "a7a089a00493f4aedb9ada7bb28511438c0f39a6337ded3ac931dbce328285ed"),
         ("0x1.20484c4dac402p+1", "430bbd3fc28a9c6a6886c2a02e471cddf69839875ffe43e4130a8faccd1a5e43"),
     ),
     (3, 4, "exp+obs+mtr", "posterior_effect", 2): (
-        166,
-        ("0x0.0p+0", "f9b3cd2331b96e97bbdcffa6f570ea3b55796b464a2652c7a06f377a3d554c6d"),
-        ("0x1.0000000000011p+1", "459bda52f06839a62d55594c0fe1e4a28ef72412142e4319688d8514f42b764d"),
+        47,
+        ("0x0.0p+0", "9d3bd7aa9790c3bde38c415cda621871b53c15bdfbe917fe64f486367817c333"),
+        ("0x1.0000000000013p+1", "7b6416e5d59fd5077e242ddd37ab72ca84d836e9e9f0400151ccc4322282b399"),
     ),
     (4, 4, "exp+obs+exogeneity", "event", 3): (
         400,
-        ("0x1.1958a2055e72dp-6", "5d608e51a1e46e996e5884d5483c538f7fd1e8ef551fc3f01ddad2affdf4d603"),
+        ("0x1.1958a2055e248p-6", "bdd89e363f0be9e55e120e41e67a0c9e9bc0e1590c48f6f63452a19077525fd0"),
         ("0x1.eaa0da14f3664p-3", "5c368890f33dfddf3f3f0481f6aa44c18f38a5cfc85d7765dd320084b6178355"),
     ),
     (5, 3, "obs+exogeneity+prob_mtr", "moment", 4): (
         520,
-        ("0x1.7bf4d2ef3502dp-3", "31072b6ab91bb21d189f1d9624ddccaf2eb5f41cffb4f52360929d9845a260cb"),
+        ("0x1.7bf4d2ef34fa4p-3", "3e025534480aafba02f27b9559c5d6953f3e6bb8077fd0b81fdf382acf0147f6"),
         ("0x1.351f0e5f2e494p+1", "f654bf9c784bd4daea3a47d08206f5e8eb6852511135d2743a95d8c2bdd5fcd8"),
     ),
     (3, 3, "exp+obs+mtr", "posterior_effect", 5): (
-        73,
-        ("0x0.0p+0", "dd8a167c401698f458769cde7b534a0619f0c4b237d991633ecf4c5d5027ac11"),
-        ("0x1.f9e8245c4ad2ep-2", "0b48d4e4f269d3a5fe294365ecc01a4492c09d0bcf2218f8b2c9e94cd86fa850"),
+        19,
+        ("0x0.0p+0", "7f77bd2ff0eef4b5f27ae6fcf8714a38e25de8de5568bcab9c98af098610e128"),
+        ("0x1.f9e8245c4ad3bp-2", "461fcff912de904969d2b5a67d4f94ad97a0966526d4a54cf0b31ef38729a420"),
     ),
 }
 
@@ -234,8 +235,8 @@ PINNED_BOUND = {
     ),
     (4, 3, "obs+exogeneity+prob_mtr", "moment", 1): PINNED[4, 3, "obs+exogeneity+prob_mtr", "moment", 1][1:],
     (3, 4, "exp+obs+mtr", "posterior_effect", 2): (
-        ("0x0.0p+0", "60085b5bec437572027d97f527c15039cd14c3b2c0605fcf8dd0b0f566222991"),
-        ("0x1.0000000000000p+1", "5b6fd1453ca13eb45fe13c8175ba3e37f064d2d6f7f4aabdc5d7a4b13ff8d95a"),
+        ("0x0.0p+0", "ed80e62baa71eb9ac9d93005ca8486188616768da534543e5665a9491cc8b4e4"),
+        ("0x1.0000000000000p+1", "0150a894efce0ad4aee589f63e7214de2d390b1f39ce136978114fe88de48375"),
     ),
     (4, 4, "exp+obs+exogeneity", "event", 3): (
         ("0x1.1958a2055e620p-6", "eb1242937052062406269bd6464f461f5dc925e183ce2074daa037893f09002d"),
@@ -243,8 +244,8 @@ PINNED_BOUND = {
     ),
     (5, 3, "obs+exogeneity+prob_mtr", "moment", 4): PINNED[5, 3, "obs+exogeneity+prob_mtr", "moment", 4][1:],
     (3, 3, "exp+obs+mtr", "posterior_effect", 5): (
-        ("0x0.0p+0", "a7f3de84807bd383c6fbfc3161a21ae555899f0b3f89cacbd236f90c0b43c546"),
-        ("0x1.f9e8245c4ad32p-2", "46b6a0dafc35f25b953a16caab32dd5b5c84fa233b606fac2ba35501b7e08179"),
+        ("0x0.0p+0", "7f77bd2ff0eef4b5f27ae6fcf8714a38e25de8de5568bcab9c98af098610e128"),
+        ("0x1.f9e8245c4ad3bp-2", "461fcff912de904969d2b5a67d4f94ad97a0966526d4a54cf0b31ef38729a420"),
     ),
 }
 
@@ -305,6 +306,80 @@ def test_bound_bytes_are_pinned(case):
     res = pb.bound(dims, query, exp=exp, obs=obs, assumptions=assumptions)
     endpoints = ((res.lower, res.lower_witness), (res.upper, res.upper_witness))
     assert tuple((v.hex(), hashlib.sha256(w.tobytes()).hexdigest()) for v, w in endpoints) == PINNED_BOUND[case]
+
+
+def entering_columns(cs, obj):
+    """Each ``run`` of a solve of ``cs`` as a list of its pivots: the reduced
+    costs before the pivot, the entering column, and whether the least ratio
+    of its ratio test is at most ``DEAD_TOL``."""
+    runs, running = [], []
+    honest_run, honest_pivot = simplex._Tableau.run, simplex._Tableau._pivot
+
+    def run(self, allowed):
+        runs.append([])
+        running.append(allowed)
+        try:
+            return honest_run(self, allowed)
+        finally:
+            running.pop()
+
+    def pivot(self, row, col, work):
+        if running:  # not the pivots of drop_artificials
+            column, rhs = self.T[:-1, col], self.T[:-1, -1]
+            eligible = column > simplex.PIVOT_TOL
+            least = (rhs[eligible] / column[eligible]).min()
+            runs[-1].append((self.T[-1, : running[-1]].copy(), col, bool(least <= simplex.DEAD_TOL)))
+        honest_pivot(self, row, col, work)
+
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(simplex._Tableau, "run", run)
+        patched.setattr(simplex._Tableau, "_pivot", pivot)
+        simplex._two_phase(cs, [(obj, "minimize"), (obj, "maximize")])
+    return runs
+
+
+def cycling_lp():
+    """Chvátal's (1983, ch. 3) LP over the first four cells of a 2x2 system:
+    max 10x1 - 57x2 - 9x3 - 24x4 subject to 0.5x1 - 5.5x2 - 2.5x3 + 9x4 <= 0,
+    0.5x1 - 1.5x2 - 0.5x3 + x4 <= 0 and x1 <= 1, whose optimum is 1 at
+    x1 = x3 = 1.  Dantzig's rule alone, ratio ties to the smallest basic
+    index, reaches a degenerate vertex in phase 2 and cycles there through
+    six bases until the iteration limit."""
+    A = np.zeros((3, 8))
+    A[:, :4] = [[0.5, -5.5, -2.5, 9.0], [0.5, -1.5, -0.5, 1.0], [1.0, 0.0, 0.0, 0.0]]
+    objective = np.zeros(8)
+    objective[:4] = [10.0, -57.0, -9.0, -24.0]
+    return ConstraintSet(pb.Dims(2, 2), A, [0.0, 0.0, 1.0], ["le"] * 3, ["cycle(0)", "cycle(1)", "cycle(2)"]), objective
+
+
+def test_dantzig_prices_until_the_first_degenerate_pivot_and_bland_after_it():
+    # the mtr phase 1 meets no degenerate pivot; the exogeneity rows' zero
+    # right-hand sides make the first pivot of that phase 1 degenerate; the
+    # cycling LP's rules disagree on the pivot right after its first
+    # degenerate one, so Bland's rule must take over at once
+    systems = [pinned_instance(3, 4, "exp+obs+mtr", "posterior_effect", 2),
+               pinned_instance(4, 3, "obs+exogeneity+prob_mtr", "moment", 1), cycling_lp()]
+    differ = {"dantzig": 0, "bland": 0}
+    for n, system in enumerate(systems):
+        runs = entering_columns(*system)
+        assert len(runs) == 3  # phase 1, then phase 2 once per sense
+        for pivots in runs:
+            first = next((i for i, (_, _, degenerate) in enumerate(pivots) if degenerate), len(pivots))
+            for i, (red, col, _) in enumerate(pivots):
+                least, lowest = int(red.argmin()), int(np.flatnonzero(red < -simplex.PIVOT_TOL)[0])
+                assert col == (least if i <= first else lowest), (n, i, first)
+                differ["dantzig" if i <= first else "bland"] += least != lowest
+    # the two rules disagree on some pivot under each, so each was put to the test
+    assert differ["dantzig"] > 0 and differ["bland"] > 0
+
+
+def test_an_lp_that_cycles_under_dantzigs_rule_reaches_its_optimum():
+    # Bland's rule, from the first degenerate pivot on, leaves the cycle
+    cs, objective = cycling_lp()
+    sol = pb.solve(pb.LpProblem(objective, cs, "maximize"))
+    assert sol.status == "optimal" and sol.iterations < 20
+    assert sol.value == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_allclose(sol.witness, [1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0], atol=1e-12)
 
 
 def test_iteration_limit_raises_with_a_detached_state(truth_a, monkeypatch):
