@@ -161,16 +161,17 @@ def _system(
     obs: ObservationalJoint | None,
     assumptions: AssumptionSet | None,
     slack: float | None,
-) -> tuple[_Structure, ConstraintSet | FactoredExogeneity, tuple[np.ndarray, np.ndarray] | None]:
-    """The structure of these inputs, their rows, and the marginals of the
-    q-form when it applies (see :func:`simplex._couple`), else ``None``.
+) -> tuple[ConstraintSet | FactoredExogeneity, tuple[np.ndarray, np.ndarray] | None]:
+    """The rows of these inputs, and the marginals of the q-form when it
+    applies (see :func:`simplex._couple`), else ``None``.
 
-    The tables are validated and written into the structure's rows.  Under
-    exogeneity the rows are :class:`FactoredExogeneity` when the q-form
-    applies, and compiled in full otherwise.  The q-form needs no monotone
-    row, no ``slack``, every ``P(X=l) > 0`` and, when ``exp`` is given,
-    ``exp`` equal to the arm marginals ``m[k] = P(Y=·|X=k)`` within
-    ``SUM_TOL``: on a mismatch the full LP finds the certificate."""
+    The tables are validated and written into the rows of their shape's
+    structure (:func:`_structure`).  Under exogeneity the rows are
+    :class:`FactoredExogeneity` when the q-form applies, and compiled in
+    full otherwise.  The q-form needs no monotone row, no ``slack``, every
+    ``P(X=l) > 0`` and, when ``exp`` is given, ``exp`` equal to the arm
+    marginals ``m[k] = P(Y=·|X=k)`` within ``SUM_TOL``: on a mismatch the
+    full LP finds the certificate."""
     assumptions = assumptions or AssumptionSet()
     if exp is None and obs is None:
         raise ConfigError("need at least one of experimental or observational data")
@@ -186,15 +187,15 @@ def _system(
     structure = _structure(dims, exp is not None, obs is not None, slack is not None, assumptions)
     cs = structure.fill(np.concatenate(data), assumptions.terms, slack)
     if not assumptions.exogeneity:
-        return structure, cs, None
+        return cs, None
     exogenous = FactoredExogeneity(cs, len(cs) - len(structure.sides), obs)
     if slack is None and not structure.sides:
         px = obs.x_marginal()
         if (px > 0.0).all():
             m = obs.table / px[:, None]
             if exp is None or (np.abs(exp.table - m) <= SUM_TOL).all():
-                return structure, exogenous, (px, m)
-    return structure, exogenous.full(), None
+                return exogenous, (px, m)
+    return exogenous.full(), None
 
 
 def assemble_constraints(
@@ -206,7 +207,7 @@ def assemble_constraints(
 ) -> ConstraintSet:
     """Base + whatever data is available + exogeneity + monotone rows, in
     that order, with each data row relaxed to a pair under ``slack``."""
-    _, system, marginals = _system(dims, exp, obs, assumptions, slack)
+    system, marginals = _system(dims, exp, obs, assumptions, slack)
     return system if marginals is None else system.full()
 
 
@@ -240,7 +241,7 @@ def _bound(
     each of its replicates.  Without ``warm`` the solve is cold."""
     if query.condition is not None and obs is None:
         raise ConfigError("conditional queries need the observational table to bind the divisor")
-    _, system, marginals = _system(dims, exp, obs, assumptions, slack)
+    system, marginals = _system(dims, exp, obs, assumptions, slack)
     if query.condition is not None:
         objective = bind_condition(query, obs)
     else:

@@ -8,10 +8,9 @@ appears as an explicit row.
 
 The rows that no table sets are built and checked once per :class:`Dims`
 and then shared read-only: the base row (:func:`compile_base`), the 0/1
-experimental and observational rows, the monotone part of a set with no
-term, and the masks of the ``y_k = v`` groups of the exogeneity rows, with
-their tags.  A ``compile_*`` call adds only what its table sets: the data
-rows' right-hand side, through
+experimental and observational rows, and the masks of the ``y_k = v``
+groups of the exogeneity rows, with their tags.  A ``compile_*`` call adds
+only what its table sets: the data rows' right-hand side, through
 :meth:`ConstraintSet.with_rhs`, and the exogeneity rows' ``1 - P(X=l)`` and
 ``-P(X=l)`` entries, written into one fresh array that is checked once.
 Those entries are the only table entries that reach a coefficient matrix.
@@ -102,15 +101,6 @@ class ConstraintSet:
         for name, value in (("dims", dims), ("A", _frozen(A)), ("rhs", _frozen(rhs)), ("kind", _frozen(kind)),
                             ("provenance", provenance)):
             object.__setattr__(cs, name, value)
-        return cs
-
-    @classmethod
-    def _built(cls, dims: Dims, A: np.ndarray, rhs: np.ndarray, kind: np.ndarray,
-               provenance: tuple[str, ...]) -> "ConstraintSet":
-        """A set over arrays built for it alone: they are frozen in place and
-        checked, but not copied."""
-        cs = cls._checked(dims, A, rhs, kind, provenance)
-        cs._check()
         return cs
 
     def with_rhs(self, rhs: np.ndarray) -> "ConstraintSet":
@@ -229,7 +219,10 @@ def compile_exogeneity(dims: Dims, obs: ObservationalJoint) -> ConstraintSet:
     arms = np.flatnonzero(px > 0.0)
     coeffs = (X == arms[:, None]) - px[arms, None]
     A = np.where(groups[:, None, :], coeffs[None], 0.0).reshape(-1, X.size)
-    return ConstraintSet._built(dims, A, np.zeros(len(A)), np.full(len(A), "eq"), tuple(tags[:, arms].ravel().tolist()))
+    # built for this set alone: frozen in place and checked, but not copied
+    cs = ConstraintSet._checked(dims, A, np.zeros(len(A)), np.full(len(A), "eq"), tuple(tags[:, arms].ravel().tolist()))
+    cs._check()
+    return cs
 
 
 def exogeneity_residuals(dims: Dims, px: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -299,16 +292,10 @@ def indicator_mask(dims: Dims, term: MonotoneTerm) -> np.ndarray:
     return (inside | ~below_diagonal).all(axis=(0, 1)).astype(float)
 
 
-@cache
-def _no_monotone_rows(dims: Dims) -> ConstraintSet:
-    """:func:`compile_monotonicity`'s set for no term: no row."""
-    return ConstraintSet(dims, np.zeros((0, dims.param_count())), [], [], [])
-
-
 def compile_monotonicity(dims: Dims, assumptions: AssumptionSet) -> ConstraintSet:
     """Two inequality rows per term, dropping sides that are vacuous given the
     base constraints (upper side when U = 1, lower side when L = 0).  With no
-    term the set has no row, and it is built once per dims."""
+    term the set has no row."""
     return monotone_rows(dims, assumptions)[0]
 
 
@@ -316,8 +303,6 @@ def monotone_rows(dims: Dims, assumptions: AssumptionSet) -> tuple[ConstraintSet
     """:func:`compile_monotonicity`'s set and, for each of its rows, the
     term ``w`` and whether it is that term's upper side: what
     :func:`monotone_rhs` needs to give the rows of other levels."""
-    if not assumptions.terms:
-        return _no_monotone_rows(dims), ()
     rows, sides = [], []
     for w, term in enumerate(assumptions.terms):
         mask = indicator_mask(dims, term)

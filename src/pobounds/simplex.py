@@ -21,8 +21,8 @@ Every solve takes one path (:func:`_solve`): reduce, solve, lift, certify.
   ``a . p <= min(a)`` holds only with every cell where ``a`` exceeds its
   minimum at zero; the almost-sure monotone terms compile to exactly such
   rows.  :func:`_presolve` drops those columns and rows and returns the
-  system left with the mask of the columns it keeps (all of them, and the
-  system itself, when nothing reduces).
+  rows left as :class:`_Rows`, with the masks of the rows and columns it
+  keeps (all of them, over the system's own arrays, when nothing reduces).
 * Reduce to couplings.  Under exogeneity with every ``P(X=l) > 0`` and
   no monotone row, each feasible vector is ``p(y, l) = P(X=l)·q_l(y)``,
   where every ``q_l`` is a coupling of the same arm marginals
@@ -44,18 +44,21 @@ Every solve takes one path (:func:`_solve`): reduce, solve, lift, certify.
   ``κ`` the point mass and the rows over all ``d_y^d_x`` vectors.  On a
   2-CPU Xeon a 5x3 ``bound()`` of an event took a median 1.05 ms this
   way against 1.43 ms over every arm, and of a moment 1.01 against
-  2.16 ms.  An objective that is the same for every arm stays one
-  objective over ``π``; one that depends on the arm becomes one per arm
-  where it is nonzero, all after the one phase 1.  That phase 1 starts
-  at the comonotone vertex (:func:`_comonotone`, the north-west-corner
-  rule; Dantzig 1963, ch. 14), so with one of its cells per row it takes
-  no pivot.  A q-form that is infeasible, loses precision or lifts a
-  vector off an original row leaves the inputs to the presolve and the
-  full LP, as if it had not been tried.
+  2.16 ms.  The arms on which an objective is the same form a group, and
+  it becomes one objective over ``π`` per group where it is nonzero, all
+  after the one phase 1, while the zero group keeps the phase-1 coupling:
+  an event or a moment is one group, a posterior effect given ``X=l`` is
+  ``{l}`` and the zero group of the other arms.  That phase 1 starts at
+  the comonotone vertex (:func:`_comonotone`, the north-west-corner rule;
+  Dantzig 1963, ch. 14), so with one of its cells per row it takes no
+  pivot.  A q-form that is infeasible, loses precision or lifts a vector
+  off an original row leaves the inputs to the presolve and the full LP,
+  as if it had not been tried.
 * Solve.  Inside one replicate loop only ``rhs`` and the objectives move
   between solves, so :class:`_WarmStart` keeps each objective's final
   tableau, its basis priced afresh on the original columns, and the next
-  solve needs only the basic values ``B⁻¹rhs`` (the right-hand-side
+  solve of the same original ``A`` and ``kind``, reduced by the same
+  masks, needs only the basic values ``B⁻¹rhs`` (the right-hand-side
   sensitivity analysis of Bertsimas & Tsitsiklis 1997, ch. 5).  The basis
   stays dual feasible, a few dual simplex pivots restore primal
   feasibility (Huangfu & Hall 2018 describe the method in HiGHS), and a
@@ -136,16 +139,21 @@ class LpSolution:
 class _Rows:
     """The system a presolve leaves: the arrays of a :class:`ConstraintSet`
     without its ``dims``, so that ``A`` may have fewer columns than the model
-    has parameters, with the masks of the ``rows`` and columns (``keep``) it
-    kept of the ``origin`` coefficient matrix."""
+    has parameters, with the masks of the original ``rows`` and columns
+    (``keep``) it kept."""
 
     A: np.ndarray
     rhs: np.ndarray
     kind: np.ndarray
     provenance: tuple[str, ...]
-    origin: np.ndarray
     rows: np.ndarray
     keep: np.ndarray
+
+    @classmethod
+    def whole(cls, constraints: ConstraintSet) -> _Rows:
+        """Every row and column of ``constraints``, over its own arrays."""
+        return cls(constraints.A, constraints.rhs, constraints.kind, constraints.provenance,
+                   np.ones(len(constraints), dtype=bool), np.ones(constraints.A.shape[1], dtype=bool))
 
 
 def _standard_form(constraints: ConstraintSet | _Rows | _Couplings) -> np.ndarray:
@@ -343,9 +351,8 @@ class _Bases:
     tableaux: tuple[_Tableau, ...]
 
 
-def _two_phase(
-    system: ConstraintSet | _Rows | _Couplings, objectives: Sequence[tuple[np.ndarray, str]]
-) -> tuple[LpSolution, list[LpSolution], _Bases | None]:
+def _two_phase(system: ConstraintSet | _Rows | _Couplings, objectives: Sequence[tuple[np.ndarray, str]],
+               start: np.ndarray | None = None) -> tuple[LpSolution, list[LpSolution], _Bases | None]:
     """Phase 1 once, then phase 2 once per ``(objective, sense)``.
 
     Returns the phase-1 outcome, one solution per objective and the bases it
@@ -360,13 +367,14 @@ def _two_phase(
     :func:`_postsolve`); the bases are ``None`` when the system is
     infeasible, no objective is solved or one is unbounded.
 
-    A q-form's phase 1 starts from its comonotone coupling: the columns of
-    ``system.start`` are pivoted in first (:meth:`_Tableau.enter`), and if
-    that leaves a basic value negative, from the artificial basis.
+    Given ``start``, columns of a basic feasible point such as a q-form's
+    comonotone coupling, phase 1 pivots them in first
+    (:meth:`_Tableau.enter`), and starts from the artificial basis if that
+    leaves a basic value negative.
     """
     n = system.A.shape[1]
     tab = _Tableau(system)
-    if isinstance(system, _Couplings) and not tab.enter(system.start):
+    if start is not None and not tab.enter(start):
         tab = _Tableau(system)
     if tab.phase1() > INFEASIBLE_TOL:
         cert = tuple(tag for tag, dual in zip(system.provenance, tab.phase1_duals()) if abs(dual) > CERT_TOL)
@@ -398,14 +406,10 @@ def _base_rows(constraints: ConstraintSet) -> np.ndarray:
     return rows[(A[rows] == 1.0).all(axis=1)]
 
 
-def _presolve(
-    constraints: ConstraintSet, like: ConstraintSet | _Rows | None = None
-) -> tuple[ConstraintSet | _Rows, np.ndarray]:
-    """The reduced system and the mask of the columns it keeps; the system
-    itself and an all-True mask when no row forces a column to zero or the
-    reduction is left to the full LP.  A reduction by the same masks as
-    ``like``, presolved from the same ``A`` object, shares its ``A``,
-    ``kind`` and ``provenance``.
+def _presolve(constraints: ConstraintSet) -> _Rows:
+    """The reduced system, with the masks of the rows and columns it keeps;
+    :meth:`_Rows.whole` when no row forces a column to zero or the
+    reduction is left to the full LP.
 
     With the ``base-sum`` row ``sum(p) = 1`` and ``p >= 0``, every row has
     ``a . p >= min(a)``, so an ``le`` row with ``rhs == min(a)`` forces each
@@ -418,25 +422,21 @@ def _presolve(
     is infeasible then, and the full LP finds the certificate.
     """
     A, rhs, kind = constraints.A, constraints.rhs, constraints.kind
-    full = constraints, np.ones(A.shape[1], dtype=bool)
     le = kind == "le"
     low = A[le].min(axis=1, initial=np.inf)
     tight = rhs[le] == low
     if not tight.any() or (rhs[le] < low).any() or _base_rows(constraints).size == 0:
-        return full
+        return _Rows.whole(constraints)
     forcing = le.copy()
     forcing[le] = tight
     keep = ~(A[forcing] > low[tight, None]).any(axis=0)
     sub = A[:, keep]
     empty = ~forcing & ~sub.any(axis=1)
     if (empty & np.where(le, rhs < 0.0, rhs != 0.0)).any():
-        return full
+        return _Rows.whole(constraints)
     rows = ~(forcing | empty)
-    shared = isinstance(like, _Rows) and like.origin is A
-    if shared and np.array_equal(like.rows, rows) and np.array_equal(like.keep, keep):
-        return _Rows(like.A, rhs[rows], like.kind, like.provenance, A, rows, keep), keep
     provenance = tuple(tag for tag, kept in zip(constraints.provenance, rows) if kept)
-    return _Rows(sub[rows], rhs[rows], kind[rows], provenance, A, rows, keep), keep
+    return _Rows(sub[rows], rhs[rows], kind[rows], provenance, rows, keep)
 
 
 def _lift(x: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -514,9 +514,10 @@ class _Couplings:
     marginals of the arms ``read``, the objectives over ``π``, and what
     lifts a solve of them.
 
-    ``plan[i]`` pairs each objective over ``π`` that the ``i``-th original
-    objective became with the mask of the treatment arms it stands for;
-    ``px`` is ``P(X=l)``; ``start`` holds the columns of the comonotone
+    ``plan[i]`` holds, for each treatment arm, the index of the objective
+    over ``π`` that the ``i``-th original objective became on that arm, or
+    -1 where it is zero and the arm takes the phase-1 coupling; ``px`` is
+    ``P(X=l)``; ``start`` holds the columns of the comonotone
     coupling of the read arms (:func:`_comonotone`), where phase 1 starts;
     ``other`` is the comonotone coupling ``κ`` of the other arms, over their
     outcome vectors in C order, and ``order`` takes ``π ⊗ κ``, flattened
@@ -527,7 +528,7 @@ class _Couplings:
     kind: np.ndarray
     provenance: tuple[str, ...]
     objectives: list[tuple[np.ndarray, str]]
-    plan: tuple[tuple[tuple[int, np.ndarray], ...], ...]
+    plan: tuple[np.ndarray, ...]
     px: np.ndarray
     start: np.ndarray
     read: tuple[int, ...]
@@ -540,25 +541,19 @@ class _Couplings:
         return np.outer(coupling, self.other).reshape(-1)[self.order]
 
     def lift(self, phase1: LpSolution, solutions: list[LpSolution]) -> tuple[np.ndarray, list[LpSolution]]:
-        """Each coupling glued to ``κ`` (:meth:`glued`) and taken to the cells
-        as ``p(y, l) = P(X=l)·q_l(y)`` (see :func:`_postsolve`).  The phase-1
-        point puts its own ``q`` on every arm; the witness of an original
-        objective puts on each arm the witness of its own objective, and the
-        phase-1 ``q`` on the arms where the original objective is zero.
+        """Each coupling glued to ``κ`` (:meth:`glued`), gathered onto the
+        arms by ``plan`` and taken to the cells as ``p(y, l) = P(X=l)·q_l(y)``
+        (see :func:`_postsolve`).  The phase-1 coupling, last in the stack
+        and so at index -1, is the ``q`` of every arm of the phase-1 point.
         Raises ``SolverFailureError`` when a solve over ``π`` is not optimal:
         the q-form's polytope is bounded, so only lost precision ends it so."""
-        start = np.tile(self.glued(phase1.witness), (self.px.size, 1))
-        lifted = []
-        for parts in self.plan:
-            solved = [solutions[i] for i, _ in parts]
-            pivots = sum(sol.iterations for sol in solved)
-            if any(sol.status != "optimal" for sol in solved):
-                raise SolverFailureError("a phase 2 over the couplings ended without optimum")
-            q = start.copy()
-            for sol, (_, arms) in zip(solved, parts):
-                q[arms] = self.glued(sol.witness)
-            lifted.append(LpSolution("optimal", None, (q.T * self.px).reshape(-1), pivots))
-        return (start.T * self.px).reshape(-1), lifted
+        if any(sol.status != "optimal" for sol in solutions):
+            raise SolverFailureError("a phase 2 over the couplings ended without optimum")
+        q = np.stack([self.glued(sol.witness) for sol in (*solutions, phase1)])
+        lifted = [LpSolution("optimal", None, (q[arms].T * self.px).reshape(-1),
+                             sum(solutions[i].iterations for i in set(arms.tolist()) - {-1}))
+                  for arms in self.plan]
+        return (q[np.full(self.px.size, -1)].T * self.px).reshape(-1), lifted
 
 
 def _couple(
@@ -581,29 +576,33 @@ def _couple(
     taken at level 0 along the other axes, and the rows are those of
     couplings ``π`` of ``m[S]``: every such ``π`` is the marginal of a
     coupling of all of ``m``, ``π ⊗ κ`` for any coupling ``κ`` of the other
-    arms' marginals, here the comonotone one.  When every ``c_l`` is the
-    same it is that one objective over ``π``, every ``q_l`` being its
-    witness; otherwise it is one objective per arm with ``c_l`` nonzero,
-    and each other arm may take any coupling, the phase-1 one.  An
-    objective that reads every arm leaves ``κ`` the point mass on no arm,
-    and the q-form over all ``d_y^d_x`` outcome vectors.
+    arms' marginals, here the comonotone one.  The arms whose ``c_l`` are
+    equal form a group, and nothing ties the groups' ``q_l`` together, so
+    each group with a nonzero ``c_l`` is one objective over ``π``, every
+    ``q_l`` of the group being its witness, and the zero group may take
+    any coupling, the phase-1 one: an event or a moment is one group, a
+    posterior effect given ``X=l`` two, ``{l}`` and the zero group of the
+    other arms.  An objective that reads every arm leaves ``κ`` the point
+    mass on no arm, and the q-form over all ``d_y^d_x`` outcome vectors.
     """
     d_x, d_y = constraints.dims.d_x, constraints.dims.d_y
     shape = (d_y,) * d_x
-    distinct = {id(objective): objective for objective, _ in objectives}.values()  # one array for both senses
-    read = tuple(k for k in range(d_x) if any(_varies(c.reshape(d_y**k, d_y, -1)) for c in distinct))
+    distinct = {id(objective): objective for objective, _ in objectives}  # one array for both senses
+    read = tuple(k for k in range(d_x) if any(_varies(c.reshape(d_y**k, d_y, -1)) for c in distinct.values()))
     rest = tuple(k for k in range(d_x) if k not in read)
     at = tuple(slice(None) if k in read else 0 for k in range(d_x))
     A, kind, provenance = _coupling_rows(d_y, read)
+    per_arm = {key: c.reshape(*shape, d_x)[at].reshape(-1, d_x).T for key, c in distinct.items()}
+    # each arm's group: the first arm whose column equals its own
+    first = {key: (c[:, None] == c[None]).all(axis=2).argmax(axis=1) for key, c in per_arm.items()}
     reduced, plan = [], []
     for objective, sense in objectives:
-        per_arm = objective.reshape(*shape, d_x)[at].reshape(-1, d_x).T
-        if (per_arm == per_arm[0]).all():
-            arms = [np.ones(d_x, dtype=bool)]
-        else:
-            arms = [np.arange(d_x) == l for l in np.flatnonzero(per_arm.any(axis=1))]
-        plan.append(tuple((len(reduced) + i, mask) for i, mask in enumerate(arms)))
-        reduced += [(per_arm[int(np.argmax(mask))], sense) for mask in arms]
+        c, group = per_arm[id(objective)], first[id(objective)]
+        heads = np.flatnonzero((group == np.arange(d_x)) & c.any(axis=1))  # the first arm of each nonzero group
+        index = np.full(d_x, -1)
+        index[heads] = len(reduced) + np.arange(heads.size)
+        plan.append(index[group])
+        reduced += [(c[l], sense) for l in heads.tolist()]
     rhs = np.concatenate(([1.0], m[list(read), :-1].reshape(-1)))
     cells, masses = _comonotone(m[list(rest)])
     other = np.bincount(cells, masses, minlength=d_y ** len(rest))
@@ -640,7 +639,7 @@ def _priced(columns: np.ndarray, tab: _Tableau, costs: np.ndarray) -> _Priced:
     return _Priced(basis, inverse, costs, reduced, bool(reduced.min() >= -PIVOT_TOL))
 
 
-def _farkas(constraints: ConstraintSet, system: ConstraintSet | _Rows, ray: np.ndarray) -> tuple[str, ...] | None:
+def _farkas(constraints: ConstraintSet, system: _Rows, ray: np.ndarray) -> tuple[str, ...] | None:
     """The provenance tags of the rows a Farkas ray ``ray`` over ``system``'s
     rows proves infeasible, or ``None`` when it proves nothing.
 
@@ -660,7 +659,7 @@ def _farkas(constraints: ConstraintSet, system: ConstraintSet | _Rows, ray: np.n
     """
     A, rhs, kind = constraints.A, constraints.rhs, constraints.kind
     y = np.zeros(len(constraints))
-    y[system.rows if isinstance(system, _Rows) else slice(None)] = ray
+    y[system.rows] = ray
     le = kind == "le"
     y[le] = np.maximum(y[le], 0.0)
     low = (y @ A).min()
@@ -683,44 +682,45 @@ class _WarmStart:
     system they belong to.
 
     One replicate loop owns one: between its solves only ``rhs`` and the
-    objectives move, and the system of each solve shares ``A`` and ``kind``,
-    the very objects, with the last.  A solve of such a system with the same
-    column mask starts from the stored tableaux (:meth:`resolve`); any other
-    solve runs the cold two phases and, if feasible, replaces them.  The
-    stored system is the presolve's ``like``, so a reduction by the same
-    masks shares its arrays and :meth:`fits` sees the same objects.
+    objectives move, and the original rows of each solve share ``A`` and
+    ``kind``, the very objects, with the last (``bounds._STRUCTURES`` keeps
+    one set per shape).  A solve of such rows that the presolve reduces by
+    the same row and column masks starts from the stored tableaux
+    (:meth:`resolve`); any other solve runs the cold two phases and, if
+    feasible, replaces them.
     """
 
     def __init__(self) -> None:
-        self.system: ConstraintSet | _Rows | None = None
-        self.keep: np.ndarray | None = None
+        self.constraints: ConstraintSet | None = None
+        self.system: _Rows | None = None
         self.bases: _Bases | None = None
         self.columns: np.ndarray | None = None  # [A | slack] on the kept rows, built on first use
 
-    def store(self, system: ConstraintSet | _Rows, keep: np.ndarray, bases: _Bases) -> None:
-        """Keep ``bases``, a solve of ``system``."""
-        if not (self.fits(system, keep, len(bases.tableaux)) and np.array_equal(bases.rows, self.bases.rows)):
+    def store(self, constraints: ConstraintSet, system: _Rows, bases: _Bases) -> None:
+        """Keep ``bases``, a solve of ``system``, the presolve of ``constraints``."""
+        if not (self.fits(constraints, system, len(bases.tableaux)) and np.array_equal(bases.rows, self.bases.rows)):
             self.columns = None
-        self.system, self.keep, self.bases = system, keep, bases
+        self.constraints, self.system, self.bases = constraints, system, bases
 
-    def fits(self, system: ConstraintSet | _Rows, keep: np.ndarray, count: int) -> bool:
+    def fits(self, constraints: ConstraintSet, system: _Rows, count: int) -> bool:
         return (
             self.bases is not None
             and len(self.bases.tableaux) == count
-            and system.A is self.system.A
-            and system.kind is self.system.kind
-            and np.array_equal(keep, self.keep)
+            and constraints.A is self.constraints.A
+            and constraints.kind is self.constraints.kind
+            and np.array_equal(system.rows, self.system.rows)
+            and np.array_equal(system.keep, self.system.keep)
         )
 
     def resolve(
         self,
-        system: ConstraintSet | _Rows,
-        keep: np.ndarray,
-        objectives: Sequence[tuple[np.ndarray, str]],
         constraints: ConstraintSet,
+        system: _Rows,
+        objectives: Sequence[tuple[np.ndarray, str]],
     ) -> tuple[LpSolution, list[LpSolution], _Bases | None] | None:
-        """:func:`_two_phase`'s results, each objective (over the system's
-        columns) solved from its stored tableau, or ``None`` for the cold path.
+        """:func:`_two_phase`'s results on ``system``, the presolve of
+        ``constraints``, each objective (over the system's columns) solved
+        from its stored tableau, or ``None`` for the cold path.
         The witnesses are valued by :func:`_postsolve`, over the full vector.
 
         Only the right-hand side moves: the body ``B⁻¹[A | slack]`` is carried
@@ -732,8 +732,8 @@ class _WarmStart:
         entering column at row ``r`` makes the rows infeasible if the ray
         ``y = B⁻ᵀe_r``, solved afresh, passes :func:`_farkas` on
         ``constraints``, the original rows: the phase-1 outcome is then
-        ``infeasible`` with its tags.  The cold path is taken when the system
-        is not the stored one, a basis is singular or not dual feasible for
+        ``infeasible`` with its tags.  The cold path is taken when the key of
+        :meth:`fits` differs from the stored one, a basis is singular or not dual feasible for
         the new objective, a blocked repair's ray proves nothing or comes
         after an earlier objective reached a feasible basis of the same rows,
         or the repair needs more than ``WARM_PIVOTS_PER_ROW`` pivots per row
@@ -741,7 +741,7 @@ class _WarmStart:
         ``-PIVOT_TOL``.  A feasible phase-1 outcome is the first witness,
         with no pivots.
         """
-        if not self.fits(system, keep, len(objectives)):
+        if not self.fits(constraints, system, len(objectives)):
             return None
         rows, n = self.bases.rows, system.A.shape[1]
         if self.columns is None:
@@ -832,42 +832,44 @@ def _solve(
     :func:`_postsolve`, and it stores no bases.  Its rows may be
     :class:`FactoredExogeneity`, which certifies without the dense
     exogeneity block; that block is compiled only here, for the full LP.
-    Otherwise the system :func:`_presolve` leaves is solved from the
-    bases in ``warm`` if they fit and their witnesses pass
+    Otherwise the :class:`_Rows` that :func:`_presolve` leaves are solved
+    from the bases in ``warm`` if they fit and their witnesses pass
     :func:`_postsolve`, and by :func:`_two_phase` otherwise; an infeasible
-    reduced phase 1 is solved again on the full system, so infeasibility
-    certificates always name original rows.  The bases of a feasible cold solve replace those in
-    ``warm`` once its vectors pass; without ``warm`` they are kept nowhere.
+    reduced phase 1 is solved again on every row and column, so
+    infeasibility certificates always name original rows.  The bases of a
+    feasible cold solve replace those in ``warm`` once its vectors pass;
+    without ``warm`` they are kept nowhere.
     """
     warm = _WarmStart() if warm is None else warm
     if marginals is not None:
         coupled = _couple(constraints, objectives, *marginals)
         try:
-            solved = _two_phase(coupled, coupled.objectives)
+            solved = _two_phase(coupled, coupled.objectives, coupled.start)
             if solved[0].status == "feasible":
                 return _postsolve(constraints, objectives, coupled.lift, solved)
         except SolverFailureError:
             pass  # lost precision, or a vector off an original row: the full LP decides
     if isinstance(constraints, FactoredExogeneity):
         constraints = constraints.full()
-    system, keep = _presolve(constraints, warm.system)
+    system = _presolve(constraints)
+    whole = system.A is constraints.A
 
     def certified(solved):
-        result = _postsolve(constraints, objectives, partial(_scattered, keep), solved)
+        result = _postsolve(constraints, objectives, partial(_scattered, system.keep), solved)
         if solved[2] is not None:
-            warm.store(system, keep, solved[2])
+            warm.store(constraints, system, solved[2])
         return result
 
-    reduced = objectives if system is constraints else [(objective[keep], sense) for objective, sense in objectives]
-    solved = warm.resolve(system, keep, reduced, constraints)
+    reduced = objectives if whole else [(objective[system.keep], sense) for objective, sense in objectives]
+    solved = warm.resolve(constraints, system, reduced)
     if solved is not None:
         try:
             return certified(solved)
         except SolverFailureError:
             pass  # a warm witness off its certificate: solve cold
     solved = _two_phase(system, reduced)
-    if solved[0].status == "infeasible" and system is not constraints:
-        system, keep = constraints, np.ones_like(keep)
+    if solved[0].status == "infeasible" and not whole:
+        system = _Rows.whole(constraints)
         solved = _two_phase(system, objectives)
     return certified(solved)
 

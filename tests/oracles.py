@@ -466,16 +466,16 @@ def simulation_tables(truth, n: int, reps: int, seed: int, want_exp: bool, want_
         yield exp, obs
 
 
-def reference_presolve(constraints: ConstraintSet, like=None):
+def reference_presolve(constraints: ConstraintSet):
     """The presolve as it was written first: every row's base-row test and
     smallest coefficient read up front, then the exits in the order the
-    reduction meets them.  Returns what ``simplex._presolve`` does: the
-    system and an all-True mask when nothing reduces, else the reduced rows
-    (sharing ``like``'s arrays when ``like`` was reduced by the same masks
-    from the same ``A``) and the mask of the kept columns."""
+    reduction meets them.  Returns what ``simplex._presolve`` does: every
+    row and column over the system's own arrays when nothing reduces, else
+    the reduced rows with the masks of the rows and columns they keep."""
     A, rhs, kind = constraints.A, constraints.rhs, constraints.kind
     ones, le, low = (kind == "eq") & (A == 1.0).all(axis=1), kind == "le", A.min(axis=1)
-    full = constraints, np.ones(A.shape[1], dtype=bool)
+    full = _Rows(A, rhs, kind, constraints.provenance, np.ones(len(constraints), dtype=bool),
+                 np.ones(A.shape[1], dtype=bool))
     if not (ones & (rhs == 1.0)).any():
         return full
     forcing = le & (rhs == low)
@@ -487,11 +487,8 @@ def reference_presolve(constraints: ConstraintSet, like=None):
     if (empty & np.where(le, rhs < 0.0, rhs != 0.0)).any():
         return full
     rows = ~(forcing | empty)
-    same = isinstance(like, _Rows) and like.origin is A
-    if same and np.array_equal(like.rows, rows) and np.array_equal(like.keep, keep):
-        return _Rows(like.A, rhs[rows], like.kind, like.provenance, A, rows, keep), keep
     provenance = tuple(tag for tag, kept in zip(constraints.provenance, rows) if kept)
-    return _Rows(sub[rows], rhs[rows], kind[rows], provenance, A, rows, keep), keep
+    return _Rows(sub[rows], rhs[rows], kind[rows], provenance, rows, keep)
 
 
 def rare_arm_tables(d_x, d_y, seed, alpha, px=None):

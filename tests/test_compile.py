@@ -323,8 +323,7 @@ def test_a_bound_checks_each_part_once_and_not_their_merge(truth_a, monkeypatch,
     # again; the exogeneity block once per bound() that solves the full LP,
     # and not at all in a q-form bound(); the merged system and its relaxed
     # copy under slack not at all
-    for block in (pb.compile_base, compile._experimental_rows, compile._observational_rows,
-                  compile._no_monotone_rows):
+    for block in (pb.compile_base, compile._experimental_rows, compile._observational_rows):
         block.cache_clear()
     bounds._STRUCTURES.clear()
     checked, honest = [], ConstraintSet._check
@@ -362,9 +361,8 @@ def test_the_data_free_blocks_are_built_once_per_dims_and_read_only(d):
             block.A[0, 0] = 2.0
     assert compile._exogeneity_groups(dims) is compile._exogeneity_groups(pb.Dims(*d))
     assert not any(arr.flags.writeable for arr in compile._exogeneity_groups(dims))
-    # a set with no monotone term shares one empty part per dims
+    # a set with no monotone term has an empty part
     empty = pb.compile_monotonicity(dims, pb.AssumptionSet())
-    assert empty is pb.compile_monotonicity(pb.Dims(*d), pb.AssumptionSet().with_exogeneity())
     assert len(empty) == 0 and empty.A.shape == (0, dims.param_count()) and not empty.A.flags.writeable
     # a compiled part shares its block's rows and adds only the table's right-hand side
     for part, block in ((pb.compile_experimental(dims, uniform_exp(dims)), blocks(dims)[1]),
@@ -433,12 +431,14 @@ def test_structure_filled_with_other_tables_matches_reference(d):
     for first, case in zip(firsts, cases):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # the degenerate arm warns
-            before, _, _ = bounds._system(dims, first.get("exp"), first.get("obs"), first["assumptions"],
-                                          first.get("slack"))
-            structure, system, marginals = bounds._system(dims, case.get("exp"), case.get("obs"),
-                                                          case["assumptions"], case.get("slack"))
+            bounds._system(dims, first.get("exp"), first.get("obs"), first["assumptions"], first.get("slack"))
+            before = bounds._structure(dims, "exp" in first, "obs" in first, "slack" in first, first["assumptions"])
+            count = len(bounds._STRUCTURES)
+            system, marginals = bounds._system(dims, case.get("exp"), case.get("obs"), case["assumptions"],
+                                               case.get("slack"))
             cs = system if marginals is None else system.full()
-        assert structure is before
+        structure = bounds._structure(dims, "exp" in case, "obs" in case, "slack" in case, case["assumptions"])
+        assert structure is before and len(bounds._STRUCTURES) == count
         assert_matches_reference(cs, dims, case)
         if not case["assumptions"].exogeneity:
             assert cs.A is structure.rows.A and cs.kind is structure.rows.kind

@@ -193,22 +193,27 @@ def tiny(rows, rhs, kind, provenance):
     return ConstraintSet(pb.Dims(2, 2), A, [1.0, *rhs], ["eq", *kind], ["base-sum", *provenance])
 
 
+def ray_on_every_row(cs, ray):
+    """:func:`simplex._farkas` of ``ray`` over every row of ``cs``, none presolved away."""
+    return simplex._farkas(cs, simplex._Rows.whole(cs), np.array(ray))
+
+
 def test_the_ray_check_on_the_original_rows():
     # sum(p) = 1 and sum(p) >= 1.5 contradict each other: y = (1, 1) proves it
     cs = tiny([[(j, -1.0) for j in range(8)]], [-1.5], ["le"], ["monotone(0,lower)"])
-    assert simplex._farkas(cs, cs, np.array([1.0, 1.0])) == ("base-sum", "monotone(0,lower)")
-    assert simplex._farkas(cs, cs, np.array([3e5, 3e5])) == ("base-sum", "monotone(0,lower)")
+    assert ray_on_every_row(cs, [1.0, 1.0]) == ("base-sum", "monotone(0,lower)")
+    assert ray_on_every_row(cs, [3e5, 3e5]) == ("base-sum", "monotone(0,lower)")
     # on the simplex the le row alone is infeasible: the base row's
     # multiplier lifts y = (0, 1) to (1, 1), and the tags name it
-    assert simplex._farkas(cs, cs, np.array([0.0, 1.0])) == ("base-sum", "monotone(0,lower)")
+    assert ray_on_every_row(cs, [0.0, 1.0]) == ("base-sum", "monotone(0,lower)")
     for ray in ([-1.0, -1.0], [1.0, 0.0], [0.0, 0.0], [np.nan, 1.0]):
-        assert simplex._farkas(cs, cs, np.array(ray)) is None, ray
+        assert ray_on_every_row(cs, ray) is None, ray
     upper = tiny([[(j, 1.0) for j in range(8)]], [0.5], ["le"], ["monotone(0,upper)"])
-    assert simplex._farkas(upper, upper, np.array([-1.0, 1.0])) == ("base-sum", "monotone(0,upper)")
+    assert ray_on_every_row(upper, [-1.0, 1.0]) == ("base-sum", "monotone(0,upper)")
     # sum(p) = 1 and p_0 <= 2 are feasible: y = (1, -1) passes every column
     # of A and has yᵀrhs = -1, but an le row takes no negative multiplier
     loose = tiny([[(0, 1.0)]], [2.0], ["le"], ["monotone(0,upper)"])
-    assert simplex._farkas(loose, loose, np.array([1.0, -1.0])) is None
+    assert ray_on_every_row(loose, [1.0, -1.0]) is None
 
 
 def test_the_ray_check_leaves_the_tolerance_to_a_feasible_point():
@@ -216,14 +221,14 @@ def test_the_ray_check_leaves_the_tolerance_to_a_feasible_point():
     # cold phase 1 accepts a residue of 1e-9, so only t >= FEAS_TOL is proved
     for t, proved in ((1e-9, False), (5e-9, False), (2e-8, True)):
         cs = tiny([[(j, -1.0) for j in range(8)]], [-(1.0 + t)], ["le"], ["monotone(0,lower)"])
-        assert (simplex._farkas(cs, cs, np.array([0.0, 1.0])) is not None) == proved, t
-        assert (simplex._farkas(cs, cs, np.array([1.0, 1.0])) is not None) == proved, t
+        assert (ray_on_every_row(cs, [0.0, 1.0]) is not None) == proved, t
+        assert (ray_on_every_row(cs, [1.0, 1.0]) is not None) == proved, t
     # without a base row p is not bounded, and only yᵀA >= 0 proves anything
     free = ConstraintSet(pb.Dims(2, 2), -np.ones((1, 8)), [-1.5], ["le"], ["monotone(0,lower)"])
-    assert simplex._farkas(free, free, np.array([1.0])) is None
+    assert ray_on_every_row(free, [1.0]) is None
     both = ConstraintSet(pb.Dims(2, 2), np.vstack([-np.ones(8), np.ones(8)]), [-1.5, 1.0], ["le", "le"],
                          ["monotone(0,lower)", "monotone(0,upper)"])
-    assert simplex._farkas(both, both, np.array([1.0, 1.0])) == ("monotone(0,lower)", "monotone(0,upper)")
+    assert ray_on_every_row(both, [1.0, 1.0]) == ("monotone(0,lower)", "monotone(0,upper)")
 
 
 def test_a_reduced_ray_that_leans_on_a_dropped_column_proves_nothing():
@@ -233,8 +238,8 @@ def test_a_reduced_ray_that_leans_on_a_dropped_column_proves_nothing():
     # dropped forcing row makes the ray valid on the original rows
     cs = tiny([[(j, 1.0) for j in range(4, 8)], [(0, 1.0), (1, 1.0), (2, 1.0), (3, 1.0), (4, 2.0)]],
               [0.0, 1.5], ["le", "eq"], ["monotone(0,upper)", "experimental(0,0)"])
-    reduced, keep = simplex._presolve(cs)
-    assert reduced is not cs and keep.tolist() == [True] * 4 + [False] * 4
+    reduced = simplex._presolve(cs)
+    assert reduced.A is not cs.A and reduced.keep.tolist() == [True] * 4 + [False] * 4
     assert reduced.provenance == ("base-sum", "experimental(0,0)")
     assert simplex._farkas(cs, reduced, np.array([1.0, -1.0])) is None
-    assert simplex._farkas(cs, cs, np.array([1.0, 3.0, -1.0])) == ("base-sum", "monotone(0,upper)", "experimental(0,0)")
+    assert ray_on_every_row(cs, [1.0, 3.0, -1.0]) == ("base-sum", "monotone(0,upper)", "experimental(0,0)")

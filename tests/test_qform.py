@@ -90,25 +90,58 @@ def test_the_q_form_equals_the_full_lp_and_highs(case, coupled):
     assert abs(res.lower - ref[0]) <= 1e-9 and abs(res.upper - ref[1]) <= 1e-9
 
 
-def test_an_objective_per_arm_where_it_is_nonzero():
-    # an outcome-only objective is one objective over q; one that depends on
-    # the arm is one per arm where it is nonzero, the others taking the
-    # phase-1 coupling
+def test_an_objective_per_arm_group_where_it_is_nonzero():
+    # an outcome-only objective is one group, and one objective over q; one
+    # that depends on the arm is one per group of arms with equal columns
+    # where it is nonzero, the zero group taking the phase-1 coupling
     dims = pb.Dims(3, 3)
     exp, obs = tables(3, 3, 7)
     cs = pb.assemble_constraints(dims, exp=exp, obs=obs, assumptions=pb.AssumptionSet().with_exogeneity(True))
     px, m = obs.x_marginal(), obs.table / obs.x_marginal()[:, None]
     event = pb.collapse_to_objective(query(dims, "event"), dims)
-    assert len(simplex._couple(cs, [(event, "minimize"), (event, "maximize")], px, m).objectives) == 2
+    coupled = simplex._couple(cs, [(event, "minimize"), (event, "maximize")], px, m)
+    assert len(coupled.objectives) == 2 and [arms.tolist() for arms in coupled.plan] == [[0, 0, 0], [1, 1, 1]]
     per_arm = event.reshape(-1, 3) * np.array([1.0, 0.0, 2.0])
     coupled = simplex._couple(cs, [(per_arm.reshape(-1), "maximize")], px, m)
-    assert [arms.tolist() for _, arms in coupled.plan[0]] == [[True, False, False], [False, False, True]]
+    assert [arms.tolist() for arms in coupled.plan] == [[0, -1, 1]]
     phase1, solutions = simplex._solve(cs, [(per_arm.reshape(-1), "maximize")], marginals=(px, m))
     q1 = phase1.witness.reshape(-1, 3)[:, 1] / px[1]
     witness = solutions[0].witness.reshape(-1, 3)
     np.testing.assert_allclose(witness[:, 1] / px[1], q1, atol=1e-15)  # the zero arm keeps the phase-1 coupling
     full = simplex._two_phase(cs, [(per_arm.reshape(-1), "maximize")])[1][0]
     assert abs(solutions[0].value - full.value) <= 1e-9
+
+
+@pytest.mark.parametrize("d_y", [2, 3])
+def test_arms_with_one_nonzero_column_share_one_objective(d_y, coupled):
+    # a raw query whose arms 0 and 2 carry the same random column and arm 1
+    # none: one objective over q per sense, gathered onto arms 0 and 2, and
+    # arm 1 keeps the phase-1 coupling
+    dims = pb.Dims(3, d_y)
+    exp, obs = tables(3, d_y, 80 + d_y)
+    column = np.random.default_rng(d_y).normal(size=(d_y,) * 3)
+    coeff = np.zeros(dims.full_shape())  # indexed [y_0, y_1, y_2, x, y]
+    coeff[..., 0, :] = coeff[..., 2, :] = column[..., None]
+    q = pb.QuerySpec(coeff)
+    args = dict(exp=exp, obs=obs, assumptions=pb.AssumptionSet().with_exogeneity())
+    res = pb.bound(dims, q, **args)
+    assert coupled == [2] and res.status == "ok"
+    cs = pb.assemble_constraints(dims, **args)
+    plan = couplings_of(dims, obs, q, cs)
+    assert len(plan.objectives) == 2 and [arms.tolist() for arms in plan.plan] == [[0, -1, 0], [1, -1, 1]]
+    np.testing.assert_array_equal(plan.objectives[0][0], column.reshape(-1))
+    c = objective(q, dims, obs)
+    px, m = obs.x_marginal(), obs.table / obs.x_marginal()[:, None]
+    phase1, _ = simplex._solve(cs, [(c, "minimize"), (c, "maximize")], marginals=(px, m))
+    for witness in (res.lower_witness, res.upper_witness):
+        np.testing.assert_array_equal(witness.reshape(-1, 3)[:, 1], phase1.witness.reshape(-1, 3)[:, 1])
+    _, full, _ = simplex._two_phase(cs, [(c, "minimize"), (c, "maximize")])
+    assert abs(res.lower - full[0].value) <= 1e-9 and abs(res.upper - full[1].value) <= 1e-9
+    highs = tool("stress").highs_solver()
+    if highs is None:
+        pytest.skip("scipy does not import")
+    ref = highs(cs, c)
+    assert abs(res.lower - ref[0]) <= 1e-9 and abs(res.upper - ref[1]) <= 1e-9
 
 
 def test_the_same_inputs_give_the_same_bytes():
@@ -123,15 +156,15 @@ def test_the_structure_records_the_marginals_of_its_tables():
     dims = pb.Dims(3, 3)
     exp, obs = tables(3, 3, 16)
     exogenous = pb.AssumptionSet().with_exogeneity()
-    px, m = bounds._system(dims, exp, obs, exogenous, None)[2]
+    px, m = bounds._system(dims, exp, obs, exogenous, None)[1]
     assert px.tobytes() == obs.x_marginal().tobytes() and m.tobytes() == (obs.table / px[:, None]).tobytes()
     for gap, kept in ((0.5e-9, True), (2e-9, False)):
         table = m.copy()
         table[0] += [-gap, gap, 0.0]
         close = pb.ExperimentalMarginals(table)
-        assert (bounds._system(dims, close, obs, exogenous, None)[2] is not None) == kept
-    assert bounds._system(dims, None, obs, exogenous, None)[2] is not None
-    assert bounds._system(dims, exp, obs, pb.AssumptionSet(), None)[2] is None
+        assert (bounds._system(dims, close, obs, exogenous, None)[1] is not None) == kept
+    assert bounds._system(dims, None, obs, exogenous, None)[1] is not None
+    assert bounds._system(dims, exp, obs, pb.AssumptionSet(), None)[1] is None
 
 
 def mismatch():
@@ -198,20 +231,20 @@ def forged_lift(self, phase1, solutions):
     return point, [pb.LpSolution(s.status, None, s.witness + 1e-6, s.iterations) for s in lifted]
 
 
-def forged_two_phase(system, objectives):
+def forged_two_phase(system, objectives, start=None):
     if isinstance(system, simplex._Couplings):
         raise pb.SolverFailureError("objective rose to 1 at pivot 1, above its start 0")
-    return honest_two_phase(system, objectives)
+    return honest_two_phase(system, objectives, start)
 
 
-def forged_infeasible(system, objectives):
+def forged_infeasible(system, objectives, start=None):
     if isinstance(system, simplex._Couplings):
         return pb.LpSolution("infeasible", None, None, 0, ("base-sum",)), [], None
-    return honest_two_phase(system, objectives)
+    return honest_two_phase(system, objectives, start)
 
 
-def forged_unbounded(system, objectives):
-    phase1, solutions, bases = honest_two_phase(system, objectives)
+def forged_unbounded(system, objectives, start=None):
+    phase1, solutions, bases = honest_two_phase(system, objectives, start)
     if isinstance(system, simplex._Couplings):
         solutions = [pb.LpSolution("unbounded", None, None, s.iterations) for s in solutions]
     return phase1, solutions, bases
@@ -463,12 +496,12 @@ def test_a_constant_objective_reads_no_arm_and_keeps_its_one_point_interval(coup
 
 # bound() of a raw query with a random coefficient on every cell, and the
 # SHA-256 of its q-form's arrays, which are as they were before the q-form
-# was projected on the arms its objective reads
+# was projected on the arms its objective reads, and of its plan of arm groups
 RAW = {
-    (4, 3, 21): ("35f01c17c41a06d47c837903457a3367cfd244dfbddca291d21097bbf600fba5",
+    (4, 3, 21): ("ee030f339b5ffb9532d0cd7b34731b39062f88b2decbffb76738b2e237e22138",
                  (("-0x1.50778994f497ep+0", "948db0be5c7e4a70329c5ab29ab66abaac8f50e0fd36ca05e3cbf45dac478573"),
                   ("0x1.46566cd748506p+0", "3660c82fef3e21ef30e656a1b110e58cdc01dcf1d22e827439b7d9b9df7470d1"))),
-    (3, 4, 22): ("79db52914c805a0e60901f1849ec9da2f5205310e84eeec517691b865c29ddc1",
+    (3, 4, 22): ("84116da3f0e6022540a33f7afd15ec6c5e12652cfbe5236b8c1375d8443d6dad",
                  (("-0x1.465975a3c97eep+0", "b3d8fff28f0652f45bec474d22631d819a902ea654946e07a0a7843cdb7db9dd"),
                   ("0x1.4bc573738951fp+0", "2a21e59f5c24380839a77798e5e90b96069cbcd14e91a5448cb4ef060244203b"))),
 }
@@ -489,7 +522,7 @@ def test_a_query_on_every_arm_keeps_the_q_form_over_every_outcome_vector(case):
     for arr in (coupled.A, coupled.rhs, coupled.kind, coupled.start) + tuple(c for c, _ in coupled.objectives):
         digest_of.update(np.ascontiguousarray(arr).tobytes())
     digest_of.update(repr(coupled.provenance).encode())
-    digest_of.update(repr([[(i, arms.tolist()) for i, arms in parts] for parts in coupled.plan]).encode())
+    digest_of.update(repr([arms.tolist() for arms in coupled.plan]).encode())
     assert (digest_of.hexdigest(), digest(pb.bound(dims, q, **args))) == RAW[case]
 
 

@@ -138,7 +138,7 @@ def test_a_drifted_tableau_is_refused_by_the_fresh_dual_check(truth_a, monkeypat
     _, highest = warm.bases.tableaux
     forged = highest.copy()
     forged.T[:-1, np.setdiff1d(np.arange(forged.T.shape[1] - 1), forged.basis)] = 0.0
-    costs = pb.collapse_to_objective(query, dims)[warm.keep]
+    costs = pb.collapse_to_objective(query, dims)[warm.system.keep]
     priced = forged.copy()
     priced.set_costs(costs)
     assert not (priced.T[-1, :-1] < -simplex.PIVOT_TOL).any()

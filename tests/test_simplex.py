@@ -80,7 +80,7 @@ def test_witness_feasibility(truth_a):
         dims, exp=truth_a.po_marginals(), obs=truth_a.xy_marginal(), assumptions=pb.preset("mtr", dims)
     )
     # the mtr row forces columns to zero, so bound() and solve() both run the presolve
-    assert simplex._presolve(cs)[0] is not cs
+    assert simplex._presolve(cs).A is not cs.A
     query = pb.build_event_query(dims, {0: 0, 1: 0, 2: 1})
     obj = pb.collapse_to_objective(query, dims)
     res = pb.bound(

@@ -90,9 +90,10 @@ def test_cached_structures_are_read_only_and_shared():
     exp, obs = tables(bounding_truth())
     bounds._STRUCTURES.clear()
     mtr = pb.preset("mtr", DIMS)
-    structure, cs, _ = bounds._system(DIMS, exp, obs, mtr, None)
-    again, other, _ = bounds._system(DIMS, *tables(mite_truth()), mtr, None)
-    assert again is structure and list(bounds._STRUCTURES.values()) == [structure]
+    cs, _ = bounds._system(DIMS, exp, obs, mtr, None)
+    structure = bounds._structure(DIMS, True, True, False, mtr)
+    other, _ = bounds._system(DIMS, *tables(mite_truth()), mtr, None)
+    assert list(bounds._STRUCTURES.values()) == [structure]
     assert cs.A is other.A is structure.rows.A and cs.kind is other.kind is structure.rows.kind
     for arr in (structure.rows.A, structure.rows.rhs, structure.rows.kind, cs.rhs):
         assert not arr.flags.writeable
@@ -116,8 +117,8 @@ SUMMARIES = {
 def test_replicates_keep_their_bytes_and_share_one_coefficient_matrix(call, preset, monkeypatch):
     seen, honest = [], simplex._WarmStart.fits
 
-    def fits(self, system, keep, count):
-        seen.append((system.A, honest(self, system, keep, count)))
+    def fits(self, constraints, system, count):
+        seen.append((constraints.A, honest(self, constraints, system, count)))
         return seen[-1][1]
 
     monkeypatch.setattr(simplex._WarmStart, "fits", fits)

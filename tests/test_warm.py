@@ -4,6 +4,7 @@ simplex pivots.  Every replicate's endpoints must equal a cold ``bound()`` on
 the same tables, the exclusions must be the cold ones, and only replicates the
 warm start cannot serve may run phase 1."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -12,6 +13,8 @@ import pytest
 import pobounds as pb
 from pobounds import bounds, compile, simplex
 from pobounds.model import cell_grid
+
+from test_farkas import tiny
 
 DIMS = pb.Dims(3, 3)
 N = 300
@@ -149,12 +152,43 @@ def test_a_stored_basis_serves_only_its_own_system():
     system = pb.assemble_constraints(DIMS, obs=pb.ObservationalJoint(np.full((3, 3), 1 / 9)))
     objective = pb.collapse_to_objective(pb.build_event_query(DIMS, {0: 0}), DIMS)
     simplex._solve(system, [(objective, "minimize")], warm)
-    everything = np.ones(DIMS.param_count(), dtype=bool)
-    one_dropped = everything.copy()
+    everything = simplex._Rows.whole(system)
+    one_dropped = everything.keep.copy()
     one_dropped[0] = False
     assert warm.fits(system, everything, 1)
-    assert not warm.fits(system, one_dropped, 1)
+    assert not warm.fits(system, dataclasses.replace(everything, keep=one_dropped), 1)
     assert not warm.fits(system, everything, 2)
+
+
+def test_a_presolve_with_the_same_columns_but_other_rows_is_not_served(monkeypatch):
+    # two lower rows over cells 0..3 of a 2x2 model, on one A: whichever is
+    # tight forces cells 4..7 to zero and leaves, and the other stays, so
+    # the two replicates keep the same columns but other rows
+    rows = [[(j, -1.0) for j in range(4)], [(j, -2.0) for j in range(4)], [(0, 1.0), (1, 1.0)]]
+    first = tiny(rows, [-1.0, -1.2, 0.4], ["le", "le", "eq"], ["monotone(0,lower)", "monotone(1,lower)", "row(0,1)"])
+    second = first.with_rhs([1.0, -0.5, -2.0, 0.4])
+    a, b = simplex._presolve(first), simplex._presolve(second)
+    assert a.keep.tolist() == b.keep.tolist() == [True] * 4 + [False] * 4
+    assert a.rows.tolist() == [True, False, True, True] and b.rows.tolist() == [True, True, False, True]
+    objective = np.arange(8.0)
+    objectives = [(objective, "minimize"), (objective, "maximize")]
+    warm = simplex._WarmStart()
+    simplex._solve(first, objectives, warm)
+    assert warm.fits(first, simplex._presolve(first.with_rhs(first.rhs)), 2)
+    assert not warm.fits(second, b, 2)
+    served, honest = [], simplex._WarmStart.resolve
+
+    def resolve(self, *args):
+        solved = honest(self, *args)
+        served.append(solved is not None)
+        return solved
+
+    monkeypatch.setattr(simplex._WarmStart, "resolve", resolve)
+    got = simplex._solve(second, objectives, warm)[1]
+    assert served == [False]
+    want = simplex._solve(second, objectives)[1]
+    assert [(s.value, s.witness.tobytes()) for s in got] == [(s.value, s.witness.tobytes()) for s in want]
+    assert [s.value for s in got] == pytest.approx([1.2, 2.2], abs=1e-12)
 
 
 @pytest.mark.parametrize("call", ["bootstrap", "simulation_study"])
