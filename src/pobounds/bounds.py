@@ -3,13 +3,15 @@
 The rows that hold no table entry are compiled once per shape and shared
 by every bound of that shape (:func:`_structure`): each ``bound()`` and
 each replicate of a bootstrap or simulation only validates its tables and
-writes the right-hand side.  Under exogeneity the rows are handed to the
-solver with the exogeneity block kept factored, and it is compiled only
-when the full LP runs.
+writes the right-hand side.  Where the q-form applies the rows are handed
+to the solver with the exogeneity block kept factored, and the block is
+compiled only if the full LP runs (:func:`_system`).
 """
 
 from __future__ import annotations
 
+import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,8 +123,6 @@ class _Structure:
         if slack is None:
             rhs[self.upper] = data
         else:
-            if not np.isfinite(slack) or slack < 0:
-                raise ConfigError(f"slack must be a finite nonnegative number, got {slack}")
             rhs[self.upper] = data + slack
             rhs[self.lower] = -(data - slack)
         rhs[rhs.size - len(self.sides) :] = monotone_rhs(terms, self.sides)
@@ -161,17 +161,21 @@ def _system(
     obs: ObservationalJoint | None,
     assumptions: AssumptionSet | None,
     slack: float | None,
-) -> tuple[ConstraintSet | FactoredExogeneity, tuple[np.ndarray, np.ndarray] | None]:
-    """The rows of these inputs, and the marginals of the q-form when it
-    applies (see :func:`simplex._couple`), else ``None``.
+) -> ConstraintSet | FactoredExogeneity:
+    """The rows of these inputs, whose type is the one statement of whether
+    the q-form applies (see :func:`simplex._couple`): they are
+    :class:`FactoredExogeneity` exactly when it does, and a
+    :class:`ConstraintSet`, compiled in full, otherwise.
 
-    The tables are validated and written into the rows of their shape's
-    structure (:func:`_structure`).  Under exogeneity the rows are
-    :class:`FactoredExogeneity` when the q-form applies, and compiled in
-    full otherwise.  The q-form needs no monotone row, no ``slack``, every
-    ``P(X=l) > 0`` and, when ``exp`` is given, ``exp`` equal to the arm
-    marginals ``m[k] = P(Y=·|X=k)`` within ``SUM_TOL``: on a mismatch the
-    full LP finds the certificate."""
+    ``slack`` is checked first.  The tables are validated and written into
+    the rows of their shape's structure (:func:`_structure`).  The q-form
+    needs exogeneity, no monotone row, no ``slack``, every ``P(X=l) > 0``
+    and, when ``exp`` is given, ``exp`` equal to the arm marginals
+    ``m[k] = P(Y=·|X=k)`` within ``SUM_TOL``: on a mismatch the full LP
+    finds the certificate."""
+    if slack is not None and (isinstance(slack, (bool, np.bool_)) or not isinstance(slack, numbers.Real)
+                              or not 0.0 <= slack <= sys.float_info.max):
+        raise ConfigError(f"slack must be a finite nonnegative number, got {slack}")
     assumptions = assumptions or AssumptionSet()
     if exp is None and obs is None:
         raise ConfigError("need at least one of experimental or observational data")
@@ -187,15 +191,13 @@ def _system(
     structure = _structure(dims, exp is not None, obs is not None, slack is not None, assumptions)
     cs = structure.fill(np.concatenate(data), assumptions.terms, slack)
     if not assumptions.exogeneity:
-        return cs, None
+        return cs
     exogenous = FactoredExogeneity(cs, len(cs) - len(structure.sides), obs)
-    if slack is None and not structure.sides:
-        px = obs.x_marginal()
-        if (px > 0.0).all():
-            m = obs.table / px[:, None]
-            if exp is None or (np.abs(exp.table - m) <= SUM_TOL).all():
-                return exogenous, (px, m)
-    return exogenous.full(), None
+    px = obs.x_marginal()
+    if slack is None and not structure.sides and (px > 0.0).all():
+        if exp is None or (np.abs(exp.table - obs.table / px[:, None]) <= SUM_TOL).all():
+            return exogenous
+    return exogenous.full()
 
 
 def assemble_constraints(
@@ -207,8 +209,8 @@ def assemble_constraints(
 ) -> ConstraintSet:
     """Base + whatever data is available + exogeneity + monotone rows, in
     that order, with each data row relaxed to a pair under ``slack``."""
-    system, marginals = _system(dims, exp, obs, assumptions, slack)
-    return system if marginals is None else system.full()
+    system = _system(dims, exp, obs, assumptions, slack)
+    return system.full() if isinstance(system, FactoredExogeneity) else system
 
 
 def bound(
@@ -241,12 +243,12 @@ def _bound(
     each of its replicates.  Without ``warm`` the solve is cold."""
     if query.condition is not None and obs is None:
         raise ConfigError("conditional queries need the observational table to bind the divisor")
-    system, marginals = _system(dims, exp, obs, assumptions, slack)
+    system = _system(dims, exp, obs, assumptions, slack)
     if query.condition is not None:
         objective = bind_condition(query, obs)
     else:
         objective = collapse_to_objective(query, dims)
-    phase1, solutions = simplex._solve(system, [(objective, "minimize"), (objective, "maximize")], warm, marginals)
+    phase1, solutions = simplex._solve(system, [(objective, "minimize"), (objective, "maximize")], warm)
     if phase1.status == "infeasible":
         return BoundResult("infeasible", diagnostics=phase1.certificate)
     lo, hi = solutions

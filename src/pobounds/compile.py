@@ -247,7 +247,9 @@ class FactoredExogeneity:
     :meth:`residuals` and :attr:`provenance` read as those of
     :meth:`full`, the exogeneity rows evaluated by
     :func:`exogeneity_residuals`; only :meth:`full` builds their dense
-    block."""
+    block.  ``bounds._system`` returns rows of this type exactly when the
+    q-form applies (see ``simplex._couple``, which reads ``P(X=l)`` and
+    the arm marginals from ``obs``), and :meth:`full` otherwise."""
 
     rows: ConstraintSet
     at: int

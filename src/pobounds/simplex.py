@@ -27,15 +27,15 @@ Every solve takes one path (:func:`_solve`): reduce, solve, lift, certify.
   no monotone row, each feasible vector is ``p(y, l) = P(X=l)·q_l(y)``,
   where every ``q_l`` is a coupling of the same arm marginals
   ``m_k = P(Y=·|X=k)`` (a Fréchet class; Balke & Pearl 1997, Rüschendorf
-  1991), and nothing else ties the ``q_l`` together.  The caller, which
-  knows the tables, passes ``P(X=l)`` and ``m``, and the rows as a
-  :class:`compile.FactoredExogeneity`, whose dense exogeneity block is
-  compiled only if the full LP runs.  :func:`_couple` states the q-form
-  over only the arms ``S`` the objectives read, those along which a
-  coefficient varies: two for an event or a moment, three for a
-  posterior effect.  It is one LP over the ``d_y^|S|`` outcome
-  vectors of those arms with the base row and ``|S|(d_y-1)`` 0/1 marginal
-  rows, where the full LP has ``d_x·d_y^d_x`` columns and ``d_x²·d_y``
+  1991), and nothing else ties the ``q_l`` together.  The rows come as a
+  :class:`compile.FactoredExogeneity` exactly when this holds (the caller,
+  which knows the tables, decides), its table gives ``P(X=l)`` and ``m``,
+  and its dense exogeneity block is compiled only if the full LP runs.
+  :func:`_couple` states the q-form over only the arms ``S`` the
+  objectives read, those along which a coefficient varies: two for an
+  event or a moment, three for a posterior effect.  It is one LP over the
+  ``d_y^|S|`` outcome vectors of those arms with the base row and
+  ``|S|(d_y-1)`` 0/1 marginal rows, where the full LP has ``d_x·d_y^d_x`` columns and ``d_x²·d_y``
   exogeneity rows besides its data rows: 9 columns for an event at 5x3,
   against 243 over every arm and 1215 in the full LP.  The other arms may
   be coupled any way at all, so each coupling ``π`` of ``m[S]`` is glued
@@ -68,10 +68,12 @@ Every solve takes one path (:func:`_solve`): reduce, solve, lift, certify.
   doubt sends the solve to the cold two phases of :func:`_two_phase`, and
   an infeasible reduced phase 1 to the full LP, whose certificate names
   the original rows.
-* Lift and certify.  Each distinct vector is taken back to the cells,
-  scattered through the presolve's mask or glued and spread over the
-  arms as ``P(X=l)·q_l``; its value is the objective over the full
-  vector, and it must satisfy the original rows (:func:`_postsolve`).
+* Lift and certify.  Each reduction lifts its own vectors back to the
+  cells (:meth:`_Rows.lift` scatters them through the presolve's mask,
+  :meth:`_Couplings.lift` glues them and spreads them over the arms as
+  ``P(X=l)·q_l``); a vector's value is the objective over the full
+  vector, and it must satisfy the original rows (:func:`_postsolve`),
+  which then keeps the bases of a warm-startable solve.
   Every kept row is an original row restricted to the kept columns and
   the lifted vector is zero elsewhere, so this one check covers the
   reduced system too, and it checks the q-form's lift against every data
@@ -84,8 +86,8 @@ Every solve takes one path (:func:`_solve`): reduce, solve, lift, certify.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, partial
-from typing import Callable, Sequence
+from functools import cache
+from typing import Sequence
 
 import numpy as np
 
@@ -128,7 +130,7 @@ class LpProblem:
 
 @dataclass(frozen=True)
 class LpSolution:
-    status: str  # "optimal" | "infeasible" | "unbounded"
+    status: str  # "optimal" | "infeasible" | "unbounded", or "feasible" for a phase-1 outcome
     value: float | None
     witness: np.ndarray | None
     iterations: int
@@ -140,7 +142,7 @@ class _Rows:
     """The system a presolve leaves: the arrays of a :class:`ConstraintSet`
     without its ``dims``, so that ``A`` may have fewer columns than the model
     has parameters, with the masks of the original ``rows`` and columns
-    (``keep``) it kept."""
+    (``keep``) it kept, and what lifts a solve of it (:meth:`lift`)."""
 
     A: np.ndarray
     rhs: np.ndarray
@@ -154,6 +156,16 @@ class _Rows:
         """Every row and column of ``constraints``, over its own arrays."""
         return cls(constraints.A, constraints.rhs, constraints.kind, constraints.provenance,
                    np.ones(len(constraints), dtype=bool), np.ones(constraints.A.shape[1], dtype=bool))
+
+    def lift(self, phase1: LpSolution, solutions: list[LpSolution]) -> tuple[np.ndarray, list[LpSolution]]:
+        """Each vector scattered through ``keep`` (:func:`_lift`; see
+        :func:`_postsolve`); a witness that is the phase-1 point stays that point."""
+        point = _lift(phase1.witness, self.keep)
+        return point, [
+            LpSolution(sol.status, None, point if sol.witness is phase1.witness else _lift(sol.witness, self.keep),
+                       sol.iterations) if sol.status == "optimal" else sol
+            for sol in solutions
+        ]
 
 
 def _standard_form(constraints: ConstraintSet | _Rows | _Couplings) -> np.ndarray:
@@ -446,17 +458,6 @@ def _lift(x: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return full
 
 
-def _scattered(keep: np.ndarray, phase1: LpSolution, solutions: list[LpSolution]) -> tuple[np.ndarray, list[LpSolution]]:
-    """The presolve's lift (see :func:`_postsolve`): each vector scattered
-    through ``keep``; a witness that is the phase-1 point stays that point."""
-    point = _lift(phase1.witness, keep)
-    return point, [
-        LpSolution(sol.status, None, point if sol.witness is phase1.witness else _lift(sol.witness, keep),
-                   sol.iterations) if sol.status == "optimal" else sol
-        for sol in solutions
-    ]
-
-
 @cache
 def _coupling_rows(d_y: int, arms: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
     """``A``, ``kind`` and ``provenance`` of the q-form's rows over the outcome
@@ -556,15 +557,11 @@ class _Couplings:
         return (q[np.full(self.px.size, -1)].T * self.px).reshape(-1), lifted
 
 
-def _couple(
-    constraints: ConstraintSet | FactoredExogeneity,
-    objectives: Sequence[tuple[np.ndarray, str]],
-    px: np.ndarray,
-    m: np.ndarray,
-) -> _Couplings:
+def _couple(constraints: FactoredExogeneity, objectives: Sequence[tuple[np.ndarray, str]]) -> _Couplings:
     """The q-form of ``constraints``, an exogeneity system with no monotone
-    row over tables whose ``P(X=l)`` is ``px``, every entry positive, and
-    whose arm marginals ``P(Y=·|X=k)`` are the rows of ``m``.
+    row over an observational table whose ``P(X=l)``, ``px``, has every
+    entry positive, and whose arm marginals ``P(Y=·|X=k)`` are the rows of
+    ``m``; both are read from ``constraints.obs``.
 
     ``p(y, l) = P(X=l)·q_l(y)`` meets the original rows exactly when each
     ``q_l`` is a coupling of the arm marginals: it sums to one and has
@@ -587,6 +584,8 @@ def _couple(
     """
     d_x, d_y = constraints.dims.d_x, constraints.dims.d_y
     shape = (d_y,) * d_x
+    px = constraints.obs.x_marginal()
+    m = constraints.obs.table / px[:, None]
     distinct = {id(objective): objective for objective, _ in objectives}  # one array for both senses
     read = tuple(k for k in range(d_x) if any(_varies(c.reshape(d_y**k, d_y, -1)) for c in distinct.values()))
     rest = tuple(k for k in range(d_x) if k not in read)
@@ -793,19 +792,22 @@ class _WarmStart:
 def _postsolve(
     constraints: ConstraintSet | FactoredExogeneity,
     objectives: Sequence[tuple[np.ndarray, str]],
-    lift: Callable[[LpSolution, list[LpSolution]], tuple[np.ndarray, list[LpSolution]]],
+    system: _Rows | _Couplings,
     solved: tuple[LpSolution, list[LpSolution], _Bases | None],
+    warm: _WarmStart | None = None,
 ) -> tuple[LpSolution, list[LpSolution]]:
-    """``solved``, a solve of a reduced system, on the original rows.  For a
-    feasible solve ``lift`` takes the phase-1 point and the solutions to
-    full vectors, one solution per original objective, a witness that is
-    the phase-1 point being that very vector; each value is then
-    ``objective @ witness`` over the full vector, and each distinct vector
-    is certified against ``constraints`` once."""
-    phase1, solutions, _ = solved
+    """``solved``, a solve of ``system``, a reduction of ``constraints``, on
+    the original rows.  For a feasible solve ``system.lift`` takes the
+    phase-1 point and the solutions to full vectors, one solution per
+    original objective, a witness that is the phase-1 point being that very
+    vector; each value is then ``objective @ witness`` over the full vector,
+    and each distinct vector is certified against ``constraints`` once.
+    Once they pass, the bases of the solve, if any, replace those in
+    ``warm`` when it is given."""
+    phase1, solutions, bases = solved
     if phase1.status != "feasible":
         return phase1, solutions
-    point, solutions = lift(phase1, solutions)
+    point, solutions = system.lift(phase1, solutions)
     _certified(constraints, point, "phase-1 point")
     lifted = []
     for (objective, sense), sol in zip(objectives, solutions):
@@ -814,6 +816,8 @@ def _postsolve(
                 _certified(constraints, sol.witness, f"{sense} witness")
             sol = LpSolution("optimal", float(objective @ sol.witness), sol.witness, sol.iterations)
         lifted.append(sol)
+    if warm is not None and bases is not None:
+        warm.store(constraints, system, bases)
     return LpSolution("feasible", 0.0, point, phase1.iterations), lifted
 
 
@@ -821,57 +825,46 @@ def _solve(
     constraints: ConstraintSet | FactoredExogeneity,
     objectives: Sequence[tuple[np.ndarray, str]],
     warm: _WarmStart | None = None,
-    marginals: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[LpSolution, list[LpSolution]]:
     """Phase 1 and one solution per ``(objective, sense)`` on the original
     rows, through the one path of reduce, solve, lift and certify.
 
-    Given ``marginals``, ``P(X=l)`` and the arm marginals of an exogeneity
-    system with no monotone row (see :func:`_couple`), the q-form is solved
-    first; it stands if it is feasible and its lifted vectors pass
-    :func:`_postsolve`, and it stores no bases.  Its rows may be
-    :class:`FactoredExogeneity`, which certifies without the dense
-    exogeneity block; that block is compiled only here, for the full LP.
-    Otherwise the :class:`_Rows` that :func:`_presolve` leaves are solved
-    from the bases in ``warm`` if they fit and their witnesses pass
-    :func:`_postsolve`, and by :func:`_two_phase` otherwise; an infeasible
-    reduced phase 1 is solved again on every row and column, so
-    infeasibility certificates always name original rows.  The bases of a
-    feasible cold solve replace those in ``warm`` once its vectors pass;
-    without ``warm`` they are kept nowhere.
+    Rows held as :class:`FactoredExogeneity`, which the caller passes
+    exactly when the q-form applies (see :func:`_couple`), are solved over
+    couplings first; the q-form stands if it is feasible and its lifted
+    vectors pass :func:`_postsolve`, and it stores no bases.  Otherwise its
+    dense exogeneity block is compiled here, for the full LP.  The
+    :class:`_Rows` that :func:`_presolve` leaves are solved from the bases
+    in ``warm`` if they fit and their witnesses pass :func:`_postsolve`, and
+    by :func:`_two_phase` otherwise; an infeasible reduced phase 1 is
+    solved again on every row and column, so infeasibility certificates
+    always name original rows.  The bases of a feasible solve replace those
+    in ``warm`` once its vectors pass; without ``warm`` they are kept
+    nowhere.
     """
-    warm = _WarmStart() if warm is None else warm
-    if marginals is not None:
-        coupled = _couple(constraints, objectives, *marginals)
+    if isinstance(constraints, FactoredExogeneity):
+        coupled = _couple(constraints, objectives)
         try:
             solved = _two_phase(coupled, coupled.objectives, coupled.start)
             if solved[0].status == "feasible":
-                return _postsolve(constraints, objectives, coupled.lift, solved)
+                return _postsolve(constraints, objectives, coupled, solved)
         except SolverFailureError:
             pass  # lost precision, or a vector off an original row: the full LP decides
-    if isinstance(constraints, FactoredExogeneity):
         constraints = constraints.full()
     system = _presolve(constraints)
     whole = system.A is constraints.A
-
-    def certified(solved):
-        result = _postsolve(constraints, objectives, partial(_scattered, system.keep), solved)
-        if solved[2] is not None:
-            warm.store(constraints, system, solved[2])
-        return result
-
     reduced = objectives if whole else [(objective[system.keep], sense) for objective, sense in objectives]
-    solved = warm.resolve(constraints, system, reduced)
+    solved = None if warm is None else warm.resolve(constraints, system, reduced)
     if solved is not None:
         try:
-            return certified(solved)
+            return _postsolve(constraints, objectives, system, solved, warm)
         except SolverFailureError:
             pass  # a warm witness off its certificate: solve cold
     solved = _two_phase(system, reduced)
     if solved[0].status == "infeasible" and not whole:
         system = _Rows.whole(constraints)
         solved = _two_phase(system, objectives)
-    return certified(solved)
+    return _postsolve(constraints, objectives, system, solved, warm)
 
 
 def solve(problem: LpProblem) -> LpSolution:

@@ -135,7 +135,7 @@ def test_config_errors(truth_a, joint_po_query):
     conditional = pb.build_posterior_effect_query(dims, (1, 0), (2, 2))
     with pytest.raises(ConfigError):
         pb.bound(dims, conditional, exp=truth_a.po_marginals())
-    for eps in (-0.1, np.inf, np.nan):
+    for eps in (-0.1, np.inf, np.nan, True, "0.1"):
         with pytest.raises(ConfigError, match="slack"):
             pb.bound(dims, joint_po_query, obs=truth_a.xy_marginal(), slack=eps)
 

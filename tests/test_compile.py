@@ -434,9 +434,8 @@ def test_structure_filled_with_other_tables_matches_reference(d):
             bounds._system(dims, first.get("exp"), first.get("obs"), first["assumptions"], first.get("slack"))
             before = bounds._structure(dims, "exp" in first, "obs" in first, "slack" in first, first["assumptions"])
             count = len(bounds._STRUCTURES)
-            system, marginals = bounds._system(dims, case.get("exp"), case.get("obs"), case["assumptions"],
-                                               case.get("slack"))
-            cs = system if marginals is None else system.full()
+            system = bounds._system(dims, case.get("exp"), case.get("obs"), case["assumptions"], case.get("slack"))
+            cs = system.full() if isinstance(system, compile.FactoredExogeneity) else system
         structure = bounds._structure(dims, "exp" in case, "obs" in case, "slack" in case, case["assumptions"])
         assert structure is before and len(bounds._STRUCTURES) == count
         assert_matches_reference(cs, dims, case)

@@ -40,9 +40,9 @@ def coupled(monkeypatch):
     seen = []
     honest = simplex._couple
 
-    def couple(constraints, objectives, px, m):
+    def couple(constraints, objectives):
         seen.append(len(objectives))
-        return honest(constraints, objectives, px, m)
+        return honest(constraints, objectives)
 
     monkeypatch.setattr(simplex, "_couple", couple)
     return seen
@@ -97,14 +97,14 @@ def test_an_objective_per_arm_group_where_it_is_nonzero():
     dims = pb.Dims(3, 3)
     exp, obs = tables(3, 3, 7)
     cs = pb.assemble_constraints(dims, exp=exp, obs=obs, assumptions=pb.AssumptionSet().with_exogeneity(True))
-    px, m = obs.x_marginal(), obs.table / obs.x_marginal()[:, None]
+    rows, px = factored(dims, exp, obs), obs.x_marginal()
     event = pb.collapse_to_objective(query(dims, "event"), dims)
-    coupled = simplex._couple(cs, [(event, "minimize"), (event, "maximize")], px, m)
+    coupled = simplex._couple(rows, [(event, "minimize"), (event, "maximize")])
     assert len(coupled.objectives) == 2 and [arms.tolist() for arms in coupled.plan] == [[0, 0, 0], [1, 1, 1]]
     per_arm = event.reshape(-1, 3) * np.array([1.0, 0.0, 2.0])
-    coupled = simplex._couple(cs, [(per_arm.reshape(-1), "maximize")], px, m)
+    coupled = simplex._couple(rows, [(per_arm.reshape(-1), "maximize")])
     assert [arms.tolist() for arms in coupled.plan] == [[0, -1, 1]]
-    phase1, solutions = simplex._solve(cs, [(per_arm.reshape(-1), "maximize")], marginals=(px, m))
+    phase1, solutions = simplex._solve(rows, [(per_arm.reshape(-1), "maximize")])
     q1 = phase1.witness.reshape(-1, 3)[:, 1] / px[1]
     witness = solutions[0].witness.reshape(-1, 3)
     np.testing.assert_allclose(witness[:, 1] / px[1], q1, atol=1e-15)  # the zero arm keeps the phase-1 coupling
@@ -127,12 +127,11 @@ def test_arms_with_one_nonzero_column_share_one_objective(d_y, coupled):
     res = pb.bound(dims, q, **args)
     assert coupled == [2] and res.status == "ok"
     cs = pb.assemble_constraints(dims, **args)
-    plan = couplings_of(dims, obs, q, cs)
+    plan = couplings_of(dims, q, exp, obs)
     assert len(plan.objectives) == 2 and [arms.tolist() for arms in plan.plan] == [[0, -1, 0], [1, -1, 1]]
     np.testing.assert_array_equal(plan.objectives[0][0], column.reshape(-1))
     c = objective(q, dims, obs)
-    px, m = obs.x_marginal(), obs.table / obs.x_marginal()[:, None]
-    phase1, _ = simplex._solve(cs, [(c, "minimize"), (c, "maximize")], marginals=(px, m))
+    phase1, _ = simplex._solve(factored(dims, exp, obs), [(c, "minimize"), (c, "maximize")])
     for witness in (res.lower_witness, res.upper_witness):
         np.testing.assert_array_equal(witness.reshape(-1, 3)[:, 1], phase1.witness.reshape(-1, 3)[:, 1])
     _, full, _ = simplex._two_phase(cs, [(c, "minimize"), (c, "maximize")])
@@ -151,20 +150,29 @@ def test_the_same_inputs_give_the_same_bytes():
     assert digest(pb.bound(dims, query(dims, "moment"), **args)) == digest(pb.bound(dims, query(dims, "moment"), **args))
 
 
-def test_the_structure_records_the_marginals_of_its_tables():
-    # exp may differ from m = P(Y=.|X=k) by SUM_TOL, and not by more
+def test_the_rows_are_factored_exactly_where_the_q_form_applies():
+    # exp may differ from m = P(Y=.|X=k) by SUM_TOL, and not by more; no
+    # exogeneity, a monotone term, slack or a zero arm keeps the full rows
     dims = pb.Dims(3, 3)
     exp, obs = tables(3, 3, 16)
     exogenous = pb.AssumptionSet().with_exogeneity()
-    px, m = bounds._system(dims, exp, obs, exogenous, None)[1]
-    assert px.tobytes() == obs.x_marginal().tobytes() and m.tobytes() == (obs.table / px[:, None]).tobytes()
+    m = obs.table / obs.x_marginal()[:, None]
+
+    def rows(exp, obs, assumptions=exogenous, slack=None):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the zero arm warns
+            return type(bounds._system(dims, exp, obs, assumptions, slack))
+
     for gap, kept in ((0.5e-9, True), (2e-9, False)):
         table = m.copy()
         table[0] += [-gap, gap, 0.0]
-        close = pb.ExperimentalMarginals(table)
-        assert (bounds._system(dims, close, obs, exogenous, None)[1] is not None) == kept
-    assert bounds._system(dims, None, obs, exogenous, None)[1] is not None
-    assert bounds._system(dims, exp, obs, pb.AssumptionSet(), None)[1] is None
+        assert (rows(pb.ExperimentalMarginals(table), obs) is compile.FactoredExogeneity) == kept
+    assert rows(exp, obs) is rows(None, obs) is compile.FactoredExogeneity
+    assert rows(exp, obs, pb.AssumptionSet()) is pb.ConstraintSet
+    assert rows(None, obs, pb.preset("prob_mtr(0.1,1.0)", dims).with_exogeneity()) is pb.ConstraintSet
+    assert rows(exp, obs, slack=0.01) is pb.ConstraintSet
+    zero = zero_arm()[1]
+    assert rows(zero["exp"], zero["obs"]) is pb.ConstraintSet
 
 
 def mismatch():
@@ -442,8 +450,8 @@ def test_a_forged_start_falls_back_to_the_plain_start(d_x, d_y, monkeypatch, pha
     assert phase1 == [(cells.size, 0)]
     # the comonotone coupling of other marginals leaves a basic value negative
     other = honest(np.random.default_rng(0).dirichlet(np.ones(d_y), size=2))[0]
-    cs = pb.assemble_constraints(dims, exp=exp, obs=obs, assumptions=pb.AssumptionSet().with_exogeneity())
-    coupled = simplex._couple(cs, [(pb.collapse_to_objective(query(dims, "moment"), dims), "minimize")], px, m)
+    moment = pb.collapse_to_objective(query(dims, "moment"), dims)
+    coupled = simplex._couple(factored(dims, exp, obs), [(moment, "minimize")])
     assert coupled.read == (0, 1) and coupled.A.shape == (cells.size, d_y**2)
     assert not simplex._Tableau(coupled).enter(other)
     negative = forge(other)
@@ -452,24 +460,29 @@ def test_a_forged_start_falls_back_to_the_plain_start(d_x, d_y, monkeypatch, pha
         assert abs(forged[0] - want[0]) <= 1e-12 and abs(forged[1] - want[1]) <= 1e-12
 
 
-def couplings_of(dims, obs, q, cs):
+def factored(dims, exp, obs):
+    """The rows ``bound()`` solves under exogeneity alone: factored, for the q-form."""
+    rows = bounds._system(dims, exp, obs, pb.AssumptionSet().with_exogeneity(), None)
+    assert isinstance(rows, compile.FactoredExogeneity)
+    return rows
+
+
+def couplings_of(dims, q, exp, obs):
     """The q-form ``bound()`` states for ``q``."""
-    px = obs.x_marginal()
     c = objective(q, dims, obs)
-    return simplex._couple(cs, [(c, "minimize"), (c, "maximize")], px, obs.table / px[:, None])
+    return simplex._couple(factored(dims, exp, obs), [(c, "minimize"), (c, "maximize")])
 
 
 def test_the_q_form_reads_only_the_arms_its_objective_varies_along():
     dims = pb.Dims(5, 3)
     exp, obs = tables(5, 3, 17)
     exogenous = pb.AssumptionSet().with_exogeneity()
-    cs = pb.assemble_constraints(dims, exp=exp, obs=obs, assumptions=exogenous)
     m = obs.table / obs.x_marginal()[:, None]
     for a, b, l in ((0, 1, 4), (3, 1, 3), (4, 2, 0)):
         for q, read in ((pb.build_event_query(dims, {a: 0, b: {"ge": 1}}), {a, b}),
                         (pb.build_moment_query(dims, 1, (a, b)), {a, b}),
                         (pb.build_posterior_effect_query(dims, (a, b), (l, 1)), {a, b, l})):
-            coupled = couplings_of(dims, obs, q, cs)
+            coupled = couplings_of(dims, q, exp, obs)
             assert coupled.read == tuple(sorted(read))
             assert coupled.A.shape == (1 + 2 * len(read), 3 ** len(read))
             tags = tuple(f"marginal({k},{j})" for k in sorted(read) for j in (0, 1))
@@ -478,7 +491,7 @@ def test_the_q_form_reads_only_the_arms_its_objective_varies_along():
             assert coupled.other.size == 3 ** (5 - len(read))
     # an event on one arm reads that arm alone, and is identified
     res = pb.bound(dims, pb.build_event_query(dims, {2: 0}), exp=exp, obs=obs, assumptions=exogenous)
-    assert couplings_of(dims, obs, pb.build_event_query(dims, {2: 0}), cs).read == (2,)
+    assert couplings_of(dims, pb.build_event_query(dims, {2: 0}), exp, obs).read == (2,)
     assert abs(res.lower - m[2, 0]) <= 1e-12 and abs(res.upper - m[2, 0]) <= 1e-12
 
 
@@ -491,7 +504,7 @@ def test_a_constant_objective_reads_no_arm_and_keeps_its_one_point_interval(coup
     assert abs(res.lower - 1.0) <= 1e-12 and abs(res.upper - 1.0) <= 1e-12
     cs = pb.assemble_constraints(dims, exp=exp, obs=obs, assumptions=pb.AssumptionSet().with_exogeneity())
     assert simplex._certified(cs, res.lower_witness, "witness") is res.lower_witness
-    assert couplings_of(dims, obs, q, cs).read == ()
+    assert couplings_of(dims, q, exp, obs).read == ()
 
 
 # bound() of a raw query with a random coefficient on every cell, and the
@@ -514,7 +527,7 @@ def test_a_query_on_every_arm_keeps_the_q_form_over_every_outcome_vector(case):
     exp, obs = tables(d_x, d_y, seed)
     q = pb.QuerySpec(np.random.default_rng(seed).normal(size=dims.full_shape()))
     args = dict(exp=exp, obs=obs, assumptions=pb.AssumptionSet().with_exogeneity())
-    coupled = couplings_of(dims, obs, q, pb.assemble_constraints(dims, **args))
+    coupled = couplings_of(dims, q, exp, obs)
     assert coupled.read == tuple(range(d_x))
     # the glue is the point mass on no arm, in arm order: each coupling lifts as it is
     assert coupled.other.tolist() == [1.0] and coupled.order.tolist() == list(range(d_y**d_x))

@@ -104,8 +104,8 @@ def test_the_posterior_effect_of_the_sweep_is_its_truths_value():
 
 
 def test_the_full_mix_bounds_the_same_polytope_on_the_full_lp(monkeypatch):
-    # slack=0 leaves the q-form aside; where the full LP answers, it answers
-    # as the q-form does
+    # the full mix solves the dense rows and never states a q-form; where
+    # the full LP answers, it answers as bound() does
     coupled, honest = [], simplex._couple
 
     def couple(*args):
@@ -113,12 +113,16 @@ def test_the_full_mix_bounds_the_same_polytope_on_the_full_lp(monkeypatch):
         return honest(*args)
 
     monkeypatch.setattr(simplex, "_couple", couple)
-    seeds = range(stress.FIRST_SEED, stress.FIRST_SEED + 3)
-    full = stress.sweep([(3, 3), (4, 3)], seeds, 1.0, None, mix="full")
-    assert coupled == [] and [o.verdict for o in full] == ["ok"] * 6
-    for o in full:
-        dims, spec, exp, obs, _, _ = stress.instance(*o.dims, o.seed, 1.0)
-        exogenous = pb.AssumptionSet().with_exogeneity()
-        got = pb.bound(dims, spec, exp=exp, obs=obs, assumptions=exogenous, slack=0.0)
+    seeds, exogenous = range(stress.FIRST_SEED, stress.FIRST_SEED + 3), pb.AssumptionSet().with_exogeneity()
+    pairs = []
+    for query in stress.QUERIES:
+        full = stress.sweep([(3, 3), (4, 3)], seeds, 1.0, None, query, "full")
+        assert [o.verdict for o in full] == ["ok"] * 6
+        for o in full:
+            dims, spec, exp, obs, _, _ = stress.instance(*o.dims, o.seed, 1.0, query)
+            pairs.append((stress.full_lp(dims, spec, exp, obs, exogenous), (dims, spec, exp, obs)))
+    assert coupled == []
+    for got, (dims, spec, exp, obs) in pairs:
         want = pb.bound(dims, spec, exp=exp, obs=obs, assumptions=exogenous)
         assert abs(got.lower - want.lower) <= 1e-9 and abs(got.upper - want.upper) <= 1e-9
+    assert len(coupled) == len(pairs)

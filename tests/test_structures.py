@@ -90,9 +90,9 @@ def test_cached_structures_are_read_only_and_shared():
     exp, obs = tables(bounding_truth())
     bounds._STRUCTURES.clear()
     mtr = pb.preset("mtr", DIMS)
-    cs, _ = bounds._system(DIMS, exp, obs, mtr, None)
+    cs = bounds._system(DIMS, exp, obs, mtr, None)
     structure = bounds._structure(DIMS, True, True, False, mtr)
-    other, _ = bounds._system(DIMS, *tables(mite_truth()), mtr, None)
+    other = bounds._system(DIMS, *tables(mite_truth()), mtr, None)
     assert list(bounds._STRUCTURES.values()) == [structure]
     assert cs.A is other.A is structure.rows.A and cs.kind is other.kind is structure.rows.kind
     for arr in (structure.rows.A, structure.rows.rhs, structure.rows.kind, cs.rhs):

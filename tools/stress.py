@@ -14,10 +14,10 @@ tables are the experimental and observational marginals of the truth as a
 tables, is ``--query``: the event ``P(Y_0=0, Y_1>=1)`` (the default), or
 the posterior effect ``E[Y_0 - Y_1 | X=d_x-1, Y=0]``, which reads three
 arms and divides by the mass of the last arm.  ``--mix q-form`` (the
-default) bounds them as given, which ``bound()`` solves over couplings of
-the arm marginals; ``--mix full`` bounds them with ``slack=0``, which
-relaxes each data row to a pair of inequalities with the same solutions:
-the same polytope, solved as the full LP.
+default) bounds them with ``bound()``, which solves them over couplings
+of the arm marginals; ``--mix full`` solves the dense rows of
+``assemble_constraints`` with the public ``solve``, once per sense: the
+full LP that ``bound()`` falls back to, on the same polytope.
 
 Printed per dims: how many instances returned an interval (``ok``); how
 many raised, grouped by the first three words of the message (``raised``);
@@ -53,8 +53,6 @@ import pobounds as pb  # noqa: E402
 TOL = 1e-9
 FIRST_SEED = 1000
 QUERIES = ("event", "posterior_effect")
-# the slack each mix bounds with: none leaves the q-form to bound(), 0 forces the full LP
-MIXES = {"q-form": None, "full": 0.0}
 
 
 @dataclass(frozen=True)
@@ -88,8 +86,8 @@ def parse_args(argv):
     parser.add_argument("--seeds", type=int, required=True, help="instances per dims")
     parser.add_argument("--alpha", type=float, required=True, help="Dirichlet concentration of P(X=l)")
     parser.add_argument("--query", choices=QUERIES, default="event", help="the query bounded (default: event)")
-    parser.add_argument("--mix", choices=MIXES, default="q-form",
-                        help="q-form: bound as given (default); full: with slack=0, the same polytope as the full LP")
+    parser.add_argument("--mix", choices=("q-form", "full"), default="q-form",
+                        help="q-form: bound() (default); full: solve() on the dense rows, the full LP")
     args = parser.parse_args(argv)
     if args.seeds < 1:
         parser.error("--seeds must be at least 1")
@@ -160,13 +158,27 @@ def coupled_extremes(highs, dims, obs, objective) -> tuple[float | None, float |
     return tuple(None if None in side else float(px @ np.array(side)) for side in zip(*ends))
 
 
+def full_lp(dims, spec, exp, obs, assumptions) -> pb.BoundResult:
+    """What ``bound()`` returns, from the full LP: the dense rows of
+    ``assemble_constraints`` solved by the public ``solve`` once per sense,
+    never over couplings."""
+    cs = pb.assemble_constraints(dims, exp=exp, obs=obs, assumptions=assumptions)
+    objective = pb.bind_condition(spec, obs) if spec.condition is not None else pb.collapse_to_objective(spec, dims)
+    lo, hi = (pb.solve(pb.LpProblem(objective, cs, sense)) for sense in ("minimize", "maximize"))
+    if lo.status == "infeasible":
+        return pb.BoundResult("infeasible", diagnostics=lo.certificate)
+    if lo.status != "optimal" or hi.status != "optimal":
+        raise pb.PoboundsError(f"unexpected solver status: min={lo.status}, max={hi.status}")
+    return pb.BoundResult("ok", lo.value, hi.value, lo.witness, hi.witness)
+
+
 def run_one(d_x: int, d_y: int, seed: int, alpha: float, highs, query: str = "event", mix: str = "q-form") -> Outcome:
     dims, spec, exp, obs, px, value = instance(d_x, d_y, seed, alpha, query)
-    exogenous, slack = pb.AssumptionSet().with_exogeneity(True), MIXES[mix]
+    exogenous = pb.AssumptionSet().with_exogeneity(True)
     head = ((d_x, d_y), seed)
     start = time.perf_counter()
     try:
-        res = pb.bound(dims, spec, exp=exp, obs=obs, assumptions=exogenous, slack=slack)
+        res = (full_lp if mix == "full" else pb.bound)(dims, spec, exp=exp, obs=obs, assumptions=exogenous)
     except pb.PoboundsError as exc:
         return Outcome(*head, "raised", float(px.min()), time.perf_counter() - start, str(exc))
     seconds = time.perf_counter() - start
@@ -177,7 +189,7 @@ def run_one(d_x: int, d_y: int, seed: int, alpha: float, highs, query: str = "ev
         problem = f"[{res.lower!r}, {res.upper!r}] misses the truth's {value!r}"
     elif highs is not None:
         if query == "event":
-            cs = pb.assemble_constraints(dims, exp=exp, obs=obs, assumptions=exogenous, slack=slack)
+            cs = pb.assemble_constraints(dims, exp=exp, obs=obs, assumptions=exogenous)
             ref = highs(cs, pb.collapse_to_objective(spec, dims))
         else:
             ref = coupled_extremes(highs, dims, obs, pb.bind_condition(spec, obs))
