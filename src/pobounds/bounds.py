@@ -192,8 +192,8 @@ def _system(
     cs = structure.fill(np.concatenate(data), assumptions.terms, slack)
     if not assumptions.exogeneity:
         return cs
-    exogenous = FactoredExogeneity(cs, len(cs) - len(structure.sides), obs)
     px = obs.x_marginal()
+    exogenous = FactoredExogeneity(cs, len(cs) - len(structure.sides), obs, px)
     if slack is None and not structure.sides and (px > 0.0).all():
         if exp is None or (np.abs(exp.table - obs.table / px[:, None]) <= SUM_TOL).all():
             return exogenous

@@ -247,13 +247,16 @@ class FactoredExogeneity:
     :meth:`residuals` and :attr:`provenance` read as those of
     :meth:`full`, the exogeneity rows evaluated by
     :func:`exogeneity_residuals`; only :meth:`full` builds their dense
-    block.  ``bounds._system`` returns rows of this type exactly when the
-    q-form applies (see ``simplex._couple``, which reads ``P(X=l)`` and
-    the arm marginals from ``obs``), and :meth:`full` otherwise."""
+    block.  ``px`` is ``obs``'s ``P(X=l)``, computed once by the caller
+    and read by :attr:`provenance`, :meth:`residuals` and
+    ``simplex._couple``.  ``bounds._system`` returns rows of this type
+    exactly when the q-form applies (see ``simplex._couple``, which also
+    reads the arm marginals from ``obs``), and :meth:`full` otherwise."""
 
     rows: ConstraintSet
     at: int
     obs: ObservationalJoint
+    px: np.ndarray
 
     @property
     def dims(self) -> Dims:
@@ -261,14 +264,13 @@ class FactoredExogeneity:
 
     @property
     def provenance(self) -> tuple[str, ...]:
-        tags = _exogeneity_groups(self.dims)[2][:, self.obs.x_marginal() > 0.0].ravel().tolist()
+        tags = _exogeneity_groups(self.dims)[2][:, self.px > 0.0].ravel().tolist()
         return self.rows.provenance[: self.at] + tuple(tags) + self.rows.provenance[self.at :]
 
     def residuals(self, x: np.ndarray) -> np.ndarray:
         """Per-row violation by ``x``, as :meth:`ConstraintSet.residuals` of :meth:`full`."""
         own = self.rows.residuals(x)
-        return np.concatenate((own[: self.at], exogeneity_residuals(self.dims, self.obs.x_marginal(), x),
-                               own[self.at :]))
+        return np.concatenate((own[: self.at], exogeneity_residuals(self.dims, self.px, x), own[self.at :]))
 
     def full(self) -> ConstraintSet:
         """The rows with the exogeneity block compiled in (:func:`compile_exogeneity`)."""

@@ -62,6 +62,8 @@ class Dims:
     d_y: int
 
     def __post_init__(self):
+        for name in ("d_x", "d_y"):
+            object.__setattr__(self, name, as_integer(getattr(self, name), name))
         if self.d_x < 2 or self.d_y < 2:
             raise ValidationError(f"need at least 2 treatment and outcome levels, got ({self.d_x}, {self.d_y})")
 
@@ -428,7 +430,7 @@ class SparseJointPO:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SparseJointPO":
-        dims = Dims(as_integer(data["d_x"], "d_x"), as_integer(data["d_y"], "d_y"))
+        dims = Dims(data["d_x"], data["d_y"])
         space = data.get("space", "full")
         entries: dict[tuple, float] = {}
         for cell in data["cells"]:

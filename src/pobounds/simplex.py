@@ -15,7 +15,14 @@ Each pivot is a few whole-array operations: an ``argmin``, or a mask and
 ``argmax``, finds the entering column, ``argmin`` over the integer basis the
 ratio tie with the smallest basic index, then one rank-1 update.
 
-Every solve takes one path (:func:`_solve`): reduce, solve, lift, certify.
+Every solve walks one list of systems, innermost first, each built only
+once the one before it gives way (:func:`_levels`, which gives the list and
+the rules of each level): the q-form of factored exogeneity rows, the
+presolve of the full rows when it reduces them, then every row.  A level is
+solved, its vectors are lifted to the cells and certified against the
+original rows (:class:`_Level`), and the first level that does not give way
+answers (:func:`_solve`); this is the reduce-then-postsolve structure of
+Andersen & Andersen (1995).
 
 * Reduce.  Over the simplex ``sum(p) = 1, p >= 0``, an ``le`` row
   ``a . p <= min(a)`` holds only with every cell where ``a`` exceeds its
@@ -51,10 +58,8 @@ Every solve takes one path (:func:`_solve`): reduce, solve, lift, certify.
   ``{l}`` and the zero group of the other arms.  That phase 1 starts at
   the comonotone vertex (:func:`_comonotone`, the north-west-corner rule;
   Dantzig 1963, ch. 14), so with one of its cells per row it takes no
-  pivot.  A q-form that is infeasible, loses precision or lifts a vector
-  off an original row leaves the inputs to the presolve and the full LP,
-  as if it had not been tried.
-* Solve.  Inside one replicate loop only ``rhs`` and the objectives move
+  pivot.
+* Warm start.  Inside one replicate loop only ``rhs`` and the objectives move
   between solves, so :class:`_WarmStart` keeps each objective's final
   tableau, its basis priced afresh on the original columns, and the next
   solve of the same original ``A`` and ``kind``, reduced by the same
@@ -65,29 +70,25 @@ Every solve takes one path (:func:`_solve`): reduce, solve, lift, certify.
   fresh dual check on the original columns accepts the final basis.  A
   pivot row with no entering column excludes the solve as infeasible
   once its Farkas ray, solved afresh, passes on the original rows.  Any
-  doubt sends the solve to the cold two phases of :func:`_two_phase`, and
-  an infeasible reduced phase 1 to the full LP, whose certificate names
-  the original rows.
+  doubt sends the level to the cold two phases of :func:`_two_phase`.
 * Lift and certify.  Each reduction lifts its own vectors back to the
   cells (:meth:`_Rows.lift` scatters them through the presolve's mask,
   :meth:`_Couplings.lift` glues them and spreads them over the arms as
   ``P(X=l)·q_l``); a vector's value is the objective over the full
-  vector, and it must satisfy the original rows (:func:`_postsolve`),
-  which then keeps the bases of a warm-startable solve.
+  vector, and it must satisfy the original rows (:meth:`_Level.postsolve`).
   Every kept row is an original row restricted to the kept columns and
   the lifted vector is zero elsewhere, so this one check covers the
   reduced system too, and it checks the q-form's lift against every data
   and exogeneity row, the latter in the factored form they are built
   from, ``P(Y_k=v, X=l) - P(X=l)·P(Y_k=v)``
-  (:func:`compile.exogeneity_residuals`; Andersen & Andersen 1995
-  describe the reduce-then-postsolve structure).
+  (:func:`compile.exogeneity_residuals`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -159,7 +160,8 @@ class _Rows:
 
     def lift(self, phase1: LpSolution, solutions: list[LpSolution]) -> tuple[np.ndarray, list[LpSolution]]:
         """Each vector scattered through ``keep`` (:func:`_lift`; see
-        :func:`_postsolve`); a witness that is the phase-1 point stays that point."""
+        :meth:`_Level.postsolve`); a witness that is the phase-1 point stays
+        that point."""
         point = _lift(phase1.witness, self.keep)
         return point, [
             LpSolution(sol.status, None, point if sol.witness is phase1.witness else _lift(sol.witness, self.keep),
@@ -376,7 +378,7 @@ def _two_phase(system: ConstraintSet | _Rows | _Couplings, objectives: Sequence[
     its own copy of the feasible basis left after the artificials are driven
     out, so its pivots and witness do not depend on the other objectives.
     Vectors are over the system's columns and not yet certified (see
-    :func:`_postsolve`); the bases are ``None`` when the system is
+    :meth:`_Level.postsolve`); the bases are ``None`` when the system is
     infeasible, no objective is solved or one is unbounded.
 
     Given ``start``, columns of a basic feasible point such as a q-form's
@@ -544,8 +546,9 @@ class _Couplings:
     def lift(self, phase1: LpSolution, solutions: list[LpSolution]) -> tuple[np.ndarray, list[LpSolution]]:
         """Each coupling glued to ``κ`` (:meth:`glued`), gathered onto the
         arms by ``plan`` and taken to the cells as ``p(y, l) = P(X=l)·q_l(y)``
-        (see :func:`_postsolve`).  The phase-1 coupling, last in the stack
-        and so at index -1, is the ``q`` of every arm of the phase-1 point.
+        (see :meth:`_Level.postsolve`).  The phase-1 coupling, last in the
+        stack and so at index -1, is the ``q`` of every arm of the phase-1
+        point.
         Raises ``SolverFailureError`` when a solve over ``π`` is not optimal:
         the q-form's polytope is bounded, so only lost precision ends it so."""
         if any(sol.status != "optimal" for sol in solutions):
@@ -559,9 +562,9 @@ class _Couplings:
 
 def _couple(constraints: FactoredExogeneity, objectives: Sequence[tuple[np.ndarray, str]]) -> _Couplings:
     """The q-form of ``constraints``, an exogeneity system with no monotone
-    row over an observational table whose ``P(X=l)``, ``px``, has every
-    entry positive, and whose arm marginals ``P(Y=·|X=k)`` are the rows of
-    ``m``; both are read from ``constraints.obs``.
+    row over an observational table whose ``P(X=l)``, ``constraints.px``,
+    has every entry positive, and whose arm marginals ``P(Y=·|X=k)``, read
+    from ``constraints.obs``, are the rows of ``m``.
 
     ``p(y, l) = P(X=l)·q_l(y)`` meets the original rows exactly when each
     ``q_l`` is a coupling of the arm marginals: it sums to one and has
@@ -584,8 +587,7 @@ def _couple(constraints: FactoredExogeneity, objectives: Sequence[tuple[np.ndarr
     """
     d_x, d_y = constraints.dims.d_x, constraints.dims.d_y
     shape = (d_y,) * d_x
-    px = constraints.obs.x_marginal()
-    m = constraints.obs.table / px[:, None]
+    m = constraints.obs.table / constraints.px[:, None]
     distinct = {id(objective): objective for objective, _ in objectives}  # one array for both senses
     read = tuple(k for k in range(d_x) if any(_varies(c.reshape(d_y**k, d_y, -1)) for c in distinct.values()))
     rest = tuple(k for k in range(d_x) if k not in read)
@@ -605,8 +607,8 @@ def _couple(constraints: FactoredExogeneity, objectives: Sequence[tuple[np.ndarr
     rhs = np.concatenate(([1.0], m[list(read), :-1].reshape(-1)))
     cells, masses = _comonotone(m[list(rest)])
     other = np.bincount(cells, masses, minlength=d_y ** len(rest))
-    return _Couplings(A, rhs, kind, provenance, reduced, tuple(plan), px, _comonotone(m[list(read)])[0], read,
-                      other, _glue_order(constraints.dims, read))
+    return _Couplings(A, rhs, kind, provenance, reduced, tuple(plan), constraints.px, _comonotone(m[list(read)])[0],
+                      read, other, _glue_order(constraints.dims, read))
 
 
 @dataclass(frozen=True)
@@ -719,8 +721,9 @@ class _WarmStart:
     ) -> tuple[LpSolution, list[LpSolution], _Bases | None] | None:
         """:func:`_two_phase`'s results on ``system``, the presolve of
         ``constraints``, each objective (over the system's columns) solved
-        from its stored tableau, or ``None`` for the cold path.
-        The witnesses are valued by :func:`_postsolve`, over the full vector.
+        from its stored tableau, or ``None`` for the cold path.  The
+        witnesses are valued by :meth:`_Level.postsolve`, over the full
+        vector.
 
         Only the right-hand side moves: the body ``B⁻¹[A | slack]`` is carried
         over, while the basic values and the reduced costs are solved afresh
@@ -789,82 +792,107 @@ class _WarmStart:
         return LpSolution("feasible", 0.0, solutions[0].witness, 0), solutions, _Bases(rows, tuple(tableaux))
 
 
-def _postsolve(
-    constraints: ConstraintSet | FactoredExogeneity,
-    objectives: Sequence[tuple[np.ndarray, str]],
-    system: _Rows | _Couplings,
-    solved: tuple[LpSolution, list[LpSolution], _Bases | None],
-    warm: _WarmStart | None = None,
-) -> tuple[LpSolution, list[LpSolution]]:
-    """``solved``, a solve of ``system``, a reduction of ``constraints``, on
-    the original rows.  For a feasible solve ``system.lift`` takes the
-    phase-1 point and the solutions to full vectors, one solution per
-    original objective, a witness that is the phase-1 point being that very
-    vector; each value is then ``objective @ witness`` over the full vector,
-    and each distinct vector is certified against ``constraints`` once.
-    Once they pass, the bases of the solve, if any, replace those in
-    ``warm`` when it is given."""
-    phase1, solutions, bases = solved
-    if phase1.status != "feasible":
-        return phase1, solutions
-    point, solutions = system.lift(phase1, solutions)
-    _certified(constraints, point, "phase-1 point")
-    lifted = []
-    for (objective, sense), sol in zip(objectives, solutions):
-        if sol.status == "optimal":
-            if sol.witness is not point:
-                _certified(constraints, sol.witness, f"{sense} witness")
-            sol = LpSolution("optimal", float(objective @ sol.witness), sol.witness, sol.iterations)
-        lifted.append(sol)
-    if warm is not None and bases is not None:
-        warm.store(constraints, system, bases)
-    return LpSolution("feasible", 0.0, point, phase1.iterations), lifted
+@dataclass(frozen=True)
+class _Level:
+    """One system of :func:`_solve`'s list (see :func:`_levels`): a
+    reduction of the original rows ``constraints``, with its own
+    ``objectives`` and phase-1 ``start``, and the rules of its solve.  The
+    bases in ``warm``, if given, are tried first, and those of a solve that
+    passes replace them; the level gives way to the next on an infeasible
+    phase 1, unless it is the ``last``, and on the errors in ``failures``."""
+
+    constraints: ConstraintSet | FactoredExogeneity
+    system: _Rows | _Couplings
+    objectives: Sequence[tuple[np.ndarray, str]]
+    start: np.ndarray | None = None
+    warm: _WarmStart | None = None
+    last: bool = False
+    failures: tuple[type[Exception], ...] = ()
+
+    def solve(self, objectives: Sequence[tuple[np.ndarray, str]]) -> tuple[LpSolution, list[LpSolution]] | None:
+        """Phase 1 and one solution per original objective on the original
+        rows (:meth:`postsolve`), or ``None`` where the level gives way.  A
+        warm solve whose vectors fail their certificate runs again cold."""
+        solved = None if self.warm is None else self.warm.resolve(self.constraints, self.system, self.objectives)
+        if solved is not None:
+            try:
+                return self.postsolve(objectives, solved)
+            except SolverFailureError:
+                pass  # a warm witness off its certificate: solve cold
+        try:
+            solved = _two_phase(self.system, self.objectives, self.start)
+            if self.last or solved[0].status == "feasible":
+                return self.postsolve(objectives, solved)
+        except self.failures:
+            pass  # an error this level gives way on
+
+    def postsolve(self, objectives: Sequence[tuple[np.ndarray, str]],
+                  solved: tuple[LpSolution, list[LpSolution], _Bases | None]) -> tuple[LpSolution, list[LpSolution]]:
+        """``solved``, a solve of the level's system, on the original rows.
+        For a feasible solve ``system.lift`` takes the phase-1 point and the
+        solutions to full vectors, one solution per original objective, a
+        witness that is the phase-1 point being that very vector; each value
+        is then ``objective @ witness`` over the full vector, and each
+        distinct vector is certified against ``constraints`` once.  Once
+        they pass, the bases of the solve, if any, replace those in
+        ``warm`` when it is given."""
+        phase1, solutions, bases = solved
+        if phase1.status != "feasible":
+            return phase1, solutions
+        point, solutions = self.system.lift(phase1, solutions)
+        _certified(self.constraints, point, "phase-1 point")
+        lifted = []
+        for (objective, sense), sol in zip(objectives, solutions):
+            if sol.status == "optimal":
+                if sol.witness is not point:
+                    _certified(self.constraints, sol.witness, f"{sense} witness")
+                sol = LpSolution("optimal", float(objective @ sol.witness), sol.witness, sol.iterations)
+            lifted.append(sol)
+        if self.warm is not None and bases is not None:
+            self.warm.store(self.constraints, self.system, bases)
+        return LpSolution("feasible", 0.0, point, phase1.iterations), lifted
 
 
-def _solve(
-    constraints: ConstraintSet | FactoredExogeneity,
-    objectives: Sequence[tuple[np.ndarray, str]],
-    warm: _WarmStart | None = None,
-) -> tuple[LpSolution, list[LpSolution]]:
-    """Phase 1 and one solution per ``(objective, sense)`` on the original
-    rows, through the one path of reduce, solve, lift and certify.
+def _levels(constraints: ConstraintSet | FactoredExogeneity, objectives: Sequence[tuple[np.ndarray, str]],
+            warm: _WarmStart | None) -> Iterator[_Level]:
+    """The systems :func:`_solve` tries in turn, innermost first, each built
+    only once the one before it has given way, with the rules of each:
 
-    Rows held as :class:`FactoredExogeneity`, which the caller passes
-    exactly when the q-form applies (see :func:`_couple`), are solved over
-    couplings first; the q-form stands if it is feasible and its lifted
-    vectors pass :func:`_postsolve`, and it stores no bases.  Otherwise its
-    dense exogeneity block is compiled here, for the full LP.  The
-    :class:`_Rows` that :func:`_presolve` leaves are solved from the bases
-    in ``warm`` if they fit and their witnesses pass :func:`_postsolve`, and
-    by :func:`_two_phase` otherwise; an infeasible reduced phase 1 is
-    solved again on every row and column, so infeasibility certificates
-    always name original rows.  The bases of a feasible solve replace those
-    in ``warm`` once its vectors pass; without ``warm`` they are kept
-    nowhere.
+    1. the q-form (:func:`_couple`) of rows held as
+       :class:`FactoredExogeneity`, which the caller passes exactly when it
+       applies; it also gives way on a ``SolverFailureError`` (lost
+       precision, or a lifted vector off an original row), and keeps no
+       bases.  The dense exogeneity block is compiled only once it has
+       given way;
+    2. the presolve of the full rows (:func:`_presolve`), when it reduces
+       them, over the objectives on its kept columns;
+    3. every row and column (:meth:`_Rows.whole`), whose infeasible phase
+       1 stands, so that a certificate always names original rows.
+
+    ``warm``'s bases serve and are kept by the first dense level alone: the
+    presolve's, or every row when the presolve reduces nothing.  A
+    reduced system's infeasible phase 1 is solved again cold on every row.
     """
     if isinstance(constraints, FactoredExogeneity):
         coupled = _couple(constraints, objectives)
-        try:
-            solved = _two_phase(coupled, coupled.objectives, coupled.start)
-            if solved[0].status == "feasible":
-                return _postsolve(constraints, objectives, coupled, solved)
-        except SolverFailureError:
-            pass  # lost precision, or a vector off an original row: the full LP decides
+        yield _Level(constraints, coupled, coupled.objectives, coupled.start, failures=(SolverFailureError,))
         constraints = constraints.full()
     system = _presolve(constraints)
-    whole = system.A is constraints.A
-    reduced = objectives if whole else [(objective[system.keep], sense) for objective, sense in objectives]
-    solved = None if warm is None else warm.resolve(constraints, system, reduced)
-    if solved is not None:
-        try:
-            return _postsolve(constraints, objectives, system, solved, warm)
-        except SolverFailureError:
-            pass  # a warm witness off its certificate: solve cold
-    solved = _two_phase(system, reduced)
-    if solved[0].status == "infeasible" and not whole:
-        system = _Rows.whole(constraints)
-        solved = _two_phase(system, objectives)
-    return _postsolve(constraints, objectives, system, solved, warm)
+    if system.A is not constraints.A:
+        yield _Level(constraints, system, [(c[system.keep], sense) for c, sense in objectives], warm=warm)
+        system, warm = _Rows.whole(constraints), None
+    yield _Level(constraints, system, objectives, warm=warm, last=True)
+
+
+def _solve(constraints: ConstraintSet | FactoredExogeneity, objectives: Sequence[tuple[np.ndarray, str]],
+           warm: _WarmStart | None = None) -> tuple[LpSolution, list[LpSolution]]:
+    """Phase 1 and one solution per ``(objective, sense)`` on the original
+    rows: the first of :func:`_levels` that does not give way.  Without
+    ``warm`` every solve is cold and its bases are kept nowhere."""
+    for level in _levels(constraints, objectives, warm):
+        solved = level.solve(objectives)
+        if solved is not None:
+            return solved
 
 
 def solve(problem: LpProblem) -> LpSolution:

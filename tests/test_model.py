@@ -1,4 +1,5 @@
 import itertools
+import json
 import re
 
 import numpy as np
@@ -24,6 +25,22 @@ def test_dims_rejects_degenerate():
         pb.Dims(1, 3)
     with pytest.raises(ValidationError):
         pb.Dims(2, 1)
+
+
+@pytest.mark.parametrize("value", [2.0, "2"], ids=["float", "str"])
+def test_dims_refuse_a_non_integer(value):
+    # refused when built, not truncated, and not left to fail inside bound()
+    with pytest.raises(ValidationError, match=r"^d_x .* is not an integer$"):
+        pb.Dims(value, 2)
+    with pytest.raises(ValidationError, match=r"^d_y .* is not an integer$"):
+        pb.Dims(2, value)
+
+
+def test_numpy_integer_dims_are_held_as_python_ints():
+    dims = pb.Dims(np.int64(2), np.int64(3))
+    assert (type(dims.d_x), type(dims.d_y)) == (int, int) and dims == pb.Dims(2, 3)
+    joint = pb.SparseJointPO(dims, {((0, 1), 1, 1): 1.0}, "full")
+    assert json.loads(json.dumps(joint.to_json_dict()))["d_x"] == 2
 
 
 def test_flatten_first_and_last():

@@ -332,6 +332,24 @@ def test_a_q_form_bound_compiles_no_exogeneity_block(monkeypatch, coupled, mix):
     assert res.status == "ok" and coupled == [2] and blocks == []
 
 
+def test_a_q_form_bound_computes_p_x_once(monkeypatch, coupled):
+    # bounds._system computes P(X=l) and the factored rows hold it for the
+    # q-form, its provenance and its certificate
+    dims = pb.Dims(5, 3)
+    exp, obs = tables(5, 3, 17)
+    args = dict(exp=exp, obs=obs, assumptions=pb.AssumptionSet().with_exogeneity())
+    want = digest(pb.bound(dims, query(dims, "event"), **args))
+    calls, honest = [], pb.ObservationalJoint.x_marginal
+
+    def x_marginal(self):
+        calls.append(self)
+        return honest(self)
+
+    monkeypatch.setattr(pb.ObservationalJoint, "x_marginal", x_marginal)
+    res = pb.bound(dims, query(dims, "event"), **args)
+    assert coupled == [2, 2] and len(calls) == 1 and digest(res) == want
+
+
 @pytest.mark.parametrize("d_x, d_y", [(2, 2), (3, 2), (2, 3), (3, 3), (4, 3), (3, 4), (4, 4), (5, 3)])
 def test_the_factored_exogeneity_rows_are_the_dense_ones(d_x, d_y):
     # the residuals of every row, in the same order and with the same tags, for
@@ -349,7 +367,7 @@ def test_the_factored_exogeneity_rows_are_the_dense_ones(d_x, d_y):
             full = pb.assemble_constraints(dims, exp=exp_k, obs=obs_k, assumptions=assumptions.with_exogeneity())
             rows = pb.assemble_constraints(dims, exp=exp_k, obs=obs_k, assumptions=assumptions)
             monotone = sum(tag.startswith("monotone") for tag in rows.provenance)
-            factored = compile.FactoredExogeneity(rows, len(rows) - monotone, obs_k)
+            factored = compile.FactoredExogeneity(rows, len(rows) - monotone, obs_k, obs_k.x_marginal())
         assert factored.provenance == full.provenance
         vectors = list(rng.dirichlet(np.ones(dims.param_count()), size=4))
         if obs_k is obs and not assumptions.terms:
