@@ -687,8 +687,9 @@ class _WarmStart:
     ``kind``, the very objects, with the last (``bounds._STRUCTURES`` keeps
     one set per shape).  A solve of such rows that the presolve reduces by
     the same row and column masks starts from the stored tableaux
-    (:meth:`resolve`); any other solve runs the cold two phases and, if
-    feasible, replaces them.
+    (:meth:`resolve`); any other solve of the first dense level of
+    :func:`_levels` runs the cold two phases and, if feasible, replaces
+    them.
     """
 
     def __init__(self) -> None:

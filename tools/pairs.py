@@ -133,15 +133,20 @@ def report(runs: dict[str, list[dict]], metrics: dict[str, dict]) -> None:
         print(f"{name:44s} {spread(base):28s} {spread(head):28s} {change:>8s}  {wins}/{len(head)}  {judged}")
 
 
+def unpack(rev: str, into: str) -> None:
+    """The files of ``rev``, by ``git archive``, unpacked into the directory ``into``."""
+    archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True, stdout=subprocess.PIPE).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(into, filter="data")
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     metrics = declared()
-    archive = subprocess.run(["git", "archive", args.base], cwd=ROOT, check=True, stdout=subprocess.PIPE).stdout
     base_dir = tempfile.mkdtemp(prefix="pairs-base-")
     runs: dict[str, list[dict]] = {"base": [], "head": []}
     try:
-        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extractall(base_dir, filter="data")
+        unpack(args.base, base_dir)
         for i in range(args.pairs):
             order = [("base", base_dir), ("head", ROOT)]
             for side, checkout in order if i % 2 == 0 else order[::-1]:

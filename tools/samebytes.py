@@ -4,7 +4,7 @@
 
 Each side runs its own sources in its own processes.  The base is a
 ``git archive`` of ``--base`` unpacked into a temporary directory and
-removed after the run, as in ``tools/pairs.py``; the other side is the
+removed after the run (``tools/pairs.py``'s ``unpack``); the other side is the
 working tree.  On each side this records a digest of every
 ``bounds._bound`` call:
 
@@ -27,13 +27,11 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import io
 import json
 import os
 import shutil
 import subprocess
 import sys
-import tarfile
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -199,12 +197,12 @@ def main(argv=None) -> int:
     if args.record_ops is not None:
         record_ops(args.record_ops, args.out)
         return 0
-    archive = subprocess.run(["git", "archive", args.base], cwd=ROOT, check=True, stdout=subprocess.PIPE).stdout
+    from pairs import unpack  # tools/, the script's own directory
+
     scratch = tempfile.mkdtemp(prefix="samebytes-")
     try:
         base_dir = os.path.join(scratch, "base")
-        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extractall(base_dir, filter="data")
+        unpack(args.base, base_dir)
         for name in ("base-out", "head-out"):
             os.mkdir(os.path.join(scratch, name))
         base = side(base_dir, args, os.path.join(scratch, "base-out"))
