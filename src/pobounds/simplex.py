@@ -687,8 +687,8 @@ class _WarmStart:
     ``kind``, the very objects, with the last (``bounds._STRUCTURES`` keeps
     one set per shape).  A solve of such rows that the presolve reduces by
     the same row and column masks starts from the stored tableaux
-    (:meth:`resolve`); any other solve of the first dense level of
-    :func:`_levels` runs the cold two phases and, if feasible, replaces
+    (:meth:`resolve`); any other solve of the full rows
+    (:func:`_levels`) runs the cold two phases and, if feasible, replaces
     them.
     """
 
@@ -796,39 +796,43 @@ class _WarmStart:
 @dataclass(frozen=True)
 class _Level:
     """One system of :func:`_solve`'s list (see :func:`_levels`): a
-    reduction of the original rows ``constraints``, with its own
-    ``objectives`` and phase-1 ``start``, and the rules of its solve.  The
-    bases in ``warm``, if given, are tried first, and those of a solve that
-    passes replace them; the level gives way to the next on an infeasible
-    phase 1, unless it is the ``last``, and on the errors in ``failures``."""
+    reduction of the original rows ``constraints`` and ``objectives``, posed
+    as ``system`` with the objectives ``posed`` on its columns and the
+    phase-1 ``start``, and the rules of its solve.  The bases in ``resume``,
+    if given, are tried first, and those of a solve that passes replace the
+    bases in ``keep``, if given; the level gives way to the next on an
+    infeasible phase 1, unless it is the ``last``, and on the errors in
+    ``failures``."""
 
     constraints: ConstraintSet | FactoredExogeneity
-    system: _Rows | _Couplings
     objectives: Sequence[tuple[np.ndarray, str]]
+    system: _Rows | _Couplings
+    posed: Sequence[tuple[np.ndarray, str]]
+    resume: _WarmStart | None = None
+    keep: _WarmStart | None = None
     start: np.ndarray | None = None
-    warm: _WarmStart | None = None
     last: bool = False
     failures: tuple[type[Exception], ...] = ()
 
-    def solve(self, objectives: Sequence[tuple[np.ndarray, str]]) -> tuple[LpSolution, list[LpSolution]] | None:
+    def solve(self) -> tuple[LpSolution, list[LpSolution]] | None:
         """Phase 1 and one solution per original objective on the original
         rows (:meth:`postsolve`), or ``None`` where the level gives way.  A
         warm solve whose vectors fail their certificate runs again cold."""
-        solved = None if self.warm is None else self.warm.resolve(self.constraints, self.system, self.objectives)
+        solved = None if self.resume is None else self.resume.resolve(self.constraints, self.system, self.posed)
         if solved is not None:
             try:
-                return self.postsolve(objectives, solved)
+                return self.postsolve(solved)
             except SolverFailureError:
                 pass  # a warm witness off its certificate: solve cold
         try:
-            solved = _two_phase(self.system, self.objectives, self.start)
+            solved = _two_phase(self.system, self.posed, self.start)
             if self.last or solved[0].status == "feasible":
-                return self.postsolve(objectives, solved)
+                return self.postsolve(solved)
         except self.failures:
             pass  # an error this level gives way on
 
-    def postsolve(self, objectives: Sequence[tuple[np.ndarray, str]],
-                  solved: tuple[LpSolution, list[LpSolution], _Bases | None]) -> tuple[LpSolution, list[LpSolution]]:
+    def postsolve(self, solved: tuple[LpSolution, list[LpSolution], _Bases | None]
+                  ) -> tuple[LpSolution, list[LpSolution]]:
         """``solved``, a solve of the level's system, on the original rows.
         For a feasible solve ``system.lift`` takes the phase-1 point and the
         solutions to full vectors, one solution per original objective, a
@@ -836,21 +840,21 @@ class _Level:
         is then ``objective @ witness`` over the full vector, and each
         distinct vector is certified against ``constraints`` once.  Once
         they pass, the bases of the solve, if any, replace those in
-        ``warm`` when it is given."""
+        ``keep`` when it is given."""
         phase1, solutions, bases = solved
         if phase1.status != "feasible":
             return phase1, solutions
         point, solutions = self.system.lift(phase1, solutions)
         _certified(self.constraints, point, "phase-1 point")
         lifted = []
-        for (objective, sense), sol in zip(objectives, solutions):
+        for (objective, sense), sol in zip(self.objectives, solutions):
             if sol.status == "optimal":
                 if sol.witness is not point:
                     _certified(self.constraints, sol.witness, f"{sense} witness")
                 sol = LpSolution("optimal", float(objective @ sol.witness), sol.witness, sol.iterations)
             lifted.append(sol)
-        if self.warm is not None and bases is not None:
-            self.warm.store(self.constraints, self.system, bases)
+        if self.keep is not None and bases is not None:
+            self.keep.store(self.constraints, self.system, bases)
         return LpSolution("feasible", 0.0, point, phase1.iterations), lifted
 
 
@@ -870,19 +874,21 @@ def _levels(constraints: ConstraintSet | FactoredExogeneity, objectives: Sequenc
     3. every row and column (:meth:`_Rows.whole`), whose infeasible phase
        1 stands, so that a certificate always names original rows.
 
-    ``warm``'s bases serve and are kept by the first dense level alone: the
-    presolve's, or every row when the presolve reduces nothing.  A
-    reduced system's infeasible phase 1 is solved again cold on every row.
+    A passing solve of either dense level replaces ``warm``'s bases, but
+    only the first dense level, the presolve's or every row when the
+    presolve reduces nothing, starts from them: a reduced system's
+    infeasible phase 1 is solved again cold on every row.
     """
     if isinstance(constraints, FactoredExogeneity):
         coupled = _couple(constraints, objectives)
-        yield _Level(constraints, coupled, coupled.objectives, coupled.start, failures=(SolverFailureError,))
+        yield _Level(constraints, objectives, coupled, coupled.objectives, start=coupled.start,
+                     failures=(SolverFailureError,))
         constraints = constraints.full()
-    system = _presolve(constraints)
+    system, resume = _presolve(constraints), warm
     if system.A is not constraints.A:
-        yield _Level(constraints, system, [(c[system.keep], sense) for c, sense in objectives], warm=warm)
-        system, warm = _Rows.whole(constraints), None
-    yield _Level(constraints, system, objectives, warm=warm, last=True)
+        yield _Level(constraints, objectives, system, [(c[system.keep], sense) for c, sense in objectives], warm, warm)
+        system, resume = _Rows.whole(constraints), None
+    yield _Level(constraints, objectives, system, objectives, resume, warm, last=True)
 
 
 def _solve(constraints: ConstraintSet | FactoredExogeneity, objectives: Sequence[tuple[np.ndarray, str]],
@@ -891,7 +897,7 @@ def _solve(constraints: ConstraintSet | FactoredExogeneity, objectives: Sequence
     rows: the first of :func:`_levels` that does not give way.  Without
     ``warm`` every solve is cold and its bases are kept nowhere."""
     for level in _levels(constraints, objectives, warm):
-        solved = level.solve(objectives)
+        solved = level.solve()
         if solved is not None:
             return solved
 

@@ -79,16 +79,38 @@ def test_each_level_is_built_and_solved_only_once_the_one_before_gives_way(case,
 
 
 @pytest.mark.parametrize("case, rules", [
-    ("q-form", [("couplings", False, False, (pb.SolverFailureError,)), ("whole", True, True, ())]),
-    ("exp+obs+mtr", [("reduced", True, False, ()), ("whole", False, True, ())]),
-    ("emptied-data-row", [("whole", True, True, ())]),
+    ("q-form", [("couplings", False, False, False, (pb.SolverFailureError,)), ("whole", True, True, True, ())]),
+    ("exp+obs+mtr", [("reduced", True, True, False, ()), ("whole", False, True, True, ())]),
+    ("emptied-data-row", [("whole", True, True, True, ())]),
 ])
-def test_only_the_first_dense_level_serves_and_keeps_warm_bases(case, rules, monkeypatch):
-    # per level: its system, whether it is given the warm start, whether it
-    # is the last, and the errors it gives way on
+def test_only_the_first_dense_level_starts_from_warm_bases_and_either_replaces_them(case, rules, monkeypatch):
+    # per level: its system, whether it starts from the warm bases, whether
+    # it keeps its own there, whether it is the last, and the errors it
+    # gives way on
     dims, args = CASES[case][0](monkeypatch)
     rows = bounds._system(dims, args.get("exp"), args.get("obs"), args["assumptions"], None)
     c = pb.collapse_to_objective(query(dims, "event"), dims)
     warm = simplex._WarmStart()
     levels = list(simplex._levels(rows, [(c, "minimize"), (c, "maximize")], warm))
-    assert [(kind(level.system), level.warm is warm, level.last, level.failures) for level in levels] == rules
+    assert [(kind(level.system), level.resume is warm, level.keep is warm, level.last, level.failures)
+            for level in levels] == rules
+
+
+def test_a_feasible_whole_solve_after_an_infeasible_reduced_phase_1_keeps_its_bases(monkeypatch):
+    # the presolve keeps the feasible set, so only a phase 1 that ends on
+    # either side of its tolerance on the two systems comes here: forged
+    dims, args = mtr(monkeypatch)
+    rows = bounds._system(dims, args["exp"], args["obs"], args["assumptions"], None)
+    c = pb.collapse_to_objective(query(dims, "event"), dims)
+    honest = simplex._two_phase
+
+    def two_phase(system, objectives, start=None):
+        if kind(system) == "reduced":
+            return simplex.LpSolution("infeasible", None, None, 0), [], None
+        return honest(system, objectives, start)
+
+    monkeypatch.setattr(simplex, "_two_phase", two_phase)
+    warm = simplex._WarmStart()
+    phase1, solutions = simplex._solve(rows, [(c, "minimize"), (c, "maximize")], warm)
+    assert phase1.status == "feasible" and [sol.status for sol in solutions] == ["optimal", "optimal"]
+    assert warm.constraints is rows and kind(warm.system) == "whole" and len(warm.bases.tableaux) == 2

@@ -49,6 +49,19 @@ def test_the_first_difference_is_named_in_the_base_order():
     assert samebytes.first_difference(base, dict(base, **{"t::two": [a, c], "t::three": [b]})) == ("t::two", 1)
     assert samebytes.first_difference(base, dict(base, **{"t::one": [a]})) == ("t::one", 1)  # a missing call
     assert samebytes.first_difference(base, dict(base, **{"t::three": [a, a]})) == ("t::three", 1)  # an extra one
+    gone = {key: calls for key, calls in base.items() if key != "t::gone"}
+    assert samebytes.first_difference(base, gone) == ("t::gone", 0)  # a key the head lacks
+
+
+def test_a_missing_key_or_a_suite_that_did_not_pass_is_not_the_same(capsys):
+    a = digest(OK)
+    record = {"suite": {"t::one": [a], "t::two": [a]}, "ops": {"bound-grid op 0": [a]}, "returncode": 0}
+    assert samebytes.judge(7, record, dict(record, suite={"t::one": [a], "t::two": [a], "t::new": [a]}))
+    assert not samebytes.judge(7, record, dict(record, suite={"t::one": [a]}))
+    assert "first difference at t::two call 0" in capsys.readouterr().out
+    for base, head in ((record, dict(record, returncode=1)), (dict(record, returncode=2), record)):
+        assert not samebytes.judge(7, base, head)
+        assert "so some of its calls may be missing" in capsys.readouterr().out
 
 
 def test_the_recorder_keys_each_call_and_raises_again():

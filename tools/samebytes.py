@@ -8,10 +8,10 @@ removed after the run (``tools/pairs.py``'s ``unpack``); the other side is the
 working tree.  On each side this records a digest of every
 ``bounds._bound`` call:
 
-* in the tier-1 suite (``python -m pytest tests``), run with a fixed
-  ``--hypothesis-seed`` and no example database, with this file loaded as
-  a pytest plugin; a call is keyed by its test's id and its number within
-  that test;
+* in the tier-1 suite (``python -m pytest tests``), run with the fixed
+  ``--hypothesis-seed`` ``HYPOTHESIS_SEED`` and no example database, with
+  this file loaded as a pytest plugin; a call is keyed by its test's id and
+  its number within that test;
 * in bound-grid ops 0-499 and replicates ops 0-59 of ``--seed``, each built
   and run by the side's own ``perfbench/workloads.py``, which is imported
   as it is; a call is keyed by its workload, op and number within the op.
@@ -19,8 +19,11 @@ working tree.  On each side this records a digest of every
 A digest covers a result's status, endpoints, witness bytes and
 diagnostics, or the type and text of what the call raised.  Printed per
 part: how many calls both sides made and compared, how many keys only one
-side has (a test added or removed), and the first call that differs.  The
-exit status is 1 when some call differs.
+side has, and the first call that differs.  The exit status is 1 when some
+call of the base differs or is missing from the working tree, a whole key
+included, or when the suite does not pass on either side, since a test
+that fails or is not collected may stop before its calls.  Only keys that
+the working tree alone has, its new tests, are allowed.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 OUT = "SAMEBYTES_OUT"  # where the plugin writes the suite's calls
+HYPOTHESIS_SEED = 0
 WORKLOADS = (("bound-grid", "BoundGrid", 500), ("replicates", "Replicates", 60))
 
 
@@ -130,12 +134,10 @@ def record_ops(seed: int, out: str) -> None:
 def first_difference(base: dict, head: dict) -> tuple[str, int] | None:
     """The key and the number of the first call, in the base's order, whose
     digest differs between two sides' records; a side that made fewer calls
-    under a key differs at its first missing call.  Keys only one side has
-    are not compared."""
+    under a key, or none, differs at its first missing call.  Keys only the
+    head has are not compared."""
     for key, calls in base.items():
-        if key not in head:
-            continue
-        other = head[key]
+        other = head.get(key, [])
         for i in range(max(len(calls), len(other))):
             if i >= len(calls) or i >= len(other) or calls[i][0] != other[i][0]:
                 return key, i
@@ -157,17 +159,31 @@ def compare(part: str, base: dict, head: dict) -> bool:
     def at(calls):
         return f"{calls[i][0]} {calls[i][1]}" if i < len(calls) else "no call"
 
-    print(f"{part}: first difference at {key} call {i}\n  base: {at(base[key])}\n  head: {at(head[key])}")
+    print(f"{part}: first difference at {key} call {i}\n  base: {at(base[key])}\n  head: {at(head.get(key, []))}")
     return False
 
 
+def judge(seed: int, base: dict, head: dict) -> bool:
+    """Print the comparison of two sides' records (:func:`side`); whether
+    every call of the base is made again alike and the suite passed on both
+    sides."""
+    same = compare("suite", base["suite"], head["suite"])
+    same &= compare(f"ops of seed {seed}", base["ops"], head["ops"])
+    for name, record in (("base", base), ("head", head)):
+        if record["returncode"] != 0:
+            print(f"{name}: the suite exited with {record['returncode']}, so some of its calls may be missing")
+            same = False
+    return same
+
+
 def side(checkout: str, args, scratch: str) -> dict[str, dict]:
-    """Every call of the suite and of the ops, recorded in ``checkout``."""
+    """Every call of the suite and of the ops, recorded in ``checkout``, and
+    the suite's exit status."""
     suite_out, ops_out = os.path.join(scratch, "suite.json"), os.path.join(scratch, "ops.json")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([os.path.join(checkout, "src"), os.path.join(ROOT, "tools")]))
     env[OUT] = suite_out
     argv = [sys.executable, "-m", "pytest", "-q", "-p", "samebytes", "-p", "no:cacheprovider",
-            f"--hypothesis-seed={args.hypothesis_seed}", "--continue-on-collection-errors", "tests"]
+            f"--hypothesis-seed={HYPOTHESIS_SEED}", "--continue-on-collection-errors", "tests"]
     proc = subprocess.run(argv, cwd=checkout, env=env, stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, text=True)
     print(f"{checkout}: {proc.stdout.strip().splitlines()[-1]}", flush=True)
     del env[OUT]
@@ -176,14 +192,13 @@ def side(checkout: str, args, scratch: str) -> dict[str, dict]:
     with open(suite_out) as fh:
         suite = json.load(fh)
     with open(ops_out) as fh:
-        return {"suite": suite, "ops": json.load(fh)}
+        return {"suite": suite, "ops": json.load(fh), "returncode": proc.returncode}
 
 
 def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", help="git revision to compare against")
     parser.add_argument("--seed", type=int, help="the workloads' seed")
-    parser.add_argument("--hypothesis-seed", type=int, default=0)
     parser.add_argument("--record-ops", type=int, metavar="SEED", help=argparse.SUPPRESS)
     parser.add_argument("--out", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -209,9 +224,7 @@ def main(argv=None) -> int:
         head = side(ROOT, args, os.path.join(scratch, "head-out"))
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
-    same = compare("suite", base["suite"], head["suite"])
-    same &= compare(f"ops of seed {args.seed}", base["ops"], head["ops"])
-    return 0 if same else 1
+    return 0 if judge(args.seed, base, head) else 1
 
 
 if __name__ == "__main__":
